@@ -52,7 +52,8 @@ let tests () =
     Workload.Random_sched.step_up rng ~n_cores:9 ~period:9.836 ~max_intervals:5
       ~levels:(Power.Vf.table_iv 5)
   in
-  let profile9 = Sched.Peak.profile model9 pm sched9 in
+  let b9 = Thermal.Backend.of_model model9 in
+  let profile9 = Sched.Peak.profile b9 pm sched9 in
   let sched2 =
     Sched.Schedule.two_mode ~period:0.1 ~low:[| 0.6; 0.6 |] ~high:[| 1.3; 1.3 |]
       ~high_ratio:[| 0.5; 0.5 |]
@@ -62,6 +63,7 @@ let tests () =
       (Thermal.Floorplan.grid ~rows:1 ~cols:2 ~core_width:4e-3 ~core_height:4e-3)
   in
   let a9 = Thermal.Model.a_matrix model9 in
+  let b2 = Thermal.Backend.of_model model2 and b3 = Thermal.Backend.of_model model3 in
   [
     (* Tables II/III: the ideal solve on the 3x1 platform. *)
     Test.make ~name:"table2-3/motivation-ideal"
@@ -69,7 +71,7 @@ let tests () =
     (* Fig. 2: dense peak scan of an arbitrary 2-core schedule. *)
     Test.make ~name:"fig2/peak-scan-2core"
       (Staged.stage (fun () ->
-           ignore (Sched.Peak.of_any model2 pm ~samples_per_segment:32 sched2)));
+           ignore (Sched.Peak.of_any b2 pm ~samples_per_segment:32 sched2)));
     (* Fig. 3: one phase-grid peak evaluation (the sweep's inner loop). *)
     Test.make ~name:"fig3/phase-grid-point"
       (Staged.stage (fun () ->
@@ -77,7 +79,7 @@ let tests () =
              Workload.Random_sched.phase_grid ~n_cores:3 ~period:6. ~v_low:0.6
                ~v_high:1.3 ~offsets:[| 3.; 1.2; 4.2 |]
            in
-           ignore (Sched.Peak.of_any model3 pm ~samples_per_segment:24 s)));
+           ignore (Sched.Peak.of_any b3 pm ~samples_per_segment:24 s)));
     (* Fig. 4: the (I-K)^{-1} stable-status solve on 9 cores. *)
     Test.make ~name:"fig4-5/matex-stable-9core"
       (Staged.stage (fun () -> ignore (Thermal.Matex.stable_start model9 profile9)));
@@ -85,7 +87,7 @@ let tests () =
     Test.make ~name:"fig5/oscillate-peak"
       (Staged.stage (fun () ->
            ignore
-             (Sched.Peak.of_step_up model9 pm (Sched.Oscillate.oscillate 10 sched9))));
+             (Sched.Peak.of_step_up b9 pm (Sched.Oscillate.oscillate 10 sched9))));
     (* Figs. 6/7 + Table V: the policies themselves, pulled from the
        registry exactly as the experiments run them.  Each kernel gets a
        cache-disabled context (cache_size 0) so it measures the real
@@ -118,7 +120,7 @@ let tests () =
        tables disabled so the kernel measures evaluation, not replay. *)
     (let ao = Core.Registry.find_exn "ao"
      and ev3 = Core.Eval.create ~cache_size:0 p3 in
-     ignore (Core.Eval.engine ev3);
+     ignore (Core.Eval.backend ev3 : Thermal.Backend.t);
      Test.make ~name:"ext/ao-3core-response"
        (Staged.stage (fun () -> ignore (Core.Solver.run ~params:seq_params ao ev3))));
     (* Superposed streaming stable-status peak vs the LU reference on
@@ -239,7 +241,7 @@ let tests () =
        Thermal.Sparse_model.of_spec
          (Thermal.Grid_model.sheet_spec ~rows:8 ~cols:8 ())
      in
-     let resp64 = Thermal.Sparse_response.make eng64 in
+     let b64 = Thermal.Backend.of_response (Thermal.Sparse_response.make eng64) in
      let rom64 = Thermal.Reduced.of_engine eng64 in
      let low = Array.make 64 0.8 and high = Array.make 64 1.3 in
      let high_ratio =
@@ -255,7 +257,7 @@ let tests () =
                    Sched.Peak.rom_of_two_mode rom64 pm ~period:(period i) ~low
                      ~high ~high_ratio)
                  ~exact:(fun i ->
-                   Sched.Peak.response_of_two_mode_cached cache resp64 pm
+                   Sched.Peak.of_two_mode_cached cache b64 pm
                      ~period:(period i) ~low ~high ~high_ratio)
                  ()))));
     (* The screening tier alone: ROM-score the full 24-candidate batch
@@ -284,18 +286,22 @@ let tests () =
        Thermal.Sparse_model.of_spec
          (Thermal.Grid_model.sheet_spec ~rows:8 ~cols:8 ())
      in
-     let b64 = Thermal.Backend.of_sparse eng64 in
      let low = Array.make 64 0.8 and high = Array.make 64 1.3 in
      let high_ratio =
        Array.init 64 (fun i -> 0.2 +. (0.6 *. float_of_int (i mod 8) /. 7.))
      in
      let period m = 0.1 /. float_of_int (m + 1) in
+     let profile m =
+       List.map
+         (fun (duration, v) ->
+           { Thermal.Matex.duration; psi = Power.Power_model.psi_vector pm v })
+         (Sched.Schedule.state_intervals
+            (Sched.Schedule.two_mode ~period:(period m) ~low ~high ~high_ratio))
+     in
      Test.make ~name:"kernel/ao-64cell-sparse/exact-baseline"
        (Staged.stage (fun () ->
             for i = 0 to 23 do
-              ignore
-                (Sched.Peak.backend_of_two_mode b64 pm ~period:(period i) ~low
-                   ~high ~high_ratio)
+              ignore (Thermal.Sparse_model.end_of_period_peak eng64 (profile i))
             done)));
     (* The same two-tier sweep at 256 cells — the TPT/Demand m-sweep
        shape the 16x16 scaling study runs. *)
@@ -303,7 +309,7 @@ let tests () =
        Thermal.Sparse_model.of_spec
          (Thermal.Grid_model.sheet_spec ~rows:16 ~cols:16 ())
      in
-     let resp256 = Thermal.Sparse_response.make eng256 in
+     let b256 = Thermal.Backend.of_response (Thermal.Sparse_response.make eng256) in
      let rom256 = Thermal.Reduced.of_engine eng256 in
      let low = Array.make 256 0.8 and high = Array.make 256 1.3 in
      let high_ratio =
@@ -319,7 +325,7 @@ let tests () =
                    Sched.Peak.rom_of_two_mode rom256 pm ~period:(period i) ~low
                      ~high ~high_ratio)
                  ~exact:(fun i ->
-                   Sched.Peak.response_of_two_mode_cached cache resp256 pm
+                   Sched.Peak.of_two_mode_cached cache b256 pm
                      ~period:(period i) ~low ~high ~high_ratio)
                  ()))));
     (* One-time response-engine assembly at 256 cells: the n_cores + 1
@@ -343,7 +349,7 @@ let tests () =
        Thermal.Sparse_model.of_spec
          (Thermal.Grid_model.sheet_spec ~rows:8 ~cols:8 ())
      in
-     let resp64 = Thermal.Sparse_response.make eng64 in
+     let b64 = Thermal.Backend.of_response (Thermal.Sparse_response.make eng64) in
      let low = Array.make 64 0.8 and high = Array.make 64 1.3 in
      let high_ratio =
        Array.init 64 (fun i -> 0.2 +. (0.6 *. float_of_int (i mod 8) /. 7.))
@@ -351,12 +357,12 @@ let tests () =
      let cache = Sched.Peak.Cache.create ~max_entries:0 () in
      Test.make ~name:"kernel/ao-64cell-delta"
        (Staged.stage (fun () ->
-            Sched.Peak.response_two_mode_delta_base resp64 pm ~period:0.05
-              ~low ~high ~high_ratio;
+            Sched.Peak.two_mode_delta_base b64 pm ~period:0.05 ~low ~high
+              ~high_ratio;
             let best = ref 0 and best_pk = ref infinity in
             for j = 0 to 63 do
               let pk =
-                Sched.Peak.response_two_mode_delta_peak resp64 pm ~core:j
+                Sched.Peak.two_mode_delta_peak b64 pm ~core:j
                   ~low:low.(j) ~high:high.(j)
                   ~high_ratio:(Float.max 0. (high_ratio.(j) -. 0.05))
               in
@@ -368,8 +374,8 @@ let tests () =
             let hr = Array.copy high_ratio in
             hr.(!best) <- Float.max 0. (hr.(!best) -. 0.05);
             ignore
-              (Sched.Peak.response_of_two_mode_cached cache resp64 pm
-                 ~period:0.05 ~low ~high ~high_ratio:hr))));
+              (Sched.Peak.of_two_mode_cached cache b64 pm ~period:0.05 ~low
+                 ~high ~high_ratio:hr))));
     (* One candidate priced both ways off the same 64-cell response
        engine: the delta arm scores a single-core duty change against a
        base prepared at setup; the full arm re-superposes the whole
@@ -379,24 +385,23 @@ let tests () =
        Thermal.Sparse_model.of_spec
          (Thermal.Grid_model.sheet_spec ~rows:8 ~cols:8 ())
      in
-     let resp64 = Thermal.Sparse_response.make eng64 in
+     let b64 = Thermal.Backend.of_response (Thermal.Sparse_response.make eng64) in
      let low = Array.make 64 0.8 and high = Array.make 64 1.3 in
      let high_ratio =
        Array.init 64 (fun i -> 0.2 +. (0.6 *. float_of_int (i mod 8) /. 7.))
      in
-     Sched.Peak.response_two_mode_delta_base resp64 pm ~period:0.05 ~low ~high
-       ~high_ratio;
+     Sched.Peak.two_mode_delta_base b64 pm ~period:0.05 ~low ~high ~high_ratio;
      Test.make ~name:"kernel/delta-vs-full-candidate/delta"
        (Staged.stage (fun () ->
             ignore
-              (Sched.Peak.response_two_mode_delta_peak resp64 pm ~core:17
+              (Sched.Peak.two_mode_delta_peak b64 pm ~core:17
                  ~low:low.(17) ~high:high.(17)
                  ~high_ratio:(high_ratio.(17) -. 0.05)))));
     (let eng64 =
        Thermal.Sparse_model.of_spec
          (Thermal.Grid_model.sheet_spec ~rows:8 ~cols:8 ())
      in
-     let resp64 = Thermal.Sparse_response.make eng64 in
+     let b64 = Thermal.Backend.of_response (Thermal.Sparse_response.make eng64) in
      let low = Array.make 64 0.8 and high = Array.make 64 1.3 in
      let high_ratio =
        Array.init 64 (fun i -> 0.2 +. (0.6 *. float_of_int (i mod 8) /. 7.))
@@ -407,8 +412,8 @@ let tests () =
      Test.make ~name:"kernel/delta-vs-full-candidate/full"
        (Staged.stage (fun () ->
             ignore
-              (Sched.Peak.response_of_two_mode_cached cache resp64 pm
-                 ~period:0.05 ~low ~high ~high_ratio:hr2))));
+              (Sched.Peak.of_two_mode_cached cache b64 pm ~period:0.05 ~low
+                 ~high ~high_ratio:hr2))));
     (* The headroom fill at 256 cells through the full Eval/Tpt stack
        with the delta tier on: candidate scores come off the prepared
        base, exact solves only for re-verified winners.  [t_max] sits
@@ -445,7 +450,7 @@ let tests () =
             ignore
               (Core.Tpt.fill_headroom p ~eval:ev ~par:false
                  ~t_unit:(period /. 4.) ~delta_margin:1.0 c0))));
-    (let profile3 = Sched.Peak.profile model3 pm (Sched.Schedule.two_mode ~period:0.1 ~low:[| 0.6; 0.6; 0.6 |] ~high:[| 1.3; 1.3; 1.3 |] ~high_ratio:[| 0.4; 0.5; 0.6 |]) in
+    (let profile3 = Sched.Peak.profile b3 pm (Sched.Schedule.two_mode ~period:0.1 ~low:[| 0.6; 0.6; 0.6 |] ~high:[| 1.3; 1.3; 1.3 |] ~high_ratio:[| 0.4; 0.5; 0.6 |]) in
      Test.make ~name:"ext/peak-refined-3core"
        (Staged.stage (fun () ->
             ignore (Thermal.Matex.peak_refined model3 ~samples_per_segment:16 profile3))));
@@ -475,13 +480,22 @@ let tests () =
      Test.make ~name:"kernel/pool-map-overhead"
        (Staged.stage (fun () ->
             ignore (Util.Pool.map_array (fun x -> x + 1) xs))));
-    (let p3g = Workload.Configs.platform ~cores:3 ~levels:5 ~t_max:65. in
+    (* One simulated second of the threshold governor on a fresh dense
+       context: 20 ms epochs, eight plant substeps each. *)
+    (let p3g = Workload.Configs.platform ~cores:3 ~levels:5 ~t_max:65.
+     and cfg =
+       {
+         Runtime.Loop.default with
+         Runtime.Loop.control_interval = 20e-3;
+         duration = 1.;
+         substeps = 8;
+       }
+     in
      Test.make ~name:"ext/governor-1s"
        (Staged.stage (fun () ->
             ignore
-              (Runtime.Governor.simulate p3g
-                 (Runtime.Governor.Threshold { guard = 2. })
-                 ~duration:1. ()))));
+              (Runtime.Loop.run ~config:cfg (Core.Eval.create p3g)
+                 (Runtime.Controllers.threshold ~guard:2. ())))));
     (* Epoch-loop throughput on the dense modal plant: 50 epochs of the
        hysteresis controller, sensing and stepping included. *)
     (let ev3 =

@@ -435,7 +435,7 @@ let run_scale ~sizes ~dense_limit ~power_w =
       let spec = Thermal.Grid_model.sheet_spec ~rows ~cols () in
       let s_peak, s_time =
         Util.Timer.time_it (fun () ->
-            (Thermal.Backend.sparse_of_spec spec).Thermal.Backend.steady_peak psi)
+            Thermal.Sparse_model.steady_peak (Thermal.Sparse_model.of_spec spec) psi)
       in
       (* Stable status of a two-segment oscillation between the
          checkerboard and its complement — the 1024-node transient the
@@ -449,7 +449,8 @@ let run_scale ~sizes ~dense_limit ~power_w =
       in
       let _, stable_time =
         Util.Timer.time_it (fun () ->
-            (Thermal.Backend.sparse_of_spec spec).Thermal.Backend.stable_peak
+            Thermal.Sparse_model.end_of_period_peak
+              (Thermal.Sparse_model.of_spec spec)
               profile)
       in
       let dense_cell, speedup_cell, dpeak_cell =

@@ -75,7 +75,7 @@ let run_two_mode ~model ~layered ~v_low ~v_high ~high_ratio ~period ~periods ~cs
       ~high:(Array.make n v_high)
       ~high_ratio:(Array.make n high_ratio)
   in
-  let profile = Sched.Peak.profile model pm schedule in
+  let profile = Sched.Peak.profile (Thermal.Backend.of_model model) pm schedule in
   let trace = Thermal.Trace.from_ambient model ~periods ~samples_per_segment:16 profile in
   banner ();
   print_model_summary ~layered model;

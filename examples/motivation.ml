@@ -45,7 +45,7 @@ let () =
     Sched.Schedule.two_mode ~period:0.02 ~low:(Array.make 3 0.6)
       ~high:(Array.make 3 1.3) ~high_ratio:ratio
   in
-  let naive_peak = Sched.Peak.of_step_up model pm naive in
+  let naive_peak = Sched.Peak.of_step_up (Thermal.Backend.of_model model) pm naive in
   Printf.printf
     "  run naively with a 20 ms period this peaks at %.2f C - violates 65 C\n"
     naive_peak;

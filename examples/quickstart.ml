@@ -49,7 +49,9 @@ let () =
     (Sched.Schedule.period ao.Core.Ao.schedule *. 1e3);
   Format.printf "%a" Sched.Schedule.pp ao.Core.Ao.schedule;
   let verified =
-    Sched.Peak.of_any platform.Core.Platform.model platform.Core.Platform.power
+    Sched.Peak.of_any
+      (Thermal.Backend.of_model platform.Core.Platform.model)
+      platform.Core.Platform.power
       ~samples_per_segment:64 ao.Core.Ao.schedule
   in
   Printf.printf "dense-scan peak of AO's schedule: %.2f C (T_max = %.0f C)\n" verified

@@ -50,6 +50,7 @@ let config_for_m (p : Platform.t) ~base_period ~v_low ~v_high ~ratio ?deltas m =
 let solve ?eval ?(base_period = 0.1) ?(m_cap = 512) ?t_unit ?(fill = false)
     ?(adjust = `Greedy) ?(par = true) ?(delta_margin = 0.) (p : Platform.t) =
   let n = Platform.n_cores p in
+  let ev = Eval.for_platform eval p in
   let ideal = Ideal.solve p in
   (* Neighbouring modes and the throughput-preserving ratio of Eq. (11). *)
   let v_low = Array.make n 0. and v_high = Array.make n 0. and ratio = Array.make n 0. in
@@ -91,9 +92,9 @@ let solve ?eval ?(base_period = 0.1) ?(m_cap = 512) ?t_unit ?(fill = false)
     in
     let eval_m i =
       let period, high_ratio = ratios_for i in
-      Tpt.peak_aligned p ?eval ~period ~low:v_low ~high:v_high ~high_ratio ()
+      Eval.two_mode_peak ev ~period ~low:v_low ~high:v_high ~high_ratio
     in
-    let pool = Option.map Eval.pool eval in
+    let pool = Eval.pool ev in
     (* Fan out only when the batch carries real work: a 3-core dense
        candidate evaluation is under a microsecond, and waking the pool
        for ~10k such evaluations costs more than running them inline.
@@ -102,7 +103,7 @@ let solve ?eval ?(base_period = 0.1) ?(m_cap = 512) ?t_unit ?(fill = false)
        branch, whose ROM scores are cheaper still. *)
     let work = m_max * n * Thermal.Model.n_nodes p.model in
     let par = par && work >= 32768 in
-    match Option.bind eval Eval.screening with
+    match Eval.screening ev with
     | Some margin ->
         (* Two-tier sweep on a screening (sparse) context: every m is
            ROM-scored, only those within [margin] of the ROM minimum pay
@@ -111,14 +112,13 @@ let solve ?eval ?(base_period = 0.1) ?(m_cap = 512) ?t_unit ?(fill = false)
            untouched. *)
         let rom_m i =
           let period, high_ratio = ratios_for i in
-          Tpt.rom_peak_aligned p ?eval ~period ~low:v_low ~high:v_high
-            ~high_ratio ()
+          Eval.rom_two_mode_peak ev ~period ~low:v_low ~high:v_high ~high_ratio
         in
-        Screen.select ?pool ~par ~always:[] ~margin ~n:m_max ~rom:rom_m
+        Screen.select ~pool ~par ~always:[] ~margin ~n:m_max ~rom:rom_m
           ~exact:eval_m ()
     | None ->
         if par then
-          Util.Pool.init ?pool ~chunk:(Util.Pool.chunk_hint ?pool m_max) m_max
+          Util.Pool.init ~pool ~chunk:(Util.Pool.chunk_hint ~pool m_max) m_max
             eval_m
         else Array.init m_max eval_m
   in
@@ -138,21 +138,23 @@ let solve ?eval ?(base_period = 0.1) ?(m_cap = 512) ?t_unit ?(fill = false)
   let config, steps =
     match adjust with
     | `Greedy ->
-        Tpt.adjust_to_constraint p ?eval ?t_unit ~par ~delta_margin config0
-    | `Bisection -> Tpt.adjust_by_bisection p ?eval config0
+        Tpt.adjust_to_constraint p ~eval:ev ?t_unit ~par ~delta_margin config0
+    | `Bisection -> Tpt.adjust_by_bisection p ~eval:ev config0
   in
   (* Theorem 1 is only approximate under strong coupling: re-verify with
      the dense evaluator and, if the cheap search undershot, keep
      adjusting against the dense peak (a no-op when already feasible). *)
   (* The safety pass stays exact: [dense:true] disables the delta tier
-     anyway (its evaluators only price the aligned fused path). *)
+     anyway (its evaluators only price the aligned fused path).  The
+     re-check itself deliberately passes no context: it always runs the
+     dense modal scan, even when the search ran on a sparse one. *)
   let config, safety_steps =
     if Tpt.peak p ~dense:true config > p.t_max +. 1e-9 then
-      Tpt.adjust_to_constraint p ?eval ?t_unit ~dense:true ~par config
+      Tpt.adjust_to_constraint p ~eval:ev ?t_unit ~dense:true ~par config
     else (config, 0)
   in
   let config, fill_steps =
-    if fill then Tpt.fill_headroom p ?eval ?t_unit ~par ~delta_margin config
+    if fill then Tpt.fill_headroom p ~eval:ev ?t_unit ~par ~delta_margin config
     else (config, 0)
   in
   let steps = steps + safety_steps in
@@ -164,7 +166,7 @@ let solve ?eval ?(base_period = 0.1) ?(m_cap = 512) ?t_unit ?(fill = false)
     m = !best_m;
     m_max;
     throughput = Tpt.throughput p config;
-    peak = Tpt.peak p ?eval config;
+    peak = Tpt.peak p ~eval:ev config;
     ideal;
     adjustment_steps = steps + fill_steps;
   }

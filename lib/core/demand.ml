@@ -13,6 +13,7 @@ let solve ?eval ?(base_period = 0.1) ?(m_cap = 512) ?(par = true) (p : Platform.
   let n = Platform.n_cores p in
   if Array.length demands <> n then
     invalid_arg "Demand.solve: demands arity differs from core count";
+  let ev = Eval.for_platform eval p in
   let v_hi = Power.Vf.highest p.levels and v_lo = Power.Vf.lowest p.levels in
   Array.iter
     (fun d ->
@@ -61,20 +62,20 @@ let solve ?eval ?(base_period = 0.1) ?(m_cap = 512) ?(par = true) (p : Platform.
      near-minimum survivors — and pruned slots come back +inf, which
      the reduction below never selects. *)
   let peaks =
-    let eval_m i = Tpt.peak p ?eval (config_for (i + 1)) in
-    let pool = Option.map Eval.pool eval in
+    let eval_m i = Tpt.peak p ~eval:ev (config_for (i + 1)) in
+    let pool = Eval.pool ev in
     (* Same work-size gate as the AO m-sweep: small batches stay inline
        on both the screened and the exhaustive branch. *)
     let work = m_max * n * Thermal.Model.n_nodes p.model in
     let par = par && work >= 32768 in
-    match Option.bind eval Eval.screening with
+    match Eval.screening ev with
     | Some margin ->
-        let rom_m i = Tpt.rom_peak p ?eval (config_for (i + 1)) in
-        Screen.select ?pool ~par ~always:[] ~margin ~n:m_max ~rom:rom_m
+        let rom_m i = Tpt.rom_peak p ~eval:ev (config_for (i + 1)) in
+        Screen.select ~pool ~par ~always:[] ~margin ~n:m_max ~rom:rom_m
           ~exact:eval_m ()
     | None ->
         if par then
-          Util.Pool.init ?pool ~chunk:(Util.Pool.chunk_hint ?pool m_max) m_max
+          Util.Pool.init ~pool ~chunk:(Util.Pool.chunk_hint ~pool m_max) m_max
             eval_m
         else Array.init m_max eval_m
   in

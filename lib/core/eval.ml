@@ -2,6 +2,22 @@
 
 type backend_kind = Dense | Sparse
 
+(* The sparse side's screening tier.  The deferred engines are
+   [Util.Once] cells, not [Lazy]: evaluation contexts are shared across
+   pool workers, and with ?par policies a worker can be the first caller
+   to need an engine.  [Lazy.force] racing across domains raises
+   [Lazy.RacyLazy] — the crash class fosc-race's R8 flags — while
+   [Once.get] single-flights the build under a mutex and is one atomic
+   read thereafter. *)
+type sparse = {
+  response : Thermal.Sparse_response.t Util.Once.t;
+      (* Superposition tables over the Krylov engine of the model's spec
+         ([Thermal.Sparse_response.make] memoizes per engine) — what the
+         backend wraps. *)
+  rom : Thermal.Reduced.t Util.Once.t;
+      (* The Lanczos-reduced screening model over the same engine. *)
+}
+
 type t = {
   platform : Platform.t;
   pool : Util.Pool.t;
@@ -10,37 +26,14 @@ type t = {
   kind : backend_kind;
   screen_margin : float;
       (* ROM-screening margin in kelvin; 0 disables screening.  Only a
-         [Sparse] context ever screens — [Dense] contexts report no
-         screening regardless. *)
-  (* The deferred engines below are [Util.Once] cells, not [Lazy]:
-     evaluation contexts are shared across pool workers, and with ?par
-     policies a worker can be the first caller to need an engine.
-     [Lazy.force] racing across domains raises [Lazy.RacyLazy] — the
-     crash class fosc-race's R8 flags — while [Once.get] single-flights
-     the build under a mutex and is one atomic read thereafter. *)
-  engine : Thermal.Modal.t Util.Once.t;
-      (* The platform's response engine.  [Thermal.Modal.make] memoizes
-         per model, so forcing this returns the same engine every direct
-         (eval-less) call resolves — all paths superpose over identical
-         unit-response tables and stay bit-compatible.  Never forced by a
-         [Sparse] context's evaluators, so sparse solves skip the O(n³)
-         eigensolve entirely. *)
-  sparse : Thermal.Sparse_model.t Util.Once.t;
-      (* The Krylov engine of the model's spec, assembled on the
-         context's pool — shared by the response engine, the reduction
-         and the backend view, so all three superpose/project over one
-         operator. *)
-  response : Thermal.Sparse_response.t Util.Once.t;
-      (* Superposition tables over [sparse] ([Thermal.Sparse_response.make]
-         memoizes per engine).  Never forced by a [Dense] context. *)
-  rom : Thermal.Reduced.t Util.Once.t;
-      (* The Lanczos-reduced screening model over [sparse].  Never
-         forced by a [Dense] context. *)
+         [Sparse] context ever screens. *)
   backend : Thermal.Backend.t Util.Once.t;
-      (* The uniform-interface view of whichever engine [kind] selects.
-         For [Dense] this wraps the same modal engine as [engine]; for
-         [Sparse] it wraps the response engine, so backend evaluators
-         superpose instead of re-solving per-candidate steady states. *)
+      (* Every evaluator's engine.  [Dense] wraps the platform's modal
+         engine ([Thermal.Modal.make] memoizes per model, so it is the
+         engine any eval-less caller wrapping the model resolves);
+         [Sparse] wraps the response engine and never forces the modal
+         one, so sparse solves skip the O(n³) eigensolve entirely. *)
+  sparse : sparse option;  (* [Some] exactly on a [Sparse] context. *)
 }
 
 type stats = {
@@ -53,13 +46,25 @@ let create ?pool ?(cache_size = 1024) ?(backend = Dense) ?(screen_margin = 0.)
   if not (screen_margin >= 0.) then
     invalid_arg "Eval.create: negative screen_margin";
   let pool = match pool with Some p -> p | None -> Util.Pool.get () in
+  let model = platform.Platform.model in
   let sparse =
-    Util.Once.make (fun () ->
-        Thermal.Sparse_model.of_model ~pool platform.Platform.model)
-  in
-  let response =
-    Util.Once.make (fun () ->
-        Thermal.Sparse_response.make (Util.Once.get sparse))
+    match backend with
+    | Dense -> None
+    | Sparse ->
+        (* One Krylov engine, assembled on the context's pool, under both
+           the response tables and the reduction. *)
+        let engine =
+          Util.Once.make (fun () -> Thermal.Sparse_model.of_model ~pool model)
+        in
+        Some
+          {
+            response =
+              Util.Once.make (fun () ->
+                  Thermal.Sparse_response.make (Util.Once.get engine));
+            rom =
+              Util.Once.make (fun () ->
+                  Thermal.Reduced.of_engine (Util.Once.get engine));
+          }
   in
   {
     platform;
@@ -68,88 +73,46 @@ let create ?pool ?(cache_size = 1024) ?(backend = Dense) ?(screen_margin = 0.)
     stepup_cache = Sched.Peak.Cache.create ~max_entries:cache_size ();
     kind = backend;
     screen_margin;
-    engine =
-      Util.Once.make (fun () -> Thermal.Modal.make platform.Platform.model);
-    sparse;
-    response;
-    rom =
-      Util.Once.make (fun () ->
-          Thermal.Reduced.of_engine (Util.Once.get sparse));
     backend =
-      (match backend with
-      | Dense ->
-          Util.Once.make (fun () ->
-              Thermal.Backend.of_model platform.Platform.model)
-      | Sparse ->
-          Util.Once.make (fun () ->
-              Thermal.Backend.of_response (Util.Once.get response)));
+      Util.Once.make (fun () ->
+          match sparse with
+          | None -> Thermal.Backend.of_model model
+          | Some s -> Thermal.Backend.of_response (Util.Once.get s.response));
+    sparse;
   }
+
+(* The single point where a policy's optional context is resolved: a
+   context for another platform (or none) falls back to a memo-less
+   dense context on [p], on the caller's pool when it named one. *)
+let for_platform eval (p : Platform.t) =
+  match eval with
+  | Some ev when ev.platform == p -> ev
+  | Some ev -> create ~pool:ev.pool ~cache_size:0 p
+  | None -> create ~cache_size:0 p
 
 let platform t = t.platform
 let pool t = t.pool
 let kind t = t.kind
-let engine t = Util.Once.get t.engine
 let backend t = Util.Once.get t.backend
+let power t = t.platform.Platform.power
 
 let steady_peak t voltages =
-  match t.kind with
-  | Dense ->
-      Sched.Peak.steady_constant_cached ~engine:(Util.Once.get t.engine)
-        t.steady_cache t.platform.Platform.model t.platform.Platform.power
-        voltages
-  | Sparse ->
-      Sched.Peak.backend_steady_constant_cached t.steady_cache
-        (Util.Once.get t.backend) t.platform.Platform.power voltages
+  Sched.Peak.steady_constant_cached t.steady_cache (backend t) (power t) voltages
 
-let step_up_peak t s =
-  match t.kind with
-  | Dense ->
-      Sched.Peak.of_step_up_cached ~engine:(Util.Once.get t.engine) t.stepup_cache
-        t.platform.Platform.model t.platform.Platform.power s
-  | Sparse ->
-      Sched.Peak.backend_of_step_up_cached t.stepup_cache
-        (Util.Once.get t.backend) t.platform.Platform.power s
+let step_up_peak t s = Sched.Peak.of_step_up_cached t.stepup_cache (backend t) (power t) s
 
 let two_mode_peak t ~period ~low ~high ~high_ratio =
-  match t.kind with
-  | Dense ->
-      Sched.Peak.of_two_mode_cached ~engine:(Util.Once.get t.engine) t.stepup_cache
-        t.platform.Platform.model t.platform.Platform.power ~period ~low ~high
-        ~high_ratio
-  | Sparse ->
-      (* The fused streaming path: superposed equilibria, no schedule
-         materialization, same digest as the generic backend path. *)
-      Sched.Peak.response_of_two_mode_cached t.stepup_cache
-        (Util.Once.get t.response) t.platform.Platform.power ~period ~low ~high
-        ~high_ratio
+  Sched.Peak.of_two_mode_cached t.stepup_cache (backend t) (power t) ~period ~low
+    ~high ~high_ratio
 
 let any_peak t ?(samples_per_segment = 32) s =
-  match t.kind with
-  | Dense ->
-      Sched.Peak.of_any ~engine:(Util.Once.get t.engine) t.platform.Platform.model
-        t.platform.Platform.power ~samples_per_segment s
-  | Sparse ->
-      Sched.Peak.backend_of_any (Util.Once.get t.backend)
-        t.platform.Platform.power ~samples_per_segment s
+  Sched.Peak.of_any (backend t) (power t) ~samples_per_segment s
 
-let stable_end_core_temps t s =
-  match t.kind with
-  | Dense ->
-      Sched.Peak.stable_end_core_temps ~engine:(Util.Once.get t.engine)
-        t.platform.Platform.model t.platform.Platform.power s
-  | Sparse ->
-      Sched.Peak.backend_stable_end_core_temps (Util.Once.get t.backend)
-        t.platform.Platform.power s
+let stable_end_core_temps t s = Sched.Peak.stable_end_core_temps (backend t) (power t) s
 
 let two_mode_end_core_temps t ~period ~low ~high ~high_ratio =
-  match t.kind with
-  | Dense ->
-      Sched.Peak.two_mode_end_core_temps ~engine:(Util.Once.get t.engine)
-        t.platform.Platform.model t.platform.Platform.power ~period ~low ~high
-        ~high_ratio
-  | Sparse ->
-      Sched.Peak.backend_two_mode_end_core_temps (Util.Once.get t.backend)
-        t.platform.Platform.power ~period ~low ~high ~high_ratio
+  Sched.Peak.two_mode_end_core_temps (backend t) (power t) ~period ~low ~high
+    ~high_ratio
 
 (* -------------------------------------- prepared-base delta scans *)
 
@@ -159,72 +122,48 @@ let two_mode_end_core_temps t ~period ~low ~high ~high_ratio =
    Callers (the TPT loops) re-verify winners through [two_mode_peak]. *)
 
 let two_mode_delta_base t ~period ~low ~high ~high_ratio =
-  match t.kind with
-  | Dense ->
-      Sched.Peak.two_mode_delta_base ~engine:(Util.Once.get t.engine)
-        t.platform.Platform.model t.platform.Platform.power ~period ~low ~high
-        ~high_ratio
-  | Sparse ->
-      Sched.Peak.response_two_mode_delta_base (Util.Once.get t.response)
-        t.platform.Platform.power ~period ~low ~high ~high_ratio
+  Sched.Peak.two_mode_delta_base (backend t) (power t) ~period ~low ~high
+    ~high_ratio
 
 let two_mode_delta_peak t ~core ~low ~high ~high_ratio =
-  match t.kind with
-  | Dense ->
-      Sched.Peak.two_mode_delta_peak ~engine:(Util.Once.get t.engine)
-        t.platform.Platform.model t.platform.Platform.power ~core ~low ~high
-        ~high_ratio
-  | Sparse ->
-      Sched.Peak.response_two_mode_delta_peak (Util.Once.get t.response)
-        t.platform.Platform.power ~core ~low ~high ~high_ratio
+  Sched.Peak.two_mode_delta_peak (backend t) (power t) ~core ~low ~high ~high_ratio
 
 let two_mode_delta_temp_at t ~at ~core ~low ~high ~high_ratio =
-  match t.kind with
-  | Dense ->
-      Sched.Peak.two_mode_delta_temp_at ~engine:(Util.Once.get t.engine)
-        t.platform.Platform.model t.platform.Platform.power ~at ~core ~low
-        ~high ~high_ratio
-  | Sparse ->
-      Sched.Peak.response_two_mode_delta_temp_at (Util.Once.get t.response)
-        t.platform.Platform.power ~at ~core ~low ~high ~high_ratio
+  Sched.Peak.two_mode_delta_temp_at (backend t) (power t) ~at ~core ~low ~high
+    ~high_ratio
 
 (* ---------------------------------------------- two-tier screening *)
 
 let screening t =
-  match t.kind with
-  | Dense -> None
-  | Sparse ->
-      if t.screen_margin > 0. then begin
-        (* Force the screening models on the submitting domain NOW.
-           The context's own cells are domain-safe [Util.Once] values,
-           but [Reduced] keeps a true [Lazy] for its inner static tier
-           (forced once per reduction, on this domain, per the
-           [@fosc.forced_before_parallel] contract): [Reduced.prepare]
-           must run here so pool workers only ever read the
-           already-forced value.  Forcing up front also keeps the first
-           ROM scores from serializing behind the builds. *)
-        ignore (Util.Once.get t.response : Thermal.Sparse_response.t);
-        Thermal.Reduced.prepare (Util.Once.get t.rom);
-        Some t.screen_margin
-      end
-      else None
+  match t.sparse with
+  | Some s when t.screen_margin > 0. ->
+      (* Force the screening models on the submitting domain NOW.  The
+         context's own cells are domain-safe [Util.Once] values, but
+         [Reduced] keeps a true [Lazy] for its inner static tier (forced
+         once per reduction, on this domain, per the
+         [@fosc.forced_before_parallel] contract): [Reduced.prepare] must
+         run here so pool workers only ever read the already-forced
+         value.  Forcing up front also keeps the first ROM scores from
+         serializing behind the builds. *)
+      ignore (backend t : Thermal.Backend.t);
+      Thermal.Reduced.prepare (Util.Once.get s.rom);
+      Some t.screen_margin
+  | Some _ | None -> None
+
+(* No reduction on a dense context: the "approximate" score is the
+   exact evaluation, which keeps callers backend-blind. *)
 
 let rom_two_mode_peak t ~period ~low ~high ~high_ratio =
-  match t.kind with
-  | Dense ->
-      (* No reduction on the dense path: the "approximate" score is the
-         exact evaluation, which keeps callers backend-blind. *)
-      two_mode_peak t ~period ~low ~high ~high_ratio
-  | Sparse ->
-      Sched.Peak.rom_of_two_mode (Util.Once.get t.rom) t.platform.Platform.power
-        ~period ~low ~high ~high_ratio
+  match t.sparse with
+  | None -> two_mode_peak t ~period ~low ~high ~high_ratio
+  | Some s ->
+      Sched.Peak.rom_of_two_mode (Util.Once.get s.rom) (power t) ~period ~low ~high
+        ~high_ratio
 
-let rom_any_peak t ?(samples_per_segment = 32) s =
-  match t.kind with
-  | Dense -> any_peak t ~samples_per_segment s
-  | Sparse ->
-      Sched.Peak.rom_of_any (Util.Once.get t.rom) t.platform.Platform.power
-        ~samples_per_segment s
+let rom_any_peak t ?(samples_per_segment = 32) sched =
+  match t.sparse with
+  | None -> any_peak t ~samples_per_segment sched
+  | Some s -> Sched.Peak.rom_of_any (Util.Once.get s.rom) (power t) ~samples_per_segment sched
 
 let stats t =
   {
@@ -233,14 +172,12 @@ let stats t =
   }
 
 let sparse_response_stats t =
-  match t.kind with
-  | Dense -> None
-  | Sparse ->
-      if Util.Once.is_forced t.response then
-        Some (Thermal.Sparse_response.stats (Util.Once.get t.response))
-      else None
+  match t.sparse with
+  | Some s when Util.Once.is_forced s.response ->
+      Some (Thermal.Sparse_response.stats (Util.Once.get s.response))
+  | Some _ | None -> None
 
-let response_stats t = Thermal.Modal.stats (Util.Once.get t.engine)
+let response_stats t = Thermal.Modal.stats (Thermal.Modal.make t.platform.Platform.model)
 
 let hit_rate t =
   let s = stats t in

@@ -1,10 +1,10 @@
 (** A shared evaluation context: everything a policy solve needs to
     price candidate schedules on one platform, created once and reused.
 
-    The context bundles the {!Platform.t} (whose thermal model carries
-    the modal/MatEx workspace all evaluators run on), the {!Util.Pool}
-    handle searches fan out on, and two bounded memo tables
-    ({!Sched.Peak.Cache}):
+    The context bundles the {!Platform.t}, the {!Thermal.Backend} all
+    evaluators run on (plus, on a sparse context, a reduced screening
+    model), the {!Util.Pool} handle searches fan out on, and two bounded
+    memo tables ({!Sched.Peak.Cache}):
 
     - constant-voltage steady-state peaks, keyed by the (bit-exact)
       voltage vector — the evaluator behind LNS rounding, EXS
@@ -24,10 +24,12 @@ type t
 
 (** Which thermal engine prices this context's candidates.  [Dense] is
     the reference {!Thermal.Modal} path (exact eigenbasis, O(n³) build);
-    [Sparse] routes every evaluator through the {!Thermal.Backend}
-    wrapping of the Krylov engine (O(nnz) build, CG + Lanczos solves) —
-    a [Sparse] context never forces the modal engine, so its solves skip
-    the dense eigensolve entirely.  Both kinds share the same memo-table
+    [Sparse] is the {!Thermal.Sparse_response} superposition engine over
+    the Krylov engine (O(nnz) build, CG + Lanczos solves) plus a
+    {!Thermal.Reduced} screening model — a [Sparse] context never forces
+    the modal engine, so its solves skip the dense eigensolve entirely.
+    Either way the evaluators are the same {!Sched.Peak} calls on the
+    context's {!backend}, and both kinds share the same memo-table
     digests, so switching backends changes only who computes a miss. *)
 type backend_kind = Dense | Sparse
 
@@ -67,26 +69,29 @@ val pool : t -> Util.Pool.t
 (** [kind t] is the backend the context was created with. *)
 val kind : t -> backend_kind
 
-(** [backend t] is the uniform-interface view of the context's engine,
-    built lazily on first use — ["dense-modal"] wrapping the same engine
-    as {!engine} for a [Dense] context, ["sparse-response"] (the
-    superposition engine over the Krylov engine assembled from the
-    model's spec on the context's pool) for a [Sparse] one. *)
+(** [backend t] is the {!Thermal.Backend} every evaluator below runs
+    on, built lazily on first use — ["dense-modal"] over the platform's
+    memoized {!Thermal.Modal} engine (the same engine an eval-less caller
+    gets from [Thermal.Backend.of_model]) for a [Dense] context,
+    ["sparse-response"] (the superposition engine over the Krylov engine
+    assembled from the model's spec on the context's pool) for a
+    [Sparse] one.  Each evaluator is one {!Sched.Peak} call on it. *)
 val backend : t -> Thermal.Backend.t
 
-(** [engine t] is the platform's {!Thermal.Modal} response engine,
-    built lazily on first use.  {!Thermal.Modal.make} memoizes per
-    model, so this is the same engine any direct (eval-less) evaluator
-    call resolves — every path superposes over identical unit-response
-    tables, keeping cached and uncached results bit-compatible. *)
-val engine : t -> Thermal.Modal.t
+(** [for_platform eval p] resolves a policy's optional context: [eval]
+    itself when it was created for [p] (physical equality), otherwise a
+    fresh memo-less ([cache_size] 0) [Dense] context on [p] — on
+    [eval]'s pool when one was given.  What every policy entry point
+    taking [?eval] runs once per call, so an eval-less solve prices its
+    candidates exactly as a cache-disabled context would. *)
+val for_platform : t option -> Platform.t -> t
 
 (** [steady_peak t voltages] is the memoized
-    {!Sched.Peak.steady_constant} of the context's platform. *)
+    {!Sched.Peak.steady_constant} on the context's backend. *)
 val steady_peak : t -> float array -> float
 
-(** [step_up_peak t s] is the memoized {!Sched.Peak.of_step_up} of the
-    context's platform.  [s] must be step-up (raises [Invalid_argument]
+(** [step_up_peak t s] is the memoized {!Sched.Peak.of_step_up} on the
+    context's backend.  [s] must be step-up (raises [Invalid_argument]
     otherwise, like the uncached evaluator). *)
 val step_up_peak : t -> Sched.Schedule.t -> float
 
@@ -212,12 +217,13 @@ val stats : t -> stats
     response engine has actually been built (never forces it). *)
 val sparse_response_stats : t -> Thermal.Sparse_response.stats option
 
-(** [response_stats t] snapshots the response-engine counters
-    (superposition evaluations, decay-table hits/misses, and the
-    process-wide engine build count).  Engines are shared per model, so
-    the per-engine counters reflect every evaluation on this platform
-    since its engine was built, not just this context's.  Forces the
-    engine if it has not been used yet. *)
+(** [response_stats t] snapshots the platform's {!Thermal.Modal}
+    engine counters (superposition evaluations, decay-table
+    hits/misses, and the process-wide engine build count).  Engines are
+    shared per model, so the per-engine counters reflect every
+    evaluation on this platform since its engine was built, not just
+    this context's.  Builds the modal engine if it has not been used
+    yet — on a [Sparse] context too. *)
 val response_stats : t -> Thermal.Modal.stats
 
 (** [hit_rate t] is the fraction of all lookups (both tables) answered

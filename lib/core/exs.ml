@@ -58,7 +58,9 @@ let best_result ?(exhaustive = true) (p : Platform.t) best_digits best_score
       {
         voltages;
         throughput = mean voltages;
-        peak = Sched.Peak.steady_constant p.model p.power voltages;
+        peak =
+          Sched.Peak.steady_constant (Thermal.Backend.of_model p.model) p.power
+            voltages;
         evaluated;
         feasible = true;
         exhaustive;

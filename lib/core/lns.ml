@@ -3,11 +3,7 @@ type result = { voltages : float array; throughput : float; peak : float }
 let solve ?eval (p : Platform.t) =
   let ideal = Ideal.solve p in
   let voltages = Array.map (Power.Vf.round_down p.levels) ideal.Ideal.voltages in
-  let peak =
-    match eval with
-    | Some ev when Eval.platform ev == p -> Eval.steady_peak ev voltages
-    | Some _ | None -> Sched.Peak.steady_constant p.model p.power voltages
-  in
+  let peak = Eval.steady_peak (Eval.for_platform eval p) voltages in
   let throughput =
     Array.fold_left ( +. ) 0. voltages /. float_of_int (Array.length voltages)
   in

@@ -8,31 +8,13 @@ type result = {
   fill_steps : int;
 }
 
-let scan_peak ?eval (p : Platform.t) c =
-  match eval with
-  | Some ev when Eval.platform ev == p ->
-      Eval.any_peak ev ~samples_per_segment:16 (Tpt.schedule_of_config c)
-  | Some _ | None ->
-      Sched.Peak.of_any p.model p.power ~samples_per_segment:16
-        (Tpt.schedule_of_config c)
-
-let rom_scan_peak ?eval (p : Platform.t) c =
-  match eval with
-  | Some ev when Eval.platform ev == p ->
-      Eval.rom_any_peak ev ~samples_per_segment:16 (Tpt.schedule_of_config c)
-  | Some _ | None ->
-      Sched.Peak.of_any p.model p.power ~samples_per_segment:16
-        (Tpt.schedule_of_config c)
-
 let solve ?eval ?base_period ?m_cap ?t_unit ?(offsets_per_core = 8) ?(rounds = 1)
     ?(par = true) ?(delta_margin = 0.) (p : Platform.t) =
   if offsets_per_core < 1 then invalid_arg "Pco.solve: offsets_per_core < 1";
   if rounds < 1 then invalid_arg "Pco.solve: rounds < 1";
-  let ao = Ao.solve ?eval ?base_period ?m_cap ?t_unit ~par ~delta_margin p in
-  (* [eval] is shadowed by the per-candidate closure inside the grid
-     loop; keep the context reachable under another name. *)
-  let eval_ctx = eval in
-  let scan c = scan_peak ?eval p c in
+  let ev = Eval.for_platform eval p in
+  let ao = Ao.solve ~eval:ev ?base_period ?m_cap ?t_unit ~par ~delta_margin p in
+  let scan c = Eval.any_peak ev ~samples_per_segment:16 (Tpt.schedule_of_config c) in
   let n = Platform.n_cores p in
   let config = ref ao.Ao.config in
   (* Greedy per-core phase search: core 0 stays put (only relative phase
@@ -52,22 +34,23 @@ let solve ?eval ?base_period ?m_cap ?t_unit ?(offsets_per_core = 8) ?(rounds = 1
       candidate_offsets.(i) <- offset_for k;
       { base with Tpt.offset = candidate_offsets }
     in
-    let eval k = if k = 0 then scan base else scan (candidate k) in
+    let candidate_or_base k = if k = 0 then base else candidate k in
+    let exact k = scan (candidate_or_base k) in
     let peaks =
-      let pool = Option.map Eval.pool eval_ctx in
-      match Option.bind eval_ctx Eval.screening with
+      let pool = Eval.pool ev in
+      match Eval.screening ev with
       | Some margin ->
           (* Slot 0 is the incumbent: the selection below reads its
              exact peak unconditionally, so it must always survive. *)
           let rom k =
-            if k = 0 then rom_scan_peak ?eval:eval_ctx p base
-            else rom_scan_peak ?eval:eval_ctx p (candidate k)
+            Eval.rom_any_peak ev ~samples_per_segment:16
+              (Tpt.schedule_of_config (candidate_or_base k))
           in
-          Screen.select ?pool ~par ~always:[ 0 ] ~margin ~n:offsets_per_core
-            ~rom ~exact:eval ()
+          Screen.select ~pool ~par ~always:[ 0 ] ~margin ~n:offsets_per_core
+            ~rom ~exact ()
       | None ->
-          if par then Util.Pool.init ?pool offsets_per_core eval
-          else Array.init offsets_per_core eval
+          if par then Util.Pool.init ~pool offsets_per_core exact
+          else Array.init offsets_per_core exact
     in
     let best_offset = ref base.Tpt.offset.(i) in
     let best_peak = ref peaks.(0) in
@@ -87,7 +70,7 @@ let solve ?eval ?base_period ?m_cap ?t_unit ?(offsets_per_core = 8) ?(rounds = 1
   (* The delta tier only prices aligned configs, so it self-disables
      here whenever the phase search actually staggered a core. *)
   let filled, fill_steps =
-    Tpt.fill_headroom p ?eval ?t_unit ~par ~delta_margin !config
+    Tpt.fill_headroom p ~eval:ev ?t_unit ~par ~delta_margin !config
   in
   let schedule = Tpt.schedule_of_config filled in
   {

@@ -31,4 +31,5 @@ let n_cores p = Thermal.Model.n_cores p.model
 
 let feasible p =
   let v = Array.make (n_cores p) (Power.Vf.lowest p.levels) in
-  Sched.Peak.steady_constant p.model p.power v <= p.t_max +. 1e-9
+  Sched.Peak.steady_constant (Thermal.Backend.of_model p.model) p.power v
+  <= p.t_max +. 1e-9

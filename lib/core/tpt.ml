@@ -34,14 +34,6 @@ let schedule_of_config c =
   Array.iteri (fun i o -> if Float.abs o > 1e-12 then s := Sched.Schedule.shift !s i o) c.offset;
   !s
 
-(* Both evaluators run on the modal engine (Thermal.Modal via
-   Sched.Peak), so the O(candidates * segments) calls of the adjustment
-   loops below cost O(n) per sample instead of a propagator build.  The
-   cheap step-up branch additionally memoizes through the evaluation
-   context when one is supplied for this platform: searches revisit the
-   same candidate schedules constantly (the m sweep re-derives configs,
-   PCO re-runs AO, fill/adjust walk back over probed exchanges), and a
-   hit returns the bit-identical float a fresh solve would have. *)
 (* The clamped high-time ratio [schedule_of_config] hands to
    [Schedule.two_mode] — the fused evaluators take the same value so
    their decomposition is bit-identical to the schedule's. *)
@@ -49,91 +41,47 @@ let two_mode_ratio c =
   Array.init (Array.length c.v_low) (fun i ->
       Float.max 0. (Float.min 1. (c.high_time.(i) /. c.period)))
 
-(* The fused aligned-candidate evaluator without the config round-trip:
-   sweeps that derive [(period, ratios)] directly (AO's m sweep) skip
-   building and validating a config's five arrays per candidate.
-   [high_ratio] must be the clamped value [two_mode_ratio] would
-   produce, so the digest — and the returned float — matches the
-   config path bit-for-bit. *)
-let peak_aligned (p : Platform.t) ?eval ~period ~low ~high ~high_ratio () =
-  match eval with
-  | Some ev when Eval.platform ev == p ->
-      Eval.two_mode_peak ev ~period ~low ~high ~high_ratio
-  | Some _ | None ->
-      Sched.Peak.of_two_mode p.model p.power ~period ~low ~high ~high_ratio
-
-(* The screening-tier counterpart: the reduced-model score of the same
-   fused candidate (exact on a dense or eval-less context, where no
-   reduction exists).  Only meaningful when [Eval.screening] returned
-   [Some margin] — callers re-verify survivors through [peak_aligned]. *)
-let rom_peak_aligned (p : Platform.t) ?eval ~period ~low ~high ~high_ratio () =
-  match eval with
-  | Some ev when Eval.platform ev == p ->
-      Eval.rom_two_mode_peak ev ~period ~low ~high ~high_ratio
-  | Some _ | None ->
-      Sched.Peak.of_two_mode p.model p.power ~period ~low ~high ~high_ratio
-
-let peak (p : Platform.t) ?eval ?(dense = false) c =
+(* Every evaluator prices through an evaluation context, resolved once
+   per public entry point by [Eval.for_platform] (a missing or foreign
+   context becomes a memo-less dense one).  Aligned candidates take the
+   fused two-mode path — no Schedule.t, no state-interval merge, which
+   is most of a candidate's cost on small platforms — memoized in the
+   context's schedule-keyed table: searches revisit the same candidates
+   constantly (the m sweep re-derives configs, PCO re-runs AO,
+   fill/adjust walk back over probed exchanges), and a hit returns the
+   bit-identical float a fresh solve would have.  Shifted configs (or
+   [dense]) need the scan. *)
+let exact_peak ev ~dense c =
   if is_aligned c && not dense then begin
-    (* Fused path: aligned two-mode candidates are evaluated straight
-       from the config — no Schedule.t, no state-interval merge — which
-       is most of a candidate's cost on small platforms. *)
     validate c;
-    let high_ratio = two_mode_ratio c in
-    peak_aligned p ?eval ~period:c.period ~low:c.v_low ~high:c.v_high
-      ~high_ratio ()
+    Eval.two_mode_peak ev ~period:c.period ~low:c.v_low ~high:c.v_high
+      ~high_ratio:(two_mode_ratio c)
   end
-  else begin
-    (* Shifted configs need the dense scan; the context routes it to
-       whichever backend it was created with. *)
-    match eval with
-    | Some ev when Eval.platform ev == p ->
-        Eval.any_peak ev ~samples_per_segment:16 (schedule_of_config c)
-    | Some _ | None ->
-        Sched.Peak.of_any p.model p.power ~samples_per_segment:16
-          (schedule_of_config c)
-  end
-
-(* Screening-tier counterpart of [peak]: reduced-model score for aligned
-   configs, exact scan for shifted ones (screening only targets the
-   aligned sweeps, and a shifted candidate's exact scan is what the
-   search would pay anyway). *)
-let rom_peak (p : Platform.t) ?eval c =
-  if is_aligned c then begin
-    validate c;
-    let high_ratio = two_mode_ratio c in
-    rom_peak_aligned p ?eval ~period:c.period ~low:c.v_low ~high:c.v_high
-      ~high_ratio ()
-  end
-  else
-    match eval with
-    | Some ev when Eval.platform ev == p ->
-        Eval.rom_any_peak ev ~samples_per_segment:16 (schedule_of_config c)
-    | Some _ | None ->
-        Sched.Peak.of_any p.model p.power ~samples_per_segment:16
-          (schedule_of_config c)
+  else Eval.any_peak ev ~samples_per_segment:16 (schedule_of_config c)
 
 (* Stable-status end-of-period core temperatures (the quantity the TPT
-   index differentiates).  For shifted configs we fall back to the peak
-   itself as the scalar being reduced. *)
-let hot_metric (p : Platform.t) ?eval c =
+   index differentiates). *)
+let hot_metric ev c =
   if is_aligned c then begin
     validate c;
-    let high_ratio = two_mode_ratio c in
-    match eval with
-    | Some ev when Eval.platform ev == p ->
-        Eval.two_mode_end_core_temps ev ~period:c.period ~low:c.v_low
-          ~high:c.v_high ~high_ratio
-    | Some _ | None ->
-        Sched.Peak.two_mode_end_core_temps p.model p.power ~period:c.period
-          ~low:c.v_low ~high:c.v_high ~high_ratio
+    Eval.two_mode_end_core_temps ev ~period:c.period ~low:c.v_low
+      ~high:c.v_high ~high_ratio:(two_mode_ratio c)
   end
-  else
-    match eval with
-    | Some ev when Eval.platform ev == p ->
-        Eval.stable_end_core_temps ev (schedule_of_config c)
-    | Some _ | None ->
-        Sched.Peak.stable_end_core_temps p.model p.power (schedule_of_config c)
+  else Eval.stable_end_core_temps ev (schedule_of_config c)
+
+let peak (p : Platform.t) ?eval ?(dense = false) c =
+  exact_peak (Eval.for_platform eval p) ~dense c
+
+(* Reduced-model score for aligned configs, reduced scan for shifted
+   ones. *)
+let rom_peak (p : Platform.t) ?eval c =
+  let ev = Eval.for_platform eval p in
+  if is_aligned c then begin
+    validate c;
+    Eval.rom_two_mode_peak ev ~period:c.period ~low:c.v_low ~high:c.v_high
+      ~high_ratio:(two_mode_ratio c)
+  end
+  else Eval.rom_any_peak ev ~samples_per_segment:16 (schedule_of_config c)
 
 (* A core can give up high time as long as ANY remains — the final
    exchange may be smaller than t_unit (with_high_time clamps at 0), so
@@ -184,21 +132,12 @@ let reset_delta_stats () =
    [work] product (cores * nodes — the same floating-point-volume gate
    AO's m sweep uses): on a handful of cores a fused candidate
    evaluation is ~1 us, far below the cost of waking the pool. *)
-let eval_candidates ?eval ~par ~work n f =
+let eval_candidates ev ~par ~work n f =
   if par && work >= 32768 then begin
-    let pool = Option.map Eval.pool eval in
-    Util.Pool.init ?pool ~chunk:(Util.Pool.chunk_hint ?pool n) n f
+    let pool = Eval.pool ev in
+    Util.Pool.init ~pool ~chunk:(Util.Pool.chunk_hint ~pool n) n f
   end
   else Array.init n f
-
-(* The delta branches only run on an aligned config priced through a
-   context created for this platform: the prepared-base evaluators live
-   in that context's engines, so their scores and the exact winner
-   verifications superpose over the same unit-response tables. *)
-let delta_eval (p : Platform.t) eval ~delta_margin ~fused =
-  if delta_margin > 0. && fused then
-    match eval with Some ev when Eval.platform ev == p -> Some ev | _ -> None
-  else None
 
 let adjust_to_constraint (p : Platform.t) ?eval ?t_unit ?(dense = false)
     ?(par = true) ?(delta_margin = 0.) c =
@@ -207,6 +146,7 @@ let adjust_to_constraint (p : Platform.t) ?eval ?t_unit ?(dense = false)
     invalid_arg "Tpt.adjust_to_constraint: negative delta_margin";
   let t_unit = match t_unit with Some u -> u | None -> c.period /. 100. in
   if t_unit <= 0. then invalid_arg "Tpt.adjust_to_constraint: non-positive t_unit";
+  let ev = Eval.for_platform eval p in
   let n = Array.length c.v_low in
   let work = n * Thermal.Model.n_nodes p.model in
   (* Offsets never change below, so the fused-path test is loop-invariant. *)
@@ -218,7 +158,7 @@ let adjust_to_constraint (p : Platform.t) ?eval ?t_unit ?(dense = false)
      returns the bit-identical float — threading the winner's vector
      through the loop saves one full evaluation per accepted step. *)
   let peak_of c temps =
-    if fused then Linalg.Vec.max temps else peak p ?eval ~dense c
+    if fused then Linalg.Vec.max temps else exact_peak ev ~dense c
   in
   let exact_loop () =
     let rec loop c temps current_peak steps =
@@ -226,9 +166,9 @@ let adjust_to_constraint (p : Platform.t) ?eval ?t_unit ?(dense = false)
       else begin
         let hottest = Linalg.Vec.argmax temps in
         let candidates =
-          eval_candidates ?eval ~par ~work n (fun j ->
+          eval_candidates ev ~par ~work n (fun j ->
               if adjustable c j t_unit then
-                Some (hot_metric p ?eval (with_high_time c j (-.t_unit)))
+                Some (hot_metric ev (with_high_time c j (-.t_unit)))
               else None)
         in
         (* TPT index: peak reduction at the hottest core per unit of
@@ -257,10 +197,10 @@ let adjust_to_constraint (p : Platform.t) ?eval ?t_unit ?(dense = false)
             loop c' temps' (peak_of c' temps') (steps + 1)
       end
     in
-    let temps = hot_metric p ?eval c in
+    let temps = hot_metric ev c in
     loop c temps (peak_of c temps) 0
   in
-  let delta_loop ev =
+  let delta_loop () =
     let score = Array.make n infinity in
     let have = Array.make n false in
     let last_hottest = ref (-1) in
@@ -329,30 +269,30 @@ let adjust_to_constraint (p : Platform.t) ?eval ?t_unit ?(dense = false)
                delta scores never feed the termination test or the next
                iteration's hottest-core read. *)
             let c' = with_high_time c j (-.t_unit) in
-            let temps' = hot_metric p ~eval:ev c' in
+            let temps' = hot_metric ev c' in
             ignore (Atomic.fetch_and_add tally_exact 1 : int);
             have.(j) <- false;
             loop c' temps' (Linalg.Vec.max temps') (steps + 1)
       end
     in
-    let temps = hot_metric p ~eval:ev c in
+    let temps = hot_metric ev c in
     loop c temps (Linalg.Vec.max temps) 0
   in
-  match delta_eval p eval ~delta_margin ~fused with
-  | Some ev -> delta_loop ev
-  | None -> exact_loop ()
+  (* The delta tier only prices aligned fused candidates. *)
+  if delta_margin > 0. && fused then delta_loop () else exact_loop ()
 
 let scale_high_times c s =
   { c with high_time = Array.map (fun h -> h *. s) c.high_time }
 
 let adjust_by_bisection (p : Platform.t) ?eval ?(tol = 1e-3) c =
   validate c;
-  if peak p ?eval c <= p.t_max +. 1e-9 then (c, 1)
+  let ev = Eval.for_platform eval p in
+  if exact_peak ev ~dense:false c <= p.t_max +. 1e-9 then (c, 1)
   else begin
     let evals = ref 1 in
     let feasible s =
       incr evals;
-      peak p ?eval (scale_high_times c s) <= p.t_max +. 1e-9
+      exact_peak ev ~dense:false (scale_high_times c s) <= p.t_max +. 1e-9
     in
     if not (feasible 0.) then (scale_high_times c 0., !evals)
     else begin
@@ -372,6 +312,7 @@ let fill_headroom (p : Platform.t) ?eval ?t_unit ?(par = true)
     invalid_arg "Tpt.fill_headroom: negative delta_margin";
   let t_unit = match t_unit with Some u -> u | None -> c.period /. 100. in
   if t_unit <= 0. then invalid_arg "Tpt.fill_headroom: non-positive t_unit";
+  let ev = Eval.for_platform eval p in
   let n = Array.length c.v_low in
   let work = n * Thermal.Model.n_nodes p.model in
   (* [base_peak] is the peak of [c], threaded through the loop: it is
@@ -383,9 +324,9 @@ let fill_headroom (p : Platform.t) ?eval ?t_unit ?(par = true)
       if base_peak > p.t_max -. 1e-9 then (c, steps)
       else begin
         let candidate_peaks =
-          eval_candidates ?eval ~par ~work n (fun j ->
+          eval_candidates ev ~par ~work n (fun j ->
               if raisable c j t_unit then
-                Some (peak p ?eval (with_high_time c j t_unit))
+                Some (exact_peak ev ~dense:false (with_high_time c j t_unit))
               else None)
         in
         (* Among raisable cores, pick the largest throughput gain per
@@ -408,9 +349,9 @@ let fill_headroom (p : Platform.t) ?eval ?t_unit ?(par = true)
             loop (with_high_time c j t_unit) candidate_peak (steps + 1)
       end
     in
-    loop c (peak p ?eval c) 0
+    loop c (exact_peak ev ~dense:false c) 0
   in
-  let delta_loop ev =
+  let delta_loop () =
     let score = Array.make n infinity in
     let have = Array.make n false in
     let exact_backed = Array.make n false in
@@ -471,7 +412,7 @@ let fill_headroom (p : Platform.t) ?eval ?t_unit ?(par = true)
           | None -> None
           | Some (j, _) when exact_backed.(j) -> Some j
           | Some (j, _) ->
-              score.(j) <- peak p ~eval:ev (with_high_time c j t_unit);
+              score.(j) <- exact_peak ev ~dense:false (with_high_time c j t_unit);
               exact_backed.(j) <- true;
               ignore (Atomic.fetch_and_add tally_exact 1 : int);
               pick ()
@@ -486,11 +427,9 @@ let fill_headroom (p : Platform.t) ?eval ?t_unit ?(par = true)
             loop (with_high_time c j t_unit) candidate_peak (steps + 1)
       end
     in
-    loop c (peak p ~eval:ev c) 0
+    loop c (exact_peak ev ~dense:false c) 0
   in
-  match delta_eval p eval ~delta_margin ~fused:(is_aligned c) with
-  | Some ev -> delta_loop ev
-  | None -> exact_loop ()
+  if delta_margin > 0. && is_aligned c then delta_loop () else exact_loop ()
 
 let throughput (p : Platform.t) c =
   Sched.Throughput.with_overhead ~tau:p.tau (schedule_of_config c)

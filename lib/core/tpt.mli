@@ -34,45 +34,19 @@ val schedule_of_config : config -> Sched.Schedule.t
     dense evaluator exists because Theorem 1 is only approximate under
     strong inter-core coupling (see EXPERIMENTS.md): AO runs its search
     with the cheap evaluator and re-verifies the final answer densely.
-    When [eval] wraps this same platform, the cheap step-up branch is
-    memoized through the context's schedule-keyed table — bit-identical
-    values, shared across every search probing the same candidates. *)
+    Every entry point below prices through [Eval.for_platform eval
+    platform]: a context for this platform memoizes the cheap step-up
+    branch in its schedule-keyed table (bit-identical values, shared
+    across every search probing the same candidates); a missing or
+    foreign one resolves to a memo-less dense context. *)
 val peak : Platform.t -> ?eval:Eval.t -> ?dense:bool -> config -> float
 
-(** [peak_aligned p ?eval ~period ~low ~high ~high_ratio ()] is the
-    fused aligned two-mode evaluator {!peak} dispatches to, without the
-    config round-trip — for sweeps that derive the span shape directly.
-    [high_ratio] must already be clamped to [0, 1] the way {!peak}
-    clamps [high_time /. period], so the memoization digest (and the
-    returned float) is bit-identical to the config path. *)
-val peak_aligned :
-  Platform.t ->
-  ?eval:Eval.t ->
-  period:float ->
-  low:float array ->
-  high:float array ->
-  high_ratio:float array ->
-  unit ->
-  float
-
-(** [rom_peak_aligned p ?eval ~period ~low ~high ~high_ratio ()] is the
-    screening-tier score of the same fused candidate: the reduced-model
-    peak when [eval] is a sparse context ({!Eval.rom_two_mode_peak}),
-    the exact evaluation otherwise.  Approximate — m-sweeps use it only
-    to pick survivors for exact re-verification ({!Screen.select}). *)
-val rom_peak_aligned :
-  Platform.t ->
-  ?eval:Eval.t ->
-  period:float ->
-  low:float array ->
-  high:float array ->
-  high_ratio:float array ->
-  unit ->
-  float
-
-(** [rom_peak p ?eval c] is the screening-tier score of a config:
-    {!rom_peak_aligned} for aligned configs, the reduced-model scan
-    ({!Eval.rom_any_peak}) for shifted ones. *)
+(** [rom_peak p ?eval c] is the screening-tier score of a config: the
+    reduced-model score of the fused candidate
+    ({!Eval.rom_two_mode_peak}) for aligned configs, the reduced-model
+    scan ({!Eval.rom_any_peak}) for shifted ones — the exact evaluation
+    on a dense context.  Approximate: sweeps use it only to pick
+    survivors for exact re-verification ({!Screen.select}). *)
 val rom_peak : Platform.t -> ?eval:Eval.t -> config -> float
 
 (** [adjust_to_constraint platform ?t_unit c] is the Algorithm 2 loop:
@@ -89,9 +63,9 @@ val rom_peak : Platform.t -> ?eval:Eval.t -> config -> float
 
     [delta_margin] (kelvin, default [0.] — off) opts the per-core scan
     into the prepared-base delta tier (DESIGN.md §14) when [c] is
-    aligned, [dense] is [false] and [eval] wraps this platform: each
-    step prepares the current config's drive once on the context's
-    engine and prices candidates as single-core deltas, keeping stale
+    aligned and [dense] is [false]: each step prepares the current
+    config's drive once on the context's backend and prices candidates
+    as single-core deltas, keeping stale
     scores across accepted steps for candidates more than
     [delta_margin] above the best stale score.  The chosen winner is
     always re-verified with a full exact evaluation before acceptance,

@@ -29,10 +29,7 @@ let solve ?eval (p : Platform.t) =
     continuous_voltage;
     voltages;
     throughput = v;
-    peak =
-      (match eval with
-      | Some ev when Eval.platform ev == p -> Eval.steady_peak ev voltages
-      | Some _ | None -> Sched.Peak.steady_constant p.model p.power voltages);
+    peak = Eval.steady_peak (Eval.for_platform eval p) voltages;
   }
 
 type Solver.details += Details of result

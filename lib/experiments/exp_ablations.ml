@@ -44,7 +44,9 @@ let three_mode_peak_of (p : Core.Platform.t) ~v_low ~v_mid ~v_high ~target =
     ]
   in
   let s = Sched.Schedule.make ~period (Array.init n (fun _ -> core)) in
-  Sched.Peak.of_step_up p.Core.Platform.model p.Core.Platform.power s
+  Sched.Peak.of_step_up
+    (Thermal.Backend.of_model p.Core.Platform.model)
+    p.Core.Platform.power s
 
 let two_mode_peak (p : Core.Platform.t) ~v_low ~v_high ~target =
   (* Equal-throughput two-mode step-up schedule on every core, 20 ms
@@ -58,7 +60,9 @@ let two_mode_peak (p : Core.Platform.t) ~v_low ~v_high ~target =
       ~high:(Array.make n v_high)
       ~high_ratio:(Array.make n ratio)
   in
-  Sched.Peak.of_step_up p.Core.Platform.model p.Core.Platform.power s
+  Sched.Peak.of_step_up
+    (Thermal.Backend.of_model p.Core.Platform.model)
+    p.Core.Platform.power s
 
 let run () =
   (* 1. m-oscillation ablation on the 3x1 / 2-level / 65 C platform. *)

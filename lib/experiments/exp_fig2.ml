@@ -22,7 +22,8 @@ let run () =
         [ seg 0.05 0.6; seg 0.05 1.3 ];
       |]
   in
-  let peak s = Sched.Peak.of_any model pm ~samples_per_segment:64 s in
+  let b = Thermal.Backend.of_model model in
+  let peak s = Sched.Peak.of_any b pm ~samples_per_segment:64 s in
   {
     base_peak = peak base;
     single_core_doubled_peak = peak single;

@@ -17,12 +17,13 @@ let run ?(step = 0.6) () =
       (Thermal.Floorplan.grid ~rows:1 ~cols:3 ~core_width:4e-3 ~core_height:4e-3)
   in
   let pm = Power.Power_model.default in
+  let b = Thermal.Backend.of_model model in
   let peak_of offsets =
     let s =
       Workload.Random_sched.phase_grid ~n_cores:3 ~period ~v_low:0.6 ~v_high:1.3
         ~offsets
     in
-    Sched.Peak.of_any model pm ~samples_per_segment:24 s
+    Sched.Peak.of_any b pm ~samples_per_segment:24 s
   in
   let points = int_of_float (Float.round (period /. step)) in
   let peaks = ref [] in
@@ -51,7 +52,7 @@ let run ?(step = 0.6) () =
     Workload.Random_sched.phase_grid ~n_cores:3 ~period ~v_low:0.6 ~v_high:1.3
       ~offsets:[| half; half; half |]
   in
-  let step_up_bound = Sched.Peak.of_step_up model pm (Sched.Stepup.reorder aligned) in
+  let step_up_bound = Sched.Peak.of_step_up b pm (Sched.Stepup.reorder aligned) in
   { step; peaks; max_peak; max_at; min_peak; min_at; step_up_bound }
 
 let print r =

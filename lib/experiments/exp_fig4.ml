@@ -18,7 +18,7 @@ let run ?(seed = 42) () =
     Workload.Random_sched.step_up rng ~n_cores:6 ~period:1.0 ~max_intervals:3
       ~levels:(Power.Vf.table_iv 5)
   in
-  let profile = Sched.Peak.profile model pm schedule in
+  let profile = Sched.Peak.profile (Thermal.Backend.of_model model) pm schedule in
   let periods_to_stable = Thermal.Trace.periods_to_stable model ~tol:1e-4 profile in
   let warmup =
     Thermal.Trace.from_ambient model

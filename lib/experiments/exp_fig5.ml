@@ -10,6 +10,7 @@ let run ?(seed = 7) ?(m_max = 50) () =
       (Thermal.Floorplan.grid ~rows:3 ~cols:3 ~core_width:4e-3 ~core_height:4e-3)
   in
   let pm = Power.Power_model.default in
+  let b = Thermal.Backend.of_model model in
   let rng = Random.State.make [| seed |] in
   let schedule =
     Workload.Random_sched.step_up rng ~n_cores:9 ~period:9.836 ~max_intervals:5
@@ -18,7 +19,7 @@ let run ?(seed = 7) ?(m_max = 50) () =
   let series =
     List.init m_max (fun k ->
         let m = k + 1 in
-        (m, Sched.Peak.of_step_up model pm (Sched.Oscillate.oscillate m schedule)))
+        (m, Sched.Peak.of_step_up b pm (Sched.Oscillate.oscillate m schedule)))
   in
   let monotone =
     let rec check = function

@@ -21,7 +21,7 @@ let run ?(schedules = 40) ?(seed = 5) () =
                 Workload.Random_sched.step_up rng ~n_cores:3 ~period:0.6
                   ~max_intervals:4 ~levels
               in
-              let profile = Sched.Peak.profile model pm s in
+              let profile = Sched.Peak.profile (Thermal.Backend.of_model model) pm s in
               let end_peak = Thermal.Matex.end_of_period_peak model profile in
               let true_peak =
                 Thermal.Matex.peak_refined model ~samples_per_segment:48 profile

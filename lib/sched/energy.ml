@@ -4,7 +4,7 @@ let total b = b.dynamic +. b.leakage
 let average_power b = total b /. b.period
 
 let per_period model pm s =
-  let profile = Peak.profile model pm s in
+  let profile = Peak.profile (Thermal.Backend.of_model model) pm s in
   let boundaries = Thermal.Matex.stable_boundaries model profile in
   let beta = Thermal.Model.leak_beta model in
   let ambient = Thermal.Model.ambient model in

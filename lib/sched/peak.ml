@@ -132,15 +132,22 @@ module Cache = struct
           v
 end
 
-let profile model pm s =
-  if Schedule.n_cores s <> Thermal.Model.n_cores model then
+module B = Thermal.Backend
+module Rom = Thermal.Reduced
+
+(* The one profile builder: a schedule's state intervals as the
+   piecewise-constant power profile every engine consumes. *)
+let profile_for n_cores pm s =
+  if Schedule.n_cores s <> n_cores then
     invalid_arg
-      (Printf.sprintf "Peak.profile: schedule has %d cores, model has %d"
-         (Schedule.n_cores s) (Thermal.Model.n_cores model));
+      (Printf.sprintf "Peak.profile: schedule has %d cores, engine has %d"
+         (Schedule.n_cores s) n_cores);
   List.map
     (fun (duration, voltages) ->
       { Thermal.Matex.duration; psi = Power.Power_model.psi_vector_memo pm voltages })
     (Schedule.state_intervals s)
+
+let profile (b : B.t) pm s = profile_for b.B.n_cores pm s
 
 (* ------------------------------------------ fused two-mode evaluation *)
 
@@ -261,47 +268,39 @@ let[@inline] two_mode_mid ~period t0 t1 =
   let mid = (t0 +. t1) /. 2. in
   Float.rem (Float.rem mid period +. period) period
 
-(* Streamed end-of-period stable status of an ALREADY-DECOMPOSED
-   two-mode candidate (spans in [s]), left in the engine's per-domain
-   scratch.  Per-span powers are computed straight from
-   [Power_model.psi] into the scratch vector: the same floats
-   [psi_vector] would produce, without the key digest a memo lookup
-   would build. *)
-let two_mode_stable_z_decomposed eng pm s ~period ~low ~high kept =
+(* The one span-feeding loop: stream an ALREADY-DECOMPOSED candidate's
+   spans (in [s]) into [feed] in period order — the backend's fused
+   stable-status stream or the reduced model's.  Per-span powers are
+   computed straight from [Power_model.psi] into the scratch vector: the
+   same floats [psi_vector] would produce, without the key digest a
+   memo lookup would build. *)
+let feed_spans pm s ~period ~low ~high kept feed =
   let n = Array.length low in
-  Thermal.Modal.stable_begin eng;
   for k = 0 to kept - 2 do
     let t0 = s.pts.(k) and t1 = s.pts.(k + 1) in
     let t = two_mode_mid ~period t0 t1 in
     for i = 0 to n - 1 do
       s.psi.(i) <- Power.Power_model.psi pm (two_mode_voltage s ~low ~high t i)
     done;
-    Thermal.Modal.stable_feed eng ~duration:(t1 -. t0) ~psi:s.psi
-  done;
-  Thermal.Modal.stable_solve eng ~t_p:period
+    feed ~duration:(t1 -. t0) ~psi:s.psi
+  done
 
-let two_mode_stable_z eng pm ~period ~low ~high ~high_ratio =
+(* End-of-period stable state of a decomposed candidate, solved with
+   [t_p = period] and left in whatever scratch the backend uses. *)
+let two_mode_stable (b : B.t) pm s ~period ~low ~high kept =
+  b.B.stable_begin ();
+  feed_spans pm s ~period ~low ~high kept b.B.stable_feed;
+  b.B.stable_solve ~t_p:period
+
+let of_two_mode (b : B.t) pm ~period ~low ~high ~high_ratio =
   let s = two_mode_scratch (Array.length low) in
   let kept = two_mode_decompose s ~period ~low ~high ~high_ratio in
-  two_mode_stable_z_decomposed eng pm s ~period ~low ~high kept
+  b.B.max_core_temp (two_mode_stable b pm s ~period ~low ~high kept)
 
-let resolve_engine ?engine model =
-  match engine with
-  | Some e ->
-      if Thermal.Modal.model e != model then
-        invalid_arg "Peak: engine belongs to a different model";
-      e
-  | None -> Thermal.Modal.make model
-
-let of_two_mode ?engine model pm ~period ~low ~high ~high_ratio =
-  let eng = resolve_engine ?engine model in
-  Thermal.Modal.max_core_temp eng
-    (two_mode_stable_z eng pm ~period ~low ~high ~high_ratio)
-
-let two_mode_end_core_temps ?engine model pm ~period ~low ~high ~high_ratio =
-  let eng = resolve_engine ?engine model in
-  Thermal.Modal.core_temps eng
-    (two_mode_stable_z eng pm ~period ~low ~high ~high_ratio)
+let two_mode_end_core_temps (b : B.t) pm ~period ~low ~high ~high_ratio =
+  let s = two_mode_scratch (Array.length low) in
+  let kept = two_mode_decompose s ~period ~low ~high ~high_ratio in
+  b.B.core_temps (two_mode_stable b pm s ~period ~low ~high kept)
 
 (* The same digest [Cache.key_of_schedule] produces for the equivalent
    schedule: period, then every span's duration and voltages (as
@@ -338,315 +337,108 @@ let two_mode_key_decomposed s ~period ~low ~high kept =
   done;
   Bytes.sub_string b 0 len
 
-let of_two_mode_cached ?engine cache model pm ~period ~low ~high ~high_ratio =
+let of_two_mode_cached cache (b : B.t) pm ~period ~low ~high ~high_ratio =
   if Cache.disabled cache then begin
     Cache.count_miss cache;
-    of_two_mode ?engine model pm ~period ~low ~high ~high_ratio
+    of_two_mode b pm ~period ~low ~high ~high_ratio
   end
   else begin
     (* One decomposition serves both the key and (on a miss) the
        evaluation — nothing between the [find] and the feed loop touches
        this domain's scratch. *)
-    let eng = resolve_engine ?engine model in
     let s = two_mode_scratch (Array.length low) in
     let kept = two_mode_decompose s ~period ~low ~high ~high_ratio in
     let key = two_mode_key_decomposed s ~period ~low ~high kept in
     match Cache.find cache key with
     | Some v -> v
     | None ->
-        let v =
-          Thermal.Modal.max_core_temp eng
-            (two_mode_stable_z_decomposed eng pm s ~period ~low ~high kept)
-        in
+        let v = b.B.max_core_temp (two_mode_stable b pm s ~period ~low ~high kept) in
         Cache.add cache key v;
         v
   end
 
-let of_step_up ?engine model pm s =
+(* ------------------------------------------------ profile evaluators *)
+
+let steady_constant (b : B.t) pm voltages =
+  b.B.steady_peak (Power.Power_model.psi_vector_memo pm voltages)
+
+let of_step_up (b : B.t) pm s =
   if not (Stepup.is_step_up s) then invalid_arg "Peak.of_step_up: schedule is not step-up";
-  Thermal.Matex.end_of_period_peak ?engine model (profile model pm s)
+  b.B.stable_peak (profile b pm s)
 
-let of_any ?engine model pm ?(samples_per_segment = 32) s =
-  Thermal.Matex.peak_scan ?engine model ~samples_per_segment (profile model pm s)
+let of_any (b : B.t) pm ?(samples_per_segment = 32) s =
+  b.B.peak_scan ~samples_per_segment (profile b pm s)
 
-let of_any_refined ?engine model pm ?(samples_per_segment = 32) s =
-  Thermal.Matex.peak_refined ?engine model ~samples_per_segment (profile model pm s)
+let of_any_refined (b : B.t) pm ?(samples_per_segment = 32) s =
+  b.B.peak_refined ~samples_per_segment ~tol:1e-4 (profile b pm s)
 
-let stable_end_core_temps ?engine model pm s =
-  (* Modal fast path: the stable status is streamed per mode through the
-     response engine's scratch and only the core rows of the eigenbasis
-     are applied — no full-state rebuild, no LU. *)
-  Thermal.Matex.stable_core_temps ?engine model (profile model pm s)
-
-let steady_constant ?engine model pm voltages =
-  (* Superposition on the engine's core-row response table — the O(n^2)
-     LU-backed [Model.steady_core_temps] survives as the reference. *)
-  let eng =
-    match engine with
-    | Some e ->
-        if Thermal.Modal.model e != model then
-          invalid_arg "Peak.steady_constant: engine belongs to a different model";
-        e
-    | None -> Thermal.Modal.make model
-  in
-  Thermal.Modal.steady_peak eng (Power.Power_model.psi_vector_memo pm voltages)
+let stable_end_core_temps (b : B.t) pm s = b.B.stable_core_temps (profile b pm s)
 
 (* The cached entry points build their (exact, bit-pattern) key lazily:
    when the caller's memo table is disabled there is no point digesting
    the schedule, only the miss is recorded. *)
-let steady_constant_cached ?engine cache model pm voltages =
+let steady_constant_cached cache b pm voltages =
   if Cache.disabled cache then
-    Cache.find_or_add cache "" (fun () -> steady_constant ?engine model pm voltages)
+    Cache.find_or_add cache "" (fun () -> steady_constant b pm voltages)
   else
     Cache.find_or_add cache
       (Cache.key_of_voltages voltages)
-      (fun () -> steady_constant ?engine model pm voltages)
+      (fun () -> steady_constant b pm voltages)
 
-let of_step_up_cached ?engine cache model pm s =
+let of_step_up_cached cache b pm s =
   if Cache.disabled cache then
-    Cache.find_or_add cache "" (fun () -> of_step_up ?engine model pm s)
+    Cache.find_or_add cache "" (fun () -> of_step_up b pm s)
   else
     Cache.find_or_add cache (Cache.key_of_schedule s)
-      (fun () -> of_step_up ?engine model pm s)
-
-(* ------------------------------------- backend-generic evaluators *)
-
-(* The same evaluators against the uniform {!Thermal.Backend} interface,
-   so candidate pricing is implementation-blind: the dense modal engine
-   and the sparse Krylov engine answer through identical entry points.
-   Cache digests are shared with the modal paths above (same voltage /
-   schedule / decomposed-two-mode keys), so a context switching backends
-   keeps exact, bit-pattern memoization semantics — only the floats a
-   miss computes come from a different engine. *)
-
-module B = Thermal.Backend
-
-let backend_profile (b : B.t) pm s =
-  if Schedule.n_cores s <> b.B.n_cores then
-    invalid_arg
-      (Printf.sprintf "Peak.backend_profile: schedule has %d cores, backend has %d"
-         (Schedule.n_cores s) b.B.n_cores);
-  List.map
-    (fun (duration, voltages) ->
-      { Thermal.Matex.duration; psi = Power.Power_model.psi_vector_memo pm voltages })
-    (Schedule.state_intervals s)
-
-let backend_steady_constant (b : B.t) pm voltages =
-  b.B.steady_peak (Power.Power_model.psi_vector_memo pm voltages)
-
-let backend_steady_constant_cached cache b pm voltages =
-  if Cache.disabled cache then
-    Cache.find_or_add cache "" (fun () -> backend_steady_constant b pm voltages)
-  else
-    Cache.find_or_add cache
-      (Cache.key_of_voltages voltages)
-      (fun () -> backend_steady_constant b pm voltages)
-
-let backend_of_step_up (b : B.t) pm s =
-  if not (Stepup.is_step_up s) then
-    invalid_arg "Peak.backend_of_step_up: schedule is not step-up";
-  b.B.stable_peak (backend_profile b pm s)
-
-let backend_of_step_up_cached cache b pm s =
-  if Cache.disabled cache then
-    Cache.find_or_add cache "" (fun () -> backend_of_step_up b pm s)
-  else
-    Cache.find_or_add cache (Cache.key_of_schedule s)
-      (fun () -> backend_of_step_up b pm s)
-
-let backend_of_any (b : B.t) pm ?(samples_per_segment = 32) s =
-  b.B.peak_scan ~samples_per_segment (backend_profile b pm s)
-
-let backend_of_any_refined (b : B.t) pm ?(samples_per_segment = 32) ?(tol = 1e-4) s =
-  b.B.peak_refined ~samples_per_segment ~tol (backend_profile b pm s)
-
-let backend_stable_end_core_temps (b : B.t) pm s =
-  b.B.stable_core_temps (backend_profile b pm s)
-
-(* The profile of an already-decomposed aligned two-mode candidate: the
-   identical spans and midpoint voltage reads as the fused modal path
-   (and as [Schedule.two_mode] + [state_intervals]), materialized as
-   segments for a backend evaluator. *)
-let backend_two_mode_profile pm s ~period ~low ~high kept =
-  let n = Array.length low in
-  let segs = ref [] in
-  for k = kept - 2 downto 0 do
-    let t0 = s.pts.(k) and t1 = s.pts.(k + 1) in
-    let t = two_mode_mid ~period t0 t1 in
-    let psi =
-      Array.init n (fun i ->
-          Power.Power_model.psi pm (two_mode_voltage s ~low ~high t i))
-    in
-    segs := { Thermal.Matex.duration = t1 -. t0; psi } :: !segs
-  done;
-  !segs
-
-let backend_of_two_mode (b : B.t) pm ~period ~low ~high ~high_ratio =
-  let s = two_mode_scratch (Array.length low) in
-  let kept = two_mode_decompose s ~period ~low ~high ~high_ratio in
-  b.B.stable_peak (backend_two_mode_profile pm s ~period ~low ~high kept)
-
-let backend_two_mode_end_core_temps (b : B.t) pm ~period ~low ~high ~high_ratio =
-  let s = two_mode_scratch (Array.length low) in
-  let kept = two_mode_decompose s ~period ~low ~high ~high_ratio in
-  b.B.stable_core_temps (backend_two_mode_profile pm s ~period ~low ~high kept)
-
-let backend_of_two_mode_cached cache b pm ~period ~low ~high ~high_ratio =
-  if Cache.disabled cache then begin
-    Cache.count_miss cache;
-    backend_of_two_mode b pm ~period ~low ~high ~high_ratio
-  end
-  else begin
-    let s = two_mode_scratch (Array.length low) in
-    let kept = two_mode_decompose s ~period ~low ~high ~high_ratio in
-    let key = two_mode_key_decomposed s ~period ~low ~high kept in
-    match Cache.find cache key with
-    | Some v -> v
-    | None ->
-        let v =
-          (b : B.t).B.stable_peak
-            (backend_two_mode_profile pm s ~period ~low ~high kept)
-        in
-        Cache.add cache key v;
-        v
-  end
-
-(* ------------------------------ fused sparse-response / ROM evaluators *)
-
-module R = Thermal.Sparse_response
-module Rom = Thermal.Reduced
-
-(* The fused modal hot path, ported to the sparse superposition engine:
-   decompose once into this domain's scratch, stream the spans through
-   [Sparse_response.stable_begin]/[stable_feed]/[stable_solve] (each
-   feed superposes the span's equilibrium allocation-free, no CG steady
-   solves), and share the exact bit-pattern digest with every other
-   two-mode entry point — a context switching between the modal, the
-   generic-backend and this path keeps one coherent memo table. *)
-let response_of_two_mode_cached cache resp pm ~period ~low ~high ~high_ratio =
-  let eng = R.engine resp in
-  let s = two_mode_scratch (Array.length low) in
-  let kept = two_mode_decompose s ~period ~low ~high ~high_ratio in
-  let evaluate () =
-    R.stable_begin resp;
-    let n = Array.length low in
-    for k = 0 to kept - 2 do
-      let t0 = s.pts.(k) and t1 = s.pts.(k + 1) in
-      let t = two_mode_mid ~period t0 t1 in
-      for i = 0 to n - 1 do
-        s.psi.(i) <- Power.Power_model.psi pm (two_mode_voltage s ~low ~high t i)
-      done;
-      R.stable_feed resp ~duration:(t1 -. t0) ~psi:s.psi
-    done;
-    Thermal.Sparse_model.max_core_temp eng (R.stable_solve resp ~t_p:period)
-  in
-  if Cache.disabled cache then begin
-    Cache.count_miss cache;
-    evaluate ()
-  end
-  else begin
-    let key = two_mode_key_decomposed s ~period ~low ~high kept in
-    match Cache.find cache key with
-    | Some v -> v
-    | None ->
-        let v = evaluate () in
-        Cache.add cache key v;
-        v
-  end
+      (fun () -> of_step_up b pm s)
 
 (* ------------------------------------ prepared-base delta evaluators *)
 
-(* Voltage-to-psi conversion shared with the exact decomposed paths
-   above ([Power.Power_model.psi] on the span's voltage), handed to the
-   engines' prepared-base API.  Base/delta state is per-domain: prepare
-   and evaluate on the same domain. *)
+(* Voltage-to-psi conversion shared with the exact decomposed path
+   ([Power.Power_model.psi] on the span's voltage), handed to the
+   backend's prepared-base hooks.  Base/delta state is per-domain:
+   prepare and evaluate on the same domain. *)
 
-let two_mode_delta_base ?engine model pm ~period ~low ~high ~high_ratio =
-  let eng = resolve_engine ?engine model in
+let two_mode_delta_base (b : B.t) pm ~period ~low ~high ~high_ratio =
   let n = Array.length low in
   if Array.length high <> n || Array.length high_ratio <> n then
     invalid_arg "Peak.two_mode_delta_base: array length mismatch";
-  Thermal.Modal.base_begin eng ~t_p:period;
+  b.B.base_begin ~t_p:period;
   for i = 0 to n - 1 do
-    Thermal.Modal.base_feed eng ~core:i
+    b.B.base_feed ~core:i
       ~psi_low:(Power.Power_model.psi pm low.(i))
       ~psi_high:(Power.Power_model.psi pm high.(i))
       ~high_ratio:high_ratio.(i)
   done;
-  ignore (Thermal.Modal.base_solve eng : float array)
+  ignore (b.B.base_solve () : float array)
 
-let two_mode_delta_peak ?engine model pm ~core ~low ~high ~high_ratio =
-  let eng = resolve_engine ?engine model in
-  Thermal.Modal.delta_peak eng ~core
+let two_mode_delta_peak (b : B.t) pm ~core ~low ~high ~high_ratio =
+  b.B.delta_peak ~core
     ~psi_low:(Power.Power_model.psi pm low)
     ~psi_high:(Power.Power_model.psi pm high)
     ~high_ratio
 
-let two_mode_delta_temp_at ?engine model pm ~at ~core ~low ~high ~high_ratio =
-  let eng = resolve_engine ?engine model in
-  Thermal.Modal.delta_core_temp eng ~at ~core
+let two_mode_delta_temp_at (b : B.t) pm ~at ~core ~low ~high ~high_ratio =
+  b.B.delta_core_temp ~at ~core
     ~psi_low:(Power.Power_model.psi pm low)
     ~psi_high:(Power.Power_model.psi pm high)
     ~high_ratio
 
-let response_two_mode_delta_base resp pm ~period ~low ~high ~high_ratio =
-  let n = Array.length low in
-  if Array.length high <> n || Array.length high_ratio <> n then
-    invalid_arg "Peak.response_two_mode_delta_base: array length mismatch";
-  R.base_begin resp ~t_p:period;
-  for i = 0 to n - 1 do
-    R.base_feed resp ~core:i
-      ~psi_low:(Power.Power_model.psi pm low.(i))
-      ~psi_high:(Power.Power_model.psi pm high.(i))
-      ~high_ratio:high_ratio.(i)
-  done;
-  ignore (R.base_solve resp : float array)
+(* --------------------------------------------------- ROM screening *)
 
-let response_two_mode_delta_peak resp pm ~core ~low ~high ~high_ratio =
-  R.delta_peak resp ~core
-    ~psi_low:(Power.Power_model.psi pm low)
-    ~psi_high:(Power.Power_model.psi pm high)
-    ~high_ratio
-
-let response_two_mode_delta_temp_at resp pm ~at ~core ~low ~high ~high_ratio =
-  R.delta_core_temp resp ~at ~core
-    ~psi_low:(Power.Power_model.psi pm low)
-    ~psi_high:(Power.Power_model.psi pm high)
-    ~high_ratio
-
-(* ROM screening scores.  Same decomposition, same span midpoints, but
-   priced on the Lanczos-reduced model — O(n_cores^2 + k n_cores), zero
-   Krylov work.  NEVER cached: the exact memo tables must only ever hold
-   exact evaluations (a screened search re-verifies survivors through
-   the cached exact entry points above, and a ROM float behind an exact
+(* Same decomposition, same span midpoints, but priced on the
+   Lanczos-reduced model — O(n_cores^2 + k n_cores), zero Krylov work.
+   NEVER cached: the exact memo tables must only ever hold exact
+   evaluations (a screened search re-verifies survivors through the
+   cached exact entry points above, and a ROM float behind an exact
    digest would silently corrupt that re-check). *)
 let rom_of_two_mode rom pm ~period ~low ~high ~high_ratio =
   let s = two_mode_scratch (Array.length low) in
   let kept = two_mode_decompose s ~period ~low ~high ~high_ratio in
   Rom.rom_begin rom;
-  let n = Array.length low in
-  for k = 0 to kept - 2 do
-    let t0 = s.pts.(k) and t1 = s.pts.(k + 1) in
-    let t = two_mode_mid ~period t0 t1 in
-    for i = 0 to n - 1 do
-      s.psi.(i) <- Power.Power_model.psi pm (two_mode_voltage s ~low ~high t i)
-    done;
-    Rom.rom_feed rom ~duration:(t1 -. t0) ~psi:s.psi
-  done;
+  feed_spans pm s ~period ~low ~high kept (Rom.rom_feed rom);
   Rom.rom_solve rom ~t_p:period
 
-let rom_profile rom pm s =
-  if Schedule.n_cores s
-     <> Thermal.Sparse_model.n_cores (Thermal.Reduced.engine rom)
-  then
-    invalid_arg
-      (Printf.sprintf "Peak.rom_of_any: schedule has %d cores, engine has %d"
-         (Schedule.n_cores s)
-         (Thermal.Sparse_model.n_cores (Thermal.Reduced.engine rom)));
-  List.map
-    (fun (duration, voltages) ->
-      { Thermal.Matex.duration; psi = Power.Power_model.psi_vector_memo pm voltages })
-    (Schedule.state_intervals s)
-
 let rom_of_any rom pm ?(samples_per_segment = 32) s =
-  Rom.rom_peak_scan rom ~samples_per_segment (rom_profile rom pm s)
+  Rom.rom_peak_scan rom ~samples_per_segment
+    (profile_for (Thermal.Sparse_model.n_cores (Rom.engine rom)) pm s)

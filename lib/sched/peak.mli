@@ -1,16 +1,22 @@
 (** Peak-temperature analysis of voltage schedules.
 
-    Bridges {!Schedule} (voltages) to {!Thermal.Matex} (powers) through a
-    {!Power.Power_model}, and dispatches between the cheap end-of-period
-    evaluator that Theorem 1 licenses for step-up schedules and the dense
-    scan needed for arbitrary ones.  All evaluators run on the
-    {!Thermal.Modal} engine via {!Thermal.Matex}, so every policy inner
-    loop (AO's m sweep, TPT adjustment, PCO phase search) pays O(n) per
-    sample rather than a propagator build. *)
+    Bridges {!Schedule} (voltages) to a {!Thermal.Backend} (powers)
+    through a {!Power.Power_model}.  Every policy prices its candidates
+    with one question — the stable-status peak of a periodic schedule —
+    and this module answers it once per shape, against the backend
+    record: the cheap end-of-period evaluator Theorem 1 licenses for
+    step-up schedules, the dense scan needed for arbitrary ones, the
+    fused aligned two-mode stream AO's m sweep and the TPT loops price
+    thousands of candidates with, and the prepared-base delta scans.
+    Which engine solves (dense modal or sparse superposition) is the
+    backend's business; callers holding only a model pass
+    [Thermal.Backend.of_model model].  The two {!Thermal.Reduced}
+    screening scorers are the only evaluators that take something else. *)
 
 (** A bounded, thread-safe memo table for peak evaluations, the storage
     behind the cached entry points below (an evaluation context —
-    [Core.Eval] — bundles one table per evaluator family).
+    [Core.Eval] — bundles one table for constant-voltage peaks and one
+    for schedule peaks).
 
     Keys are built from the exact IEEE-754 bit patterns of everything
     that determines the answer, so a hit returns bit-identically what a
@@ -59,70 +65,82 @@ module Cache : sig
   val find_or_add : t -> string -> (unit -> float) -> float
 end
 
-(** [profile model pm s] converts a schedule into the piecewise-constant
-    power profile of its state intervals.  Raises [Invalid_argument] when
-    the schedule's core count differs from the thermal model's. *)
+(** [profile b pm s] converts a schedule into the piecewise-constant
+    power profile of its state intervals.  Raises [Invalid_argument]
+    when the schedule's core count differs from [b]'s. *)
 val profile :
-  Thermal.Model.t -> Power.Power_model.t -> Schedule.t -> Thermal.Matex.profile
+  Thermal.Backend.t -> Power.Power_model.t -> Schedule.t -> Thermal.Matex.profile
 
-(** [of_step_up ?engine model pm s] is the stable-status peak temperature
-    of the step-up schedule [s] — evaluated only at the period boundary,
-    which Theorem 1 proves is where the peak lives, streamed through the
-    response engine (zero LU solves, zero per-candidate allocation).
-    [engine] may pass the model's cached engine explicitly; raises
-    [Invalid_argument] if [s] is not step-up or the engine belongs to a
-    different model. *)
-val of_step_up :
-  ?engine:Thermal.Modal.t ->
-  Thermal.Model.t ->
-  Power.Power_model.t ->
-  Schedule.t ->
-  float
+(** {1 Profile evaluators} *)
 
-(** [of_any model pm ?samples_per_segment s] is the stable-status peak of
-    an arbitrary periodic schedule, by dense scanning (default 32 samples
+(** [steady_constant b pm voltages] is the constant-schedule peak: the
+    hottest steady core temperature under per-core voltages —
+    Algorithm 1's feasibility test — by superposition on the backend's
+    response tables (no per-candidate solve). *)
+val steady_constant :
+  Thermal.Backend.t -> Power.Power_model.t -> float array -> float
+
+(** [of_step_up b pm s] is the stable-status peak temperature of the
+    step-up schedule [s] — evaluated only at the period boundary, which
+    Theorem 1 proves is where the peak lives.  Raises [Invalid_argument]
+    if [s] is not step-up. *)
+val of_step_up : Thermal.Backend.t -> Power.Power_model.t -> Schedule.t -> float
+
+(** [of_any b pm ?samples_per_segment s] is the stable-status peak of an
+    arbitrary periodic schedule, by dense scanning (default 32 samples
     per state interval). *)
 val of_any :
-  ?engine:Thermal.Modal.t ->
-  Thermal.Model.t ->
+  Thermal.Backend.t ->
   Power.Power_model.t ->
   ?samples_per_segment:int ->
   Schedule.t ->
   float
 
-(** [of_any_refined model pm ?samples_per_segment s] sharpens {!of_any}
-    with per-segment golden-section refinement
-    ({!Thermal.Matex.peak_refined}) — the most accurate evaluator, used
-    for final verification. *)
+(** [of_any_refined b pm ?samples_per_segment s] sharpens {!of_any}
+    with per-segment golden-section refinement (to [1e-4] of each
+    segment) — the most accurate evaluator, used for final
+    verification. *)
 val of_any_refined :
-  ?engine:Thermal.Modal.t ->
-  Thermal.Model.t ->
+  Thermal.Backend.t ->
   Power.Power_model.t ->
   ?samples_per_segment:int ->
   Schedule.t ->
   float
 
-(** [stable_end_core_temps model pm s] are the absolute per-core
+(** [stable_end_core_temps b pm s] are the absolute per-core
     temperatures at the stable-status period boundary — what AO's TPT
     loop reads to find the hottest core. *)
 val stable_end_core_temps :
-  ?engine:Thermal.Modal.t ->
-  Thermal.Model.t ->
-  Power.Power_model.t ->
-  Schedule.t ->
-  Linalg.Vec.t
+  Thermal.Backend.t -> Power.Power_model.t -> Schedule.t -> Linalg.Vec.t
 
-(** [of_two_mode ?engine model pm ~period ~low ~high ~high_ratio] is
+(** [steady_constant_cached cache b pm voltages] is {!steady_constant}
+    memoized in [cache] under {!Cache.key_of_voltages}.  The caller owns
+    the pairing of [cache] with ([b], [pm]): one table must never mix
+    platforms. *)
+val steady_constant_cached :
+  Cache.t -> Thermal.Backend.t -> Power.Power_model.t -> float array -> float
+
+(** [of_step_up_cached cache b pm s] is {!of_step_up} memoized in
+    [cache] under {!Cache.key_of_schedule} — searches repeatedly revisit
+    the same candidate schedules.  Same pairing contract as
+    {!steady_constant_cached}. *)
+val of_step_up_cached :
+  Cache.t -> Thermal.Backend.t -> Power.Power_model.t -> Schedule.t -> float
+
+(** {1 Fused aligned two-mode evaluators}
+
     {!of_step_up} of [Schedule.two_mode ~period ~low ~high ~high_ratio]
     evaluated WITHOUT constructing the schedule: the aligned two-mode
     state intervals are derived directly (replicating the schedule
-    decomposition bit-for-bit) and streamed through the response engine.
-    This is the policy hot path — AO's m sweep and the TPT loops price
-    thousands of these candidates.  Bit-identical to the schedule-based
-    evaluation. *)
+    decomposition bit-for-bit) and streamed through the backend's
+    {!Thermal.Backend.field-stable_begin}/[stable_feed]/[stable_solve]
+    hooks with [t_p = period].  This is the policy hot path — AO's m
+    sweep and the TPT loops price thousands of these candidates. *)
+
+(** [of_two_mode b pm ~period ~low ~high ~high_ratio] is the
+    stable-status peak of the fused candidate. *)
 val of_two_mode :
-  ?engine:Thermal.Modal.t ->
-  Thermal.Model.t ->
+  Thermal.Backend.t ->
   Power.Power_model.t ->
   period:float ->
   low:float array ->
@@ -130,13 +148,11 @@ val of_two_mode :
   high_ratio:float array ->
   float
 
-(** [two_mode_end_core_temps ?engine model pm ~period ~low ~high
-    ~high_ratio] are the stable-status period-boundary core temperatures
-    of the same fused candidate — {!stable_end_core_temps} without the
-    schedule. *)
+(** [two_mode_end_core_temps b pm ~period ~low ~high ~high_ratio] are the
+    stable-status period-boundary core temperatures of the same fused
+    candidate — {!stable_end_core_temps} without the schedule. *)
 val two_mode_end_core_temps :
-  ?engine:Thermal.Modal.t ->
-  Thermal.Model.t ->
+  Thermal.Backend.t ->
   Power.Power_model.t ->
   period:float ->
   low:float array ->
@@ -144,176 +160,12 @@ val two_mode_end_core_temps :
   high_ratio:float array ->
   Linalg.Vec.t
 
-(** [of_two_mode_cached ?engine cache model pm ...] memoizes
-    {!of_two_mode} under the SAME digest {!Cache.key_of_schedule} gives
-    the equivalent schedule, so fused and schedule-based lookups share
-    entries. *)
+(** [of_two_mode_cached cache b pm ...] memoizes {!of_two_mode} under
+    the SAME digest {!Cache.key_of_schedule} gives the equivalent
+    schedule, so fused and schedule-based lookups share entries. *)
 val of_two_mode_cached :
-  ?engine:Thermal.Modal.t ->
-  Cache.t ->
-  Thermal.Model.t ->
-  Power.Power_model.t ->
-  period:float ->
-  low:float array ->
-  high:float array ->
-  high_ratio:float array ->
-  float
-
-(** [steady_constant ?engine model pm voltages] is the constant-schedule
-    peak: the hottest entry of [T^inf] under per-core voltages —
-    Algorithm 1's feasibility test — computed by superposition on the
-    engine's core-row response table (no LU solve). *)
-val steady_constant :
-  ?engine:Thermal.Modal.t ->
-  Thermal.Model.t ->
-  Power.Power_model.t ->
-  float array ->
-  float
-
-(** [steady_constant_cached cache model pm voltages] is
-    {!steady_constant} memoized in [cache] under
-    {!Cache.key_of_voltages}.  The caller owns the pairing of [cache]
-    with ([model], [pm]): one table must never mix platforms. *)
-val steady_constant_cached :
-  ?engine:Thermal.Modal.t ->
-  Cache.t ->
-  Thermal.Model.t ->
-  Power.Power_model.t ->
-  float array ->
-  float
-
-(** [of_step_up_cached cache model pm s] is {!of_step_up} memoized in
-    [cache] under {!Cache.key_of_schedule} — the dominant cost of AO's
-    m sweep and TPT loop, where searches repeatedly revisit the same
-    candidate schedules.  Same platform-pairing contract as
-    {!steady_constant_cached}. *)
-val of_step_up_cached :
-  ?engine:Thermal.Modal.t ->
-  Cache.t ->
-  Thermal.Model.t ->
-  Power.Power_model.t ->
-  Schedule.t ->
-  float
-
-(** {1 Backend-generic evaluators}
-
-    The same evaluator family against the uniform {!Thermal.Backend}
-    interface, so candidate pricing is implementation-blind: the dense
-    modal engine and the sparse Krylov engine answer through identical
-    entry points.  The cached variants reuse the exact digests of the
-    modal paths above ({!Cache.key_of_voltages}, {!Cache.key_of_schedule}
-    and the decomposed two-mode key), so an evaluation context that
-    switches backends keeps bit-pattern memoization semantics — only the
-    floats a miss computes come from a different engine. *)
-
-(** [backend_profile b pm s] is {!profile} against a backend: the
-    schedule's state intervals as a piecewise-constant power profile.
-    Raises [Invalid_argument] on a core-count mismatch with [b]. *)
-val backend_profile :
-  Thermal.Backend.t -> Power.Power_model.t -> Schedule.t -> Thermal.Matex.profile
-
-(** [backend_steady_constant b pm voltages] — {!steady_constant} on [b]. *)
-val backend_steady_constant :
-  Thermal.Backend.t -> Power.Power_model.t -> float array -> float
-
-(** [backend_steady_constant_cached cache b pm voltages] —
-    {!steady_constant_cached} on [b], same key, same platform-pairing
-    contract. *)
-val backend_steady_constant_cached :
-  Cache.t -> Thermal.Backend.t -> Power.Power_model.t -> float array -> float
-
-(** [backend_of_step_up b pm s] — {!of_step_up} on [b].  Raises
-    [Invalid_argument] if [s] is not step-up. *)
-val backend_of_step_up :
-  Thermal.Backend.t -> Power.Power_model.t -> Schedule.t -> float
-
-(** [backend_of_step_up_cached cache b pm s] — {!of_step_up_cached} on
-    [b], keyed by {!Cache.key_of_schedule}. *)
-val backend_of_step_up_cached :
-  Cache.t -> Thermal.Backend.t -> Power.Power_model.t -> Schedule.t -> float
-
-(** [backend_of_any b pm ?samples_per_segment s] — {!of_any} on [b]. *)
-val backend_of_any :
-  Thermal.Backend.t ->
-  Power.Power_model.t ->
-  ?samples_per_segment:int ->
-  Schedule.t ->
-  float
-
-(** [backend_of_any_refined b pm ?samples_per_segment ?tol s] —
-    {!of_any_refined} on [b] (default [tol = 1e-4]). *)
-val backend_of_any_refined :
-  Thermal.Backend.t ->
-  Power.Power_model.t ->
-  ?samples_per_segment:int ->
-  ?tol:float ->
-  Schedule.t ->
-  float
-
-(** [backend_stable_end_core_temps b pm s] — {!stable_end_core_temps} on
-    [b]. *)
-val backend_stable_end_core_temps :
-  Thermal.Backend.t -> Power.Power_model.t -> Schedule.t -> Linalg.Vec.t
-
-(** [backend_of_two_mode b pm ~period ~low ~high ~high_ratio] —
-    {!of_two_mode} on [b]: the aligned two-mode candidate is decomposed
-    exactly as the fused modal path (and as [Schedule.two_mode]) before
-    evaluation, so all three agree on the spans they price. *)
-val backend_of_two_mode :
-  Thermal.Backend.t ->
-  Power.Power_model.t ->
-  period:float ->
-  low:float array ->
-  high:float array ->
-  high_ratio:float array ->
-  float
-
-(** [backend_two_mode_end_core_temps b pm ~period ~low ~high ~high_ratio]
-    — {!two_mode_end_core_temps} on [b]. *)
-val backend_two_mode_end_core_temps :
-  Thermal.Backend.t ->
-  Power.Power_model.t ->
-  period:float ->
-  low:float array ->
-  high:float array ->
-  high_ratio:float array ->
-  Linalg.Vec.t
-
-(** [backend_of_two_mode_cached cache b pm ...] — {!of_two_mode_cached}
-    on [b], sharing the decomposed-schedule digest with the fused and
-    schedule-based entries. *)
-val backend_of_two_mode_cached :
   Cache.t ->
   Thermal.Backend.t ->
-  Power.Power_model.t ->
-  period:float ->
-  low:float array ->
-  high:float array ->
-  high_ratio:float array ->
-  float
-
-(** {1 Sparse-response and ROM evaluators}
-
-    The many-core candidate hot path.  [response_of_two_mode_cached] is
-    the exact tier: the fused two-mode evaluation streamed through a
-    {!Thermal.Sparse_response} superposition engine (no per-candidate CG
-    steady solves, fixed-point CG warm-started), memoized under the same
-    decomposed-schedule digest as every other two-mode entry point.
-    [rom_of_two_mode] / [rom_of_any] are the screening tier: the same
-    candidates priced on a Lanczos-reduced model in O(n_cores² +
-    k·n_cores) with zero Krylov work.  ROM scores are deliberately
-    UNCACHED — the exact memo tables must never hold approximate floats,
-    since screened searches re-verify survivors through the cached exact
-    entry points. *)
-
-(** [response_of_two_mode_cached cache resp pm ~period ~low ~high
-    ~high_ratio] — {!of_two_mode_cached} on a sparse superposition
-    engine.  Bit-interchangeable digests with the modal and generic
-    two-mode paths; the values differ from {!backend_of_two_mode_cached}
-    over {!Thermal.Backend.of_sparse} only by Krylov truncation. *)
-val response_of_two_mode_cached :
-  Cache.t ->
-  Thermal.Sparse_response.t ->
   Power.Power_model.t ->
   period:float ->
   low:float array ->
@@ -324,22 +176,21 @@ val response_of_two_mode_cached :
 (** {1 Prepared-base delta evaluators}
 
     The TPT-loop scan hot path (DESIGN.md §14): capture an aligned
-    two-mode config's drive once ([*_delta_base]), then price candidates
-    that change a {e single} core's duty cycle in O(n) (dense modal) or
-    O(m · n_cores) (sparse response) each — no full re-superposition, no
-    funmv stream.  Base/delta state is per-domain scratch: prepare and
-    evaluate on the same domain, and re-prepare after the config itself
-    changes.  Delta scores agree with the exact two-mode evaluators to
-    the differential suite's 1e-9, but are NOT bit-identical and must
-    never enter the exact memo tables — search loops re-verify any
-    winner through the cached exact entry points before acting on it. *)
+    two-mode config's drive once ({!two_mode_delta_base}), then price
+    candidates that change a {e single} core's duty cycle in O(n) (dense
+    modal) or O(m · n_cores) (sparse response) each — no full
+    re-superposition, no span stream.  Base/delta state is per-domain
+    scratch: prepare and evaluate on the same domain, and re-prepare
+    after the config itself changes.  Delta scores agree with the exact
+    two-mode evaluators to the differential suite's 1e-9, but are NOT
+    bit-identical and must never enter the exact memo tables — search
+    loops re-verify any winner through the cached exact entry points
+    before acting on it. *)
 
-(** [two_mode_delta_base ?engine model pm ~period ~low ~high
-    ~high_ratio] prepares the base config on this domain's dense modal
-    engine. *)
+(** [two_mode_delta_base b pm ~period ~low ~high ~high_ratio] prepares
+    the base config on this domain's backend scratch. *)
 val two_mode_delta_base :
-  ?engine:Thermal.Modal.t ->
-  Thermal.Model.t ->
+  Thermal.Backend.t ->
   Power.Power_model.t ->
   period:float ->
   low:float array ->
@@ -347,13 +198,11 @@ val two_mode_delta_base :
   high_ratio:float array ->
   unit
 
-(** [two_mode_delta_peak ?engine model pm ~core ~low ~high ~high_ratio]
-    is the end-of-period stable peak of the candidate equal to the
-    prepared base except core [core] runs at ([low], [high],
-    [high_ratio]). *)
+(** [two_mode_delta_peak b pm ~core ~low ~high ~high_ratio] is the
+    end-of-period stable peak of the candidate equal to the prepared
+    base except core [core] runs at ([low], [high], [high_ratio]). *)
 val two_mode_delta_peak :
-  ?engine:Thermal.Modal.t ->
-  Thermal.Model.t ->
+  Thermal.Backend.t ->
   Power.Power_model.t ->
   core:int ->
   low:float ->
@@ -361,12 +210,11 @@ val two_mode_delta_peak :
   high_ratio:float ->
   float
 
-(** [two_mode_delta_temp_at ?engine model pm ~at ~core ~low ~high
-    ~high_ratio] is the same candidate's end-of-period temperature at
-    core [at] — the hottest-core read the adjustment scan scores by. *)
+(** [two_mode_delta_temp_at b pm ~at ~core ~low ~high ~high_ratio] is
+    the same candidate's end-of-period temperature at core [at] — the
+    hottest-core read the adjustment scan scores by. *)
 val two_mode_delta_temp_at :
-  ?engine:Thermal.Modal.t ->
-  Thermal.Model.t ->
+  Thermal.Backend.t ->
   Power.Power_model.t ->
   at:int ->
   core:int ->
@@ -375,42 +223,17 @@ val two_mode_delta_temp_at :
   high_ratio:float ->
   float
 
-(** [response_two_mode_delta_base resp pm ...] /
-    [response_two_mode_delta_peak] / [response_two_mode_delta_temp_at]
-    — the same three entry points on a sparse superposition engine
-    (per-core prepared Lanczos bases; see
-    {!Thermal.Sparse_response.base_begin}). *)
-val response_two_mode_delta_base :
-  Thermal.Sparse_response.t ->
-  Power.Power_model.t ->
-  period:float ->
-  low:float array ->
-  high:float array ->
-  high_ratio:float array ->
-  unit
+(** {1 ROM screening scorers}
 
-val response_two_mode_delta_peak :
-  Thermal.Sparse_response.t ->
-  Power.Power_model.t ->
-  core:int ->
-  low:float ->
-  high:float ->
-  high_ratio:float ->
-  float
-
-val response_two_mode_delta_temp_at :
-  Thermal.Sparse_response.t ->
-  Power.Power_model.t ->
-  at:int ->
-  core:int ->
-  low:float ->
-  high:float ->
-  high_ratio:float ->
-  float
+    The same candidates priced on a Lanczos-reduced model in
+    O(n_cores² + k·n_cores) with zero Krylov work.  ROM scores are
+    deliberately UNCACHED — the exact memo tables must never hold
+    approximate floats, since screened searches re-verify survivors
+    through the cached exact entry points. *)
 
 (** [rom_of_two_mode rom pm ~period ~low ~high ~high_ratio] is the
-    approximate stable-status peak of the fused two-mode candidate on
-    the reduced model — the screening score.  Never cached. *)
+    approximate stable-status peak of the fused two-mode candidate,
+    streamed through the same span loop as {!of_two_mode}. *)
 val rom_of_two_mode :
   Thermal.Reduced.t ->
   Power.Power_model.t ->
@@ -423,9 +246,8 @@ val rom_of_two_mode :
 (** [rom_of_any rom pm ?samples_per_segment s] is the approximate
     scanned peak of an arbitrary periodic schedule on the reduced model
     ({!Thermal.Reduced.rom_peak_scan}, default 32 samples per segment) —
-    the screening counterpart of {!backend_of_any}.  Raises
-    [Invalid_argument] on a core-count mismatch with the reduction's
-    engine. *)
+    the screening counterpart of {!of_any}.  Raises [Invalid_argument]
+    on a core-count mismatch with the reduction's engine. *)
 val rom_of_any :
   Thermal.Reduced.t ->
   Power.Power_model.t ->

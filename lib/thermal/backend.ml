@@ -16,22 +16,34 @@ type t = {
   stable_peak : Matex.profile -> float;
   peak_scan : samples_per_segment:int -> Matex.profile -> float;
   peak_refined : samples_per_segment:int -> tol:float -> Matex.profile -> float;
+  stable_begin : unit -> unit;
+  stable_feed : duration:float -> psi:Linalg.Vec.t -> unit;
+  stable_solve : t_p:float -> Linalg.Vec.t;
+  base_begin : t_p:float -> unit;
+  base_feed : core:int -> psi_low:float -> psi_high:float -> high_ratio:float -> unit;
+  base_solve : unit -> Linalg.Vec.t;
+  delta_peak : core:int -> psi_low:float -> psi_high:float -> high_ratio:float -> float;
+  delta_core_temp :
+    at:int -> core:int -> psi_low:float -> psi_high:float -> high_ratio:float -> float;
 }
 
 let of_model model =
   let eng = Modal.make model in
   let n = Model.n_nodes model in
-  (* Modal images of a +1 K bump at each core node, solved eagerly at
-     wrap time (one matvec per core; [Lazy] is not domain-safe).  Reading
-     the corrected state back through the core rows of W recovers the
-     bump exactly: core_rows . W^{-1} e_node = e_core. *)
+  (* Modal images of a +1 K bump at each core node (one matvec per
+     core), built on the first correction only: evaluation-only callers
+     wrap the model per call and never pay for them.  A [Util.Once], not
+     a [Lazy], because a shared backend may be first corrected from any
+     domain.  Reading the corrected state back through the core rows of
+     W recovers the bump exactly: core_rows . W^{-1} e_node = e_core. *)
   let core_cols =
-    Array.map
-      (fun node ->
-        let e = Linalg.Vec.zeros n in
-        e.(node) <- 1.;
-        Modal.to_modal eng e)
-      (Model.core_nodes model)
+    Util.Once.make (fun () ->
+        Array.map
+          (fun node ->
+            let e = Linalg.Vec.zeros n in
+            e.(node) <- 1.;
+            Modal.to_modal eng e)
+          (Model.core_nodes model))
   in
   {
     name = "dense-modal";
@@ -43,6 +55,7 @@ let of_model model =
     step_into = (fun ~dt ~state ~psi ~dst -> Modal.step_into eng ~dt ~z:state ~psi ~dst);
     correct_cores =
       (fun ~state ~deltas ->
+        let core_cols = Util.Once.get core_cols in
         if Linalg.Vec.dim deltas <> Array.length core_cols then
           invalid_arg "Backend.correct_cores: deltas arity differs from core count";
         if Linalg.Vec.dim state <> n then
@@ -67,33 +80,20 @@ let of_model model =
     peak_refined =
       (fun ~samples_per_segment ~tol profile ->
         Matex.peak_refined ~engine:eng model ~samples_per_segment ~tol profile);
-  }
-
-let of_sparse eng =
-  {
-    name = "sparse-krylov";
-    n_nodes = Sparse_model.n_nodes eng;
-    n_cores = Sparse_model.n_cores eng;
-    ambient = Sparse_model.ambient eng;
-    ambient_state = (fun () -> Sparse_model.ambient_state eng);
-    step = Sparse_model.step eng;
-    step_into =
-      (fun ~dt ~state ~psi ~dst ->
-        let next = Sparse_model.step eng ~dt ~state ~psi in
-        Array.blit next 0 dst 0 (Sparse_model.n_nodes eng));
-    correct_cores = (fun ~state ~deltas -> Sparse_model.correct_cores eng ~state ~deltas);
-    core_temps = Sparse_model.core_temps eng;
-    max_core_temp = Sparse_model.max_core_temp eng;
-    steady_core_temps = Sparse_model.steady_core_temps eng;
-    steady_peak = Sparse_model.steady_peak eng;
-    stable_core_temps = Sparse_model.stable_core_temps eng;
-    stable_peak = Sparse_model.end_of_period_peak eng;
-    peak_scan =
-      (fun ~samples_per_segment profile ->
-        Sparse_model.peak_scan eng ~samples_per_segment profile);
-    peak_refined =
-      (fun ~samples_per_segment ~tol profile ->
-        Sparse_model.peak_refined eng ~samples_per_segment ~tol profile);
+    stable_begin = (fun () -> Modal.stable_begin eng);
+    stable_feed = (fun ~duration ~psi -> Modal.stable_feed eng ~duration ~psi);
+    stable_solve = (fun ~t_p -> Modal.stable_solve eng ~t_p);
+    base_begin = (fun ~t_p -> Modal.base_begin eng ~t_p);
+    base_feed =
+      (fun ~core ~psi_low ~psi_high ~high_ratio ->
+        Modal.base_feed eng ~core ~psi_low ~psi_high ~high_ratio);
+    base_solve = (fun () -> Modal.base_solve eng);
+    delta_peak =
+      (fun ~core ~psi_low ~psi_high ~high_ratio ->
+        Modal.delta_peak eng ~core ~psi_low ~psi_high ~high_ratio);
+    delta_core_temp =
+      (fun ~at ~core ~psi_low ~psi_high ~high_ratio ->
+        Modal.delta_core_temp eng ~at ~core ~psi_low ~psi_high ~high_ratio);
   }
 
 let of_response resp =
@@ -122,8 +122,19 @@ let of_response resp =
     peak_refined =
       (fun ~samples_per_segment ~tol profile ->
         Sparse_response.peak_refined resp ~samples_per_segment ~tol profile);
+    stable_begin = (fun () -> Sparse_response.stable_begin resp);
+    stable_feed = (fun ~duration ~psi -> Sparse_response.stable_feed resp ~duration ~psi);
+    stable_solve = (fun ~t_p -> Sparse_response.stable_solve resp ~t_p);
+    base_begin = (fun ~t_p -> Sparse_response.base_begin resp ~t_p);
+    base_feed =
+      (fun ~core ~psi_low ~psi_high ~high_ratio ->
+        Sparse_response.base_feed resp ~core ~psi_low ~psi_high ~high_ratio);
+    base_solve = (fun () -> Sparse_response.base_solve resp);
+    delta_peak =
+      (fun ~core ~psi_low ~psi_high ~high_ratio ->
+        Sparse_response.delta_peak resp ~core ~psi_low ~psi_high ~high_ratio);
+    delta_core_temp =
+      (fun ~at ~core ~psi_low ~psi_high ~high_ratio ->
+        Sparse_response.delta_core_temp resp ~at ~core ~psi_low ~psi_high
+          ~high_ratio);
   }
-
-let sparse_of_spec ?pool spec = of_sparse (Sparse_model.of_spec ?pool spec)
-let sparse_of_model ?pool model = of_sparse (Sparse_model.of_model ?pool model)
-let dense_of_spec spec = of_model (Spec.to_model spec)

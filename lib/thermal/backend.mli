@@ -6,8 +6,13 @@
     come from the dense modal engine ({!Modal}, O(n³) build, exact
     eigenbasis) or the sparse Krylov engine ({!Sparse_model}, O(nnz)
     build, CG + Lanczos solves).  A backend is a record of closures over
-    one of those engines; {!Core.Eval} and {!Sched.Peak} consume it, so
-    every registered policy runs unchanged on either implementation.
+    one of those engines.  {!Sched.Peak} writes each evaluator once
+    against it — the profile questions through the [steady_*]/[stable_*]/
+    [peak_*] fields, the fused two-mode stream through
+    {!field:stable_begin}/{!field:stable_feed}/{!field:stable_solve}, the
+    TPT delta scans through the [base_*]/[delta_*] hooks — and
+    {!Core.Eval} holds one, so every registered policy runs unchanged on
+    either implementation.
 
     States are opaque to callers: modal coordinates for the dense
     backend, symmetrized node coordinates for the sparse one.  Obtain
@@ -18,7 +23,7 @@
 
 type t = {
   name : string;
-      (** ["dense-modal"], ["sparse-krylov"], or ["sparse-response"]. *)
+      (** ["dense-modal"] or ["sparse-response"]. *)
   n_nodes : int;
   n_cores : int;
   ambient : float;
@@ -53,34 +58,46 @@ type t = {
       (** Dense scan of the stable-status period. *)
   peak_refined : samples_per_segment:int -> tol:float -> Matex.profile -> float;
       (** Scan plus golden-section refinement. *)
+  stable_begin : unit -> unit;
+      (** Fused stable-status stream, the candidate hot path: reset this
+          domain's accumulator ... *)
+  stable_feed : duration:float -> psi:Linalg.Vec.t -> unit;
+      (** ... fold one constant-power span into it (in period order;
+          [Invalid_argument] on a non-positive duration) ... *)
+  stable_solve : t_p:float -> Linalg.Vec.t;
+      (** ... and solve the period-[t_p] fixed point.  The returned
+          state is read through {!field:core_temps}/{!field:max_core_temp}
+          and may be per-domain scratch: read it before the next stream
+          on this domain. *)
+  base_begin : t_p:float -> unit;
+      (** Prepared-base delta evaluation (DESIGN.md §14): start a base
+          two-mode config of period [t_p] on this domain ... *)
+  base_feed : core:int -> psi_low:float -> psi_high:float -> high_ratio:float -> unit;
+      (** ... record core [core]'s low/high powers and duty ratio (every
+          core exactly once) ... *)
+  base_solve : unit -> Linalg.Vec.t;
+      (** ... solve the base and arm the delta reads; returns this
+          domain's scratch base state.  Base state is per-domain and
+          untouched by interleaved streams. *)
+  delta_peak : core:int -> psi_low:float -> psi_high:float -> high_ratio:float -> float;
+      (** End-of-period stable peak of the prepared base with core
+          [core]'s terms replaced. *)
+  delta_core_temp :
+    at:int -> core:int -> psi_low:float -> psi_high:float -> high_ratio:float -> float;
+      (** The same candidate's end-of-period temperature at core [at]. *)
 }
 
 (** [of_model model] is the dense reference backend: the model's cached
-    {!Modal} response engine behind the uniform interface. *)
+    {!Modal} response engine behind the uniform interface.  Cheap to
+    call per evaluation — {!Modal.make} memoizes the engine and the
+    correction columns are built on first use — so callers holding only
+    a model wrap it on the spot. *)
 val of_model : Model.t -> t
-
-(** [sparse_of_model ?pool model] runs the sparse Krylov engine on the
-    spec reconstructed from a dense model ({!Spec.of_model}) — the
-    differential-testing bridge. *)
-val sparse_of_model : ?pool:Util.Pool.t -> Model.t -> t
-
-(** [sparse_of_spec ?pool spec] is the sparse backend of a problem
-    description — never builds anything dense, so it is the only
-    constructor that scales to 256–1024 cells. *)
-val sparse_of_spec : ?pool:Util.Pool.t -> Spec.t -> t
-
-(** [dense_of_spec spec] assembles the dense model of a spec (including
-    its O(n³) eigensolve) and wraps it — the reference arm of
-    dense-versus-sparse comparisons; do not call at large n. *)
-val dense_of_spec : Spec.t -> t
-
-(** [of_sparse eng] wraps an already-assembled sparse engine. *)
-val of_sparse : Sparse_model.t -> t
 
 (** [of_response resp] wraps a {!Sparse_response} superposition engine:
     steady and stable evaluators superpose over the unit-response tables
     (and warm-start the fixed-point CG) instead of solving per-candidate
-    steady systems.  Same answers as {!of_sparse} to Krylov truncation;
-    pays the [n_cores + 1] unit solves up front, so prefer {!of_sparse}
-    for one-shot evaluations and this wrapper inside search loops. *)
+    steady systems; the engine pays its [n_cores + 1] unit solves up
+    front.  Code measuring the direct Krylov engine calls
+    {!Sparse_model} itself. *)
 val of_response : Sparse_response.t -> t

@@ -1,5 +1,6 @@
 (** Modal (eigenbasis) thermal evaluation engine — the hot path behind
-    {!Matex}, {!Sched.Peak} and {!Runtime.Governor}.
+    {!Matex}, the dense {!Backend} (and so {!Sched.Peak}) and the
+    {!Runtime.Loop} plant.
 
     {!Model.make} already diagonalizes [A = W diag(lambda) W^{-1}] with
     real negative [lambda], so the whole simulation can run in modal

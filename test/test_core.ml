@@ -36,7 +36,7 @@ let test_ideal_reaches_tmax () =
   let p = platform3 () in
   let r = Core.Ideal.solve p in
   (* Unclamped ideal assignment puts the steady state exactly at T_max. *)
-  let peak = Sched.Peak.steady_constant p.P.model p.P.power r.Core.Ideal.voltages in
+  let peak = Sched.Peak.steady_constant (Thermal.Backend.of_model p.P.model) p.P.power r.Core.Ideal.voltages in
   Alcotest.(check bool) "no clamping on this platform" true
     (Array.for_all not r.Core.Ideal.clamped);
   check_close 1e-6 "steady peak = T_max" 65. peak
@@ -71,7 +71,7 @@ let test_ideal_refine_no_worse () =
     (refined.Core.Ideal.throughput >= plain.Core.Ideal.throughput -. 1e-9);
   (* Refined assignment stays feasible. *)
   let peak =
-    Sched.Peak.steady_constant p.P.model p.P.power refined.Core.Ideal.voltages
+    Sched.Peak.steady_constant (Thermal.Backend.of_model p.P.model) p.P.power refined.Core.Ideal.voltages
   in
   Alcotest.(check bool) "refined stays under T_max" true (peak <= p.P.t_max +. 1e-6)
 
@@ -342,7 +342,7 @@ let prop_ao_always_feasible =
       let p = Workload.Configs.platform ~cores ~levels ~t_max in
       let ao = Core.Ao.solve p in
       let dense =
-        Sched.Peak.of_any_refined p.P.model p.P.power ~samples_per_segment:32
+        Sched.Peak.of_any_refined (Thermal.Backend.of_model p.P.model) p.P.power ~samples_per_segment:32
           ao.Core.Ao.schedule
       in
       ao.Core.Ao.peak <= t_max +. 1e-6 && dense <= t_max +. 0.05)

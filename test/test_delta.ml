@@ -9,7 +9,6 @@
 
 module Vec = Linalg.Vec
 module Model = Thermal.Model
-module Modal = Thermal.Modal
 module Sp = Thermal.Sparse_model
 module Resp = Thermal.Sparse_response
 module Peak = Sched.Peak
@@ -60,18 +59,25 @@ let perturb rng ~low ~high core =
   end
   else (low.(core), high.(core), r')
 
-(* ------------------------------------------- delta vs full, dense *)
+(* -------------------------------------- delta vs full, both backends *)
 
-let prop_dense_delta_matches_full =
-  QCheck.Test.make ~name:"dense delta peak/temp = full fused evaluation"
-    ~count:40 seed_gen (fun seed ->
+(* Every property and isolation test below is written once against
+   {!Thermal.Backend} and run on both implementations: the dense modal
+   engine and a freshly built sparse superposition engine (on [pool]
+   when one is given). *)
+let dense ?pool:_ model = Thermal.Backend.of_model model
+let sparse ?pool model = Thermal.Backend.of_response (Resp.build (Sp.of_model ?pool model))
+let backends = [ ("dense", dense); ("sparse", sparse) ]
+
+let parity_prop ~name ~count ~pool_size backend_of =
+  QCheck.Test.make ~name ~count seed_gen (fun seed ->
       let rng = Random.State.make [| seed |] in
       let model = random_model rng in
-      let eng = Modal.make model in
+      let pool = Util.Pool.create ~size:pool_size () in
+      let b = backend_of ?pool:(Some pool) model in
       let n = Model.n_cores model in
       let period, low, high, high_ratio = random_two_mode rng n in
-      Peak.two_mode_delta_base ~engine:eng model pm ~period ~low ~high
-        ~high_ratio;
+      Peak.two_mode_delta_base b pm ~period ~low ~high ~high_ratio;
       let ok = ref true in
       for core = 0 to n - 1 do
         let l', h', r' = perturb rng ~low ~high core in
@@ -82,74 +88,23 @@ let prop_dense_delta_matches_full =
         high2.(core) <- h';
         hr2.(core) <- r';
         let dpk =
-          Peak.two_mode_delta_peak ~engine:eng model pm ~core ~low:l' ~high:h'
-            ~high_ratio:r'
+          Peak.two_mode_delta_peak b pm ~core ~low:l' ~high:h' ~high_ratio:r'
         in
         (* The full evaluation runs through the SAME engine's streaming
            scratch between delta calls — also exercising base-state
            isolation on the hot path. *)
         let full =
-          Peak.of_two_mode ~engine:eng model pm ~period ~low:low2 ~high:high2
-            ~high_ratio:hr2
+          Peak.of_two_mode b pm ~period ~low:low2 ~high:high2 ~high_ratio:hr2
         in
         if Float.abs (dpk -. full) > 1e-9 then ok := false;
         let at = Random.State.int rng n in
         let dt =
-          Peak.two_mode_delta_temp_at ~engine:eng model pm ~at ~core ~low:l'
-            ~high:h' ~high_ratio:r'
-        in
-        let temps =
-          Peak.two_mode_end_core_temps ~engine:eng model pm ~period ~low:low2
-            ~high:high2 ~high_ratio:hr2
-        in
-        if Float.abs (dt -. temps.(at)) > 1e-9 then ok := false
-      done;
-      !ok)
-
-(* ------------------------------------------ delta vs full, sparse *)
-
-let sparse_parity_prop ~pool_size =
-  QCheck.Test.make
-    ~name:
-      (Printf.sprintf "sparse delta peak/temp = full fused evaluation (pool %d)"
-         pool_size)
-    ~count:25 seed_gen (fun seed ->
-      let rng = Random.State.make [| seed |] in
-      let model = random_model rng in
-      let pool = Util.Pool.create ~size:pool_size () in
-      let eng = Sp.of_model ~pool model in
-      let resp = Resp.build eng in
-      let backend = Thermal.Backend.of_response resp in
-      let cache = Peak.Cache.create ~max_entries:0 () in
-      let n = Model.n_cores model in
-      let period, low, high, high_ratio = random_two_mode rng n in
-      Peak.response_two_mode_delta_base resp pm ~period ~low ~high ~high_ratio;
-      let ok = ref true in
-      for core = 0 to n - 1 do
-        let l', h', r' = perturb rng ~low ~high core in
-        let low2 = Array.copy low
-        and high2 = Array.copy high
-        and hr2 = Array.copy high_ratio in
-        low2.(core) <- l';
-        high2.(core) <- h';
-        hr2.(core) <- r';
-        let dpk =
-          Peak.response_two_mode_delta_peak resp pm ~core ~low:l' ~high:h'
+          Peak.two_mode_delta_temp_at b pm ~at ~core ~low:l' ~high:h'
             ~high_ratio:r'
         in
-        let full =
-          Peak.response_of_two_mode_cached cache resp pm ~period ~low:low2
-            ~high:high2 ~high_ratio:hr2
-        in
-        if Float.abs (dpk -. full) > 1e-9 then ok := false;
-        let at = Random.State.int rng n in
-        let dt =
-          Peak.response_two_mode_delta_temp_at resp pm ~at ~core ~low:l'
-            ~high:h' ~high_ratio:r'
-        in
         let temps =
-          Peak.backend_two_mode_end_core_temps backend pm ~period ~low:low2
-            ~high:high2 ~high_ratio:hr2
+          Peak.two_mode_end_core_temps b pm ~period ~low:low2 ~high:high2
+            ~high_ratio:hr2
         in
         if Float.abs (dt -. temps.(at)) > 1e-9 then ok := false
       done;
@@ -162,74 +117,32 @@ let model_a =
   Thermal.Hotspot.core_level
     (Thermal.Floorplan.grid ~rows:1 ~cols:3 ~core_width:4e-3 ~core_height:4e-3)
 
-let test_dense_base_survives_exact_evals () =
-  let eng = Modal.make model_a in
+let test_base_survives_exact_evals backend_of () =
+  let b = backend_of ?pool:None model_a in
   let n = Model.n_cores model_a in
   let period = 0.1 in
   let low = Array.make n 0.7 and high = Array.make n 1.2 in
   let high_ratio = [| 0.3; 0.6; 0.9 |] in
-  Peak.two_mode_delta_base ~engine:eng model_a pm ~period ~low ~high
-    ~high_ratio;
-  let d1 =
-    Peak.two_mode_delta_peak ~engine:eng model_a pm ~core:1 ~low:0.7 ~high:1.2
-      ~high_ratio:0.45
-  in
+  Peak.two_mode_delta_base b pm ~period ~low ~high ~high_ratio;
+  let d1 = Peak.two_mode_delta_peak b pm ~core:1 ~low:0.7 ~high:1.2 ~high_ratio:0.45 in
   (* Unrelated full evaluations run through the same engine's streaming
-     scratch and decay tables; the prepared base must be untouched. *)
+     scratch; the prepared base must be untouched. *)
   for k = 1 to 5 do
     let r = 0.1 *. float_of_int k in
     ignore
-      (Peak.of_two_mode ~engine:eng model_a pm ~period:0.07 ~low ~high
-         ~high_ratio:[| r; 1. -. r; 0.5 |]
+      (Peak.of_two_mode b pm ~period:0.07 ~low ~high ~high_ratio:[| r; 1. -. r; 0.5 |]
         : float)
   done;
-  let d2 =
-    Peak.two_mode_delta_peak ~engine:eng model_a pm ~core:1 ~low:0.7 ~high:1.2
-      ~high_ratio:0.45
-  in
+  let d2 = Peak.two_mode_delta_peak b pm ~core:1 ~low:0.7 ~high:1.2 ~high_ratio:0.45 in
   check_bits "delta unchanged by interleaved exact evals" d1 d2;
   (* Re-preparing a different base overwrites deterministically. *)
-  Peak.two_mode_delta_base ~engine:eng model_a pm ~period:0.07 ~low ~high
-    ~high_ratio:[| 0.2; 0.2; 0.2 |];
-  let e1 =
-    Peak.two_mode_delta_peak ~engine:eng model_a pm ~core:0 ~low:0.7 ~high:1.2
-      ~high_ratio:0.8
-  in
-  Peak.two_mode_delta_base ~engine:eng model_a pm ~period ~low ~high
-    ~high_ratio;
-  Peak.two_mode_delta_base ~engine:eng model_a pm ~period:0.07 ~low ~high
-    ~high_ratio:[| 0.2; 0.2; 0.2 |];
-  let e2 =
-    Peak.two_mode_delta_peak ~engine:eng model_a pm ~core:0 ~low:0.7 ~high:1.2
-      ~high_ratio:0.8
-  in
+  let other = [| 0.2; 0.2; 0.2 |] in
+  Peak.two_mode_delta_base b pm ~period:0.07 ~low ~high ~high_ratio:other;
+  let e1 = Peak.two_mode_delta_peak b pm ~core:0 ~low:0.7 ~high:1.2 ~high_ratio:0.8 in
+  Peak.two_mode_delta_base b pm ~period ~low ~high ~high_ratio;
+  Peak.two_mode_delta_base b pm ~period:0.07 ~low ~high ~high_ratio:other;
+  let e2 = Peak.two_mode_delta_peak b pm ~core:0 ~low:0.7 ~high:1.2 ~high_ratio:0.8 in
   check_bits "re-prepared base replaces the old one" e1 e2
-
-let test_sparse_base_survives_exact_evals () =
-  let eng = Sp.of_model model_a in
-  let resp = Resp.build eng in
-  let cache = Peak.Cache.create ~max_entries:0 () in
-  let n = Model.n_cores model_a in
-  let period = 0.1 in
-  let low = Array.make n 0.7 and high = Array.make n 1.2 in
-  let high_ratio = [| 0.3; 0.6; 0.9 |] in
-  Peak.response_two_mode_delta_base resp pm ~period ~low ~high ~high_ratio;
-  let d1 =
-    Peak.response_two_mode_delta_peak resp pm ~core:1 ~low:0.7 ~high:1.2
-      ~high_ratio:0.45
-  in
-  for k = 1 to 5 do
-    let r = 0.1 *. float_of_int k in
-    ignore
-      (Peak.response_of_two_mode_cached cache resp pm ~period:0.07 ~low ~high
-         ~high_ratio:[| r; 1. -. r; 0.5 |]
-        : float)
-  done;
-  let d2 =
-    Peak.response_two_mode_delta_peak resp pm ~core:1 ~low:0.7 ~high:1.2
-      ~high_ratio:0.45
-  in
-  check_bits "sparse delta unchanged by interleaved exact evals" d1 d2
 
 (* --------------------- margin-0 trajectory = pre-delta loop, bitwise *)
 
@@ -441,17 +354,21 @@ let () =
     [
       qsuite "parity"
         [
-          prop_dense_delta_matches_full;
-          sparse_parity_prop ~pool_size:1;
-          sparse_parity_prop ~pool_size:4;
+          parity_prop ~name:"dense delta peak/temp = full fused evaluation"
+            ~count:40 ~pool_size:1 dense;
+          parity_prop
+            ~name:"sparse delta peak/temp = full fused evaluation (pool 1)"
+            ~count:25 ~pool_size:1 sparse;
+          parity_prop
+            ~name:"sparse delta peak/temp = full fused evaluation (pool 4)"
+            ~count:25 ~pool_size:4 sparse;
         ];
       ( "base-state",
-        [
-          Alcotest.test_case "dense base survives exact evals" `Quick
-            test_dense_base_survives_exact_evals;
-          Alcotest.test_case "sparse base survives exact evals" `Quick
-            test_sparse_base_survives_exact_evals;
-        ] );
+        List.map
+          (fun (kind, backend_of) ->
+            Alcotest.test_case (kind ^ " base survives exact evals") `Quick
+              (test_base_survives_exact_evals backend_of))
+          backends );
       ( "trajectory",
         [
           Alcotest.test_case "margin 0 = pre-delta loops, bitwise" `Quick

@@ -103,7 +103,8 @@ let test_ptrace_parse () =
 let test_ptrace_round_trip () =
   let t = Thermal.Ptrace.of_string sample_ptrace in
   let t' = Thermal.Ptrace.of_string (Thermal.Ptrace.to_string t) in
-  Alcotest.(check bool) "identical samples" true (t.Thermal.Ptrace.samples = t'.Thermal.Ptrace.samples)
+  Alcotest.(check (array (array (float 0.)))) "identical samples"
+    t.Thermal.Ptrace.samples t'.Thermal.Ptrace.samples
 
 let test_ptrace_errors () =
   let bad what s =
@@ -152,7 +153,7 @@ let test_peak_refined_at_least_scan () =
       Workload.Random_sched.arbitrary rng ~n_cores:3 ~period:0.5 ~max_intervals:4
         ~levels:(Power.Vf.table_iv 5)
     in
-    let profile = Sched.Peak.profile m pm s in
+    let profile = Sched.Peak.profile (Thermal.Backend.of_model m) pm s in
     let scan = Thermal.Matex.peak_scan m ~samples_per_segment:16 profile in
     let refined = Thermal.Matex.peak_refined m ~samples_per_segment:16 profile in
     Alcotest.(check bool) "refined >= scan" true (refined >= scan -. 1e-9)
@@ -176,8 +177,8 @@ let test_peak_of_any_refined_step_up_consistent () =
     Sched.Schedule.two_mode ~period:0.05 ~low:[| 0.6; 0.6; 0.6 |]
       ~high:[| 1.3; 1.3; 1.3 |] ~high_ratio:[| 0.4; 0.5; 0.6 |]
   in
-  let cheap = Sched.Peak.of_step_up m pm s in
-  let refined = Sched.Peak.of_any_refined m pm ~samples_per_segment:16 s in
+  let cheap = Sched.Peak.of_step_up (Thermal.Backend.of_model m) pm s in
+  let refined = Sched.Peak.of_any_refined (Thermal.Backend.of_model m) pm ~samples_per_segment:16 s in
   Alcotest.(check bool) "refined within coupling tolerance of Theorem 1" true
     (refined >= cheap -. 1e-9 && refined <= cheap +. 0.1)
 
@@ -226,84 +227,97 @@ let test_tsp_budget_consistent () =
 
 let platform3 () = Workload.Configs.platform ~cores:3 ~levels:5 ~t_max:65.
 
-let test_governor_large_guard_safe () =
-  let g =
-    Runtime.Governor.simulate (platform3 ())
-      (Runtime.Governor.Threshold { guard = 6. })
-      ~duration:4. ()
+(* The reactive governors run as {!Runtime.Controllers} entries through
+   the epoch loop on a dense context: 20 ms control epochs, eight plant
+   substeps per epoch, and (optionally) an observer of gain 0.2
+   filtering the sensors. *)
+let simulate ?(duration = 8.) ?(sensor_noise = 0.) ?(use_observer = false)
+    ?(seed = 0) p controller =
+  let config =
+    {
+      Runtime.Loop.default with
+      Runtime.Loop.control_interval = 20e-3;
+      duration;
+      substeps = 8;
+      seed;
+      sensor_noise;
+      observer_gain = (if use_observer then Some 0.2 else None);
+    }
   in
-  Alcotest.(check int) "no violations with a wide guard" 0 g.Runtime.Governor.violations;
-  Alcotest.(check bool) "does useful work" true (g.Runtime.Governor.throughput > 0.6)
+  Runtime.Loop.run ~config (Core.Eval.create p) controller
+
+let threshold guard = Runtime.Controllers.threshold ~guard ()
+
+let test_governor_large_guard_safe () =
+  let g = simulate (platform3 ()) (threshold 6.) ~duration:4. in
+  Alcotest.(check int) "no violations with a wide guard" 0 g.Runtime.Loop.violations;
+  Alcotest.(check bool) "does useful work" true (g.Runtime.Loop.throughput > 0.6)
 
 let test_governor_noise_hurts () =
   let guard = 0.5 in
-  let clean =
-    Runtime.Governor.simulate (platform3 ())
-      (Runtime.Governor.Threshold { guard })
-      ~duration:6. ()
-  in
+  let clean = simulate (platform3 ()) (threshold guard) ~duration:6. in
   let noisy =
-    Runtime.Governor.simulate (platform3 ())
-      (Runtime.Governor.Threshold { guard })
-      ~duration:6. ~sensor_noise:2.0 ~seed:1 ()
+    simulate (platform3 ()) (threshold guard) ~duration:6. ~sensor_noise:2.0
+      ~seed:1
   in
   Alcotest.(check bool) "noise increases violations" true
-    (noisy.Runtime.Governor.violations >= clean.Runtime.Governor.violations)
+    (noisy.Runtime.Loop.violations >= clean.Runtime.Loop.violations)
 
 let test_governor_static () =
   let p = platform3 () in
-  let low =
-    Runtime.Governor.simulate p (Runtime.Governor.Static [| 0; 0; 0 |]) ~duration:4. ()
-  in
-  check_close 1e-2 "all-low throughput ~0.6" 0.6 low.Runtime.Governor.throughput;
-  let high =
-    Runtime.Governor.simulate p (Runtime.Governor.Static [| 4; 4; 4 |]) ~duration:4. ()
-  in
-  Alcotest.(check bool) "all-high overheats" true (high.Runtime.Governor.peak > 65.);
+  let low = simulate p (Runtime.Controllers.static [| 0; 0; 0 |]) ~duration:4. in
+  check_close 1e-2 "all-low throughput ~0.6" 0.6 low.Runtime.Loop.throughput;
+  let high = simulate p (Runtime.Controllers.static [| 4; 4; 4 |]) ~duration:4. in
+  Alcotest.(check bool) "all-high overheats" true (high.Runtime.Loop.peak > 65.);
   Alcotest.(check bool) "arity checked" true
-    (match
-       Runtime.Governor.simulate p (Runtime.Governor.Static [| 0 |]) ~duration:1. ()
-     with
+    (match simulate p (Runtime.Controllers.static [| 0 |]) ~duration:1. with
     | exception Invalid_argument _ -> true
     | _ -> false)
 
 let test_governor_pid_tracks_setpoint () =
   let g =
-    Runtime.Governor.simulate (platform3 ())
-      (Runtime.Governor.Pid { kp = 0.05; ki = 0.005; guard = 2. })
-      ~duration:10. ()
+    simulate (platform3 ())
+      (Runtime.Controllers.pid ~kp:0.05 ~ki:0.005 ~guard:2. ())
+      ~duration:10.
   in
   (* The PI loop must settle somewhere useful: above all-low throughput,
      with a peak in the neighbourhood of the setpoint. *)
-  Alcotest.(check bool) "useful throughput" true (g.Runtime.Governor.throughput > 0.7);
+  Alcotest.(check bool) "useful throughput" true (g.Runtime.Loop.throughput > 0.7);
   Alcotest.(check bool) "peak near setpoint band" true
-    (g.Runtime.Governor.peak > 55. && g.Runtime.Governor.peak < 72.)
+    (g.Runtime.Loop.peak > 55. && g.Runtime.Loop.peak < 72.)
 
 let test_governor_observer_reduces_violations () =
   (* Same aggressive guard and noise, with and without observer-based
      filtering: the filtered loop must violate at most as often. *)
   let p = platform3 () in
   let run use_observer =
-    Runtime.Governor.simulate p
-      (Runtime.Governor.Threshold { guard = 0.5 })
-      ~duration:8. ~sensor_noise:2.0 ~use_observer ~seed:5 ()
+    simulate p (threshold 0.5) ~duration:8. ~sensor_noise:2.0 ~use_observer
+      ~seed:5
   in
   let raw = run false and filtered = run true in
   Alcotest.(check bool)
     (Printf.sprintf "filtered %d <= raw %d violations"
-       filtered.Runtime.Governor.violations raw.Runtime.Governor.violations)
+       filtered.Runtime.Loop.violations raw.Runtime.Loop.violations)
     true
-    (filtered.Runtime.Governor.violations <= raw.Runtime.Governor.violations);
+    (filtered.Runtime.Loop.violations <= raw.Runtime.Loop.violations);
   Alcotest.(check bool) "filtered loop switches less" true
-    (filtered.Runtime.Governor.switches <= raw.Runtime.Governor.switches)
+    (filtered.Runtime.Loop.switches <= raw.Runtime.Loop.switches)
 
 let test_governor_deterministic () =
   let run () =
-    Runtime.Governor.simulate (platform3 ())
-      (Runtime.Governor.Threshold { guard = 1. })
-      ~duration:3. ~sensor_noise:1. ~seed:9 ()
+    simulate (platform3 ()) (threshold 1.) ~duration:3. ~sensor_noise:1. ~seed:9
   in
-  Alcotest.(check bool) "same seed, same stats" true (run () = run ())
+  let a = run () and b = run () in
+  let bits what x y =
+    Alcotest.(check int64) what (Int64.bits_of_float x) (Int64.bits_of_float y)
+  in
+  bits "same throughput" a.Runtime.Loop.throughput b.Runtime.Loop.throughput;
+  bits "same peak" a.Runtime.Loop.peak b.Runtime.Loop.peak;
+  bits "same mean temperature" a.Runtime.Loop.mean_temp b.Runtime.Loop.mean_temp;
+  Alcotest.(check int) "same violations" a.Runtime.Loop.violations
+    b.Runtime.Loop.violations;
+  Alcotest.(check int) "same switches" a.Runtime.Loop.switches b.Runtime.Loop.switches;
+  Alcotest.(check int) "same epochs" a.Runtime.Loop.epochs b.Runtime.Loop.epochs
 
 (* --------------------------------------------------------------- export *)
 
@@ -517,7 +531,7 @@ let test_theorem1_exact_without_coupling () =
       Workload.Random_sched.step_up rng ~n_cores:3 ~period:0.6 ~max_intervals:4
         ~levels:(Power.Vf.table_iv 5)
     in
-    let profile = Sched.Peak.profile m pm s in
+    let profile = Sched.Peak.profile (Thermal.Backend.of_model m) pm s in
     let end_peak = Thermal.Matex.end_of_period_peak m profile in
     let true_peak = Thermal.Matex.peak_refined m ~samples_per_segment:32 profile in
     Alcotest.(check bool) "no exceedance at zero coupling" true

@@ -68,7 +68,7 @@ let test_ao_schedule_verified_by_dense_scan () =
   let p = Workload.Configs.platform ~cores:3 ~levels:2 ~t_max:65. in
   let ao = Core.Ao.solve p in
   let scan =
-    Sched.Peak.of_any p.Core.Platform.model p.Core.Platform.power
+    Sched.Peak.of_any (Thermal.Backend.of_model p.Core.Platform.model) p.Core.Platform.power
       ~samples_per_segment:64 ao.Core.Ao.schedule
   in
   Alcotest.(check bool) "dense scan confirms T_max" true
@@ -124,7 +124,7 @@ let test_ao_schedule_on_layered_model () =
   let ao = Core.Ao.solve p in
   let layered = Thermal.Hotspot.layered fp in
   let layered_peak =
-    Sched.Peak.of_any layered p.Core.Platform.power ~samples_per_segment:32
+    Sched.Peak.of_any (Thermal.Backend.of_model layered) p.Core.Platform.power ~samples_per_segment:32
       ao.Core.Ao.schedule
   in
   Alcotest.(check bool) "layered model within 8C of core-level" true
@@ -136,7 +136,7 @@ let test_stable_status_vs_transient_sim () =
   let p = Workload.Configs.platform ~cores:2 ~levels:2 ~t_max:60. in
   let ao = Core.Ao.solve p in
   let profile =
-    Sched.Peak.profile p.Core.Platform.model p.Core.Platform.power ao.Core.Ao.schedule
+    Sched.Peak.profile (Thermal.Backend.of_model p.Core.Platform.model) p.Core.Platform.power ao.Core.Ao.schedule
   in
   let periods =
     Thermal.Trace.periods_to_stable p.Core.Platform.model ~tol:1e-9 profile
@@ -219,15 +219,17 @@ let test_parallel_map_matches_sequential () =
   let xs = List.init 57 (fun i -> i) in
   let f x = (x * x) + 1 in
   Alcotest.(check (list int)) "same results, same order" (List.map f xs)
-    (Util.Parallel.map ~domains:4 f xs);
+    (Util.Pool.map f xs);
+  let single = Util.Pool.create ~size:1 () in
   Alcotest.(check (list int)) "degenerate single domain" (List.map f xs)
-    (Util.Parallel.map ~domains:1 f xs);
-  Alcotest.(check (list int)) "empty input" [] (Util.Parallel.map ~domains:4 f [])
+    (Util.Pool.map ~pool:single f xs);
+  Util.Pool.shutdown single;
+  Alcotest.(check (list int)) "empty input" [] (Util.Pool.map f [])
 
 let test_parallel_map_propagates_exceptions () =
   Alcotest.(check bool) "exception propagates" true
     (match
-       Util.Parallel.map ~domains:3
+       Util.Pool.map
          (fun x -> if x = 5 then failwith "boom" else x)
          (List.init 10 (fun i -> i))
      with
@@ -238,7 +240,7 @@ let test_parallel_real_workload () =
   (* Policies built inside domains: exercises that the pipeline is safe
      to run concurrently. *)
   let results =
-    Util.Parallel.map ~domains:4
+    Util.Pool.map
       (fun cores ->
         let p = Workload.Configs.platform ~cores ~levels:2 ~t_max:60. in
         (Core.Lns.solve p).Core.Lns.throughput)

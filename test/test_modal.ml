@@ -88,7 +88,7 @@ let prop_stable_start_matches model name =
   QCheck.Test.make ~name ~count:50 seed_gen (fun seed ->
       let rng = Random.State.make [| seed |] in
       let s = random_step_up rng ~n_cores:(Model.n_cores model) ~period:5. in
-      let profile = Sched.Peak.profile model pm s in
+      let profile = Sched.Peak.profile (Thermal.Backend.of_model model) pm s in
       let reference = Matex.Reference.stable_start model profile in
       let modal = Matex.stable_start model profile in
       Vec.dist_inf reference modal <= 1e-9)
@@ -98,7 +98,7 @@ let prop_stable_core_temps_match =
     ~count:50 seed_gen (fun seed ->
       let rng = Random.State.make [| seed |] in
       let s = random_step_up rng ~n_cores:3 ~period:5. in
-      let profile = Sched.Peak.profile model3 pm s in
+      let profile = Sched.Peak.profile (Thermal.Backend.of_model model3) pm s in
       let via_state =
         Model.core_temps_of_theta model3 (Matex.stable_start model3 profile)
       in
@@ -132,7 +132,7 @@ let test_peak_refined_fig2 () =
   in
   List.iteri
     (fun i s ->
-      let profile = Sched.Peak.profile model2 pm s in
+      let profile = Sched.Peak.profile (Thermal.Backend.of_model model2) pm s in
       let reference =
         Matex.Reference.peak_refined model2 ~samples_per_segment:32 profile
       in
@@ -152,7 +152,7 @@ let prop_peak_refined_matches =
           ~high:[| 1.3; 1.3; 1.3 |]
           ~high_ratio:[| ratio (); ratio (); ratio () |]
       in
-      let profile = Sched.Peak.profile model3 pm s in
+      let profile = Sched.Peak.profile (Thermal.Backend.of_model model3) pm s in
       let reference =
         Matex.Reference.peak_refined model3 ~samples_per_segment:16 profile
       in

@@ -6,8 +6,9 @@
 
 (* Force the shared pool to 4 participants regardless of the host's core
    count, before anything touches it (the lazy global reads the
-   environment on first use).  This makes the legacy Parallel shim and
-   the policy solvers in this executable exercise real worker domains. *)
+   environment on first use).  This makes the global-pool [Pool.map]
+   calls and the policy solvers in this executable exercise real worker
+   domains. *)
 let () = Unix.putenv "FOSC_DOMAINS" "4"
 
 let pool4 = Util.Pool.create ~size:4 ()
@@ -120,10 +121,10 @@ let test_nested_submission_inline () =
     results
 
 let test_nested_global_pool () =
-  (* The experiment-sweep shape: Parallel.map (global pool) over
+  (* The experiment-sweep shape: Pool.map on the global pool over
      platforms whose policy solvers submit to the same global pool. *)
   let results =
-    Util.Parallel.map
+    Util.Pool.map
       (fun cores ->
         let p = Workload.Configs.platform ~cores ~levels:2 ~t_max:60. in
         (Core.Ao.solve p).Core.Ao.throughput)

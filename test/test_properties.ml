@@ -117,7 +117,7 @@ let prop_stable_rotation_invariance =
     seed_gen
     (fun seed ->
       let s = random_schedule seed in
-      let profile = Sched.Peak.profile model3 pm s in
+      let profile = Sched.Peak.profile (Thermal.Backend.of_model model3) pm s in
       match profile with
       | [] | [ _ ] -> true
       | first :: rest ->

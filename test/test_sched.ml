@@ -201,11 +201,11 @@ let test_with_ramps_thermal_effect_bounded () =
     S.two_mode ~period:0.05 ~low:[| 0.6; 0.6; 0.6 |] ~high:[| 1.3; 1.3; 1.3 |]
       ~high_ratio:[| 0.5; 0.5; 0.5 |]
   in
-  let base = Peak.of_any m pm ~samples_per_segment:32 s in
-  let tiny = Peak.of_any m pm ~samples_per_segment:32 (Osc.with_ramps ~steps:3 ~tau:1e-5 s) in
+  let base = Peak.of_any (Thermal.Backend.of_model m) pm ~samples_per_segment:32 s in
+  let tiny = Peak.of_any (Thermal.Backend.of_model m) pm ~samples_per_segment:32 (Osc.with_ramps ~steps:3 ~tau:1e-5 s) in
   check_close 1e-2 "5us-scale ramps are thermally invisible" base tiny;
   let coarse =
-    Peak.of_any m pm ~samples_per_segment:32 (Osc.with_ramps ~steps:6 ~tau:5e-3 s)
+    Peak.of_any (Thermal.Backend.of_model m) pm ~samples_per_segment:32 (Osc.with_ramps ~steps:6 ~tau:5e-3 s)
   in
   Alcotest.(check bool) "5ms ramps shift the peak by < 1C" true
     (Float.abs (coarse -. base) < 1.)
@@ -256,8 +256,8 @@ let test_peak_constant_is_steady () =
   let v = [| 1.0; 1.0; 1.0 |] in
   let s = S.uniform ~period:0.1 v in
   check_close 1e-9 "constant schedule peak = T^inf"
-    (Peak.steady_constant m pm v)
-    (Peak.of_step_up m pm s)
+    (Peak.steady_constant (Thermal.Backend.of_model m) pm v)
+    (Peak.of_step_up (Thermal.Backend.of_model m) pm s)
 
 let test_peak_step_up_requires_step_up () =
   let m = model3 () in
@@ -271,7 +271,7 @@ let test_peak_step_up_requires_step_up () =
   in
   Alcotest.check_raises "non-step-up rejected"
     (Invalid_argument "Peak.of_step_up: schedule is not step-up") (fun () ->
-      ignore (Peak.of_step_up m pm s))
+      ignore (Peak.of_step_up (Thermal.Backend.of_model m) pm s))
 
 let test_peak_of_any_close_to_step_up_on_step_up_input () =
   let m = model3 () in
@@ -283,8 +283,8 @@ let test_peak_of_any_close_to_step_up_on_step_up_input () =
         [ seg 0.4 0.6 ];
       |]
   in
-  let cheap = Peak.of_step_up m pm s in
-  let scan = Peak.of_any m pm ~samples_per_segment:64 s in
+  let cheap = Peak.of_step_up (Thermal.Backend.of_model m) pm s in
+  let scan = Peak.of_any (Thermal.Backend.of_model m) pm ~samples_per_segment:64 s in
   (* Theorem 1: the dense scan cannot find anything above the period end. *)
   Alcotest.(check bool) "scan within 0.01C of end-of-period" true
     (scan <= cheap +. 1e-9 && scan >= cheap -. 0.01)
@@ -293,7 +293,7 @@ let test_peak_profile_arity_checked () =
   let m = model3 () in
   let s = S.uniform ~period:1. [| 1.0 |] in
   Alcotest.(check bool) "core count mismatch rejected" true
-    (match Peak.profile m pm s with exception Invalid_argument _ -> true | _ -> false)
+    (match Peak.profile (Thermal.Backend.of_model m) pm s with exception Invalid_argument _ -> true | _ -> false)
 
 let test_stable_end_core_temps_bounded_by_peak () =
   let m = model3 () in
@@ -305,8 +305,8 @@ let test_stable_end_core_temps_bounded_by_peak () =
         [ seg 0.2 0.6 ];
       |]
   in
-  let temps = Peak.stable_end_core_temps m pm s in
-  let peak = Peak.of_step_up m pm s in
+  let temps = Peak.stable_end_core_temps (Thermal.Backend.of_model m) pm s in
+  let peak = Peak.of_step_up (Thermal.Backend.of_model m) pm s in
   check_close 1e-9 "max end temp is the step-up peak" peak (Linalg.Vec.max temps)
 
 (* ----------------------------------------------------------------- energy *)

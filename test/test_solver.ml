@@ -83,14 +83,14 @@ let test_eval_cached_peaks_match_direct () =
   let p = platform3 () in
   let ev = Eval.create p in
   let v = [| 1.1; 0.9; 1.2 |] in
-  let direct = Sched.Peak.steady_constant p.P.model p.P.power v in
+  let direct = Sched.Peak.steady_constant (Thermal.Backend.of_model p.P.model) p.P.power v in
   check_bits "steady peak, cold" direct (Eval.steady_peak ev v);
   check_bits "steady peak, warm" direct (Eval.steady_peak ev v);
   let s =
     Sched.Schedule.two_mode ~period:0.1 ~low:[| 0.6; 0.6; 0.6 |]
       ~high:[| 1.3; 1.3; 1.3 |] ~high_ratio:[| 0.3; 0.5; 0.7 |]
   in
-  let direct_s = Sched.Peak.of_step_up p.P.model p.P.power s in
+  let direct_s = Sched.Peak.of_step_up (Thermal.Backend.of_model p.P.model) p.P.power s in
   check_bits "step-up peak, cold" direct_s (Eval.step_up_peak ev s);
   check_bits "step-up peak, warm" direct_s (Eval.step_up_peak ev s);
   let st = Eval.stats ev in
@@ -213,7 +213,7 @@ let test_parity_ideal () =
   check_bits_array "voltages" direct.Core.Ideal.voltages o.Solver.voltages;
   check_bits "throughput" direct.Core.Ideal.throughput o.Solver.throughput;
   check_bits "peak"
-    (Sched.Peak.steady_constant p.P.model p.P.power direct.Core.Ideal.voltages)
+    (Sched.Peak.steady_constant (Thermal.Backend.of_model p.P.model) p.P.power direct.Core.Ideal.voltages)
     o.Solver.peak
 
 let test_parity_tsp () =

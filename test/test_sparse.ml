@@ -305,7 +305,7 @@ let prop_sparse_stable_matches_dense =
       let model = if seed mod 2 = 0 then model3 else model9 in
       let eng = Sp_model.of_model model in
       let s = random_step_up rng ~n_cores:(Model.n_cores model) ~period:5. in
-      let profile = Sched.Peak.profile model pm s in
+      let profile = Sched.Peak.profile (Thermal.Backend.of_model model) pm s in
       let dense = Matex.stable_start model profile in
       Vec.dist_inf dense (Sp_model.to_theta eng (Sp_model.stable_start eng profile))
       <= 1e-9
@@ -340,7 +340,7 @@ let prop_sparse_peak_refined_matches_dense =
           ~high:[| 1.3; 1.3; 1.3 |]
           ~high_ratio:[| ratio (); ratio (); ratio () |]
       in
-      let profile = Sched.Peak.profile model3 pm s in
+      let profile = Sched.Peak.profile (Thermal.Backend.of_model model3) pm s in
       Float.abs
         (Matex.peak_refined model3 ~samples_per_segment:16 profile
         -. Sp_model.peak_refined

@@ -114,7 +114,7 @@ let test_demand_schedule_verified () =
   let p = platform () in
   let r = Core.Demand.solve p ~demands:[| 1.0; 0.9; 0.8 |] in
   let scan =
-    Sched.Peak.of_any_refined p.Core.Platform.model p.Core.Platform.power
+    Sched.Peak.of_any_refined (Thermal.Backend.of_model p.Core.Platform.model) p.Core.Platform.power
       ~samples_per_segment:32 r.Core.Demand.schedule
   in
   check_close 0.05 "reported peak matches refined scan" r.Core.Demand.peak scan

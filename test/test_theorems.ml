@@ -45,8 +45,8 @@ let prop_theorem1 ~model ~n_cores ~period =
         Workload.Random_sched.step_up rng ~n_cores ~period ~max_intervals:4
           ~levels:levels5
       in
-      let end_peak = Peak.of_step_up model pm s in
-      let scan_peak = Peak.of_any model pm ~samples_per_segment:48 s in
+      let end_peak = Peak.of_step_up (Thermal.Backend.of_model model) pm s in
+      let scan_peak = Peak.of_any (Thermal.Backend.of_model model) pm ~samples_per_segment:48 s in
       let rise = end_peak -. Thermal.Model.ambient model in
       scan_peak <= end_peak +. (0.03 *. rise) +. 0.05)
 
@@ -70,8 +70,8 @@ let prop_theorem2 ~model ~n_cores ~period =
         Workload.Random_sched.arbitrary rng ~n_cores ~period ~max_intervals:4
           ~levels:levels5
       in
-      let arbitrary_peak = Peak.of_any model pm ~samples_per_segment:48 s in
-      let bound = Peak.of_any model pm ~samples_per_segment:48 (Sched.Stepup.reorder s) in
+      let arbitrary_peak = Peak.of_any (Thermal.Backend.of_model model) pm ~samples_per_segment:48 s in
+      let bound = Peak.of_any (Thermal.Backend.of_model model) pm ~samples_per_segment:48 (Sched.Stepup.reorder s) in
       let rise = bound -. Thermal.Model.ambient model in
       arbitrary_peak <= bound +. (0.03 *. rise) +. 0.05)
 
@@ -104,8 +104,8 @@ let prop_theorem3 =
             [ { S.duration = period; voltage = 0. } ];
           |]
       in
-      Peak.of_step_up model3 pm constant
-      <= Peak.of_step_up model3 pm two_mode +. 1e-6)
+      Peak.of_step_up (Thermal.Backend.of_model model3) pm constant
+      <= Peak.of_step_up (Thermal.Backend.of_model model3) pm two_mode +. 1e-6)
 
 (* -------------------------------------------------------------- Theorem 4
    Using the two *neighbouring* modes gives a lower peak than any wider
@@ -134,8 +134,8 @@ let prop_theorem4 =
             [ { S.duration = period; voltage = 0. } ];
           |]
       in
-      let narrow = Peak.of_step_up model3 pm (two_mode ~v_low:0.8 ~v_high:1.0) in
-      let wide = Peak.of_step_up model3 pm (two_mode ~v_low:0.6 ~v_high:1.3) in
+      let narrow = Peak.of_step_up (Thermal.Backend.of_model model3) pm (two_mode ~v_low:0.8 ~v_high:1.0) in
+      let wide = Peak.of_step_up (Thermal.Backend.of_model model3) pm (two_mode ~v_low:0.6 ~v_high:1.3) in
       narrow <= wide +. 1e-6)
 
 (* -------------------------------------------------------------- Theorem 5
@@ -152,7 +152,7 @@ let prop_theorem5 ~model ~n_cores =
         Workload.Random_sched.step_up rng ~n_cores ~period:2.0 ~max_intervals:5
           ~levels:levels2
       in
-      let peak m = Peak.of_step_up model pm (Sched.Oscillate.oscillate m s) in
+      let peak m = Peak.of_step_up (Thermal.Backend.of_model model) pm (Sched.Oscillate.oscillate m s) in
       let rec monotone m prev =
         if m > 6 then true
         else
@@ -243,7 +243,7 @@ let test_fig2_single_core_oscillation () =
       |]
   in
   let both_doubled = Sched.Oscillate.oscillate 2 base in
-  let peak s = Peak.of_any model2 pm ~samples_per_segment:64 s in
+  let peak s = Peak.of_any (Thermal.Backend.of_model model2) pm ~samples_per_segment:64 s in
   let p_base = peak base and p_single = peak core1_doubled and p_both = peak both_doubled in
   Alcotest.(check bool) "single-core oscillation does not reduce the peak" true
     (p_single >= p_base -. 1e-3);
@@ -259,7 +259,7 @@ let test_fig3_alignment_is_worst_case () =
       Workload.Random_sched.phase_grid ~n_cores:3 ~period:6. ~v_low:0.6 ~v_high:1.3
         ~offsets
     in
-    Peak.of_any model3 pm ~samples_per_segment:32 s
+    Peak.of_any (Thermal.Backend.of_model model3) pm ~samples_per_segment:32 s
   in
   let aligned = peak_of_offsets [| 3.; 3.; 3. |] in
   List.iter

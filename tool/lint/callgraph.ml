@@ -5,8 +5,8 @@
    normalization Cmt_load applies to references, so binding keys and
    reference keys meet in the middle).  Pass 2 walks each binding's
    typedtree for (a) its outgoing references, (b) parallel entry points
-   — applications of [Util.Pool.map]/[map_array]/[init] or
-   [Util.Parallel.map] — and (c) whether the binding itself is
+   — applications of [Util.Pool.map]/[map_array]/[init] — and (c)
+   whether the binding itself is
    module-level mutable state and how it is guarded.
 
    The parallel set P is then the closure of the pool-site-enclosing
@@ -55,7 +55,7 @@ let head_path (f : Typedtree.expression) =
 
 let head_key f = Option.map Cmt_load.key_of_path (head_path f)
 
-let pool_keys = [ "Pool.map"; "Pool.map_array"; "Pool.init"; "Parallel.map" ]
+let pool_keys = [ "Pool.map"; "Pool.map_array"; "Pool.init" ]
 
 (* Module-level mutable-state constructors.  [Atomic.make],
    [Mutex.create], [Condition.create] and [Domain.DLS.new_key] are
