@@ -210,7 +210,7 @@ let expmv ?(tol = 1e-12) ?(m_max = 64) apply ~t v =
             let err = beta0 *. st.beta.(m - 1) *. Float.abs y.(m - 1) in
             if err <= tol *. beta0 then result := Some (combine st m beta0 y)
             else if m >= m_cap then begin
-              (* Stiff step: square the half-time propagator instead. *)
+              (* Stiff step: apply the half-time exponential twice instead. *)
               let half = go (t /. 2.) v (depth + 1) in
               result := Some (go (t /. 2.) half (depth + 1))
             end

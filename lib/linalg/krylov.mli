@@ -7,7 +7,7 @@
 
     - {!cg} — steady states and stable-status systems ([M y = b] and
       [(I - e^{-M T}) y = d], both SPD);
-    - {!expmv} — the transient propagator [e^{-t M} v] via the Lanczos
+    - {!expmv} — the transient action [e^{-t M} v] via the Lanczos
       approximation, never forming the dense exponential;
     - {!smallest_eigs} — shift-invert Lanczos Ritz pairs of the slowest
       modes, feeding the reduced-order model ({!Thermal.Reduced}).

@@ -9,7 +9,7 @@
 
     [xhat' = F xhat + g(psi) + L (y - H xhat)]
 
-    where [F = e^{A dt}] is the true propagator, [H] reads the core
+    where [F = e^{A dt}] is the true one-epoch transition, [H] reads the core
     temperatures and [L = gain * H^T].  [F] is a strict contraction and
     the correction pulls the estimate toward the measured cores, so the
     error dynamics are stable for gains in (0, 1].

@@ -5,25 +5,39 @@ let average_power b = total b /. b.period
 
 let per_period model pm s =
   let profile = Peak.profile (Thermal.Backend.of_model model) pm s in
-  let boundaries = Thermal.Matex.stable_boundaries model profile in
+  let eng = Thermal.Modal.make model in
+  let lambda = Thermal.Modal.eigenvalues eng in
+  let segs =
+    List.map
+      (fun (seg : Thermal.Matex.segment) ->
+        Thermal.Modal.segment eng ~duration:seg.duration ~psi:seg.psi)
+      profile
+  in
   let beta = Thermal.Model.leak_beta model in
   let ambient = Thermal.Model.ambient model in
   let cores = Thermal.Model.core_nodes model in
   let dynamic = ref 0. and leakage = ref 0. in
-  List.iteri
-    (fun q (seg : Thermal.Matex.segment) ->
-      dynamic := !dynamic +. (Linalg.Vec.sum seg.Thermal.Matex.psi *. seg.duration);
-      (* Leakage: beta * (theta_i + T_amb) integrated exactly. *)
-      let theta_integral =
-        Thermal.Model.integrate_theta model ~dt:seg.duration ~theta:boundaries.(q)
-          ~psi:seg.Thermal.Matex.psi
+  let z = ref (Thermal.Modal.stable_z eng segs) in
+  List.iter2
+    (fun (seg : Thermal.Matex.segment) mseg ->
+      let dt = seg.duration and z0 = !z in
+      dynamic := !dynamic +. (Linalg.Vec.sum seg.psi *. dt);
+      (* Leakage: beta * (theta_i + T_amb) integrated exactly.  Per mode,
+         int_0^dt z = z_eq dt + (z0 - z_eq) expm1(lambda dt) / lambda. *)
+      let z_eq = Thermal.Modal.z_inf eng seg.psi in
+      let z_integral =
+        Array.mapi
+          (fun j l ->
+            (z_eq.(j) *. dt) +. ((z0.(j) -. z_eq.(j)) *. Float.expm1 (l *. dt) /. l))
+          lambda
       in
+      let theta_integral = Thermal.Modal.of_modal eng z_integral in
       Array.iter
         (fun i ->
-          leakage :=
-            !leakage +. (beta *. (theta_integral.(i) +. (ambient *. seg.duration))))
-        cores)
-    profile;
+          leakage := !leakage +. (beta *. (theta_integral.(i) +. (ambient *. dt))))
+        cores;
+      z := Thermal.Modal.advance mseg z0)
+    profile segs;
   { dynamic = !dynamic; leakage = !leakage; period = Schedule.period s }
 
 let per_work model pm ?(tau = 0.) s =

@@ -2,9 +2,10 @@
     status.
 
     Per Eq. (1) a core's power is [psi(v) + beta T(t)].  Over one stable
-    period the [psi] part integrates trivially; the leakage part uses the
-    closed-form [int theta dt] of {!Thermal.Model.integrate_theta}, so no
-    sampling error enters.  Useful for the classic energy-vs-throughput
+    period the [psi] part integrates trivially; the leakage part
+    integrates every mode of the stable-status trajectory in closed form
+    ([int_0^dt z = z_eq dt + (z_0 - z_eq) expm1(lambda dt) / lambda]) and
+    reads the result at the core nodes, so no sampling error enters.  Useful for the classic energy-vs-throughput
     trade-off studies the paper's related work (Bansal et al. [33])
     focuses on. *)
 

@@ -3,11 +3,10 @@
    answer (voltage vectors, schedule state intervals), so a hit returns
    the very float a fresh evaluation would have computed — memoization
    never perturbs a search trajectory.  Insertion order is tracked in a
-   queue and the oldest entry is evicted at capacity, mirroring the
-   propagator cache's policy.  A mutex guards every table access: pool
-   workers evaluating candidates concurrently may race to compute the
-   same key, in which case both compute the (identical) value and one
-   insert wins. *)
+   queue and the oldest entry is evicted at capacity.  A mutex guards
+   every table access: pool workers evaluating candidates concurrently
+   may race to compute the same key, in which case both compute the
+   (identical) value and one insert wins. *)
 [@@@fosc.digest_sensitive]
 
 module Cache = struct
@@ -362,9 +361,22 @@ let of_two_mode_cached cache (b : B.t) pm ~period ~low ~high ~high_ratio =
 let steady_constant (b : B.t) pm voltages =
   b.B.steady_peak (Power.Power_model.psi_vector_memo pm voltages)
 
+(* Period-boundary stable status of a whole profile, through the same
+   fused stream as the two-mode evaluators: validated like every engine's
+   own profile evaluators, fed in period order, solved with the profile's
+   left-folded period length. *)
+let stable_of_profile (b : B.t) profile =
+  Thermal.Matex.validate b.B.n_cores profile;
+  b.B.stable_begin ();
+  List.iter
+    (fun (seg : Thermal.Matex.segment) ->
+      b.B.stable_feed ~duration:seg.duration ~psi:seg.psi)
+    profile;
+  b.B.stable_solve ~t_p:(Thermal.Matex.period profile)
+
 let of_step_up (b : B.t) pm s =
   if not (Stepup.is_step_up s) then invalid_arg "Peak.of_step_up: schedule is not step-up";
-  b.B.stable_peak (profile b pm s)
+  b.B.max_core_temp (stable_of_profile b (profile b pm s))
 
 let of_any (b : B.t) pm ?(samples_per_segment = 32) s =
   b.B.peak_scan ~samples_per_segment (profile b pm s)
@@ -372,7 +384,8 @@ let of_any (b : B.t) pm ?(samples_per_segment = 32) s =
 let of_any_refined (b : B.t) pm ?(samples_per_segment = 32) s =
   b.B.peak_refined ~samples_per_segment ~tol:1e-4 (profile b pm s)
 
-let stable_end_core_temps (b : B.t) pm s = b.B.stable_core_temps (profile b pm s)
+let stable_end_core_temps (b : B.t) pm s =
+  b.B.core_temps (stable_of_profile b (profile b pm s))
 
 (* The cached entry points build their (exact, bit-pattern) key lazily:
    when the caller's memo table is disabled there is no point digesting

@@ -12,8 +12,6 @@ type t = {
   max_core_temp : Linalg.Vec.t -> float;
   steady_core_temps : Linalg.Vec.t -> Linalg.Vec.t;
   steady_peak : Linalg.Vec.t -> float;
-  stable_core_temps : Matex.profile -> Linalg.Vec.t;
-  stable_peak : Matex.profile -> float;
   peak_scan : samples_per_segment:int -> Matex.profile -> float;
   peak_refined : samples_per_segment:int -> tol:float -> Matex.profile -> float;
   stable_begin : unit -> unit;
@@ -72,8 +70,6 @@ let of_model model =
     max_core_temp = Modal.max_core_temp eng;
     steady_core_temps = (fun psi -> Modal.core_temps eng (Modal.z_inf eng psi));
     steady_peak = Modal.steady_peak eng;
-    stable_core_temps = Matex.stable_core_temps ~engine:eng model;
-    stable_peak = Matex.end_of_period_peak ~engine:eng model;
     peak_scan =
       (fun ~samples_per_segment profile ->
         Matex.peak_scan ~engine:eng model ~samples_per_segment profile);
@@ -114,8 +110,6 @@ let of_response resp =
     max_core_temp = Sparse_model.max_core_temp eng;
     steady_core_temps = Sparse_response.steady_core_temps resp;
     steady_peak = Sparse_response.steady_peak resp;
-    stable_core_temps = Sparse_response.stable_core_temps resp;
-    stable_peak = Sparse_response.end_of_period_peak resp;
     peak_scan =
       (fun ~samples_per_segment profile ->
         Sparse_response.peak_scan resp ~samples_per_segment profile);

@@ -7,10 +7,12 @@
     eigenbasis) or the sparse Krylov engine ({!Sparse_model}, O(nnz)
     build, CG + Lanczos solves).  A backend is a record of closures over
     one of those engines.  {!Sched.Peak} writes each evaluator once
-    against it — the profile questions through the [steady_*]/[stable_*]/
-    [peak_*] fields, the fused two-mode stream through
-    {!field:stable_begin}/{!field:stable_feed}/{!field:stable_solve}, the
-    TPT delta scans through the [base_*]/[delta_*] hooks — and
+    against it — steady peaks through the [steady_*] fields, every
+    period-boundary stable status (whole profiles and the fused two-mode
+    stream alike) through
+    {!field:stable_begin}/{!field:stable_feed}/{!field:stable_solve},
+    interior peaks through the [peak_*] fields, the TPT delta scans
+    through the [base_*]/[delta_*] hooks — and
     {!Core.Eval} holds one, so every registered policy runs unchanged on
     either implementation.
 
@@ -48,12 +50,6 @@ type t = {
   steady_core_temps : Linalg.Vec.t -> Linalg.Vec.t;
       (** Absolute steady core temperatures under constant powers. *)
   steady_peak : Linalg.Vec.t -> float;
-  stable_core_temps : Matex.profile -> Linalg.Vec.t;
-      (** Absolute core temperatures at the periodic stable-status
-          period boundary. *)
-  stable_peak : Matex.profile -> float;
-      (** Hottest core at the stable-status period boundary — the
-          step-up evaluator of Theorem 1. *)
   peak_scan : samples_per_segment:int -> Matex.profile -> float;
       (** Dense scan of the stable-status period. *)
   peak_refined : samples_per_segment:int -> tol:float -> Matex.profile -> float;

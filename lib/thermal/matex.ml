@@ -1,4 +1,3 @@
-module Mat = Linalg.Mat
 module Vec = Linalg.Vec
 
 type segment = { duration : float; psi : Vec.t }
@@ -6,34 +5,24 @@ type profile = segment list
 
 let period profile = List.fold_left (fun acc s -> acc +. s.duration) 0. profile
 
-let validate model profile =
+let validate n_cores profile =
   if profile = [] then invalid_arg "Matex: empty profile";
   List.iteri
     (fun q s ->
       if s.duration <= 0. then
         invalid_arg (Printf.sprintf "Matex: segment %d has non-positive duration" q);
-      if Vec.dim s.psi <> Model.n_cores model then
+      if Vec.dim s.psi <> n_cores then
         invalid_arg
           (Printf.sprintf "Matex: segment %d power vector has arity %d, expected %d" q
-             (Vec.dim s.psi) (Model.n_cores model)))
+             (Vec.dim s.psi) n_cores))
     profile
-
-let simulate model ~theta0 profile =
-  validate model profile;
-  let states = Array.make (List.length profile + 1) theta0 in
-  List.iteri
-    (fun q s ->
-      states.(q + 1) <- Model.step model ~dt:s.duration ~theta:states.(q) ~psi:s.psi)
-    profile;
-  states
 
 (* ---------------------------------------------------- modal hot path *)
 
 (* Everything below runs in modal coordinates on the per-model cached
    response engine: equilibria by unit-response superposition (zero LU
    solves per candidate), decay factors from the engine's per-duration
-   table, and O(n) element-wise work per sample.  Model.step stays the
-   reference implementation (see {!Reference}). *)
+   table, and O(n) element-wise work per sample. *)
 
 (* Resolve the engine: callers that already hold the platform's cached
    engine (Core.Eval) pass it straight through; a mismatched engine is a
@@ -58,12 +47,12 @@ let stable_z_boundaries eng segs =
   zs
 
 let stable_start model profile =
-  validate model profile;
+  validate (Model.n_cores model) profile;
   let eng = Modal.make model in
   Modal.of_modal eng (Modal.stable_z eng (segments_of eng profile))
 
 let stable_boundaries model profile =
-  validate model profile;
+  validate (Model.n_cores model) profile;
   let eng = Modal.make model in
   let zs = stable_z_boundaries eng (segments_of eng profile) in
   Array.map (Modal.of_modal eng) zs
@@ -83,22 +72,22 @@ let stable_z_streamed eng profile =
   in
   Modal.stable_solve eng ~t_p
 
-let stable_core_temps ?engine model profile =
-  validate model profile;
-  let eng = engine_for ?engine model in
+let stable_core_temps model profile =
+  validate (Model.n_cores model) profile;
+  let eng = Modal.make model in
   Modal.core_temps eng (stable_z_streamed eng profile)
 
 let peak_at_boundaries model profile =
-  validate model profile;
+  validate (Model.n_cores model) profile;
   let eng = Modal.make model in
   let zs = stable_z_boundaries eng (segments_of eng profile) in
   Array.fold_left
     (fun acc z -> Float.max acc (Modal.max_core_temp eng z))
     neg_infinity zs
 
-let end_of_period_peak ?engine model profile =
-  validate model profile;
-  let eng = engine_for ?engine model in
+let end_of_period_peak model profile =
+  validate (Model.n_cores model) profile;
+  let eng = Modal.make model in
   Modal.max_core_temp eng (stable_z_streamed eng profile)
 
 (* Visit the [samples] interior/end states of [seg] starting from modal
@@ -115,7 +104,7 @@ let scan_segment_z seg ~samples z visit =
   Modal.advance seg z
 
 let peak_scan ?engine model ?(samples_per_segment = 32) profile =
-  validate model profile;
+  validate (Model.n_cores model) profile;
   let eng = engine_for ?engine model in
   (* Fully streamed: stable status, then a per-segment sub-step walk, all
      in the engine's per-domain scratch — no segment list, no per-sample
@@ -135,7 +124,7 @@ let peak_scan ?engine model ?(samples_per_segment = 32) profile =
   !best
 
 let stable_core_trace model ~samples_per_segment profile =
-  validate model profile;
+  validate (Model.n_cores model) profile;
   let eng = Modal.make model in
   let segs = segments_of eng profile in
   let z = ref (Modal.stable_z eng segs) in
@@ -176,7 +165,7 @@ let golden_max f a b tol =
   go a b x1 x2 (f x1) (f x2)
 
 let peak_refined ?engine model ?(samples_per_segment = 32) ?(tol = 1e-4) profile =
-  validate model profile;
+  validate (Model.n_cores model) profile;
   let eng = engine_for ?engine model in
   let segs = segments_of eng profile in
   let z = ref (Modal.stable_z eng segs) in
@@ -198,7 +187,7 @@ let peak_refined ?engine model ?(samples_per_segment = 32) ?(tol = 1e-4) profile
       best := Float.max !best !best_here;
       (* Refine inside the bracketing interval around the best sample;
          each probe is an O(n) modal evaluation, so golden-section probes
-         at fresh times cost no propagator builds. *)
+         at fresh times cost no matrix exponential. *)
       let lo = Float.max 0. ((float_of_int !best_k -. 1.) *. dt) in
       let hi = Float.min duration ((float_of_int !best_k +. 1.) *. dt) in
       if hi > lo then begin
@@ -210,7 +199,7 @@ let peak_refined ?engine model ?(samples_per_segment = 32) ?(tol = 1e-4) profile
 
 let time_to_threshold model ?theta0 ?(max_periods = 1000) ?(samples_per_segment = 32)
     ~threshold profile =
-  validate model profile;
+  validate (Model.n_cores model) profile;
   let eng = Modal.make model in
   let z0 =
     match theta0 with
@@ -267,7 +256,7 @@ let time_to_threshold model ?theta0 ?(max_periods = 1000) ?(samples_per_segment 
   end
 
 let mission_peak model ?theta0 ?(samples_per_segment = 32) profile =
-  validate model profile;
+  validate (Model.n_cores model) profile;
   let eng = Modal.make model in
   let z0 =
     match theta0 with
@@ -283,83 +272,3 @@ let mission_peak model ?theta0 ?(samples_per_segment = 32) profile =
             best := Float.max !best (Modal.max_core_temp eng zc)))
     (segments_of eng profile);
   (!best, Modal.of_modal eng !z)
-
-(* ------------------------------------------------------ reference path *)
-
-(* The pre-modal implementations, kept verbatim on Model.step /
-   Model.propagator for differential testing (test/test_modal.ml asserts
-   the two paths agree to <= 1e-9). *)
-module Reference = struct
-  let stable_start model profile =
-    validate model profile;
-    let n = Model.n_nodes model in
-    (* One period from the zero state gives theta(t_p) = K*0 + d = d, and
-       K is the ordered product of segment propagators. *)
-    let d = ref (Vec.zeros n) in
-    let k = ref (Mat.identity n) in
-    List.iter
-      (fun s ->
-        let p = Model.propagator model s.duration in
-        d := Model.step model ~dt:s.duration ~theta:!d ~psi:s.psi;
-        k := Mat.matmul p !k)
-      profile;
-    (* Stable status: theta* = K theta* + d. *)
-    let i_minus_k = Mat.sub (Mat.identity n) !k in
-    Linalg.Lu.solve i_minus_k !d
-
-  let stable_boundaries model profile =
-    let theta0 = stable_start model profile in
-    simulate model ~theta0 profile
-
-  let scan_segment model ~samples theta s visit =
-    let dt = s.duration /. float_of_int samples in
-    let theta = ref theta in
-    for k = 1 to samples do
-      theta := Model.step model ~dt ~theta:!theta ~psi:s.psi;
-      visit (float_of_int k *. dt) !theta
-    done;
-    !theta
-
-  let peak_scan model ?(samples_per_segment = 32) profile =
-    let boundaries = stable_boundaries model profile in
-    let best = ref (Model.max_core_temp model boundaries.(0)) in
-    List.iteri
-      (fun q s ->
-        ignore
-          (scan_segment model ~samples:samples_per_segment boundaries.(q) s
-             (fun _ theta ->
-               best := Float.max !best (Model.max_core_temp model theta))))
-      profile;
-    !best
-
-  let peak_refined model ?(samples_per_segment = 32) ?(tol = 1e-4) profile =
-    let boundaries = stable_boundaries model profile in
-    let best = ref (Model.max_core_temp model boundaries.(0)) in
-    List.iteri
-      (fun q s ->
-        (* Dense scan of this segment, remembering the hottest sample. *)
-        let dt = s.duration /. float_of_int samples_per_segment in
-        let best_k = ref 0
-        and best_here = ref (Model.max_core_temp model boundaries.(q)) in
-        ignore
-          (scan_segment model ~samples:samples_per_segment boundaries.(q) s
-             (fun t theta ->
-               let temp = Model.max_core_temp model theta in
-               if temp > !best_here then begin
-                 best_here := temp;
-                 best_k := int_of_float (Float.round (t /. dt))
-               end));
-        best := Float.max !best !best_here;
-        (* Refine inside the bracketing interval around the best sample. *)
-        let lo = Float.max 0. ((float_of_int !best_k -. 1.) *. dt) in
-        let hi = Float.min s.duration ((float_of_int !best_k +. 1.) *. dt) in
-        if hi > lo then begin
-          let temp_at t =
-            Model.max_core_temp model
-              (Model.step model ~dt:t ~theta:boundaries.(q) ~psi:s.psi)
-          in
-          best := Float.max !best (golden_max temp_at lo hi (tol *. s.duration))
-        end)
-      profile;
-    !best
-end

@@ -7,7 +7,7 @@
     [psi].  Within a segment the system is LTI, so Eq. (3) steps it
     exactly; across a period, the stable status of Eq. (4) is obtained by
     solving [(I - K) theta* = theta_one_period] where [K = e^{A t_p}] is
-    the product of the segment propagators.
+    the product of the per-segment exponentials [e^{A dt_q}].
 
     Every evaluator here runs on the per-model cached {!Modal} response
     engine: equilibria come from unit-response superposition (zero LU
@@ -16,8 +16,7 @@
     solve is a per-mode division.  The step-up evaluators
     ({!end_of_period_peak}, {!stable_core_temps}) additionally stream
     through per-domain scratch buffers, so a candidate evaluation
-    allocates nothing.  The pre-modal implementations survive in
-    {!Reference} for differential testing. *)
+    allocates nothing. *)
 
 type segment = { duration : float; psi : Linalg.Vec.t }
 
@@ -28,14 +27,12 @@ type profile = segment list
 (** [period profile] is the sum of segment durations. *)
 val period : profile -> float
 
-(** [validate model profile] raises [Invalid_argument] on empty profiles,
-    non-positive durations or power vectors of the wrong arity. *)
-val validate : Model.t -> profile -> unit
-
-(** [simulate model ~theta0 profile] integrates one period exactly from
-    state [theta0], returning the states at every segment boundary —
-    [theta0] first, final state last ([length profile + 1] entries). *)
-val simulate : Model.t -> theta0:Linalg.Vec.t -> profile -> Linalg.Vec.t array
+(** [validate n_cores profile] raises [Invalid_argument] on empty
+    profiles, non-positive durations or power vectors whose arity is not
+    [n_cores].  Every engine ({!Sparse_model}, {!Sparse_response}) checks
+    its profiles here, so all of them reject bad input with the same
+    messages. *)
+val validate : int -> profile -> unit
 
 (** [stable_start model profile] is the ambient-relative state at the
     period boundary once the repetition has converged to the thermal
@@ -51,10 +48,8 @@ val stable_boundaries : Model.t -> profile -> Linalg.Vec.t array
     temperatures at the stable-status period boundary — like
     [Model.core_temps_of_theta] of {!stable_start}, but streamed through
     the response engine's scratch buffers: superposed equilibria, table
-    decay factors, and only the modal core rows applied at the end.
-    [engine] may pass the model's cached engine explicitly (raises
-    [Invalid_argument] if it belongs to a different model). *)
-val stable_core_temps : ?engine:Modal.t -> Model.t -> profile -> Linalg.Vec.t
+    decay factors, and only the modal core rows applied at the end. *)
+val stable_core_temps : Model.t -> profile -> Linalg.Vec.t
 
 (** [peak_at_boundaries model profile] is the hottest absolute core
     temperature over the stable-status segment boundaries.  For a step-up
@@ -73,7 +68,7 @@ val peak_scan : ?engine:Modal.t -> Model.t -> ?samples_per_segment:int -> profil
     Theorem 1 says bounds a step-up schedule.  The candidate-evaluation
     hot path: one streamed superposition pass, zero LU solves, zero
     allocation beyond the per-domain scratch. *)
-val end_of_period_peak : ?engine:Modal.t -> Model.t -> profile -> float
+val end_of_period_peak : Model.t -> profile -> float
 
 (** [stable_core_trace model ~samples_per_segment profile] samples the
     stable-status period densely and returns [(time, absolute core
@@ -90,6 +85,13 @@ val stable_core_trace :
     theorem-tolerance measurements). *)
 val peak_refined :
   ?engine:Modal.t -> Model.t -> ?samples_per_segment:int -> ?tol:float -> profile -> float
+
+(** [golden_max f a b tol] maximizes [f] over [[a, b]] by golden-section
+    search down to an interval of width [tol].  Exact for [f] unimodal on
+    the bracket; otherwise still a value [f] attains.  The one
+    refinement search every [peak_refined] (dense, sparse, superposed)
+    probes with, so all engines sample the same abscissae. *)
+val golden_max : (float -> float) -> float -> float -> float -> float
 
 (** [time_to_threshold model ?theta0 ?max_periods ?samples_per_segment
     ~threshold profile] repeats [profile] from state [theta0] (default:
@@ -121,15 +123,3 @@ val mission_peak :
   ?samples_per_segment:int ->
   profile ->
   float * Linalg.Vec.t
-
-(** Pre-modal implementations on {!Model.step} / {!Model.propagator},
-    kept verbatim as the reference path.  [test/test_modal.ml] asserts
-    the modal evaluators above agree with these to [<= 1e-9]; they are
-    not meant for production use. *)
-module Reference : sig
-  val stable_start : Model.t -> profile -> Linalg.Vec.t
-  val stable_boundaries : Model.t -> profile -> Linalg.Vec.t array
-  val peak_scan : Model.t -> ?samples_per_segment:int -> profile -> float
-  val peak_refined :
-    Model.t -> ?samples_per_segment:int -> ?tol:float -> profile -> float
-end

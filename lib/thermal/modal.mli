@@ -30,8 +30,9 @@
     {!make} caches one engine per model (physical identity), so repeated
     evaluations on one platform share the tables; engines are safe to
     share across domains ({!Domain.DLS} scratch, mutex-guarded tables).
-    {!Model.step} remains the reference implementation — the property
-    tests diff the two paths to <= 1e-9. *)
+    This is the library's only transient path: the dense node-space
+    stepping of Eqs. (3)-(4) exists only as a test oracle, and the
+    property tests diff the two to <= 1e-9. *)
 
 type t
 (** A modal evaluation engine bound to a {!Model.t}.  Immutable eigendata
@@ -103,7 +104,7 @@ val steady_peak : t -> Linalg.Vec.t -> float
 val decay_gain : t -> float -> Linalg.Vec.t * Linalg.Vec.t
 
 (** [step t ~dt ~z ~psi] advances a modal state by [dt] under constant
-    powers [psi] — the O(n) counterpart of {!Model.step}.  Prefer
+    powers [psi] — Eq. (3) in modal coordinates, O(n).  Prefer
     {!segment}/{!advance} when the same [(dt, psi)] recurs. *)
 val step : t -> dt:float -> z:Linalg.Vec.t -> psi:Linalg.Vec.t -> Linalg.Vec.t
 

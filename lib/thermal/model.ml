@@ -1,11 +1,6 @@
 module Mat = Linalg.Mat
 module Vec = Linalg.Vec
 
-(* A propagator memo slot: [Building] is the single-flight claim — the
-   claiming domain computes e^{A dt} outside the lock while racers wait
-   on [cache_cond] instead of duplicating the O(n^3) build. *)
-type propagator_slot = Built of Mat.t | Building
-
 type t = {
   ambient : float;
   leak_beta : float;
@@ -14,23 +9,10 @@ type t = {
   is_core : bool array;
   g_eff : Mat.t; (* G' = G - beta E, the effective conductance *)
   g_eff_lu : Linalg.Lu.factorization;
-  a : Mat.t;
   (* Eigen cache: A = w diag(lambda) w_inv with real negative lambda. *)
   lambda : Vec.t;
   w : Mat.t;
   w_inv : Mat.t;
-  (* Propagator memo: e^{A dt} keyed by the bits of dt.  The policy loops
-     (AO's m sweep, the TPT adjustment, peak scans) reuse a handful of
-     interval lengths thousands of times.  Guarded by a mutex so models
-     may be shared across domains; first-use misses are single-flight
-     (a [Building] slot plus [cache_cond]) so two domains racing on the
-     same fresh [dt] never both pay the O(n^3) construction.
-     [cache_order] tracks insertion order so a full memo sheds its
-     oldest entries instead of being dumped wholesale. *)
-  propagator_cache : (int64, propagator_slot) Hashtbl.t; [@fosc.guarded "mutex"]
-  cache_order : int64 Queue.t; [@fosc.guarded "mutex"]
-  cache_lock : Mutex.t;
-  cache_cond : Condition.t;
 }
 
 let make ~ambient ~leak_beta ~capacitance ~conductance ~core_nodes () =
@@ -71,9 +53,6 @@ let make ~ambient ~leak_beta ~capacitance ~conductance ~core_nodes () =
   let lambda = Vec.map (fun mu -> -.mu) eig.Linalg.Sym_eig.eigenvalues in
   let w = Mat.init n n (fun i j -> c_sqrt_inv.(i) *. Mat.get v i j) in
   let w_inv = Mat.init n n (fun i j -> Mat.get v j i *. c_sqrt.(j)) in
-  let a =
-    Mat.init n n (fun i j -> -.(Mat.get g_eff i j) /. capacitance.(i))
-  in
   {
     ambient;
     leak_beta;
@@ -82,14 +61,9 @@ let make ~ambient ~leak_beta ~capacitance ~conductance ~core_nodes () =
     is_core;
     g_eff;
     g_eff_lu = Linalg.Lu.factorize g_eff;
-    a;
     lambda;
     w;
     w_inv;
-    propagator_cache = Hashtbl.create 64;
-    cache_order = Queue.create ();
-    cache_lock = Mutex.create ();
-    cache_cond = Condition.create ();
   }
 
 let n_nodes m = Vec.dim m.capacitance
@@ -97,7 +71,10 @@ let n_cores m = Array.length m.core_nodes
 let core_nodes m = Array.copy m.core_nodes
 let ambient m = m.ambient
 let leak_beta m = m.leak_beta
-let a_matrix m = Mat.copy m.a
+let a_matrix m =
+  let n = n_nodes m in
+  Mat.init n n (fun i j -> -.(Mat.get m.g_eff i j) /. m.capacitance.(i))
+
 let capacitance m = Vec.copy m.capacitance
 let effective_conductance m = Mat.copy m.g_eff
 
@@ -130,82 +107,6 @@ let steady_core_temps m psi = core_temps_of_theta m (theta_inf m psi)
 let max_core_temp m theta =
   Array.fold_left (fun acc i -> Float.max acc (theta.(i) +. m.ambient)) neg_infinity
     m.core_nodes
-
-let compute_propagator m dt =
-  let n = n_nodes m in
-  let e = Vec.map (fun l -> exp (l *. dt)) m.lambda in
-  (* W diag(e) W^{-1} without forming the diagonal matrix. *)
-  let scaled = Mat.init n n (fun i j -> Mat.get m.w i j *. e.(j)) in
-  Mat.matmul scaled m.w_inv
-
-let cache_capacity = 512
-
-let propagator m dt =
-  let key = Int64.bits_of_float dt in
-  (* Single-flight miss handling: the first domain to miss on [key]
-     plants a [Building] claim and computes e^{A dt} outside the lock;
-     concurrent callers for the same [dt] wait on [cache_cond] instead
-     of duplicating the O(n^3) build, and callers for other keys are
-     never blocked. *)
-  Mutex.lock m.cache_lock;
-  let outcome =
-    Fun.protect
-      ~finally:(fun () -> Mutex.unlock m.cache_lock)
-      (fun () ->
-        let rec await () =
-          match Hashtbl.find_opt m.propagator_cache key with
-          | Some (Built p) -> `Value p
-          | Some Building ->
-              Condition.wait m.cache_cond m.cache_lock;
-              await ()
-          | None ->
-              Hashtbl.replace m.propagator_cache key Building;
-              `Claimed
-        in
-        await ())
-  in
-  match outcome with
-  | `Value p -> p
-  | `Claimed ->
-      let p =
-        try compute_propagator m dt
-        with exn ->
-          (* Release the claim so waiters retry (and may rebuild)
-             instead of sleeping forever behind a dead slot. *)
-          Mutex.lock m.cache_lock;
-          Hashtbl.remove m.propagator_cache key;
-          Condition.broadcast m.cache_cond;
-          Mutex.unlock m.cache_lock;
-          raise exn
-      in
-      Mutex.lock m.cache_lock;
-      Fun.protect
-        ~finally:(fun () -> Mutex.unlock m.cache_lock)
-        (fun () ->
-          (* Bound the memo: schedules use a handful of distinct
-             lengths, but a pathological caller should not leak memory.
-             Only [Built] keys ever enter [cache_order], so eviction can
-             never remove an in-flight [Building] claim; if the queue
-             drains first the remaining entries are all claims and the
-             loop must stop, not reset the table. *)
-          let rec evict () =
-            if Hashtbl.length m.propagator_cache >= cache_capacity then
-              match Queue.take_opt m.cache_order with
-              | Some oldest ->
-                  Hashtbl.remove m.propagator_cache oldest;
-                  evict ()
-              | None -> ()
-          in
-          evict ();
-          Hashtbl.replace m.propagator_cache key (Built p);
-          Queue.push key m.cache_order;
-          Condition.broadcast m.cache_cond);
-      p
-
-let step m ~dt ~theta ~psi =
-  let tinf = theta_inf m psi in
-  let p = propagator m dt in
-  Vec.add (Mat.matvec p (Vec.sub theta tinf)) tinf
 
 let eigenvalues m = Vec.copy m.lambda
 
@@ -283,18 +184,3 @@ let modal_parts m = (m.lambda, m.w, m.w_inv)
 
 let solve_powers_for_uniform_core_temp m t_target =
   fst (solve_mixed m (Array.make (n_cores m) (Pinned_temperature t_target)))
-
-let derivative m theta psi =
-  Vec.add (Mat.matvec m.a theta) (input_of_core_powers m psi)
-
-(* A^{-1} y = -(G')^{-1} C y, reusing the cached factorization. *)
-let apply_a_inverse m y =
-  let cy = Vec.mul m.capacitance y in
-  Vec.scale (-1.) (Linalg.Lu.solve_vec m.g_eff_lu cy)
-
-let integrate_theta m ~dt ~theta ~psi =
-  if dt < 0. then invalid_arg "Model.integrate_theta: negative dt";
-  let theta_end = step m ~dt ~theta ~psi in
-  let b = input_of_core_powers m psi in
-  let rhs = Vec.sub (Vec.sub theta_end theta) (Vec.scale dt b) in
-  apply_a_inverse m rhs

@@ -7,9 +7,9 @@
     [beta] is the linear leakage/temperature slope of Eq. (1), and [e] is
     the indicator of core nodes.  [A] is similar to a symmetric negative
     definite matrix, so it is diagonalized once ([A = W D W^{-1}] with
-    real negative [D]) and every matrix exponential afterwards costs two
-    small matrix products — the MatEx trick of the paper's reference
-    [28]. *)
+    real negative [D]) — the MatEx trick of the paper's reference [28].
+    The model itself is immutable data: transients and stable statuses
+    are evaluated in that eigenbasis by {!Modal}. *)
 
 type t
 
@@ -69,16 +69,6 @@ val theta_inf : t -> Linalg.Vec.t -> Linalg.Vec.t
     the [T^inf] of the paper's Algorithm 1 line 7. *)
 val steady_core_temps : t -> Linalg.Vec.t -> Linalg.Vec.t
 
-(** [propagator m dt] is [e^{A dt}], computed in the eigenbasis and
-    memoized per distinct [dt] (thread-safe; the policies' inner loops
-    reuse a handful of interval lengths thousands of times).  The
-    returned matrix is shared — treat it as read-only. *)
-val propagator : t -> float -> Linalg.Mat.t
-
-(** [step m ~dt ~theta ~psi] advances the exact LTI solution of Eq. (3)
-    by [dt] under constant core powers [psi]. *)
-val step : t -> dt:float -> theta:Linalg.Vec.t -> psi:Linalg.Vec.t -> Linalg.Vec.t
-
 (** [core_temps_of_theta m theta] projects a full ambient-relative state
     onto absolute core temperatures. *)
 val core_temps_of_theta : t -> Linalg.Vec.t -> Linalg.Vec.t
@@ -121,10 +111,6 @@ val solve_mixed :
     neighbouring heat alone would impose. *)
 val solve_powers_for_uniform_core_temp : t -> float -> Linalg.Vec.t
 
-(** [derivative m theta psi] is [A theta + b(psi)] — the right-hand side
-    for cross-validating ODE integrators. *)
-val derivative : t -> Linalg.Vec.t -> Linalg.Vec.t -> Linalg.Vec.t
-
 (** [eigenbasis m] is [(lambda, w, w_inv)] with
     [A = w diag(lambda) w_inv] and [lambda] ordered closest-to-zero
     first (slowest mode first) — the raw modal data, exposed for
@@ -136,12 +122,3 @@ val eigenbasis : t -> Linalg.Vec.t * Linalg.Mat.t * Linalg.Mat.t
     treated as read-only.  O(1); this is what lets {!Modal.make} build an
     evaluation engine for free on every call. *)
 val modal_parts : t -> Linalg.Vec.t * Linalg.Mat.t * Linalg.Mat.t
-
-(** [integrate_theta m ~dt ~theta ~psi] is the exact time integral
-    [int_0^dt theta(s) ds] of the ambient-relative temperatures under
-    constant core powers [psi], starting from [theta]: from
-    [dtheta/dt = A theta + b] it equals
-    [A^{-1}(theta(dt) - theta(0) - b dt)].  This is what makes leakage
-    energy accounting ({!Sched.Energy}) exact rather than sampled. *)
-val integrate_theta :
-  t -> dt:float -> theta:Linalg.Vec.t -> psi:Linalg.Vec.t -> Linalg.Vec.t

@@ -80,20 +80,21 @@ let replay model t ~interval ~column_map =
   if interval <= 0. then invalid_arg "Ptrace.replay: non-positive interval";
   if Array.length column_map <> Model.n_cores model then
     invalid_arg "Ptrace.replay: column map arity differs from model cores";
-  let theta = ref (Array.make (Model.n_nodes model) 0.) in
+  let eng = Modal.make model in
+  let z = ref (Modal.ambient_state eng) in
   let out =
     Array.make
       (Array.length t.samples + 1)
-      { Trace.time = 0.; core_temps = Model.core_temps_of_theta model !theta }
+      { Trace.time = 0.; core_temps = Modal.core_temps eng !z }
   in
   Array.iteri
     (fun k row ->
       let psi = Array.map (fun col -> row.(col)) column_map in
-      theta := Model.step model ~dt:interval ~theta:!theta ~psi;
+      z := Modal.step eng ~dt:interval ~z:!z ~psi;
       out.(k + 1) <-
         {
           Trace.time = float_of_int (k + 1) *. interval;
-          core_temps = Model.core_temps_of_theta model !theta;
+          core_temps = Modal.core_temps eng !z;
         })
     t.samples;
   out

@@ -158,29 +158,15 @@ let correct_cores t ~state ~deltas =
     (fun k i -> state.(i) <- state.(i) +. (deltas.(k) *. t.c_sqrt.(i)))
     t.spec.Spec.core_nodes
 
-let validate t profile =
-  (match profile with [] -> invalid_arg "Sparse_model: empty profile" | _ -> ());
-  List.iteri
-    (fun q (s : Matex.segment) ->
-      if s.duration <= 0. then
-        invalid_arg
-          (Printf.sprintf "Sparse_model: segment %d has non-positive duration" q);
-      if Vec.dim s.psi <> n_cores t then
-        invalid_arg
-          (Printf.sprintf
-             "Sparse_model: segment %d power vector has arity %d, expected %d" q
-             (Vec.dim s.psi) (n_cores t)))
-    profile
-
 (* Periodic stable status.  Every segment shares the operator M, so one
    period is the affine map y -> e^{-T_p M} y + d; the fixed point solves
    (I - e^{-T_p M}) y* = d.  That system is SPD (eigenvalues
    1 - e^{-T_p mu} over the SPD spectrum of M), so CG applies with one
    Lanczos expmv per iteration — no matrix power, no LU, no O(n^2)
    storage.  d is one simulated period from the zero state, exactly like
-   Matex.Reference.stable_start. *)
+   the dense (I - K) reference solve of Eq. (4). *)
 let stable_start t profile =
-  validate t profile;
+  Matex.validate (n_cores t) profile;
   let t_p = Matex.period profile in
   let d =
     List.fold_left
@@ -216,7 +202,7 @@ let scan_segment t ~samples ~y_inf ~duration y0 visit =
   advance t ~dt:duration ~y_inf y0
 
 let peak_scan t ?(samples_per_segment = 32) profile =
-  validate t profile;
+  Matex.validate (n_cores t) profile;
   let y = ref (stable_start t profile) in
   let best = ref (max_core_temp t !y) in
   List.iter
@@ -228,30 +214,8 @@ let peak_scan t ?(samples_per_segment = 32) profile =
     profile;
   !best
 
-let golden = (sqrt 5. -. 1.) /. 2.
-
-(* Golden-section maximization, duplicated verbatim from Matex so the
-   sparse refinement probes the same abscissae as the dense one. *)
-let golden_max f a b tol =
-  let rec go a b x1 x2 f1 f2 =
-    if b -. a < tol then Float.max f1 f2
-    else if f1 >= f2 then
-      let b = x2 in
-      let x2 = x1 and f2 = f1 in
-      let x1 = b -. (golden *. (b -. a)) in
-      go a b x1 x2 (f x1) f2
-    else
-      let a = x1 in
-      let x1 = x2 and f1 = f2 in
-      let x2 = a +. (golden *. (b -. a)) in
-      go a b x1 x2 f1 (f x2)
-  in
-  let x1 = b -. (golden *. (b -. a)) in
-  let x2 = a +. (golden *. (b -. a)) in
-  go a b x1 x2 (f x1) (f x2)
-
 let peak_refined t ?(samples_per_segment = 32) ?(tol = 1e-4) profile =
-  validate t profile;
+  Matex.validate (n_cores t) profile;
   let y = ref (stable_start t profile) in
   let best = ref (max_core_temp t !y) in
   List.iter
@@ -274,7 +238,7 @@ let peak_refined t ?(samples_per_segment = 32) ?(tol = 1e-4) profile =
       let hi = Float.min duration ((float_of_int !best_k +. 1.) *. dt) in
       if hi > lo then begin
         let temp_at tm = max_core_temp t (advance t ~dt:tm ~y_inf y0) in
-        best := Float.max !best (golden_max temp_at lo hi (tol *. duration))
+        best := Float.max !best (Matex.golden_max temp_at lo hi (tol *. duration))
       end)
     profile;
   !best

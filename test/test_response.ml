@@ -80,7 +80,7 @@ let prop_streamed_stable_matches_lu =
       let profile = random_profile rng model in
       let streamed = Matex.stable_core_temps model profile in
       let reference =
-        Model.core_temps_of_theta model (Matex.Reference.stable_start model profile)
+        Model.core_temps_of_theta model (Oracle.Reference.stable_start model profile)
       in
       Vec.dist_inf streamed reference <= 1e-9)
 
@@ -92,7 +92,7 @@ let prop_end_of_period_peak_matches_lu =
       let profile = random_profile rng model in
       let streamed = Matex.end_of_period_peak model profile in
       let reference =
-        Model.max_core_temp model (Matex.Reference.stable_start model profile)
+        Model.max_core_temp model (Oracle.Reference.stable_start model profile)
       in
       Float.abs (streamed -. reference) <= 1e-9)
 
@@ -153,7 +153,7 @@ let test_no_cross_contamination () =
   (* And the other platform still answers correctly afterwards. *)
   let b_now = Matex.end_of_period_peak model_b profile_b in
   let b_ref =
-    Model.max_core_temp model_b (Matex.Reference.stable_start model_b profile_b)
+    Model.max_core_temp model_b (Oracle.Reference.stable_start model_b profile_b)
   in
   Alcotest.(check bool) "other platform undisturbed" true
     (Float.abs (b_now -. b_ref) <= 1e-9)

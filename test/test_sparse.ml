@@ -290,7 +290,7 @@ let prop_sparse_trajectory_matches_dense =
       let y = ref (Sp_model.ambient_state eng) in
       List.for_all
         (fun (s : Thermal.Matex.segment) ->
-          theta := Model.step model ~dt:s.duration ~theta:!theta ~psi:s.psi;
+          theta := Oracle.Reference.step model ~dt:s.duration ~theta:!theta ~psi:s.psi;
           y := Sp_model.step eng ~dt:s.duration ~state:!y ~psi:s.psi;
           Vec.dist_inf !theta (Sp_model.to_theta eng !y) <= 1e-9
           && Float.abs

@@ -106,28 +106,28 @@ let test_model_steady_state_balance () =
   let psi = psi_vec [| 1.3; 0.6; 1.3 |] in
   let theta = Model.theta_inf m psi in
   Alcotest.(check bool) "dT/dt = 0 at steady state" true
-    (Vec.norm_inf (Model.derivative m theta psi) < 1e-9)
+    (Vec.norm_inf (Oracle.Reference.derivative m theta psi) < 1e-9)
 
 let test_model_propagator_semigroup () =
   let m = model3 () in
-  let p1 = Model.propagator m 0.1 in
-  let p2 = Model.propagator m 0.2 in
+  let p1 = Oracle.Reference.propagator m 0.1 in
+  let p2 = Oracle.Reference.propagator m 0.2 in
   Alcotest.(check bool) "P(0.1)^2 = P(0.2)" true
     (Mat.approx_equal ~tol:1e-10 (Mat.matmul p1 p1) p2)
 
 let test_model_propagator_matches_expm () =
   let m = model3 () in
-  let direct = Linalg.Expm.expm_scaled (Model.a_matrix m) 0.05 in
+  let direct = Oracle.Expm.expm_scaled (Model.a_matrix m) 0.05 in
   Alcotest.(check bool) "eigen route = Pade route" true
-    (Mat.approx_equal ~tol:1e-9 (Model.propagator m 0.05) direct)
+    (Mat.approx_equal ~tol:1e-9 (Oracle.Reference.propagator m 0.05) direct)
 
 let test_model_step_matches_rk4 () =
   let m = model3 () in
   let psi = psi_vec [| 1.3; 0.6; 0.6 |] in
   let theta0 = [| 5.; 1.; 0. |] in
-  let exact = Model.step m ~dt:0.3 ~theta:theta0 ~psi in
-  let f _ theta = Model.derivative m theta psi in
-  let numeric = Odeint.Rk4.integrate f ~t0:0. ~t1:0.3 ~dt:1e-4 theta0 in
+  let exact = Oracle.Reference.step m ~dt:0.3 ~theta:theta0 ~psi in
+  let f _ theta = Oracle.Reference.derivative m theta psi in
+  let numeric = Oracle.Rk4.integrate f ~t0:0. ~t1:0.3 ~dt:1e-4 theta0 in
   Alcotest.(check bool) "closed form matches RK4" true
     (Vec.approx_equal ~tol:1e-8 exact numeric)
 
@@ -153,7 +153,7 @@ let test_model_property1_cooling () =
   let theta = ref [| 40.; 35.; 30. |] in
   let floor_theta = Model.theta_inf m psi in
   for _ = 1 to 50 do
-    let next = Model.step m ~dt:0.05 ~theta:!theta ~psi in
+    let next = Oracle.Reference.step m ~dt:0.05 ~theta:!theta ~psi in
     Alcotest.(check bool) "monotone cooling" true
       (Vec.leq next (Vec.add !theta (Vec.create 3 1e-12)));
     Alcotest.(check bool) "never undershoots the floor" true
@@ -223,7 +223,7 @@ let test_model_integrate_theta_matches_quadrature () =
   let m = model3 () in
   let psi = psi_vec [| 1.3; 0.6; 1.0 |] in
   let theta0 = [| 3.; 1.; 0. |] in
-  let exact = Model.integrate_theta m ~dt:0.4 ~theta:theta0 ~psi in
+  let exact = Oracle.Reference.integrate_theta m ~dt:0.4 ~theta:theta0 ~psi in
   (* Composite-trapezoid quadrature on the exact trajectory. *)
   let samples = 4000 in
   let h = 0.4 /. float_of_int samples in
@@ -232,7 +232,7 @@ let test_model_integrate_theta_matches_quadrature () =
   for k = 0 to samples do
     let w = if k = 0 || k = samples then 0.5 else 1. in
     Array.iteri (fun i x -> acc.(i) <- acc.(i) +. (w *. h *. x)) !theta;
-    if k < samples then theta := Model.step m ~dt:h ~theta:!theta ~psi
+    if k < samples then theta := Oracle.Reference.step m ~dt:h ~theta:!theta ~psi
   done;
   Alcotest.(check bool) "closed-form integral matches quadrature" true
     (Vec.approx_equal ~tol:1e-6 acc exact)
@@ -242,7 +242,7 @@ let test_model_integrate_theta_steady () =
   let m = model3 () in
   let psi = psi_vec [| 1.0; 1.0; 1.0 |] in
   let tinf = Model.theta_inf m psi in
-  let integral = Model.integrate_theta m ~dt:2.5 ~theta:tinf ~psi in
+  let integral = Oracle.Reference.integrate_theta m ~dt:2.5 ~theta:tinf ~psi in
   Alcotest.(check bool) "steady integral" true
     (Vec.approx_equal ~tol:1e-9 (Vec.scale 2.5 tinf) integral)
 
@@ -328,7 +328,7 @@ let test_matex_period () =
 let test_matex_simulate_boundaries () =
   let m = model3 () in
   let p = two_mode_profile ~d1:0.05 ~v1:[| 1.3; 0.6; 0.6 |] ~d2:0.05 ~v2:[| 0.6; 0.6; 1.3 |] in
-  let states = Matex.simulate m ~theta0:(Vec.zeros 3) p in
+  let states = Oracle.Reference.simulate m ~theta0:(Vec.zeros 3) p in
   Alcotest.(check int) "boundary count" 3 (Array.length states);
   Alcotest.(check bool) "starts at theta0" true
     (Float.equal (Vec.norm_inf states.(0)) 0.);
@@ -338,7 +338,7 @@ let test_matex_stable_start_is_fixed_point () =
   let m = model3 () in
   let p = two_mode_profile ~d1:0.04 ~v1:[| 1.3; 1.3; 0.6 |] ~d2:0.06 ~v2:[| 0.6; 0.6; 1.3 |] in
   let theta_star = Matex.stable_start m p in
-  let states = Matex.simulate m ~theta0:theta_star p in
+  let states = Oracle.Reference.simulate m ~theta0:theta_star p in
   Alcotest.(check bool) "one period returns to the start" true
     (Vec.approx_equal ~tol:1e-9 theta_star states.(Array.length states - 1))
 
@@ -348,7 +348,7 @@ let test_matex_stable_matches_long_simulation () =
   let theta_star = Matex.stable_start m p in
   let theta = ref (Vec.zeros 3) in
   for _ = 1 to 200 do
-    let states = Matex.simulate m ~theta0:!theta p in
+    let states = Oracle.Reference.simulate m ~theta0:!theta p in
     theta := states.(Array.length states - 1)
   done;
   Alcotest.(check bool) "(I-K)^-1 formula equals brute-force repetition" true
@@ -379,12 +379,40 @@ let test_matex_interior_peak_found () =
 
 let test_matex_validation () =
   let m = model3 () in
+  let sparse = Thermal.Sparse_model.of_model m in
+  let resp = Thermal.Sparse_response.make sparse in
+  (* Every engine validates its profiles through Matex.validate, so the
+     dense, direct-sparse and superposed evaluators reject the same
+     inputs with the same messages. *)
+  let engines =
+    [
+      ("dense", fun p -> ignore (Matex.stable_start m p));
+      ("sparse", fun p -> ignore (Thermal.Sparse_model.stable_start sparse p));
+      ("response", fun p -> ignore (Thermal.Sparse_response.stable_start resp p));
+    ]
+  in
   Alcotest.check_raises "empty profile" (Invalid_argument "Matex: empty profile")
-    (fun () -> Matex.validate m []);
+    (fun () -> Matex.validate (Model.n_cores m) []);
   Alcotest.(check bool) "wrong arity rejected" true
-    (match Matex.validate m [ { Matex.duration = 1.; psi = [| 1. |] } ] with
+    (match Matex.validate (Model.n_cores m) [ { Matex.duration = 1.; psi = [| 1. |] } ] with
     | exception Invalid_argument _ -> true
-    | _ -> false)
+    | _ -> false);
+  List.iter
+    (fun (name, eval) ->
+      Alcotest.check_raises (name ^ " empty profile")
+        (Invalid_argument "Matex: empty profile") (fun () -> eval []);
+      Alcotest.check_raises (name ^ " wrong arity")
+        (Invalid_argument "Matex: segment 0 power vector has arity 1, expected 3")
+        (fun () -> eval [ { Matex.duration = 1.; psi = [| 1. |] } ]);
+      Alcotest.check_raises (name ^ " non-positive duration")
+        (Invalid_argument "Matex: segment 1 has non-positive duration")
+        (fun () ->
+          eval
+            [
+              { Matex.duration = 1.; psi = psi_vec [| 1.; 1.; 1. |] };
+              { Matex.duration = 0.; psi = psi_vec [| 1.; 1.; 1. |] };
+            ]))
+    engines
 
 let test_matex_trace_continuity () =
   let m = model3 () in
@@ -473,7 +501,7 @@ let test_reduced_tracks_full_transient () =
   let state = ref (Thermal.Reduced.ambient_state r) in
   let worst = ref 0. in
   for _ = 1 to 40 do
-    theta := Model.step m ~dt:0.02 ~theta:!theta ~psi;
+    theta := Oracle.Reference.step m ~dt:0.02 ~theta:!theta ~psi;
     state := Thermal.Reduced.step r ~dt:0.02 ~state:!state ~psi;
     let full = Model.core_temps_of_theta m !theta in
     let red = Thermal.Reduced.core_temps r ~state:!state ~psi in
@@ -489,7 +517,7 @@ let test_reduced_more_modes_more_accurate () =
   let psi = Thermal.Grid_model.expand_powers g (psi_vec [| 1.3; 0.6; 0.6 |]) in
   let error k =
     let r = Thermal.Reduced.build ~modes:k m in
-    let theta = Model.step m ~dt:0.05 ~theta:(Vec.zeros (Model.n_nodes m)) ~psi in
+    let theta = Oracle.Reference.step m ~dt:0.05 ~theta:(Vec.zeros (Model.n_nodes m)) ~psi in
     let state = Thermal.Reduced.step r ~dt:0.05 ~state:(Thermal.Reduced.ambient_state r) ~psi in
     Vec.dist_inf (Model.core_temps_of_theta m theta)
       (Thermal.Reduced.core_temps r ~state ~psi)
@@ -522,10 +550,10 @@ let test_mission_peak () =
   let peak, final = Matex.mission_peak m mission in
   (* Cross-check against the burst-end temperature computed directly. *)
   let after_boot =
-    Model.step m ~dt:0.2 ~theta:(Vec.zeros 3) ~psi:(psi_vec [| 0.6; 0.6; 0.6 |])
+    Oracle.Reference.step m ~dt:0.2 ~theta:(Vec.zeros 3) ~psi:(psi_vec [| 0.6; 0.6; 0.6 |])
   in
   let after_burst =
-    Model.step m ~dt:0.3 ~theta:after_boot ~psi:(psi_vec [| 1.3; 1.3; 1.3 |])
+    Oracle.Reference.step m ~dt:0.3 ~theta:after_boot ~psi:(psi_vec [| 1.3; 1.3; 1.3 |])
   in
   check_close 1e-6 "peak at end of burst" (Model.max_core_temp m after_burst) peak;
   Alcotest.(check bool) "settled below the peak" true
