@@ -129,7 +129,7 @@ let tests () =
        removes. *)
     Test.make ~name:"ext/peak-superpose-vs-lu/superpose"
       (Staged.stage (fun () ->
-           ignore (Thermal.Matex.end_of_period_peak model9 profile9)));
+           ignore (Sched.Peak.profile_end_peak b9 profile9)));
     Test.make ~name:"ext/peak-superpose-vs-lu/lu"
       (Staged.stage (fun () ->
            ignore
@@ -449,10 +449,11 @@ let tests () =
             ignore
               (Core.Tpt.fill_headroom p ~eval:ev ~par:false
                  ~t_unit:(period /. 4.) ~delta_margin:1.0 c0))));
-    (let profile3 = Sched.Peak.profile b3 pm (Sched.Schedule.two_mode ~period:0.1 ~low:[| 0.6; 0.6; 0.6 |] ~high:[| 1.3; 1.3; 1.3 |] ~high_ratio:[| 0.4; 0.5; 0.6 |]) in
+    (let profile3 = Sched.Peak.profile b3 pm (Sched.Schedule.two_mode ~period:0.1 ~low:[| 0.6; 0.6; 0.6 |] ~high:[| 1.3; 1.3; 1.3 |] ~high_ratio:[| 0.4; 0.5; 0.6 |])
+     and eng3 = Thermal.Modal.make model3 in
      Test.make ~name:"ext/peak-refined-3core"
        (Staged.stage (fun () ->
-            ignore (Thermal.Matex.peak_refined model3 ~samples_per_segment:16 profile3))));
+            ignore (Thermal.Matex.peak_refined eng3 ~samples_per_segment:16 profile3))));
     (let demand = Core.Registry.find_exn "demand"
      and ev =
        Core.Eval.create ~cache_size:0

@@ -75,7 +75,8 @@ let run_two_mode ~model ~layered ~v_low ~v_high ~high_ratio ~period ~periods ~cs
       ~high:(Array.make n v_high)
       ~high_ratio:(Array.make n high_ratio)
   in
-  let profile = Sched.Peak.profile (Thermal.Backend.of_model model) pm schedule in
+  let b = Thermal.Backend.of_model model in
+  let profile = Sched.Peak.profile b pm schedule in
   let trace = Thermal.Trace.from_ambient model ~periods ~samples_per_segment:16 profile in
   banner ();
   print_model_summary ~layered model;
@@ -83,7 +84,7 @@ let run_two_mode ~model ~layered ~v_low ~v_high ~high_ratio ~period ~periods ~cs
   Format.printf "%a" Sched.Schedule.pp schedule;
   Printf.printf "trace peak over %d periods: %.2f C\n" periods (Thermal.Trace.peak trace);
   Printf.printf "stable-status peak (analytic): %.2f C\n"
-    (Thermal.Matex.peak_refined model ~samples_per_segment:32 profile);
+    (Sched.Peak.of_any_refined b pm ~samples_per_segment:32 schedule);
   Printf.printf "periods to stable status: %d\n"
     (Thermal.Trace.periods_to_stable model profile);
   (match gantt with

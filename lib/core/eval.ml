@@ -137,16 +137,10 @@ let two_mode_delta_temp_at t ~at ~core ~low ~high ~high_ratio =
 let screening t =
   match t.sparse with
   | Some s when t.screen_margin > 0. ->
-      (* Force the screening models on the submitting domain NOW.  The
-         context's own cells are domain-safe [Util.Once] values, but
-         [Reduced] keeps a true [Lazy] for its inner static tier (forced
-         once per reduction, on this domain, per the
-         [@fosc.forced_before_parallel] contract): [Reduced.prepare] must
-         run here so pool workers only ever read the already-forced
-         value.  Forcing up front also keeps the first ROM scores from
-         serializing behind the builds. *)
+      (* Build both models here, on the submitting domain, so the first
+         ROM scores of a parallel sweep do not serialize behind them. *)
       ignore (backend t : Thermal.Backend.t);
-      Thermal.Reduced.prepare (Util.Once.get s.rom);
+      ignore (Util.Once.get s.rom : Thermal.Reduced.t);
       Some t.screen_margin
   | Some _ | None -> None
 

@@ -185,11 +185,9 @@ val two_mode_delta_temp_at :
 
 (** [screening t] is [Some margin] when this context wants two-tier
     screened sweeps ([Sparse] backend, positive [screen_margin]),
-    [None] otherwise.  Forces the screening models on the calling
-    domain before returning: the context's own cells are domain-safe
-    {!Util.Once} values, but {!Thermal.Reduced} keeps an inner [Lazy]
-    tier that must be forced here, on the submitting domain, before any
-    pool worker can reach it. *)
+    [None] otherwise.  Builds the context's backend and reduced model
+    before returning, so a screened sweep's first scores find them
+    ready. *)
 val screening : t -> float option
 
 (** [rom_two_mode_peak t ~period ~low ~high ~high_ratio] is the

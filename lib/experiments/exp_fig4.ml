@@ -18,7 +18,8 @@ let run ?(seed = 42) () =
     Workload.Random_sched.step_up rng ~n_cores:6 ~period:1.0 ~max_intervals:3
       ~levels:(Power.Vf.table_iv 5)
   in
-  let profile = Sched.Peak.profile (Thermal.Backend.of_model model) pm schedule in
+  let b = Thermal.Backend.of_model model in
+  let profile = Sched.Peak.profile b pm schedule in
   let periods_to_stable = Thermal.Trace.periods_to_stable model ~tol:1e-4 profile in
   let warmup =
     Thermal.Trace.from_ambient model
@@ -31,8 +32,8 @@ let run ?(seed = 42) () =
     warmup;
     stable;
     periods_to_stable;
-    peak = Thermal.Matex.peak_scan model ~samples_per_segment:48 profile;
-    end_of_period_peak = Thermal.Matex.end_of_period_peak model profile;
+    peak = Sched.Peak.of_any b pm ~samples_per_segment:48 schedule;
+    end_of_period_peak = Sched.Peak.of_step_up b pm schedule;
   }
 
 let print r =

@@ -13,7 +13,7 @@ let run ?(schedules = 40) ?(seed = 5) () =
   let points =
     Util.Pool.map
       (fun lateral_scale ->
-        let model = Thermal.Hotspot.core_level ~lateral_scale fp in
+        let b = Thermal.Backend.of_model (Thermal.Hotspot.core_level ~lateral_scale fp) in
         let violations =
           Array.init schedules (fun k ->
               let rng = Random.State.make [| seed; k |] in
@@ -21,11 +21,8 @@ let run ?(schedules = 40) ?(seed = 5) () =
                 Workload.Random_sched.step_up rng ~n_cores:3 ~period:0.6
                   ~max_intervals:4 ~levels
               in
-              let profile = Sched.Peak.profile (Thermal.Backend.of_model model) pm s in
-              let end_peak = Thermal.Matex.end_of_period_peak model profile in
-              let true_peak =
-                Thermal.Matex.peak_refined model ~samples_per_segment:48 profile
-              in
+              let end_peak = Sched.Peak.of_step_up b pm s in
+              let true_peak = Sched.Peak.of_any_refined b pm ~samples_per_segment:48 s in
               Float.max 0. (true_peak -. end_peak))
         in
         {

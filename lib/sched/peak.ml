@@ -362,9 +362,9 @@ let steady_constant (b : B.t) pm voltages =
   b.B.steady_peak (Power.Power_model.psi_vector_memo pm voltages)
 
 (* Period-boundary stable status of a whole profile, through the same
-   fused stream as the two-mode evaluators: validated like every engine's
-   own profile evaluators, fed in period order, solved with the profile's
-   left-folded period length. *)
+   fused stream as the two-mode evaluators: validated by [Matex.validate],
+   fed in period order, solved with the profile's left-folded period
+   length.  The state may be backend scratch: read it straight away. *)
 let stable_of_profile (b : B.t) profile =
   Thermal.Matex.validate b.B.n_cores profile;
   b.B.stable_begin ();
@@ -374,9 +374,15 @@ let stable_of_profile (b : B.t) profile =
     profile;
   b.B.stable_solve ~t_p:(Thermal.Matex.period profile)
 
-let of_step_up (b : B.t) pm s =
+let profile_end_core_temps (b : B.t) profile =
+  b.B.core_temps (stable_of_profile b profile)
+
+let profile_end_peak (b : B.t) profile =
+  b.B.max_core_temp (stable_of_profile b profile)
+
+let of_step_up b pm s =
   if not (Stepup.is_step_up s) then invalid_arg "Peak.of_step_up: schedule is not step-up";
-  b.B.max_core_temp (stable_of_profile b (profile b pm s))
+  profile_end_peak b (profile b pm s)
 
 let of_any (b : B.t) pm ?(samples_per_segment = 32) s =
   b.B.peak_scan ~samples_per_segment (profile b pm s)
@@ -384,8 +390,7 @@ let of_any (b : B.t) pm ?(samples_per_segment = 32) s =
 let of_any_refined (b : B.t) pm ?(samples_per_segment = 32) s =
   b.B.peak_refined ~samples_per_segment ~tol:1e-4 (profile b pm s)
 
-let stable_end_core_temps (b : B.t) pm s =
-  b.B.core_temps (stable_of_profile b (profile b pm s))
+let stable_end_core_temps b pm s = profile_end_core_temps b (profile b pm s)
 
 (* The cached entry points build their (exact, bit-pattern) key lazily:
    when the caller's memo table is disabled there is no point digesting

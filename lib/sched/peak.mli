@@ -10,8 +10,12 @@
     thousands of candidates with, and the prepared-base delta scans.
     Which engine solves (dense modal or sparse superposition) is the
     backend's business; callers holding only a model pass
-    [Thermal.Backend.of_model model].  The two {!Thermal.Reduced}
-    screening scorers are the only evaluators that take something else. *)
+    [Thermal.Backend.of_model model].  The engines underneath export
+    primitives only, so this is the one layer that turns a profile into
+    an answer — period-boundary questions of a raw profile included
+    ({!profile_end_core_temps}, {!profile_end_peak}).  The two
+    {!Thermal.Reduced} screening scorers are the only evaluators that
+    take something else. *)
 
 (** A bounded, thread-safe memo table for peak evaluations, the storage
     behind the cached entry points below (an evaluation context —
@@ -71,7 +75,25 @@ end
 val profile :
   Thermal.Backend.t -> Power.Power_model.t -> Schedule.t -> Thermal.Matex.profile
 
-(** {1 Profile evaluators} *)
+(** {1 Profile evaluators}
+
+    One implementation per question, for every engine.  The two
+    [profile_end_*] readers take a ready {!Thermal.Matex.profile} (one
+    period of piecewise-constant core powers); the schedule evaluators
+    below build that profile with {!profile} and delegate. *)
+
+(** [profile_end_core_temps b profile] are the absolute per-core
+    temperatures at the stable-status period boundary of [profile]: the
+    profile streamed through the backend's
+    {!Thermal.Backend.field-stable_begin}/[stable_feed]/[stable_solve]
+    hooks with [t_p = Thermal.Matex.period profile].  Raises
+    [Invalid_argument] on profiles {!Thermal.Matex.validate} rejects. *)
+val profile_end_core_temps : Thermal.Backend.t -> Thermal.Matex.profile -> Linalg.Vec.t
+
+(** [profile_end_peak b profile] is the hottest of those temperatures —
+    the period-boundary peak Theorem 1 proves is the true peak of a
+    step-up schedule. *)
+val profile_end_peak : Thermal.Backend.t -> Thermal.Matex.profile -> float
 
 (** [steady_constant b pm voltages] is the constant-schedule peak: the
     hottest steady core temperature under per-core voltages —
@@ -81,9 +103,9 @@ val steady_constant :
   Thermal.Backend.t -> Power.Power_model.t -> float array -> float
 
 (** [of_step_up b pm s] is the stable-status peak temperature of the
-    step-up schedule [s] — evaluated only at the period boundary, which
-    Theorem 1 proves is where the peak lives.  Raises [Invalid_argument]
-    if [s] is not step-up. *)
+    step-up schedule [s] — {!profile_end_peak} of its profile, evaluated
+    only at the period boundary, which Theorem 1 proves is where the
+    peak lives.  Raises [Invalid_argument] if [s] is not step-up. *)
 val of_step_up : Thermal.Backend.t -> Power.Power_model.t -> Schedule.t -> float
 
 (** [of_any b pm ?samples_per_segment s] is the stable-status peak of an
@@ -108,7 +130,8 @@ val of_any_refined :
   float
 
 (** [stable_end_core_temps b pm s] are the absolute per-core
-    temperatures at the stable-status period boundary — what AO's TPT
+    temperatures at the stable-status period boundary —
+    {!profile_end_core_temps} of the schedule's profile, what AO's TPT
     loop reads to find the hottest core. *)
 val stable_end_core_temps :
   Thermal.Backend.t -> Power.Power_model.t -> Schedule.t -> Linalg.Vec.t

@@ -72,10 +72,10 @@ let of_model model =
     steady_peak = Modal.steady_peak eng;
     peak_scan =
       (fun ~samples_per_segment profile ->
-        Matex.peak_scan ~engine:eng model ~samples_per_segment profile);
+        Matex.peak_scan eng ~samples_per_segment profile);
     peak_refined =
       (fun ~samples_per_segment ~tol profile ->
-        Matex.peak_refined ~engine:eng model ~samples_per_segment ~tol profile);
+        Matex.peak_refined eng ~samples_per_segment ~tol profile);
     stable_begin = (fun () -> Modal.stable_begin eng);
     stable_feed = (fun ~duration ~psi -> Modal.stable_feed eng ~duration ~psi);
     stable_solve = (fun ~t_p -> Modal.stable_solve eng ~t_p);

@@ -24,71 +24,13 @@ let validate n_cores profile =
    solves per candidate), decay factors from the engine's per-duration
    table, and O(n) element-wise work per sample. *)
 
-(* Resolve the engine: callers that already hold the platform's cached
-   engine (Core.Eval) pass it straight through; a mismatched engine is a
-   caller bug, not something to paper over silently. *)
-let engine_for ?engine model =
-  match engine with
-  | Some e ->
-      if Modal.model e != model then
-        invalid_arg "Matex: engine belongs to a different model";
-      e
-  | None -> Modal.make model
-
 let segments_of eng profile =
   List.map (fun s -> Modal.segment eng ~duration:s.duration ~psi:s.psi) profile
-
-(* Modal stable status and per-boundary modal states (first and last are
-   the period boundary, like the theta-space version). *)
-let stable_z_boundaries eng segs =
-  let n = List.length segs in
-  let zs = Array.make (n + 1) (Modal.stable_z eng segs) in
-  List.iteri (fun q s -> zs.(q + 1) <- Modal.advance s zs.(q)) segs;
-  zs
 
 let stable_start model profile =
   validate (Model.n_cores model) profile;
   let eng = Modal.make model in
   Modal.of_modal eng (Modal.stable_z eng (segments_of eng profile))
-
-let stable_boundaries model profile =
-  validate (Model.n_cores model) profile;
-  let eng = Modal.make model in
-  let zs = stable_z_boundaries eng (segments_of eng profile) in
-  Array.map (Modal.of_modal eng) zs
-
-(* Streaming stable status: fold the profile into the engine's
-   per-domain scratch — no segment list, no per-segment allocation, no
-   LU.  Numerically identical to [Modal.stable_z] over fresh segments
-   (same fold order, same expm1 denominators). *)
-let stable_z_streamed eng profile =
-  Modal.stable_begin eng;
-  let t_p =
-    List.fold_left
-      (fun acc s ->
-        Modal.stable_feed eng ~duration:s.duration ~psi:s.psi;
-        acc +. s.duration)
-      0. profile
-  in
-  Modal.stable_solve eng ~t_p
-
-let stable_core_temps model profile =
-  validate (Model.n_cores model) profile;
-  let eng = Modal.make model in
-  Modal.core_temps eng (stable_z_streamed eng profile)
-
-let peak_at_boundaries model profile =
-  validate (Model.n_cores model) profile;
-  let eng = Modal.make model in
-  let zs = stable_z_boundaries eng (segments_of eng profile) in
-  Array.fold_left
-    (fun acc z -> Float.max acc (Modal.max_core_temp eng z))
-    neg_infinity zs
-
-let end_of_period_peak model profile =
-  validate (Model.n_cores model) profile;
-  let eng = Modal.make model in
-  Modal.max_core_temp eng (stable_z_streamed eng profile)
 
 (* Visit the [samples] interior/end states of [seg] starting from modal
    state [z]; returns the exact end-of-segment state (advanced in one
@@ -103,15 +45,16 @@ let scan_segment_z seg ~samples z visit =
   done;
   Modal.advance seg z
 
-let peak_scan ?engine model ?(samples_per_segment = 32) profile =
-  validate (Model.n_cores model) profile;
-  let eng = engine_for ?engine model in
+let peak_scan eng ?(samples_per_segment = 32) profile =
+  validate (Model.n_cores (Modal.model eng)) profile;
   (* Fully streamed: stable status, then a per-segment sub-step walk, all
      in the engine's per-domain scratch — no segment list, no per-sample
      state allocation.  Bit-identical to scanning freshly built segments
      (same stable start, same sub-step update, same exact boundary
      advance). *)
-  let z = stable_z_streamed eng profile in
+  Modal.stable_begin eng;
+  List.iter (fun s -> Modal.stable_feed eng ~duration:s.duration ~psi:s.psi) profile;
+  let z = Modal.stable_solve eng ~t_p:(period profile) in
   let best = ref (Modal.max_core_temp eng z) in
   Modal.scan_begin eng;
   List.iter
@@ -164,9 +107,8 @@ let golden_max f a b tol =
   let x2 = a +. (golden *. (b -. a)) in
   go a b x1 x2 (f x1) (f x2)
 
-let peak_refined ?engine model ?(samples_per_segment = 32) ?(tol = 1e-4) profile =
-  validate (Model.n_cores model) profile;
-  let eng = engine_for ?engine model in
+let peak_refined eng ?(samples_per_segment = 32) ?(tol = 1e-4) profile =
+  validate (Model.n_cores (Modal.model eng)) profile;
   let segs = segments_of eng profile in
   let z = ref (Modal.stable_z eng segs) in
   let best = ref (Modal.max_core_temp eng !z) in

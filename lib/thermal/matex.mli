@@ -9,14 +9,17 @@
     solving [(I - K) theta* = theta_one_period] where [K = e^{A t_p}] is
     the product of the per-segment exponentials [e^{A dt_q}].
 
-    Every evaluator here runs on the per-model cached {!Modal} response
-    engine: equilibria come from unit-response superposition (zero LU
-    solves per profile), decay factors from the engine's per-duration
-    table, each sample is O(n) element-wise work, and the [(I - K)^{-1}]
-    solve is a per-mode division.  The step-up evaluators
-    ({!end_of_period_peak}, {!stable_core_temps}) additionally stream
-    through per-domain scratch buffers, so a candidate evaluation
-    allocates nothing. *)
+    This module holds the profile type every engine consumes, its
+    validation, and the dense engine's in-period scans.  Everything runs
+    on the per-model cached {!Modal} response engine: equilibria come
+    from unit-response superposition (zero LU solves per profile), decay
+    factors from the engine's per-duration table, each sample is O(n)
+    element-wise work, and the [(I - K)^{-1}] solve is a per-mode
+    division.  Period-boundary questions (the step-up peak of Theorem 1,
+    the end-of-period core temperatures) are answered once, for every
+    engine, by [Sched.Peak] over a {!Backend.t}; {!peak_scan} and
+    {!peak_refined} are what {!Backend.of_model} runs for the in-period
+    ones. *)
 
 type segment = { duration : float; psi : Linalg.Vec.t }
 
@@ -34,62 +37,45 @@ val period : profile -> float
     messages. *)
 val validate : int -> profile -> unit
 
-(** [stable_start model profile] is the ambient-relative state at the
-    period boundary once the repetition has converged to the thermal
-    stable status. *)
+(** [stable_start model profile] is the ambient-relative node-space
+    state at the period boundary once the repetition has converged to the
+    thermal stable status.  Kept because it is the only accessor of the
+    full node-space stable state on the modal path ({!Backend} states
+    are modal coordinates and read back only at the cores); the
+    differential suites pin the other engines' stable statuses to it. *)
 val stable_start : Model.t -> profile -> Linalg.Vec.t
 
-(** [stable_boundaries model profile] are the stable-status states at all
-    segment boundaries, starting and ending with the period boundary
-    state (first and last entries are equal). *)
-val stable_boundaries : Model.t -> profile -> Linalg.Vec.t array
-
-(** [stable_core_temps model profile] are the absolute per-core
-    temperatures at the stable-status period boundary — like
-    [Model.core_temps_of_theta] of {!stable_start}, but streamed through
-    the response engine's scratch buffers: superposed equilibria, table
-    decay factors, and only the modal core rows applied at the end. *)
-val stable_core_temps : Model.t -> profile -> Linalg.Vec.t
-
-(** [peak_at_boundaries model profile] is the hottest absolute core
-    temperature over the stable-status segment boundaries.  For a step-up
-    profile this equals the true peak (Theorem 1). *)
-val peak_at_boundaries : Model.t -> profile -> float
-
-(** [peak_scan model ?samples_per_segment profile] scans the stable-status
-    period densely ([samples_per_segment] exact sub-steps inside every
-    segment, default 32) and returns the hottest absolute core
-    temperature found.  This is the safe evaluator for profiles that are
-    not step-up, where the peak may fall strictly inside a segment. *)
-val peak_scan : ?engine:Modal.t -> Model.t -> ?samples_per_segment:int -> profile -> float
-
-(** [end_of_period_peak model profile] is the hottest absolute core
-    temperature at the stable-status period boundary — the quantity
-    Theorem 1 says bounds a step-up schedule.  The candidate-evaluation
-    hot path: one streamed superposition pass, zero LU solves, zero
-    allocation beyond the per-domain scratch. *)
-val end_of_period_peak : Model.t -> profile -> float
+(** [peak_scan eng ?samples_per_segment profile] scans the stable-status
+    period on the modal engine [eng] densely ([samples_per_segment]
+    exact sub-steps inside every segment, default 32) and returns the
+    hottest absolute core temperature found.  This is the safe evaluator
+    for profiles that are not step-up, where the peak may fall strictly
+    inside a segment; {!Backend.of_model} runs it behind
+    [Backend.peak_scan]. *)
+val peak_scan : Modal.t -> ?samples_per_segment:int -> profile -> float
 
 (** [stable_core_trace model ~samples_per_segment profile] samples the
     stable-status period densely and returns [(time, absolute core
-    temperatures)] pairs covering one period, boundaries included. *)
+    temperatures)] pairs covering one period, boundaries included.  Kept
+    for the Fig. 4 experiment, which plots it; no backend hook samples a
+    whole period. *)
 val stable_core_trace :
   Model.t -> samples_per_segment:int -> profile -> (float * Linalg.Vec.t) array
 
-(** [peak_refined model ?samples_per_segment ?tol profile] sharpens
-    {!peak_scan}: after the dense scan it golden-section-maximizes the
-    hottest-core temperature inside the bracketing sub-interval of every
-    segment's best sample, to time resolution [tol * duration] (default
-    [tol = 1e-4]).  Guaranteed [>= peak_scan] up to the same sampling;
-    used where an exact interior peak matters (PCO verification,
-    theorem-tolerance measurements). *)
+(** [peak_refined eng ?samples_per_segment ?tol profile] sharpens
+    {!peak_scan} on the same engine: after the dense scan it
+    golden-section-maximizes the hottest-core temperature inside the
+    bracketing sub-interval of every segment's best sample, to time
+    resolution [tol * duration] (default [tol = 1e-4]).  Guaranteed
+    [>= peak_scan] up to the same sampling; used where an exact interior
+    peak matters (PCO verification, theorem-tolerance measurements). *)
 val peak_refined :
-  ?engine:Modal.t -> Model.t -> ?samples_per_segment:int -> ?tol:float -> profile -> float
+  Modal.t -> ?samples_per_segment:int -> ?tol:float -> profile -> float
 
 (** [golden_max f a b tol] maximizes [f] over [[a, b]] by golden-section
     search down to an interval of width [tol].  Exact for [f] unimodal on
     the bracket; otherwise still a value [f] attains.  The one
-    refinement search every [peak_refined] (dense, sparse, superposed)
+    refinement search every [peak_refined] (dense modal, sparse superposition)
     probes with, so all engines sample the same abscissae. *)
 val golden_max : (float -> float) -> float -> float -> float -> float
 
@@ -101,7 +87,9 @@ val golden_max : (float -> float) -> float -> float -> float -> float
     [max_periods] repetitions (default 1000) — e.g. because the stable
     status stays below the threshold.  This answers the reactive-DTM
     question: how long after an aggressive schedule starts does the chip
-    have before an emergency? *)
+    have before an emergency?  Kept for [Core.Sprint], which sizes its
+    bursts with it; no other layer answers a transient-from-ambient
+    question. *)
 val time_to_threshold :
   Model.t ->
   ?theta0:Linalg.Vec.t ->
@@ -116,7 +104,8 @@ val time_to_threshold :
     power segments starting from [theta0] (default: ambient) — mission-
     profile analysis, e.g. boot + burst + settle.  Unlike {!peak_scan}
     there is no stable-status solve; the trajectory is simulated once
-    with dense sampling.  Returns the peak and the final state. *)
+    with dense sampling.  Returns the peak and the final state.  Kept as
+    the library's one non-periodic evaluator, a README feature. *)
 val mission_peak :
   Model.t ->
   ?theta0:Linalg.Vec.t ->

@@ -173,13 +173,10 @@ let make model =
           eng)
 
 let model t = t.model
-let n_modes t = t.n
 let eigenvalues t = Vec.copy t.lambda
 let to_modal t theta = Mat.matvec t.w_inv theta
 let of_modal t z = Mat.matvec t.w z
 let ambient_state t = Vec.zeros t.n
-
-let theta_inf t psi = Model.theta_inf t.model psi
 
 let stats t =
   {
@@ -241,8 +238,6 @@ let steady_peak t psi =
 let compute_decay_gain t dt =
   ( Array.map (fun l -> exp (l *. dt)) t.lambda,
     Array.map (fun l -> -.Float.expm1 (l *. dt)) t.lambda )
-
-let decay_gain = compute_decay_gain
 
 (* Fibonacci-style multiplicative hash of a duration's bit pattern into
    a direct-mapped slot.  The low mantissa bits of nearby durations are
@@ -619,15 +614,6 @@ let delta_into t (s : scratch) ~core ~psi_low ~psi_high ~high_ratio =
   end;
   Atomic.incr t.delta_evals;
   flush_tallies t s
-
-let delta_solve t ~core ~psi_low ~psi_high ~high_ratio =
-  let s = Domain.DLS.get t.scratch_key in
-  delta_into t s ~core ~psi_low ~psi_high ~high_ratio;
-  (s.z_cand
-  [@fosc.dls_ok
-    "documented borrow of this domain's scratch (see modal.mli): valid until \
-     the next base or delta call on the same domain, never shared across \
-     domains"])
 
 let delta_peak t ~core ~psi_low ~psi_high ~high_ratio =
   let s = Domain.DLS.get t.scratch_key in

@@ -58,9 +58,6 @@ val make : Model.t -> t
 (** [model t] is the underlying thermal model. *)
 val model : t -> Model.t
 
-(** [n_modes t] equals [Model.n_nodes] of the underlying model. *)
-val n_modes : t -> int
-
 (** [eigenvalues t] is a copy of the (all negative) mode eigenvalues,
     slowest first. *)
 val eigenvalues : t -> Linalg.Vec.t
@@ -78,30 +75,16 @@ val of_modal : t -> Linalg.Vec.t -> Linalg.Vec.t
     state — also all zeros. *)
 val ambient_state : t -> Linalg.Vec.t
 
-(** [theta_inf t psi] is the node-space steady state (the model's cached
-    LU solve — the reference path, not the superposition). *)
-val theta_inf : t -> Linalg.Vec.t -> Linalg.Vec.t
-
 (** [z_inf t psi] is the modal steady state, composed from the unit
     responses by superposition — no LU solve.  Agrees with
     [W^{-1} theta_inf(psi)] to machine precision (<= 1e-9 guaranteed by
     the differential suite). *)
 val z_inf : t -> Linalg.Vec.t -> Linalg.Vec.t
 
-(** [z_inf_into t dst psi] writes the superposed equilibrium into [dst]
-    (length [n_modes t]) without allocating. *)
-val z_inf_into : t -> Linalg.Vec.t -> Linalg.Vec.t -> unit
-
 (** [steady_peak t psi] is the hottest steady-state core temperature
     under constant powers [psi], by superposition on the core-row
     response table — O(n_cores^2), allocation-free. *)
 val steady_peak : t -> Linalg.Vec.t -> float
-
-(** [decay_gain t dt] is the [(e^{lambda dt}, -expm1(lambda dt))] pair
-    for [dt], computed fresh.  The streaming evaluators amortize these
-    through a per-domain direct-mapped table instead; this entry point
-    is for callers that keep the vectors. *)
-val decay_gain : t -> float -> Linalg.Vec.t * Linalg.Vec.t
 
 (** [step t ~dt ~z ~psi] advances a modal state by [dt] under constant
     powers [psi] — Eq. (3) in modal coordinates, O(n).  Prefer
@@ -202,15 +185,6 @@ val base_feed :
     until the next [base_begin] on this domain).  Raises
     [Invalid_argument] if some core was never fed. *)
 val base_solve : t -> Linalg.Vec.t
-
-(** [delta_solve t ~core ~psi_low ~psi_high ~high_ratio] is the stable
-    status of the candidate equal to the prepared base except for core
-    [core]'s terms — O(n), allocation-free, returned in this domain's
-    scratch (valid until the next delta or base call).  Raises
-    [Invalid_argument] without a solved base on this domain. *)
-val delta_solve :
-  t -> core:int -> psi_low:float -> psi_high:float -> high_ratio:float ->
-  Linalg.Vec.t
 
 (** [delta_peak t ~core ~psi_low ~psi_high ~high_ratio] is the hottest
     end-of-period core temperature of the delta candidate. *)

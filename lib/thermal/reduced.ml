@@ -25,14 +25,9 @@ type t = {
      the heat-input projection (w_j . b = sum_k cw_jk (psi_k + beta
      T_amb)) and the core-temperature read of mode j's contribution. *)
   beta_tamb : float;
-  response : Sparse_response.t Lazy.t;
-      [@fosc.forced_before_parallel
-        "callers must run [prepare] on the submitting domain before handing \
-         the reduction to pool workers (Core.Eval.screening does); workers \
-         then only ever read the already-forced cell"]
-  (* The static (quasi-steady) tier of the screening evaluators: forced
-     on first ROM evaluation, shared per engine via
-     [Sparse_response.make]. *)
+  response : Sparse_response.t;
+  (* The static (quasi-steady) tier of the screening evaluators, shared
+     per engine via [Sparse_response.make]. *)
   rom_scratch_key : rom_scratch Domain.DLS.key;
 }
 
@@ -81,7 +76,7 @@ let of_engine ?modes engine =
             spec.Spec.core_nodes)
         basis;
     beta_tamb = spec.Spec.leak_beta *. spec.Spec.ambient;
-    response = lazy (Sparse_response.make engine);
+    response = Sparse_response.make engine;
     rom_scratch_key =
       Domain.DLS.new_key (fun () ->
           {
@@ -96,14 +91,8 @@ let of_engine ?modes engine =
 
 let build ?modes model = of_engine ?modes (Sparse_model.of_model model)
 
-(* OCaml's [Lazy] is not domain-safe: concurrent forcing raises
-   [Lazy.RacyLazy].  Callers fanning rom evaluators across a pool must
-   force the static tier on the submitting domain first — workers then
-   only read the already-forced value, which is safe. *)
-let prepare r = ignore (Lazy.force r.response : Sparse_response.t)
 let n_modes r = Vec.dim r.mu
 let engine r = r.engine
-let decay_rates r = Vec.copy r.mu
 let steady_core_temps r psi = Sparse_model.steady_core_temps r.engine psi
 let ambient_state r = Vec.zeros (n_modes r)
 
@@ -165,7 +154,7 @@ let rom_feed r ~duration ~psi =
   (* The static tier remembers the last-fed segment: at the period
      boundary the truncated fast modes sit at the equilibrium of the
      input that drove them there. *)
-  Sparse_response.steady_core_into (Lazy.force r.response) s.th psi;
+  Sparse_response.steady_core_into r.response s.th psi;
   Array.blit s.z_eq 0 s.z_last 0 (n_modes r)
 
 let rom_solve r ~t_p =
@@ -200,7 +189,6 @@ let rom_peak_scan r ?(samples_per_segment = 32) profile =
   (match profile with [] -> invalid_arg "Reduced.rom_peak_scan: empty profile" | _ -> ());
   if samples_per_segment < 1 then
     invalid_arg "Reduced.rom_peak_scan: non-positive sample count";
-  let resp = Lazy.force r.response in
   let k = n_modes r in
   let s = Domain.DLS.get r.rom_scratch_key in
   rom_begin r;
@@ -219,7 +207,7 @@ let rom_peak_scan r ?(samples_per_segment = 32) profile =
   List.iter
     (fun (seg : Matex.segment) ->
       rom_z_inf_into r s.z_eq seg.psi;
-      Sparse_response.steady_core_into resp s.th seg.psi;
+      Sparse_response.steady_core_into r.response s.th seg.psi;
       let dt = seg.duration /. float_of_int samples_per_segment in
       Array.blit s.z_cur 0 s.z_smp 0 k;
       for _ = 1 to samples_per_segment do

@@ -16,38 +16,28 @@
     sparse symmetrized operator ({!Sparse_model.operator}), computed by
     shift-invert {!Linalg.Krylov.smallest_eigs} — O(k * nnz) work per
     iteration, so building a reduction never forms a dense matrix and
-    the O(n^3) dense eigensolve disappears from the build path. *)
+    the O(n^3) dense eigensolve disappears from the build path.  The
+    static correction reads the engine's shared {!Sparse_response}
+    tables, taken when the reduction is built: a reduction holds no
+    deferred state, so pool workers may share one freely. *)
 
 type t
 
 (** [of_engine ?modes engine] retains the [modes] slowest eigenmodes of
     an already-assembled sparse engine (default: enough to cover the
     slowest decade of decay rates among the first [min n 12] computed,
-    at least 4).  Raises [Invalid_argument] if [modes] is outside
-    [1, n_nodes]. *)
+    at least 4) and takes the engine's {!Sparse_response.make} tables as
+    its static tier — the same tables a {!Backend.of_response} over
+    [engine] already built, or built here if none has.  Raises
+    [Invalid_argument] if [modes] is outside [1, n_nodes]. *)
 val of_engine : ?modes:int -> Sparse_model.t -> t
 
 (** [build ?modes model] is {!of_engine} on the sparse engine of a dense
     model's spec ({!Sparse_model.of_model}). *)
 val build : ?modes:int -> Model.t -> t
 
-(** [prepare r] forces the reduction's shared static tier (the
-    {!Sparse_response} tables behind the rom evaluators below).  Must be
-    called on the submitting domain before rom scores fan out across a
-    pool: [Lazy] is not domain-safe, and without it the first parallel
-    screened sweep races to force the tables from several workers at
-    once ([Lazy.RacyLazy]).  Idempotent and cheap once forced. *)
-val prepare : t -> unit
-
-(** [n_modes r] is the retained mode count. *)
-val n_modes : t -> int
-
 (** [engine r] is the sparse engine the reduction projects through. *)
 val engine : t -> Sparse_model.t
-
-(** [decay_rates r] is a copy of the retained decay rates [mu_j]
-    (positive, ascending — the negated slowest eigenvalues of [A]). *)
-val decay_rates : t -> Linalg.Vec.t
 
 (** [steady_core_temps r psi] — exact (the static correction makes the
     reduction lossless at DC). *)
@@ -94,11 +84,11 @@ val rom_solve : t -> t_p:float -> float
 
 (** [rom_stable_peak r profile] is [rom_begin]; [rom_feed] every
     segment; [rom_solve] at the profile's period — the ROM counterpart
-    of {!Sparse_model.end_of_period_peak}. *)
+    of the exact end-of-period peak ([Sched.Peak.profile_end_peak]). *)
 val rom_stable_peak : t -> Matex.profile -> float
 
 (** [rom_peak_scan r ?samples_per_segment profile] approximates
-    {!Sparse_model.peak_scan}: walks the stable period on the retained
+    {!Sparse_response.peak_scan}: walks the stable period on the retained
     modes ([samples_per_segment] sub-steps per segment, default 32,
     exact full-duration boundary steps) with per-segment quasi-static
     corrections. *)

@@ -87,10 +87,6 @@ let n_cores t = Array.length t.spec.Spec.core_nodes
 let ambient t = t.spec.Spec.ambient
 let ambient_state t = Vec.zeros t.n
 
-let of_theta t theta =
-  if Vec.dim theta <> t.n then invalid_arg "Sparse_model.of_theta: arity mismatch";
-  Vec.mul t.c_sqrt theta
-
 let to_theta t y =
   if Vec.dim y <> t.n then invalid_arg "Sparse_model.to_theta: arity mismatch";
   Vec.mul t.c_sqrt_inv y
@@ -185,60 +181,4 @@ let stable_start t profile =
     ~f:(fun lam -> 1. /. -.Float.expm1 (-.t_p *. lam))
     d
 
-let stable_core_temps t profile = core_temps t (stable_start t profile)
 let end_of_period_peak t profile = max_core_temp t (stable_start t profile)
-
-(* Visit the [samples] interior/end states of a segment starting from
-   [y0]; returns the exact end-of-segment state (advanced in one step, so
-   boundary states do not accumulate sub-step rounding) — the same walk
-   as Matex.scan_segment_z. *)
-let scan_segment t ~samples ~y_inf ~duration y0 visit =
-  let dt = duration /. float_of_int samples in
-  let yc = ref y0 in
-  for k = 1 to samples do
-    yc := advance t ~dt ~y_inf !yc;
-    visit (float_of_int k *. dt) !yc
-  done;
-  advance t ~dt:duration ~y_inf y0
-
-let peak_scan t ?(samples_per_segment = 32) profile =
-  Matex.validate (n_cores t) profile;
-  let y = ref (stable_start t profile) in
-  let best = ref (max_core_temp t !y) in
-  List.iter
-    (fun (s : Matex.segment) ->
-      let y_inf = steady_state t s.psi in
-      y :=
-        scan_segment t ~samples:samples_per_segment ~y_inf ~duration:s.duration !y
-          (fun _ yc -> best := Float.max !best (max_core_temp t yc)))
-    profile;
-  !best
-
-let peak_refined t ?(samples_per_segment = 32) ?(tol = 1e-4) profile =
-  Matex.validate (n_cores t) profile;
-  let y = ref (stable_start t profile) in
-  let best = ref (max_core_temp t !y) in
-  List.iter
-    (fun (s : Matex.segment) ->
-      let y0 = !y in
-      let y_inf = steady_state t s.psi in
-      let duration = s.duration in
-      let dt = duration /. float_of_int samples_per_segment in
-      let best_k = ref 0 and best_here = ref (max_core_temp t y0) in
-      y :=
-        scan_segment t ~samples:samples_per_segment ~y_inf ~duration y0
-          (fun tm yc ->
-            let temp = max_core_temp t yc in
-            if temp > !best_here then begin
-              best_here := temp;
-              best_k := int_of_float (Float.round (tm /. dt))
-            end);
-      best := Float.max !best !best_here;
-      let lo = Float.max 0. ((float_of_int !best_k -. 1.) *. dt) in
-      let hi = Float.min duration ((float_of_int !best_k +. 1.) *. dt) in
-      if hi > lo then begin
-        let temp_at tm = max_core_temp t (advance t ~dt:tm ~y_inf y0) in
-        best := Float.max !best (Matex.golden_max temp_at lo hi (tol *. duration))
-      end)
-    profile;
-  !best

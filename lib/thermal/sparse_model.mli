@@ -14,15 +14,20 @@
       of [e^{-dt M}];
     - the periodic stable status exploits that every segment shares the
       same [M] — the period map is affine with linear part [e^{-T M}],
-      so the fixed point solves the SPD system [(I - e^{-T M}) y* = d]
-      by CG with one [expmv] per iteration.
+      so the fixed point [y* = (I - e^{-T M})^{-1} d] is one Lanczos
+      matrix-function evaluation ({!Linalg.Krylov.funmv}).
 
     States are ambient-relative temperatures in symmetrized coordinates
     [y = C^{1/2} θ] ([M] is SPD there, which is what the Krylov kernels
     need).  The differential suite asserts every evaluator agrees with
     the dense {!Matex} path to ≤ 1e-9 at small n; tolerances are set
     one-thousand-fold tighter ({!Linalg.Krylov}) so the bound holds with
-    margin. *)
+    margin.
+
+    The engine exports primitives (solves, steps, core reads) plus one
+    direct profile path, {!stable_start}/{!end_of_period_peak}.  Policy
+    evaluation goes through {!Sparse_response}, whose tables
+    {!Backend.of_response} wraps; in-period scans exist only there. *)
 
 type t
 
@@ -51,10 +56,8 @@ val ambient : t -> float
 (** [ambient_state t] is the all-ambient state ([y = 0]). *)
 val ambient_state : t -> Linalg.Vec.t
 
-(** [of_theta t theta] / [to_theta t y] convert between node-space
-    ambient-relative temperatures and engine states. *)
-val of_theta : t -> Linalg.Vec.t -> Linalg.Vec.t
-
+(** [to_theta t y] converts an engine state to node-space
+    ambient-relative temperatures. *)
 val to_theta : t -> Linalg.Vec.t -> Linalg.Vec.t
 
 (** [heat_input t psi] is the symmetrized drive [b = C^{-1/2} h(psi)]
@@ -105,26 +108,12 @@ val max_core_temp : t -> Linalg.Vec.t -> float
 
 (** [stable_start t profile] is the periodic stable status at the
     period boundary (the sparse counterpart of {!Matex.stable_start},
-    returned as an engine state). *)
+    returned as an engine state), with every segment equilibrium solved
+    by CG.  [end_of_period_peak t profile] is its hottest absolute core
+    temperature.  Kept as the direct Krylov path: they price candidates
+    without the {!Sparse_response} tables, which is what
+    [repro_cli scale] and the sparse bench kernels measure against the
+    superposition engine ({!Backend} wraps only the latter). *)
 val stable_start : t -> Matex.profile -> Linalg.Vec.t
 
-(** [stable_core_temps t profile] / [end_of_period_peak t profile] are
-    the absolute core temperatures / hottest core at the stable-status
-    period boundary. *)
-val stable_core_temps : t -> Matex.profile -> Linalg.Vec.t
-
 val end_of_period_peak : t -> Matex.profile -> float
-
-(** [peak_scan t ?samples_per_segment profile] densely scans the
-    stable-status period ([samples_per_segment] sub-steps per segment,
-    default 32, boundaries included) for the hottest core temperature —
-    sampling semantics identical to {!Matex.peak_scan}. *)
-val peak_scan : t -> ?samples_per_segment:int -> Matex.profile -> float
-
-(** [peak_refined t ?samples_per_segment ?tol profile] sharpens
-    {!peak_scan} by golden-section maximization inside the bracketing
-    sub-interval of each segment's best sample, to time resolution
-    [tol * duration] (default [1e-4]) — the same refinement
-    {!Matex.peak_refined} performs. *)
-val peak_refined :
-  t -> ?samples_per_segment:int -> ?tol:float -> Matex.profile -> float

@@ -26,7 +26,6 @@ let cg_tol = 1e-13
 type scratch = {
   d : float array;  (* accumulated periodic drive over one period *)
   y_eq : float array;  (* superposed equilibrium of the current segment *)
-  y_cur : float array;  (* dense-scan cursor (exact segment boundaries) *)
   (* ---- prepared-base delta state (base_begin / base_feed / base_solve
      and the delta evaluators).  Disjoint from the streaming arrays
      above, so exact stable_* evaluations interleaved between delta
@@ -119,7 +118,6 @@ let build engine =
           {
             d = Array.make n 0.;
             y_eq = Array.make n 0.;
-            y_cur = Array.make n 0.;
             base_cl = Array.make nc 0.;
             base_ch = Array.make nc 0.;
             base_mode = Array.make nc min_int;
@@ -448,23 +446,6 @@ let delta_nodes t (s : scratch) ~core ~psi_low ~psi_high ~high_ratio =
    end);
   Atomic.incr t.delta_evals
 
-let delta_solve t ~core ~psi_low ~psi_high ~high_ratio =
-  let s = Domain.DLS.get t.scratch_key in
-  delta_nodes t s ~core ~psi_low ~psi_high ~high_ratio;
-  (* Full-vector variant for differential tests: recompute the delta's
-     whole node image through the same prepared basis. *)
-  let t_p = s.base_t_p in
-  let mode', ll' = two_mode_core_shape ~t_p ~high_ratio in
-  let cl' = psi_low +. t.beta_tamb and ch' = psi_high +. t.beta_tamb in
-  let cl = s.base_cl.(core) and ch = s.base_ch.(core) in
-  let mode = s.base_mode.(core) and ll = s.base_ll.(core) in
-  let f lam =
-    h_of ~cl:cl' ~ch:ch' ~mode:mode' ~ll:ll' ~t_p lam
-    -. h_of ~cl ~ch ~mode ~ll ~t_p lam
-  in
-  let w = Krylov.prepared_apply (get_basis t s core) ~f in
-  Array.mapi (fun j wj -> s.y_base.(j) +. wj) w
-
 let delta_peak t ~core ~psi_low ~psi_high ~high_ratio =
   let s = Domain.DLS.get t.scratch_key in
   delta_nodes t s ~core ~psi_low ~psi_high ~high_ratio;
@@ -488,8 +469,11 @@ let delta_core_temp t ~at ~core ~psi_low ~psi_high ~high_ratio =
   *. (s.y_base.(t.core_nodes.(at)) +. s.w_nodes.(at))
   +. t.ambient
 
-(* --------------------------------------------------------- profiles *)
+(* ------------------------------------------------- in-period scans *)
 
+(* The period-boundary stable state the scans walk from: the streaming
+   path above over a whole profile.  Internal — boundary-only questions
+   go through [Sched.Peak] on [Backend.of_response]. *)
 let stable_start t profile =
   Matex.validate t.nc profile;
   stable_begin t;
@@ -498,16 +482,10 @@ let stable_start t profile =
     profile;
   stable_solve t ~t_p:(Matex.period profile)
 
-let stable_core_temps t profile =
-  Sparse_model.core_temps t.engine (stable_start t profile)
-
-let end_of_period_peak t profile =
-  Sparse_model.max_core_temp t.engine (stable_start t profile)
-
 (* Visit the [samples] interior/end states of a segment starting from
    [y0]; returns the exact end-of-segment state (advanced in one step,
    so boundary states do not accumulate sub-step rounding) — the same
-   walk as Sparse_model.scan_segment, over a superposed equilibrium. *)
+   walk as the dense [Matex] scans, over a superposed equilibrium. *)
 let scan_segment t ~samples ~y_inf ~duration y0 visit =
   let dt = duration /. float_of_int samples in
   let yc = ref y0 in

@@ -16,15 +16,20 @@
     - the periodic stable status accumulates the drive [d] through
       allocation-free streaming feeds ({!stable_begin}/{!stable_feed}/
       {!stable_solve}, mirroring {!Modal}'s API; the [e^{-dt M}]
-      applications still build their Krylov bases) and solves the SPD
-      fixed point [(I - e^{-T_p M}) y* = d] by CG warm-started at
-      [x0 = d] — a candidate-local deterministic guess, so results are
-      bit-identical at any pool size.
+      applications still build their Krylov bases) and evaluates the
+      fixed point [y* = (I - e^{-T_p M})^{-1} d] from one Lanczos basis
+      on the candidate's own drive, so results are bit-identical at any
+      pool size.
 
     Superposition is mathematically exact (the heat input is affine in
     the power vector); the engine differs from per-candidate
     {!Sparse_model} solves only by Krylov truncation, three orders of
-    magnitude under the differential suite's 1e-9 bound. *)
+    magnitude under the differential suite's 1e-9 bound.
+
+    Like {!Modal}, the engine exports primitives only — steady reads,
+    steps, the stable stream, prepared-base deltas and the in-period
+    scans.  {!Backend.of_response} wraps them, and [Sched.Peak] turns
+    whole profiles into answers. *)
 
 type t
 
@@ -58,10 +63,8 @@ val stats : t -> stats
 
 (** [y_inf t psi] is the superposed equilibrium state under constant
     per-core powers — bitwise a weighted sum of the unit responses, no
-    solve.  {!y_inf_into} writes it into a caller buffer instead. *)
+    solve. *)
 val y_inf : t -> Linalg.Vec.t -> Linalg.Vec.t
-
-val y_inf_into : t -> Linalg.Vec.t -> Linalg.Vec.t -> unit
 
 (** [steady_core_into t dst psi] writes the ambient-relative steady
     core temperatures (superposed off the core-row table, O(n_cores²))
@@ -133,14 +136,6 @@ val base_feed :
     delta evaluators; returns this domain's scratch base vector. *)
 val base_solve : t -> Linalg.Vec.t
 
-(** [delta_solve t ~core ~psi_low ~psi_high ~high_ratio] is the full
-    stable status (fresh vector) of the candidate equal to the prepared
-    base except for core [core]'s terms — the differential-test
-    entry point; the search loops use the peak/temp reads below. *)
-val delta_solve :
-  t -> core:int -> psi_low:float -> psi_high:float -> high_ratio:float ->
-  Linalg.Vec.t
-
 (** [delta_peak t ~core ~psi_low ~psi_high ~high_ratio] is the hottest
     end-of-period core temperature of the delta candidate, from
     core-node reads only. *)
@@ -153,17 +148,17 @@ val delta_core_temp :
   t -> at:int -> core:int -> psi_low:float -> psi_high:float ->
   high_ratio:float -> float
 
-(** {1 Profile evaluators}
+(** {1 In-period scans}
 
-    {!Sparse_model}'s profile interface on the superposition tables —
-    per-segment equilibria come from {!y_inf_into} instead of CG
-    solves, and the stable fixed point is warm-started; everything else
-    (validation, sampling semantics, golden-section refinement) matches
-    the direct engine exactly. *)
+    The scans behind {!Backend.of_response}'s [peak_scan] and
+    [peak_refined]: walk the stable-status period (the streaming path
+    above) with per-segment equilibria from the superposition tables.
+    Validation, sampling semantics and golden-section refinement match
+    {!Matex.peak_scan}/{!Matex.peak_refined} on the dense engine, which
+    the differential suite pins them to at 1e-9.  Period-boundary
+    questions have no entry point here: [Sched.Peak] answers them over
+    the backend's [stable_*] hooks. *)
 
-val stable_start : t -> Matex.profile -> Linalg.Vec.t
-val stable_core_temps : t -> Matex.profile -> Linalg.Vec.t
-val end_of_period_peak : t -> Matex.profile -> float
 val peak_scan : t -> ?samples_per_segment:int -> Matex.profile -> float
 
 val peak_refined :

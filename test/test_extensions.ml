@@ -154,8 +154,9 @@ let test_peak_refined_at_least_scan () =
         ~levels:(Power.Vf.table_iv 5)
     in
     let profile = Sched.Peak.profile (Thermal.Backend.of_model m) pm s in
-    let scan = Thermal.Matex.peak_scan m ~samples_per_segment:16 profile in
-    let refined = Thermal.Matex.peak_refined m ~samples_per_segment:16 profile in
+    let eng = Thermal.Modal.make m in
+    let scan = Thermal.Matex.peak_scan eng ~samples_per_segment:16 profile in
+    let refined = Thermal.Matex.peak_refined eng ~samples_per_segment:16 profile in
     Alcotest.(check bool) "refined >= scan" true (refined >= scan -. 1e-9)
   done
 
@@ -167,8 +168,9 @@ let test_peak_refined_converges () =
     { Thermal.Matex.duration = d; psi = Power.Power_model.psi_vector pm v }
   in
   let profile = [ seg 0.4 [| 1.3; 0.6; 0.6 |]; seg 0.4 [| 0.6; 0.6; 0.6 |] ] in
-  let fine = Thermal.Matex.peak_scan m ~samples_per_segment:512 profile in
-  let refined = Thermal.Matex.peak_refined m ~samples_per_segment:8 profile in
+  let eng = Thermal.Modal.make m in
+  let fine = Thermal.Matex.peak_scan eng ~samples_per_segment:512 profile in
+  let refined = Thermal.Matex.peak_refined eng ~samples_per_segment:8 profile in
   check_close 1e-3 "coarse+golden = very fine scan" fine refined
 
 let test_peak_of_any_refined_step_up_consistent () =
@@ -532,8 +534,10 @@ let test_theorem1_exact_without_coupling () =
         ~levels:(Power.Vf.table_iv 5)
     in
     let profile = Sched.Peak.profile (Thermal.Backend.of_model m) pm s in
-    let end_peak = Thermal.Matex.end_of_period_peak m profile in
-    let true_peak = Thermal.Matex.peak_refined m ~samples_per_segment:32 profile in
+    let end_peak = Sched.Peak.profile_end_peak (Thermal.Backend.of_model m) profile in
+    let true_peak =
+      Thermal.Matex.peak_refined (Thermal.Modal.make m) ~samples_per_segment:32 profile
+    in
     Alcotest.(check bool) "no exceedance at zero coupling" true
       (true_peak <= end_peak +. 1e-6)
   done

@@ -103,7 +103,9 @@ let prop_stable_core_temps_match =
       let via_state =
         Model.core_temps_of_theta model3 (Matex.stable_start model3 profile)
       in
-      let direct = Matex.stable_core_temps model3 profile in
+      let direct =
+        Sched.Peak.profile_end_core_temps (Thermal.Backend.of_model model3) profile
+      in
       Vec.dist_inf via_state direct <= 1e-9)
 
 (* ------------------------------------------------------- peak agreement *)
@@ -114,7 +116,7 @@ let prop_peak_scan_matches =
       let rng = Random.State.make [| seed |] in
       let segs = random_segments rng model3 4 in
       let reference = Oracle.Reference.peak_scan model3 ~samples_per_segment:16 segs in
-      let modal = Matex.peak_scan model3 ~samples_per_segment:16 segs in
+      let modal = Matex.peak_scan (Modal.make model3) ~samples_per_segment:16 segs in
       Float.abs (reference -. modal) <= 1e-9)
 
 (* The Fig. 2 two-mode schedules, evaluated by both peak_refined paths. *)
@@ -137,7 +139,7 @@ let test_peak_refined_fig2 () =
       let reference =
         Oracle.Reference.peak_refined model2 ~samples_per_segment:32 profile
       in
-      let modal = Matex.peak_refined model2 ~samples_per_segment:32 profile in
+      let modal = Matex.peak_refined (Modal.make model2) ~samples_per_segment:32 profile in
       Alcotest.(check (float 1e-9))
         (Printf.sprintf "fig2 schedule %d refined peak" i)
         reference modal)
@@ -157,7 +159,7 @@ let prop_peak_refined_matches =
       let reference =
         Oracle.Reference.peak_refined model3 ~samples_per_segment:16 profile
       in
-      let modal = Matex.peak_refined model3 ~samples_per_segment:16 profile in
+      let modal = Matex.peak_refined (Modal.make model3) ~samples_per_segment:16 profile in
       Float.abs (reference -. modal) <= 1e-9)
 
 (* ------------------------------------------------------ ported callers *)

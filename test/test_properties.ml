@@ -122,7 +122,7 @@ let prop_stable_rotation_invariance =
       | [] | [ _ ] -> true
       | first :: rest ->
           let rotated = rest @ [ first ] in
-          let boundaries = Thermal.Matex.stable_boundaries model3 profile in
+          let boundaries = Oracle.Reference.stable_boundaries model3 profile in
           let rotated_start = Thermal.Matex.stable_start model3 rotated in
           Vec.approx_equal ~tol:1e-7 boundaries.(1) rotated_start)
 

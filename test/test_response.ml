@@ -48,6 +48,11 @@ let random_profile rng model =
         psi = random_psi rng n;
       })
 
+(* The production end-of-period peak: the profile streamed through the
+   model's dense backend. *)
+let end_peak model profile =
+  Sched.Peak.profile_end_peak (Thermal.Backend.of_model model) profile
+
 (* ------------------------------------------- superposition vs LU path *)
 
 let prop_z_inf_matches_lu =
@@ -78,7 +83,9 @@ let prop_streamed_stable_matches_lu =
       let rng = Random.State.make [| seed |] in
       let model = random_model rng in
       let profile = random_profile rng model in
-      let streamed = Matex.stable_core_temps model profile in
+      let streamed =
+        Sched.Peak.profile_end_core_temps (Thermal.Backend.of_model model) profile
+      in
       let reference =
         Model.core_temps_of_theta model (Oracle.Reference.stable_start model profile)
       in
@@ -90,7 +97,7 @@ let prop_end_of_period_peak_matches_lu =
       let rng = Random.State.make [| seed |] in
       let model = random_model rng in
       let profile = random_profile rng model in
-      let streamed = Matex.end_of_period_peak model profile in
+      let streamed = end_peak model profile in
       let reference =
         Model.max_core_temp model (Oracle.Reference.stable_start model profile)
       in
@@ -106,7 +113,7 @@ let test_pool_size_invariance () =
   let profiles = Array.init 24 (fun _ -> random_profile rng model_a) in
   let eval pool =
     Util.Pool.init ~pool (Array.length profiles) (fun i ->
-        Matex.end_of_period_peak model_a profiles.(i))
+        end_peak model_a profiles.(i))
   in
   let p1 = Util.Pool.create ~size:1 () in
   let p4 = Util.Pool.create ~size:4 () in
@@ -135,14 +142,14 @@ let test_no_cross_contamination () =
   let profile_a = random_profile rng model_a in
   let profile_b = random_profile rng model_b in
   let eng_a = Modal.make model_a in
-  let expected_a = Matex.end_of_period_peak model_a profile_a in
+  let expected_a = end_peak model_a profile_a in
   (* Replay profile_a through the streaming API by hand, running full
      evaluations on model_b between every feed. *)
   Modal.stable_begin eng_a;
   let t_p =
     List.fold_left
       (fun acc (s : Matex.segment) ->
-        ignore (Matex.end_of_period_peak model_b profile_b);
+        ignore (end_peak model_b profile_b);
         Modal.stable_feed eng_a ~duration:s.duration ~psi:s.psi;
         acc +. s.duration)
       0. profile_a
@@ -151,7 +158,7 @@ let test_no_cross_contamination () =
   Alcotest.(check bool) "interleaved streaming bit-identical" true
     (Int64.bits_of_float interleaved = Int64.bits_of_float expected_a);
   (* And the other platform still answers correctly afterwards. *)
-  let b_now = Matex.end_of_period_peak model_b profile_b in
+  let b_now = end_peak model_b profile_b in
   let b_ref =
     Model.max_core_temp model_b (Oracle.Reference.stable_start model_b profile_b)
   in
@@ -166,13 +173,13 @@ let test_stats_observable () =
   Alcotest.(check bool) "at least one engine built" true (before.Modal.builds >= 1);
   let rng = Random.State.make [| 11 |] in
   let profile = random_profile rng model_a in
-  ignore (Matex.end_of_period_peak model_a profile);
+  ignore (end_peak model_a profile);
   let mid = Modal.stats eng in
   Alcotest.(check bool) "superposition evaluations counted" true
     (mid.Modal.superpose_evals > before.Modal.superpose_evals);
   (* Re-evaluating the same profile reuses the same durations: every
      decay/gain lookup after the first pass hits the table. *)
-  ignore (Matex.end_of_period_peak model_a profile);
+  ignore (end_peak model_a profile);
   let after = Modal.stats eng in
   Alcotest.(check bool) "decay-table hits grow on repeated durations" true
     (after.Modal.exp_hits > mid.Modal.exp_hits);

@@ -307,16 +307,22 @@ let prop_sparse_stable_matches_dense =
       let s = random_step_up rng ~n_cores:(Model.n_cores model) ~period:5. in
       let profile = Sched.Peak.profile (Thermal.Backend.of_model model) pm s in
       let dense = Matex.stable_start model profile in
-      Vec.dist_inf dense (Sp_model.to_theta eng (Sp_model.stable_start eng profile))
-      <= 1e-9
+      let b = Thermal.Backend.of_model model in
+      let y = Sp_model.stable_start eng profile in
+      Vec.dist_inf dense (Sp_model.to_theta eng y) <= 1e-9
       && Vec.dist_inf
-           (Matex.stable_core_temps model profile)
-           (Sp_model.stable_core_temps eng profile)
+           (Sched.Peak.profile_end_core_temps b profile)
+           (Sp_model.core_temps eng y)
          <= 1e-9
       && Float.abs
-           (Matex.end_of_period_peak model profile
+           (Sched.Peak.profile_end_peak b profile
            -. Sp_model.end_of_period_peak eng profile)
          <= 1e-9)
+
+(* The production sparse scans: what [Backend.of_response] runs behind
+   [Sched.Peak.of_any]/[of_any_refined] on every sparse context. *)
+let sparse_backend model =
+  Thermal.Backend.of_response (Thermal.Sparse_response.make (Sp_model.of_model model))
 
 let prop_sparse_peak_scan_matches_dense =
   QCheck.Test.make ~name:"sparse peak_scan = Matex.peak_scan" ~count:25 seed_gen
@@ -324,10 +330,8 @@ let prop_sparse_peak_scan_matches_dense =
       let rng = Random.State.make [| seed |] in
       let segs = random_segments rng model3 4 in
       Float.abs
-        (Matex.peak_scan model3 ~samples_per_segment:16 segs
-        -. Sp_model.peak_scan
-             (Sp_model.of_model model3)
-             ~samples_per_segment:16 segs)
+        (Matex.peak_scan (Thermal.Modal.make model3) ~samples_per_segment:16 segs
+        -. (sparse_backend model3).Thermal.Backend.peak_scan ~samples_per_segment:16 segs)
       <= 1e-9)
 
 let prop_sparse_peak_refined_matches_dense =
@@ -342,10 +346,9 @@ let prop_sparse_peak_refined_matches_dense =
       in
       let profile = Sched.Peak.profile (Thermal.Backend.of_model model3) pm s in
       Float.abs
-        (Matex.peak_refined model3 ~samples_per_segment:16 profile
-        -. Sp_model.peak_refined
-             (Sp_model.of_model model3)
-             ~samples_per_segment:16 profile)
+        (Matex.peak_refined (Thermal.Modal.make model3) ~samples_per_segment:16 profile
+        -. (sparse_backend model3).Thermal.Backend.peak_refined ~samples_per_segment:16
+             ~tol:1e-4 profile)
       <= 1e-9)
 
 let test_parallel_assembly_deterministic () =

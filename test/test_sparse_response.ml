@@ -39,6 +39,19 @@ let random_profile rng n =
         psi = random_psi rng n;
       })
 
+(* The production period-boundary answers on a response engine: whole
+   profiles streamed through [Backend.of_response] by [Sched.Peak]. *)
+let end_peak resp profile =
+  Sched.Peak.profile_end_peak (Thermal.Backend.of_response resp) profile
+
+(* The stable state itself, read off the same stream. *)
+let stable_state resp profile =
+  Resp.stable_begin resp;
+  List.iter
+    (fun (s : Matex.segment) -> Resp.stable_feed resp ~duration:s.duration ~psi:s.psi)
+    profile;
+  Resp.stable_solve resp ~t_p:(Matex.period profile)
+
 (* ------------------------------------- superposition vs direct CG *)
 
 let prop_steady_superposition_matches_cg =
@@ -72,16 +85,17 @@ let prop_streaming_stable_matches_segment_path =
       let eng = Sp.of_model model in
       let resp = Resp.build eng in
       let profile = random_profile rng (Sp.n_cores eng) in
-      Vec.dist_inf (Resp.stable_start resp profile) (Sp.stable_start eng profile)
+      (* The scans' references are the dense modal scans: the direct
+         engine has no in-period scan of its own. *)
+      let dense = Thermal.Modal.make model in
+      Vec.dist_inf (stable_state resp profile) (Sp.stable_start eng profile)
       <= 1e-9
-      && Float.abs
-           (Resp.end_of_period_peak resp profile
-           -. Sp.end_of_period_peak eng profile)
+      && Float.abs (end_peak resp profile -. Sp.end_of_period_peak eng profile)
          <= 1e-9
-      && Float.abs (Resp.peak_scan resp profile -. Sp.peak_scan eng profile)
+      && Float.abs (Resp.peak_scan resp profile -. Matex.peak_scan dense profile)
          <= 1e-9
       && Float.abs
-           (Resp.peak_refined resp profile -. Sp.peak_refined eng profile)
+           (Resp.peak_refined resp profile -. Matex.peak_refined dense profile)
          <= 1e-9)
 
 let prop_step_matches_engine =
@@ -122,7 +136,7 @@ let test_pool_size_determinism () =
     let pool = Util.Pool.create ~size:pool_size () in
     let out =
       Util.Pool.init ~pool (Array.length profiles) (fun i ->
-          Resp.end_of_period_peak resp profiles.(i))
+          end_peak resp profiles.(i))
     in
     Util.Pool.shutdown pool;
     out
@@ -149,8 +163,8 @@ let test_scratch_cross_engine_isolation () =
   let ra = Resp.build eng_a and rb = Resp.build eng_b in
   let pa = random_profile rng (Sp.n_cores eng_a) in
   let pb = random_profile rng (Sp.n_cores eng_b) in
-  let expect_a = Resp.end_of_period_peak ra pa in
-  let expect_b = Resp.end_of_period_peak rb pb in
+  let expect_a = end_peak ra pa in
+  let expect_b = end_peak rb pb in
   (* Interleave the streaming feeds by hand. *)
   Resp.stable_begin ra;
   Resp.stable_begin rb;

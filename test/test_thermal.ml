@@ -8,6 +8,7 @@ module Fp = Thermal.Floorplan
 module Rc = Thermal.Rc_network
 module Model = Thermal.Model
 module Matex = Thermal.Matex
+module Modal = Thermal.Modal
 
 let check_close tol = Alcotest.(check (float tol))
 
@@ -295,10 +296,10 @@ let test_grid_model_profile_roundtrip () =
     ]
   in
   let fine_peak =
-    Matex.peak_scan g.Thermal.Grid_model.model ~samples_per_segment:16
+    Matex.peak_scan (Modal.make g.Thermal.Grid_model.model) ~samples_per_segment:16
       (Thermal.Grid_model.profile_of g profile)
   in
-  let coarse_peak = Matex.peak_scan block ~samples_per_segment:16 profile in
+  let coarse_peak = Matex.peak_scan (Modal.make block) ~samples_per_segment:16 profile in
   Alcotest.(check bool) "fine-grid periodic peak bracketed" true
     (fine_peak >= coarse_peak -. 0.2 && fine_peak <= coarse_peak +. 6.)
 
@@ -364,16 +365,31 @@ let test_matex_constant_profile_stable_is_steady () =
 let test_matex_peak_scan_at_least_boundaries () =
   let m = model3 () in
   let p = two_mode_profile ~d1:0.2 ~v1:[| 1.3; 0.6; 0.6 |] ~d2:0.2 ~v2:[| 0.6; 0.6; 1.3 |] in
+  (* Hottest core over the stable-status segment boundaries, walked with
+     the modal primitives the scan itself advances by. *)
+  let eng = Modal.make m in
+  let segs =
+    List.map (fun (s : Matex.segment) -> Modal.segment eng ~duration:s.duration ~psi:s.psi) p
+  in
+  let z0 = Modal.stable_z eng segs in
+  let _, boundary_peak =
+    List.fold_left
+      (fun (z, best) seg ->
+        let z = Modal.advance seg z in
+        (z, Float.max best (Modal.max_core_temp eng z)))
+      (z0, Modal.max_core_temp eng z0)
+      segs
+  in
   Alcotest.(check bool) "scan >= boundary peak" true
-    (Matex.peak_scan m p >= Matex.peak_at_boundaries m p -. 1e-12)
+    (Matex.peak_scan eng p >= boundary_peak -. 1e-12)
 
 let test_matex_interior_peak_found () =
   (* Hot interval first, then a long cool-down: the true peak is at the
      first (interior) boundary, far above the end-of-period temperature. *)
   let m = model3 () in
   let p = two_mode_profile ~d1:0.5 ~v1:[| 1.3; 0.6; 0.6 |] ~d2:0.5 ~v2:[| 0.6; 0.6; 0.6 |] in
-  let scan = Matex.peak_scan m p in
-  let end_peak = Matex.end_of_period_peak m p in
+  let scan = Matex.peak_scan (Modal.make m) p in
+  let end_peak = Sched.Peak.profile_end_peak (Thermal.Backend.of_model m) p in
   Alcotest.(check bool) "non-step-up: scan strictly above end-of-period" true
     (scan > end_peak +. 0.5)
 
@@ -388,7 +404,7 @@ let test_matex_validation () =
     [
       ("dense", fun p -> ignore (Matex.stable_start m p));
       ("sparse", fun p -> ignore (Thermal.Sparse_model.stable_start sparse p));
-      ("response", fun p -> ignore (Thermal.Sparse_response.stable_start resp p));
+      ("response", fun p -> ignore (Thermal.Sparse_response.peak_scan resp p));
     ]
   in
   Alcotest.check_raises "empty profile" (Invalid_argument "Matex: empty profile")
