@@ -10,7 +10,14 @@
 
      FOSC_GOLDEN_DUMP=1 dune exec test/test_golden.exe
 
-   which prints the tables below in OCaml syntax instead of checking. *)
+   which prints the tables below in OCaml syntax instead of checking.
+
+   The policy table does the same one layer up: the bits of every
+   search's answer (throughput, peak, each high time and offset) and
+   its discrete choices (m, step counts), plus how many candidates each
+   search sent through the ROM screen and the delta tier.  A refactor of
+   the search loops must reproduce both — the same answer, reached by
+   pricing the same candidates on the same tiers. *)
 
 module P = Core.Platform
 module Eval = Core.Eval
@@ -142,6 +149,157 @@ let check ~sparse golden ev =
         (Int64.bits_of_float v'))
     got (evaluate ev)
 
+(* ------------------------------------------------------ policy table *)
+
+(* A policy entry is a float (pinned by its bits) or a count. *)
+type pin = F of float | I of int
+
+let bits = function F v -> Int64.bits_of_float v | I k -> Int64.of_int k
+
+(* Run [f] and append the deltas of the process-wide search funnels and
+   of the context's memo lookups around it. *)
+let funnel ev f =
+  let lookups () =
+    let s = Eval.stats ev in
+    let open Sched.Peak.Cache in
+    s.Eval.steady.hits + s.Eval.steady.misses + s.Eval.stepup.hits
+    + s.Eval.stepup.misses
+  in
+  let s0 = Core.Screen.stats ()
+  and d0 = Core.Tpt.delta_stats ()
+  and l0 = lookups () in
+  let pins = f () in
+  let s1 = Core.Screen.stats ()
+  and d1 = Core.Tpt.delta_stats ()
+  and l1 = lookups () in
+  pins
+  @ [
+      ("screen.scored", I (s1.Core.Screen.scored - s0.Core.Screen.scored));
+      ("screen.survivors", I (s1.survivors - s0.survivors));
+      ("delta.cached", I (d1.Core.Tpt.cached - d0.Core.Tpt.cached));
+      ("delta.scored", I (d1.scored - d0.scored));
+      ("delta.exact", I (d1.exact - d0.exact));
+      ("eval.lookups", I (l1 - l0));
+    ]
+
+let floats label vs =
+  Array.to_list
+    (Array.mapi (fun i v -> (Printf.sprintf "%s.(%d)" label i, F v)) vs)
+
+let config_pins (c : Core.Tpt.config) =
+  floats "high_time" c.Core.Tpt.high_time @ floats "offset" c.Core.Tpt.offset
+
+let ao_pins (r : Core.Ao.result) =
+  [
+    ("throughput", F r.Core.Ao.throughput);
+    ("peak", F r.peak);
+    ("m", I r.m);
+    ("m_max", I r.m_max);
+    ("adjustment_steps", I r.adjustment_steps);
+  ]
+  @ config_pins r.config
+
+let pco_pins (r : Core.Pco.result) =
+  [
+    ("throughput", F r.Core.Pco.throughput);
+    ("peak", F r.peak);
+    ("m", I r.m);
+    ("ao.adjustment_steps", I r.ao.Core.Ao.adjustment_steps);
+    ("fill_steps", I r.fill_steps);
+  ]
+  @ config_pins r.config
+
+let demand_pins (r : Core.Demand.result) =
+  [
+    ("feasible", I (Bool.to_int r.Core.Demand.feasible));
+    ("peak", F r.peak);
+    ("m", I r.m);
+    ("m_max", I r.m_max);
+  ]
+  @ floats "delivered" r.delivered
+
+(* The policies' sparse sheet runs cooler than the evaluator sheet's, so
+   AO's adjustment loop and the ROM screen's pruning both have work. *)
+let policy_sheet () =
+  P.sheet ~rows:3 ~cols:3 ~levels:(Power.Vf.table_iv 5) ~t_max:70. ()
+
+let screened () =
+  Eval.create ~backend:Eval.Sparse ~screen_margin:0.5 (policy_sheet ())
+
+(* A violating aligned seed for the TPT loops: the ideal speeds as duty
+   ratios between two far-apart modes (as in the motivation
+   experiment); the headroom fill starts from a drained copy. *)
+let tpt_seed (p : P.t) =
+  let n = P.n_cores p and period = 0.02 in
+  let ideal = Core.Ideal.solve p in
+  {
+    Core.Tpt.period;
+    v_low = Array.make n 0.6;
+    v_high = Array.make n 1.3;
+    high_time =
+      Array.map
+        (fun v -> (v -. 0.6) /. (1.3 -. 0.6) *. period)
+        ideal.Core.Ideal.voltages;
+    offset = Array.make n 0.;
+  }
+
+let tpt_pins ev ~quanta ~delta_margin =
+  let p = Eval.platform ev in
+  let c0 = tpt_seed p in
+  let t_unit = c0.Core.Tpt.period /. quanta in
+  let adj, steps =
+    Core.Tpt.adjust_to_constraint p ~eval:ev ~t_unit ~delta_margin c0
+  in
+  let drained =
+    let high_time = Array.map (fun h -> 0.6 *. h) c0.Core.Tpt.high_time in
+    { c0 with Core.Tpt.high_time }
+  in
+  let filled, fsteps =
+    Core.Tpt.fill_headroom p ~eval:ev ~t_unit ~delta_margin drained
+  in
+  let prefixed prefix = List.map (fun (l, v) -> (prefix ^ l, v)) in
+  prefixed "adjust." (("steps", I steps) :: config_pins adj)
+  @ prefixed "fill." (("steps", I fsteps) :: config_pins filled)
+
+(* Demand asks for slightly less than the ideal speeds, so the verdict
+   depends on the m-sweep finding a cool enough schedule. *)
+let demand_pins_of ev p =
+  let demands =
+    Array.map (fun v -> 0.98 *. v) (Core.Ideal.solve p).Core.Ideal.voltages
+  in
+  demand_pins (Core.Demand.solve ~eval:ev p ~demands)
+
+let policy_cases =
+  let case name context f =
+    ( name,
+      fun () ->
+        let ev = context () in
+        funnel ev (fun () -> f ev (Eval.platform ev)) )
+  in
+  let dense () = Eval.create (dense_platform ()) in
+  let sparse () = Eval.create ~backend:Eval.Sparse (policy_sheet ()) in
+  [
+    case "ao dense" dense (fun ev p -> ao_pins (Core.Ao.solve ~eval:ev p));
+    case "ao dense fill" dense (fun ev p ->
+        ao_pins (Core.Ao.solve ~eval:ev ~fill:true p));
+    case "ao sparse screened delta" screened (fun ev p ->
+        ao_pins (Core.Ao.solve ~eval:ev ~delta_margin:1.0 p));
+    case "pco dense" dense (fun ev p -> pco_pins (Core.Pco.solve ~eval:ev p));
+    case "pco sparse screened" screened (fun ev p ->
+        pco_pins (Core.Pco.solve ~eval:ev p));
+    case "demand dense" dense demand_pins_of;
+    case "demand sparse screened" screened demand_pins_of;
+  ]
+  @ List.concat_map
+      (fun delta_margin ->
+        [
+          case (Printf.sprintf "tpt dense margin %g" delta_margin) dense
+            (fun ev _ -> tpt_pins ev ~quanta:200. ~delta_margin);
+          case (Printf.sprintf "tpt sparse margin %g" delta_margin) sparse
+            (fun ev _ -> tpt_pins ev ~quanta:50. ~delta_margin);
+        ])
+      [ 0.; 0.02; 1.0 ]
+
 let context ~sparse ~cache_size =
   if sparse then Eval.create ~cache_size ~backend:Eval.Sparse (sparse_platform ())
   else Eval.create ~cache_size (dense_platform ())
@@ -155,7 +313,405 @@ let dump () =
           Printf.printf "    (%S, 0x%LxL);\n" label (Int64.bits_of_float v))
         (evaluate (context ~sparse ~cache_size:0));
       Printf.printf "  ]\n\n")
-    [ ("dense", false); ("sparse", true) ]
+    [ ("dense", false); ("sparse", true) ];
+  Printf.printf "let policy_golden =\n  [\n";
+  List.iter
+    (fun (name, run) ->
+      Printf.printf "    ( %S,\n      [\n" name;
+      List.iter
+        (fun (label, v) ->
+          match v with
+          | F _ -> Printf.printf "        (%S, 0x%LxL);\n" label (bits v)
+          | I k -> Printf.printf "        (%S, %dL);\n" label k)
+        (run ());
+      Printf.printf "      ] );\n")
+    policy_cases;
+  Printf.printf "  ]\n"
+
+let policy_golden =
+  [
+    ( "ao dense",
+      [
+        ("throughput", 0x3ff355272088621aL);
+        ("peak", 0x40503f22768e176dL);
+        ("m", 6L);
+        ("m_max", 152L);
+        ("adjustment_steps", 10L);
+        ("high_time.(0)", 0x3f709fa67851744dL);
+        ("high_time.(1)", 0x3f8e6f2bc1874427L);
+        ("high_time.(2)", 0x3f709fa67851744dL);
+        ("offset.(0)", 0x0L);
+        ("offset.(1)", 0x0L);
+        ("offset.(2)", 0x0L);
+        ("screen.scored", 0L);
+        ("screen.survivors", 0L);
+        ("delta.cached", 0L);
+        ("delta.scored", 0L);
+        ("delta.exact", 0L);
+        ("eval.lookups", 153L);
+      ] );
+    ( "ao dense fill",
+      [
+        ("throughput", 0x3ff355272088621aL);
+        ("peak", 0x40503f22768e176dL);
+        ("m", 6L);
+        ("m_max", 152L);
+        ("adjustment_steps", 10L);
+        ("high_time.(0)", 0x3f709fa67851744dL);
+        ("high_time.(1)", 0x3f8e6f2bc1874427L);
+        ("high_time.(2)", 0x3f709fa67851744dL);
+        ("offset.(0)", 0x0L);
+        ("offset.(1)", 0x0L);
+        ("offset.(2)", 0x0L);
+        ("screen.scored", 0L);
+        ("screen.survivors", 0L);
+        ("delta.cached", 0L);
+        ("delta.scored", 0L);
+        ("delta.exact", 0L);
+        ("eval.lookups", 157L);
+      ] );
+    ( "ao sparse screened delta",
+      [
+        ("throughput", 0x3ff36dfd573a783cL);
+        ("peak", 0x40517ed82fa504d9L);
+        ("m", 7L);
+        ("m_max", 362L);
+        ("adjustment_steps", 26L);
+        ("high_time.(0)", 0x3f7c87aac584fc3aL);
+        ("high_time.(1)", 0x3f33bd0ec207ebd5L);
+        ("high_time.(2)", 0x3f7c87aac584fc3aL);
+        ("high_time.(3)", 0x3f33bd0ec207ebd5L);
+        ("high_time.(4)", 0x3f8386ded707018fL);
+        ("high_time.(5)", 0x3f33bd0ec207ebd5L);
+        ("high_time.(6)", 0x3f7c87aac584fc3aL);
+        ("high_time.(7)", 0x3f33bd0ec207ebd5L);
+        ("high_time.(8)", 0x3f7c87aac584fc3aL);
+        ("offset.(0)", 0x0L);
+        ("offset.(1)", 0x0L);
+        ("offset.(2)", 0x0L);
+        ("offset.(3)", 0x0L);
+        ("offset.(4)", 0x0L);
+        ("offset.(5)", 0x0L);
+        ("offset.(6)", 0x0L);
+        ("offset.(7)", 0x0L);
+        ("offset.(8)", 0x0L);
+        ("screen.scored", 362L);
+        ("screen.survivors", 67L);
+        ("delta.cached", 0L);
+        ("delta.scored", 234L);
+        ("delta.exact", 26L);
+        ("eval.lookups", 68L);
+      ] );
+    ( "pco dense",
+      [
+        ("throughput", 0x3ff355272088621aL);
+        ("peak", 0x40503f1e04c0dc76L);
+        ("m", 6L);
+        ("ao.adjustment_steps", 10L);
+        ("fill_steps", 0L);
+        ("high_time.(0)", 0x3f709fa67851744dL);
+        ("high_time.(1)", 0x3f8e6f2bc1874427L);
+        ("high_time.(2)", 0x3f709fa67851744dL);
+        ("offset.(0)", 0x0L);
+        ("offset.(1)", 0x3f61111111111111L);
+        ("offset.(2)", 0x0L);
+        ("screen.scored", 0L);
+        ("screen.survivors", 0L);
+        ("delta.cached", 0L);
+        ("delta.scored", 0L);
+        ("delta.exact", 0L);
+        ("eval.lookups", 153L);
+      ] );
+    ( "pco sparse screened",
+      [
+        ("throughput", 0x3ff36dfd573a783cL);
+        ("peak", 0x40517ed82fa504d9L);
+        ("m", 7L);
+        ("ao.adjustment_steps", 26L);
+        ("fill_steps", 0L);
+        ("high_time.(0)", 0x3f7c87aac584fc3aL);
+        ("high_time.(1)", 0x3f33bd0ec207ebd5L);
+        ("high_time.(2)", 0x3f7c87aac584fc3aL);
+        ("high_time.(3)", 0x3f33bd0ec207ebd5L);
+        ("high_time.(4)", 0x3f8386ded707018fL);
+        ("high_time.(5)", 0x3f33bd0ec207ebd5L);
+        ("high_time.(6)", 0x3f7c87aac584fc3aL);
+        ("high_time.(7)", 0x3f33bd0ec207ebd5L);
+        ("high_time.(8)", 0x3f7c87aac584fc3aL);
+        ("offset.(0)", 0x0L);
+        ("offset.(1)", 0x0L);
+        ("offset.(2)", 0x0L);
+        ("offset.(3)", 0x0L);
+        ("offset.(4)", 0x0L);
+        ("offset.(5)", 0x0L);
+        ("offset.(6)", 0x0L);
+        ("offset.(7)", 0x0L);
+        ("offset.(8)", 0x0L);
+        ("screen.scored", 426L);
+        ("screen.survivors", 131L);
+        ("delta.cached", 0L);
+        ("delta.scored", 0L);
+        ("delta.exact", 0L);
+        ("eval.lookups", 78L);
+      ] );
+    ( "demand dense",
+      [
+        ("feasible", 1L);
+        ("peak", 0x404fe3ef9e865334L);
+        ("m", 8L);
+        ("m_max", 349L);
+        ("delivered.(0)", 0x3ff33fb0506d4a83L);
+        ("delivered.(1)", 0x3ff2874d04dffff7L);
+        ("delivered.(2)", 0x3ff33fb0506d4a83L);
+        ("screen.scored", 0L);
+        ("screen.survivors", 0L);
+        ("delta.cached", 0L);
+        ("delta.scored", 0L);
+        ("delta.exact", 0L);
+        ("eval.lookups", 349L);
+      ] );
+    ( "demand sparse screened",
+      [
+        ("feasible", 1L);
+        ("peak", 0x40512c3d250763fcL);
+        ("m", 9L);
+        ("m_max", 189L);
+        ("delivered.(0)", 0x3ff3a52b668f4e0bL);
+        ("delivered.(1)", 0x3ff2d5d8b875bee2L);
+        ("delivered.(2)", 0x3ff3a52b668f4e0bL);
+        ("delivered.(3)", 0x3ff2d5d8b875bee2L);
+        ("delivered.(4)", 0x3ff1f2f97be54d24L);
+        ("delivered.(5)", 0x3ff2d5d8b875bee2L);
+        ("delivered.(6)", 0x3ff3a52b668f4e0bL);
+        ("delivered.(7)", 0x3ff2d5d8b875bee2L);
+        ("delivered.(8)", 0x3ff3a52b668f4e0bL);
+        ("screen.scored", 189L);
+        ("screen.survivors", 79L);
+        ("delta.cached", 0L);
+        ("delta.scored", 0L);
+        ("delta.exact", 0L);
+        ("eval.lookups", 79L);
+      ] );
+    ( "tpt dense margin 0",
+      [
+        ("adjust.steps", 56L);
+        ("adjust.high_time.(0)", 0x3f90b9319627a71cL);
+        ("adjust.high_time.(1)", 0x3f8d1edcc097f96eL);
+        ("adjust.high_time.(2)", 0x3f90b9319627a71cL);
+        ("adjust.offset.(0)", 0x0L);
+        ("adjust.offset.(1)", 0x0L);
+        ("adjust.offset.(2)", 0x0L);
+        ("fill.steps", 154L);
+        ("fill.high_time.(0)", 0x3f90c0617ff0a23cL);
+        ("fill.high_time.(1)", 0x3f8d05e6d65a0994L);
+        ("fill.high_time.(2)", 0x3f90c0617ff0a23cL);
+        ("fill.offset.(0)", 0x0L);
+        ("fill.offset.(1)", 0x0L);
+        ("fill.offset.(2)", 0x0L);
+        ("screen.scored", 0L);
+        ("screen.survivors", 0L);
+        ("delta.cached", 0L);
+        ("delta.scored", 0L);
+        ("delta.exact", 0L);
+        ("eval.lookups", 466L);
+      ] );
+    ( "tpt sparse margin 0",
+      [
+        ("adjust.steps", 40L);
+        ("adjust.high_time.(0)", 0x3f91df673ab4c5ecL);
+        ("adjust.high_time.(1)", 0x3f8f15b15486ac2eL);
+        ("adjust.high_time.(2)", 0x3f91df673ab4c5ecL);
+        ("adjust.high_time.(3)", 0x3f8f15b15486ac2eL);
+        ("adjust.high_time.(4)", 0x3f8951e936ebcfa0L);
+        ("adjust.high_time.(5)", 0x3f8f15b15486ac2eL);
+        ("adjust.high_time.(6)", 0x3f91df673ab4c5ecL);
+        ("adjust.high_time.(7)", 0x3f8f15b15486ac2eL);
+        ("adjust.high_time.(8)", 0x3f91df673ab4c5ecL);
+        ("adjust.offset.(0)", 0x0L);
+        ("adjust.offset.(1)", 0x0L);
+        ("adjust.offset.(2)", 0x0L);
+        ("adjust.offset.(3)", 0x0L);
+        ("adjust.offset.(4)", 0x0L);
+        ("adjust.offset.(5)", 0x0L);
+        ("adjust.offset.(6)", 0x0L);
+        ("adjust.offset.(7)", 0x0L);
+        ("adjust.offset.(8)", 0x0L);
+        ("fill.steps", 120L);
+        ("fill.high_time.(0)", 0x3f9203b50c9d1fd6L);
+        ("fill.high_time.(1)", 0x3f8ef057f752d9fbL);
+        ("fill.high_time.(2)", 0x3f9203b50c9d1fd6L);
+        ("fill.high_time.(3)", 0x3f8ef057f752d9fbL);
+        ("fill.high_time.(4)", 0x3f89ad804bcbfdd3L);
+        ("fill.high_time.(5)", 0x3f8ef057f752d9fbL);
+        ("fill.high_time.(6)", 0x3f9203b50c9d1fd6L);
+        ("fill.high_time.(7)", 0x3f8ef057f752d9fbL);
+        ("fill.high_time.(8)", 0x3f9203b50c9d1fd6L);
+        ("fill.offset.(0)", 0x0L);
+        ("fill.offset.(1)", 0x0L);
+        ("fill.offset.(2)", 0x0L);
+        ("fill.offset.(3)", 0x0L);
+        ("fill.offset.(4)", 0x0L);
+        ("fill.offset.(5)", 0x0L);
+        ("fill.offset.(6)", 0x0L);
+        ("fill.offset.(7)", 0x0L);
+        ("fill.offset.(8)", 0x0L);
+        ("screen.scored", 0L);
+        ("screen.survivors", 0L);
+        ("delta.cached", 0L);
+        ("delta.scored", 0L);
+        ("delta.exact", 0L);
+        ("eval.lookups", 1090L);
+      ] );
+    ( "tpt dense margin 0.02",
+      [
+        ("adjust.steps", 56L);
+        ("adjust.high_time.(0)", 0x3f90b9319627a71cL);
+        ("adjust.high_time.(1)", 0x3f8d1edcc097f96eL);
+        ("adjust.high_time.(2)", 0x3f90b9319627a71cL);
+        ("adjust.offset.(0)", 0x0L);
+        ("adjust.offset.(1)", 0x0L);
+        ("adjust.offset.(2)", 0x0L);
+        ("fill.steps", 154L);
+        ("fill.high_time.(0)", 0x3f90c0617ff0a23cL);
+        ("fill.high_time.(1)", 0x3f8d05e6d65a0994L);
+        ("fill.high_time.(2)", 0x3f90c0617ff0a23cL);
+        ("fill.offset.(0)", 0x0L);
+        ("fill.offset.(1)", 0x0L);
+        ("fill.offset.(2)", 0x0L);
+        ("screen.scored", 0L);
+        ("screen.survivors", 0L);
+        ("delta.cached", 92L);
+        ("delta.scored", 541L);
+        ("delta.exact", 238L);
+        ("eval.lookups", 183L);
+      ] );
+    ( "tpt sparse margin 0.02",
+      [
+        ("adjust.steps", 40L);
+        ("adjust.high_time.(0)", 0x3f91df673ab4c5ecL);
+        ("adjust.high_time.(1)", 0x3f8f15b15486ac2eL);
+        ("adjust.high_time.(2)", 0x3f91df673ab4c5ecL);
+        ("adjust.high_time.(3)", 0x3f8f15b15486ac2eL);
+        ("adjust.high_time.(4)", 0x3f8951e936ebcfa0L);
+        ("adjust.high_time.(5)", 0x3f8f15b15486ac2eL);
+        ("adjust.high_time.(6)", 0x3f91df673ab4c5ecL);
+        ("adjust.high_time.(7)", 0x3f8f15b15486ac2eL);
+        ("adjust.high_time.(8)", 0x3f91df673ab4c5ecL);
+        ("adjust.offset.(0)", 0x0L);
+        ("adjust.offset.(1)", 0x0L);
+        ("adjust.offset.(2)", 0x0L);
+        ("adjust.offset.(3)", 0x0L);
+        ("adjust.offset.(4)", 0x0L);
+        ("adjust.offset.(5)", 0x0L);
+        ("adjust.offset.(6)", 0x0L);
+        ("adjust.offset.(7)", 0x0L);
+        ("adjust.offset.(8)", 0x0L);
+        ("fill.steps", 120L);
+        ("fill.high_time.(0)", 0x3f9203b50c9d1fd6L);
+        ("fill.high_time.(1)", 0x3f8ef057f752d9fbL);
+        ("fill.high_time.(2)", 0x3f9203b50c9d1fd6L);
+        ("fill.high_time.(3)", 0x3f8ef057f752d9fbL);
+        ("fill.high_time.(4)", 0x3f89ad804bcbfdd3L);
+        ("fill.high_time.(5)", 0x3f8ef057f752d9fbL);
+        ("fill.high_time.(6)", 0x3f9203b50c9d1fd6L);
+        ("fill.high_time.(7)", 0x3f8ef057f752d9fbL);
+        ("fill.high_time.(8)", 0x3f9203b50c9d1fd6L);
+        ("fill.offset.(0)", 0x0L);
+        ("fill.offset.(1)", 0x0L);
+        ("fill.offset.(2)", 0x0L);
+        ("fill.offset.(3)", 0x0L);
+        ("fill.offset.(4)", 0x0L);
+        ("fill.offset.(5)", 0x0L);
+        ("fill.offset.(6)", 0x0L);
+        ("fill.offset.(7)", 0x0L);
+        ("fill.offset.(8)", 0x0L);
+        ("screen.scored", 0L);
+        ("screen.survivors", 0L);
+        ("delta.cached", 625L);
+        ("delta.scored", 824L);
+        ("delta.exact", 340L);
+        ("eval.lookups", 301L);
+      ] );
+    ( "tpt dense margin 1",
+      [
+        ("adjust.steps", 56L);
+        ("adjust.high_time.(0)", 0x3f90b9319627a71cL);
+        ("adjust.high_time.(1)", 0x3f8d1edcc097f96eL);
+        ("adjust.high_time.(2)", 0x3f90b9319627a71cL);
+        ("adjust.offset.(0)", 0x0L);
+        ("adjust.offset.(1)", 0x0L);
+        ("adjust.offset.(2)", 0x0L);
+        ("fill.steps", 154L);
+        ("fill.high_time.(0)", 0x3f90c0617ff0a23cL);
+        ("fill.high_time.(1)", 0x3f8d05e6d65a0994L);
+        ("fill.high_time.(2)", 0x3f90c0617ff0a23cL);
+        ("fill.offset.(0)", 0x0L);
+        ("fill.offset.(1)", 0x0L);
+        ("fill.offset.(2)", 0x0L);
+        ("screen.scored", 0L);
+        ("screen.survivors", 0L);
+        ("delta.cached", 0L);
+        ("delta.scored", 633L);
+        ("delta.exact", 229L);
+        ("eval.lookups", 174L);
+      ] );
+    ( "tpt sparse margin 1",
+      [
+        ("adjust.steps", 40L);
+        ("adjust.high_time.(0)", 0x3f91df673ab4c5ecL);
+        ("adjust.high_time.(1)", 0x3f8f15b15486ac2eL);
+        ("adjust.high_time.(2)", 0x3f91df673ab4c5ecL);
+        ("adjust.high_time.(3)", 0x3f8f15b15486ac2eL);
+        ("adjust.high_time.(4)", 0x3f8951e936ebcfa0L);
+        ("adjust.high_time.(5)", 0x3f8f15b15486ac2eL);
+        ("adjust.high_time.(6)", 0x3f91df673ab4c5ecL);
+        ("adjust.high_time.(7)", 0x3f8f15b15486ac2eL);
+        ("adjust.high_time.(8)", 0x3f91df673ab4c5ecL);
+        ("adjust.offset.(0)", 0x0L);
+        ("adjust.offset.(1)", 0x0L);
+        ("adjust.offset.(2)", 0x0L);
+        ("adjust.offset.(3)", 0x0L);
+        ("adjust.offset.(4)", 0x0L);
+        ("adjust.offset.(5)", 0x0L);
+        ("adjust.offset.(6)", 0x0L);
+        ("adjust.offset.(7)", 0x0L);
+        ("adjust.offset.(8)", 0x0L);
+        ("fill.steps", 120L);
+        ("fill.high_time.(0)", 0x3f9203b50c9d1fd6L);
+        ("fill.high_time.(1)", 0x3f8ef057f752d9fbL);
+        ("fill.high_time.(2)", 0x3f9203b50c9d1fd6L);
+        ("fill.high_time.(3)", 0x3f8ef057f752d9fbL);
+        ("fill.high_time.(4)", 0x3f89ad804bcbfdd3L);
+        ("fill.high_time.(5)", 0x3f8ef057f752d9fbL);
+        ("fill.high_time.(6)", 0x3f9203b50c9d1fd6L);
+        ("fill.high_time.(7)", 0x3f8ef057f752d9fbL);
+        ("fill.high_time.(8)", 0x3f9203b50c9d1fd6L);
+        ("fill.offset.(0)", 0x0L);
+        ("fill.offset.(1)", 0x0L);
+        ("fill.offset.(2)", 0x0L);
+        ("fill.offset.(3)", 0x0L);
+        ("fill.offset.(4)", 0x0L);
+        ("fill.offset.(5)", 0x0L);
+        ("fill.offset.(6)", 0x0L);
+        ("fill.offset.(7)", 0x0L);
+        ("fill.offset.(8)", 0x0L);
+        ("screen.scored", 0L);
+        ("screen.survivors", 0L);
+        ("delta.cached", 0L);
+        ("delta.scored", 1449L);
+        ("delta.exact", 189L);
+        ("eval.lookups", 150L);
+      ] );
+  ]
+
+let check_policy golden run () =
+  let got = run () in
+  Alcotest.(check int) "entry count" (List.length golden) (List.length got);
+  List.iter2
+    (fun (label, expected) (label', v) ->
+      Alcotest.(check string) "label" label label';
+      Alcotest.(check int64) label expected (bits v))
+    golden got
 
 let case name ~sparse ~cache_size golden =
   Alcotest.test_case name `Quick (fun () ->
@@ -176,4 +732,10 @@ let () =
             case "cache off" ~sparse:true ~cache_size:0 sparse_golden;
             case "cache on" ~sparse:true ~cache_size:1024 sparse_golden;
           ] );
+        ( "policy",
+          List.map2
+            (fun (name, run) (name', golden) ->
+              assert (name = name');
+              Alcotest.test_case name `Quick (check_policy golden run))
+            policy_cases policy_golden );
       ]
