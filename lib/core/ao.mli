@@ -23,6 +23,28 @@ type result = {
   adjustment_steps : int;  (** TPT exchanges performed. *)
 }
 
+(** The chosen point of an m-sweep. *)
+type sweep = {
+  config : Tpt.config;  (** The chosen m's aligned mini-period config. *)
+  m : int;  (** The chosen oscillation count. *)
+  m_max : int;  (** The overhead bound [M] that capped the sweep. *)
+  peak : float;  (** The chosen config's swept (step-up) peak. *)
+}
+
+(** [m_sweep ev ~base_period ~m_cap ~par speeds] is steps (2)–(3) of the
+    pipeline for per-core target [speeds] on [ev]'s platform: the two
+    neighbouring modes around each speed with the throughput-preserving
+    ratio, the overhead bound [M] (capped at [m_cap]), and the m with
+    the lowest peak among [1 .. M] (ties keep the smallest m).  Every
+    candidate is priced by the fused aligned evaluators through
+    {!Screen.argmin}: ROM-screened on a screening context, fanned
+    across the pool when [par] and the sweep's volume pass
+    {!Screen.fan_out}.  AO runs it on the ideal speeds, {!Demand} on
+    its clamped demands.  Speeds must lie within the platform's
+    levels. *)
+val m_sweep :
+  Eval.t -> base_period:float -> m_cap:int -> par:bool -> float array -> sweep
+
 (** [solve ?base_period ?m_cap ?t_unit ?fill platform] runs AO.
 
     - [base_period] is the m = 1 oscillation period (default 0.1 s —
@@ -41,6 +63,11 @@ type result = {
     - [par] (default [true]) evaluates the m sweep and the TPT candidate
       scans on the shared {!Util.Pool}; reductions stay sequential, so
       the result is identical at any pool size;
+    - [delta_margin] (kelvin, default [0.] — off) opts the TPT
+      adjustment (and the headroom fill) into the prepared-base delta
+      tier, as in {!Tpt.adjust_to_constraint}; the answer stays
+      feasible, though the greedy trajectory may differ from the exact
+      scan's;
     - [eval] memoizes every cheap step-up peak evaluation in the shared
       context's schedule-keyed table ({!Tpt.peak}) — bit-identical
       results, large savings when searches revisit candidates or PCO

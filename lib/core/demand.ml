@@ -17,83 +17,21 @@ let solve ?eval ?(base_period = 0.1) ?(m_cap = 512) ?(par = true) (p : Platform.
   let v_hi = Power.Vf.highest p.levels and v_lo = Power.Vf.lowest p.levels in
   Array.iter
     (fun d ->
-      if d < 0. || d > v_hi +. 1e-12 then
+      if not (0. <= d && d <= v_hi +. 1e-12) then
         invalid_arg "Demand.solve: demand outside [0, v_max]")
     demands;
-  (* Two neighbouring modes per core; demands below the bottom level are
-     served at the bottom level (over-provisioning). *)
-  let v_low = Array.make n 0. and v_high = Array.make n 0. and ratio = Array.make n 0. in
-  for i = 0 to n - 1 do
-    let d = Float.max v_lo demands.(i) in
-    let lo, hi = Power.Vf.neighbours p.levels d in
-    v_low.(i) <- lo;
-    v_high.(i) <- hi;
-    ratio.(i) <- (if hi -. lo < 1e-12 then 1. else (d -. lo) /. (hi -. lo))
-  done;
-  let modes =
-    Array.init n (fun i -> (v_low.(i), v_high.(i), (1. -. ratio.(i)) *. base_period))
+  (* AO's m-sweep with the demands as target speeds; demands below the
+     bottom level are served at the bottom level (over-provisioning). *)
+  let sweep =
+    Ao.m_sweep ev ~base_period ~m_cap ~par (Array.map (Float.max v_lo) demands)
   in
-  let m_max = Stdlib.min m_cap (Sched.Oscillate.max_m ~tau:p.tau ~modes) in
-  let config_for m =
-    let mini = base_period /. float_of_int m in
-    let high_time =
-      Array.init n (fun i ->
-          if v_high.(i) -. v_low.(i) < 1e-12 || ratio.(i) >= 1. -. 1e-12 then mini
-          else if ratio.(i) <= 1e-12 then 0.
-          else begin
-            let d =
-              Sched.Oscillate.delta ~tau:p.tau ~v_low:v_low.(i) ~v_high:v_high.(i)
-            in
-            Float.min mini ((ratio.(i) *. mini) +. d)
-          end)
-    in
-    {
-      Tpt.period = mini;
-      v_low = Array.copy v_low;
-      v_high = Array.copy v_high;
-      high_time;
-      offset = Array.make n 0.;
-    }
-  in
-  (* Each m's stable-status evaluation is independent: fan the sweep
-     across the pool, then reduce in m order exactly as before (ties
-     keep the smallest m).  On a screening context the sweep is
-     two-tier — ROM scores for everyone, exact solves for the
-     near-minimum survivors — and pruned slots come back +inf, which
-     the reduction below never selects. *)
-  let peaks =
-    let eval_m i = Tpt.peak p ~eval:ev (config_for (i + 1)) in
-    let pool = Eval.pool ev in
-    (* Same work-size gate as the AO m-sweep: small batches stay inline
-       on both the screened and the exhaustive branch. *)
-    let work = m_max * n * Thermal.Model.n_nodes p.model in
-    let par = par && work >= 32768 in
-    match Eval.screening ev with
-    | Some margin ->
-        let rom_m i = Tpt.rom_peak p ~eval:ev (config_for (i + 1)) in
-        Screen.select ~pool ~par ~always:[] ~margin ~n:m_max ~rom:rom_m
-          ~exact:eval_m ()
-    | None ->
-        if par then
-          Util.Pool.init ~pool ~chunk:(Util.Pool.chunk_hint ~pool m_max) m_max
-            eval_m
-        else Array.init m_max eval_m
-  in
-  let best_m = ref 1 and best_peak = ref infinity in
-  for m = 1 to m_max do
-    if peaks.(m - 1) < !best_peak -. 1e-12 then begin
-      best_peak := peaks.(m - 1);
-      best_m := m
-    end
-  done;
-  let config = config_for !best_m in
-  let schedule = Tpt.schedule_of_config config in
-  let peak = Tpt.peak p ~dense:true config in
+  let schedule = Tpt.schedule_of_config sweep.Ao.config in
+  let peak = Tpt.peak p ~dense:true sweep.config in
   {
     feasible = peak <= p.t_max +. 1e-9;
     schedule;
-    m = !best_m;
-    m_max;
+    m = sweep.m;
+    m_max = sweep.m_max;
     peak;
     margin = p.t_max -. peak;
     delivered = Sched.Throughput.per_core ~tau:p.tau schedule;

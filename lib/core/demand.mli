@@ -5,13 +5,13 @@
     (refs. [2], [25], [30]) asks the dual question — a task partition
     prescribes the net speed each core must sustain, and the scheduler
     must find a periodic DVFS schedule delivering those speeds without
-    crossing [T_max].  The machinery is the same as AO's: two
-    neighbouring modes per core at the throughput-preserving ratio
-    (Theorems 3/4 make this the coolest equal-work choice), then
-    m-oscillation to push the peak down (Theorem 5), stopping at the
-    transition-overhead bound.  Unlike AO there is no ratio adjustment:
-    the demands are hard, so the only freedom is [m], and the verdict is
-    feasible / infeasible. *)
+    crossing [T_max].  The machinery is AO's m-sweep ({!Ao.m_sweep}) run
+    on the demands: two neighbouring modes per core at the
+    throughput-preserving ratio (Theorems 3/4 make this the coolest
+    equal-work choice), then m-oscillation to push the peak down
+    (Theorem 5), stopping at the transition-overhead bound.  Unlike AO
+    there is no ratio adjustment: the demands are hard, so the only
+    freedom is [m], and the verdict is feasible / infeasible. *)
 
 type result = {
   feasible : bool;  (** Whether the best schedule meets [t_max]. *)
@@ -28,10 +28,12 @@ type result = {
     Demands must lie in [[0, v_max]]; raises [Invalid_argument]
     otherwise (a demand below [v_min] is served at [v_min]-or-oscillated
     speed — over-provisioning is allowed, under-provisioning is not).
-    [par] (default [true]) fans the m sweep across the shared
-    {!Util.Pool}; the reduction is sequential, so the chosen [m] and
-    schedule are identical at any pool size.  [eval] memoizes the
-    sweep's step-up peak evaluations in the shared context. *)
+    NaN demands are rejected too.  [par] (default [true]) fans the m
+    sweep across the shared {!Util.Pool} under {!Ao.m_sweep}'s gate;
+    the reduction is sequential, so the chosen [m] and schedule are
+    identical at any pool size.  [eval] memoizes the sweep's step-up
+    peak evaluations in the shared context, and ROM-screens the sweep
+    on a screening context. *)
 val solve :
   ?eval:Eval.t ->
   ?base_period:float ->

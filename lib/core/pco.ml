@@ -20,49 +20,31 @@ let solve ?eval ?base_period ?m_cap ?t_unit ?(offsets_per_core = 8) ?(rounds = 1
   (* Greedy per-core phase search: core 0 stays put (only relative phase
      matters); each following core tries a grid of shifts and keeps the
      one minimizing the dense-scan peak.  Later rounds revisit every
-     core against the others' chosen offsets.  Each core's grid (plus
-     the incumbent at slot 0) is one independent dense scan per point,
-     evaluated across the pool; the selection fold is sequential in k
-     order, so the greedy trajectory matches the sequential solver's. *)
+     core against the others' chosen offsets.  Each core's grid (the
+     incumbent at slot 0, then the shifts) is one screened argmin sweep;
+     the incumbent's exact peak is what a shift must beat, so it always
+     survives screening. *)
   let period = !config.Tpt.period in
   for _round = 1 to rounds do
   for i = 1 to n - 1 do
     let base = !config in
     let offset_for k = period *. float_of_int k /. float_of_int offsets_per_core in
     let candidate k =
-      let candidate_offsets = Array.copy base.Tpt.offset in
-      candidate_offsets.(i) <- offset_for k;
-      { base with Tpt.offset = candidate_offsets }
-    in
-    let candidate_or_base k = if k = 0 then base else candidate k in
-    let exact k = scan (candidate_or_base k) in
-    let peaks =
-      let pool = Eval.pool ev in
-      match Eval.screening ev with
-      | Some margin ->
-          (* Slot 0 is the incumbent: the selection below reads its
-             exact peak unconditionally, so it must always survive. *)
-          let rom k =
-            Eval.rom_any_peak ev ~samples_per_segment:16
-              (Tpt.schedule_of_config (candidate_or_base k))
-          in
-          Screen.select ~pool ~par ~always:[ 0 ] ~margin ~n:offsets_per_core
-            ~rom ~exact ()
-      | None ->
-          if par then Util.Pool.init ~pool offsets_per_core exact
-          else Array.init offsets_per_core exact
-    in
-    let best_offset = ref base.Tpt.offset.(i) in
-    let best_peak = ref peaks.(0) in
-    for k = 1 to offsets_per_core - 1 do
-      if peaks.(k) < !best_peak -. 1e-12 then begin
-        best_peak := peaks.(k);
-        best_offset := offset_for k
+      if k = 0 then base
+      else begin
+        let offset = Array.copy base.Tpt.offset in
+        offset.(i) <- offset_for k;
+        { base with Tpt.offset }
       end
-    done;
-    let offsets = Array.copy base.Tpt.offset in
-    offsets.(i) <- !best_offset;
-    config := { base with Tpt.offset = offsets }
+    in
+    let best, _ =
+      Screen.argmin ev ~par ~always:[ 0 ] ~n:offsets_per_core
+        ~rom:(fun k ->
+          Eval.rom_any_peak ev ~samples_per_segment:16
+            (Tpt.schedule_of_config (candidate k)))
+        ~exact:(fun k -> scan (candidate k))
+    in
+    config := candidate best
   done
   done;
   (* De-phasing can only have lowered the peak; convert the headroom back

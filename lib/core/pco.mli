@@ -33,7 +33,12 @@ type result = {
     [eval] memoizes the step-up evaluations of the inner AO run and the
     headroom fill; on a context that already ran AO, the whole seed
     search replays from cache (the phase-grid dense scans are not
-    memoized). *)
+    memoized).  Each core's grid is one {!Screen.argmin} sweep with the
+    incumbent at slot 0, ROM-screened on a screening context.
+    [delta_margin] (kelvin, default [0.] — off) opts the inner AO run
+    and the headroom fill into the prepared-base delta tier
+    ({!Tpt.adjust_to_constraint}); the fill only uses it while the
+    phase search left every core aligned. *)
 val solve :
   ?eval:Eval.t ->
   ?base_period:float ->

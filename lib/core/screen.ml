@@ -36,8 +36,13 @@ let reset_stats () =
   Atomic.set scored_count 0;
   Atomic.set survivor_count 0
 
-let select ?pool ?chunk ?(par = false) ?(always = []) ~margin ~n ~rom ~exact ()
-    =
+(* [f] over [0 .. n-1] in index order: across [pool] (default: the
+   shared pool) when [par], inline otherwise. *)
+let init pool ~par n f =
+  if par then Util.Pool.init ?pool ~chunk:(Util.Pool.chunk_hint ?pool n) n f
+  else Array.init n f
+
+let select ?pool ?(par = false) ?(always = []) ~margin ~n ~rom ~exact () =
   if n < 0 then invalid_arg "Screen.select: negative candidate count";
   if not (margin >= 0.) then invalid_arg "Screen.select: negative margin";
   if n = 0 then [||]
@@ -47,12 +52,7 @@ let select ?pool ?chunk ?(par = false) ?(always = []) ~margin ~n ~rom ~exact ()
         if i < 0 || i >= n then
           invalid_arg "Screen.select: always-index out of range")
       always;
-    let chunk =
-      match chunk with Some c -> c | None -> Util.Pool.chunk_hint ?pool n
-    in
-    let scores =
-      if par then Util.Pool.init ?pool ~chunk n rom else Array.init n rom
-    in
+    let scores = init pool ~par n rom in
     Atomic.fetch_and_add scored_count n |> ignore;
     (* NaN scores neither poison the minimum ([Float.min] propagates
        NaN, which would fail every keep test and prune the whole batch)
@@ -75,5 +75,35 @@ let select ?pool ?chunk ?(par = false) ?(always = []) ~margin ~n ~rom ~exact ()
        with it determinism of any downstream sequential reduction — is
        preserved regardless of which indices survived. *)
     let price i = if keep.(i) then exact i else infinity in
-    if par then Util.Pool.init ?pool ~chunk n price else Array.init n price
+    init pool ~par n price
   end
+
+(* Fan a batch out only when it carries real work: a 3-core dense
+   candidate evaluation is under a microsecond, and waking the pool for
+   thousands of them costs more than running them inline.  Callers pass
+   a floating-point-volume proxy: m * cores * nodes for an m-sweep,
+   cores * nodes for a TPT step. *)
+let fan_out ~par ~work = par && work >= 32768
+
+let batch ev ~par n f = init (Some (Eval.pool ev)) ~par n f
+
+let argmin ev ~par ~always ~n ~rom ~exact =
+  let peaks =
+    match Eval.screening ev with
+    | Some margin ->
+        select ~pool:(Eval.pool ev) ~par ~always ~margin ~n ~rom ~exact ()
+    | None -> batch ev ~par n exact
+  in
+  (* Sequential and in index order whatever the fan-out, so the choice is
+     identical at any pool size.  An index displaces the best only by
+     beating it by more than 1e-12, so ties keep the lowest index, and
+     pruned slots (+infinity) and NaN never win. *)
+  let best = ref 0 and best_peak = ref infinity in
+  Array.iteri
+    (fun i peak ->
+      if peak < !best_peak -. 1e-12 then begin
+        best := i;
+        best_peak := peak
+      end)
+    peaks;
+  (!best, !best_peak)

@@ -8,7 +8,7 @@ type config = {
 
 let validate c =
   let n = Array.length c.v_low in
-  if c.period <= 0. then invalid_arg "Tpt: non-positive period";
+  if not (c.period > 0.) then invalid_arg "Tpt: non-positive period";
   if Array.length c.v_high <> n || Array.length c.high_time <> n
      || Array.length c.offset <> n
   then invalid_arg "Tpt: array arity mismatch";
@@ -16,7 +16,8 @@ let validate c =
     (fun i vl ->
       if vl > c.v_high.(i) +. 1e-12 then
         invalid_arg (Printf.sprintf "Tpt: core %d has v_low > v_high" i);
-      if c.high_time.(i) < -1e-12 || c.high_time.(i) > c.period +. 1e-12 then
+      if not (-1e-12 <= c.high_time.(i) && c.high_time.(i) <= c.period +. 1e-12)
+      then
         invalid_arg (Printf.sprintf "Tpt: core %d high_time outside [0, period]" i))
     c.v_low
 
@@ -72,17 +73,6 @@ let hot_metric ev c =
 let peak (p : Platform.t) ?eval ?(dense = false) c =
   exact_peak (Eval.for_platform eval p) ~dense c
 
-(* Reduced-model score for aligned configs, reduced scan for shifted
-   ones. *)
-let rom_peak (p : Platform.t) ?eval c =
-  let ev = Eval.for_platform eval p in
-  if is_aligned c then begin
-    validate c;
-    Eval.rom_two_mode_peak ev ~period:c.period ~low:c.v_low ~high:c.v_high
-      ~high_ratio:(two_mode_ratio c)
-  end
-  else Eval.rom_any_peak ev ~samples_per_segment:16 (schedule_of_config c)
-
 (* A core can give up high time as long as ANY remains — the final
    exchange may be smaller than t_unit (with_high_time clamps at 0), so
    the loop can always drive a violating schedule all the way down to
@@ -124,31 +114,81 @@ let reset_delta_stats () =
   Atomic.set tally_scored 0;
   Atomic.set tally_exact 0
 
-(* Fan the per-core candidate evaluations (each a full stable-status
-   schedule evaluation) across the context's domain pool.  The reduction
-   over the returned array stays sequential and ordered, so the choice —
-   and the whole adjustment trajectory — is identical at any pool size.
-   [par:false] keeps everything on the calling domain, as does a small
-   [work] product (cores * nodes — the same floating-point-volume gate
-   AO's m sweep uses): on a handful of cores a fused candidate
-   evaluation is ~1 us, far below the cost of waking the pool. *)
-let eval_candidates ev ~par ~work n f =
-  if par && work >= 32768 then begin
-    let pool = Eval.pool ev in
-    Util.Pool.init ~pool ~chunk:(Util.Pool.chunk_hint ~pool n) n f
-  end
-  else Array.init n f
+(* The delta tier's stale-score cache: [score.(j)] is core j's last
+   delta-priced candidate score, valid while [have.(j)]. *)
+type stale = { score : float array; have : bool array }
+
+let stale n = { score = Array.make n infinity; have = Array.make n false }
+
+(* Bring the cache up to date for one step: re-price every [eligible]
+   core through [price], except those whose stale score sits more than
+   [margin] above the best stale score — an accepted step moves every
+   candidate's score by about the same amount, so one that far from the
+   best cannot have become competitive.  Ineligible cores drop out. *)
+let refresh s ~margin ~eligible price =
+  let n = Array.length s.score in
+  let best_stale = ref infinity in
+  for j = 0 to n - 1 do
+    if s.have.(j) && eligible j && s.score.(j) < !best_stale then
+      best_stale := s.score.(j)
+  done;
+  let cached = ref 0 and scored = ref 0 in
+  for j = 0 to n - 1 do
+    if eligible j then begin
+      if s.have.(j) && s.score.(j) > !best_stale +. margin then incr cached
+      else begin
+        s.score.(j) <- price j;
+        s.have.(j) <- true;
+        incr scored
+      end
+    end
+    else s.have.(j) <- false
+  done;
+  ignore (Atomic.fetch_and_add tally_cached !cached : int);
+  ignore (Atomic.fetch_and_add tally_scored !scored : int)
+
+(* Prepare [c]'s drive once on this domain: each delta candidate is then
+   a single-core change off it — O(n) dense, O(m * cores) sparse —
+   evaluated sequentially here (the prepared base is domain-local). *)
+let prepare_base ev c =
+  Eval.two_mode_delta_base ev ~period:c.period ~low:c.v_low ~high:c.v_high
+    ~high_ratio:(two_mode_ratio c)
+
+(* Core j's two-mode ratio after moving [dt] of high time, replicating
+   [with_high_time]'s clamp then [two_mode_ratio]'s. *)
+let moved_ratio c j dt =
+  let ht = Float.max 0. (Float.min c.period (c.high_time.(j) +. dt)) in
+  Float.max 0. (Float.min 1. (ht /. c.period))
+
+(* The core with the greatest [index j] among those where it is [Some]:
+   a later core displaces the best only when strictly greater, so ties
+   keep the lower core. *)
+let arg_best n index =
+  let best = ref None in
+  for j = 0 to n - 1 do
+    match index j with
+    | None -> ()
+    | Some x -> (
+        match !best with
+        | Some (_, b) when b >= x -> ()
+        | _ -> best := Some (j, x))
+  done;
+  Option.map fst !best
+
+let t_unit_of ~what c t_unit =
+  let t_unit = match t_unit with Some u -> u | None -> c.period /. 100. in
+  if not (t_unit > 0.) then invalid_arg (what ^ ": non-positive t_unit");
+  t_unit
 
 let adjust_to_constraint (p : Platform.t) ?eval ?t_unit ?(dense = false)
     ?(par = true) ?(delta_margin = 0.) c =
   validate c;
   if not (delta_margin >= 0.) then
     invalid_arg "Tpt.adjust_to_constraint: negative delta_margin";
-  let t_unit = match t_unit with Some u -> u | None -> c.period /. 100. in
-  if t_unit <= 0. then invalid_arg "Tpt.adjust_to_constraint: non-positive t_unit";
+  let t_unit = t_unit_of ~what:"Tpt.adjust_to_constraint" c t_unit in
   let ev = Eval.for_platform eval p in
   let n = Array.length c.v_low in
-  let work = n * Thermal.Model.n_nodes p.model in
+  let par = Screen.fan_out ~par ~work:(n * Thermal.Model.n_nodes p.model) in
   (* Offsets never change below, so the fused-path test is loop-invariant. *)
   let fused = is_aligned c && not dense in
   (* Peak of a config whose end-of-period temps vector is already in
@@ -160,126 +200,71 @@ let adjust_to_constraint (p : Platform.t) ?eval ?t_unit ?(dense = false)
   let peak_of c temps =
     if fused then Linalg.Vec.max temps else exact_peak ev ~dense c
   in
-  let exact_loop () =
-    let rec loop c temps current_peak steps =
-      if current_peak <= p.t_max +. 1e-9 then (c, steps)
-      else begin
-        let hottest = Linalg.Vec.argmax temps in
-        let candidates =
-          eval_candidates ev ~par ~work n (fun j ->
-              if adjustable c j t_unit then
-                Some (hot_metric ev (with_high_time c j (-.t_unit)))
-              else None)
-        in
-        (* TPT index: peak reduction at the hottest core per unit of
-           throughput given up on core j. *)
-        let best = ref None in
-        for j = 0 to n - 1 do
-          match candidates.(j) with
-          | None -> ()
-          | Some candidate_temps ->
-              let dt = temps.(hottest) -. candidate_temps.(hottest) in
-              let tpt = dt /. ((c.v_high.(j) -. c.v_low.(j)) *. t_unit) in
-              (match !best with
-              | Some (_, best_tpt) when best_tpt >= tpt -> ()
-              | _ -> best := Some (j, tpt))
-        done;
-        match !best with
-        | None -> (c, steps) (* nothing left to trade; caller checks peak *)
-        | Some (j, _) ->
-            (* The winning candidate's scan evaluation already computed
-               its end-of-period temps: reuse them for the next
-               iteration instead of re-evaluating the accepted config. *)
-            let temps' =
-              match candidates.(j) with Some t -> t | None -> assert false
-            in
-            let c' = with_high_time c j (-.t_unit) in
-            loop c' temps' (peak_of c' temps') (steps + 1)
-      end
-    in
-    let temps = hot_metric ev c in
-    loop c temps (peak_of c temps) 0
-  in
-  let delta_loop () =
-    let score = Array.make n infinity in
-    let have = Array.make n false in
-    let last_hottest = ref (-1) in
-    (* A candidate's two-mode ratio after giving up one [t_unit],
-       replicating [with_high_time]'s clamp then [two_mode_ratio]'s. *)
-    let cand_ratio c j =
-      let ht = Float.max 0. (Float.min c.period (c.high_time.(j) -. t_unit)) in
-      Float.max 0. (Float.min 1. (ht /. c.period))
-    in
-    let rec loop c temps current_peak steps =
-      if current_peak <= p.t_max +. 1e-9 then (c, steps)
-      else begin
-        let hottest = Linalg.Vec.argmax temps in
+  let eligible c j = adjustable c j t_unit in
+  let lowered c j = with_high_time c j (-.t_unit) in
+  (* Each step prices the eligible candidates at the hottest core one of
+     two ways — the delta tier (aligned fused candidates only) or the
+     exact scan — and returns [score j] (candidate j's end-of-period
+     temperature there) and [accept j c'] (the exact end temps of the
+     winner [c']). *)
+  let price =
+    if delta_margin > 0. && fused then begin
+      let cache = stale n and last_hottest = ref (-1) in
+      fun c hottest ->
         if hottest <> !last_hottest then begin
           (* Stale scores are temperatures at the previous hottest core —
              not comparable; drop the cache and re-score everything. *)
-          Array.fill have 0 n false;
+          Array.fill cache.have 0 n false;
           last_hottest := hottest
         end;
-        (* Prepare the accepted config's drive once; each candidate is
-           then a single-core delta off it — O(n) dense, O(m * cores)
-           sparse — evaluated sequentially on this domain (the prepared
-           base lives in domain-local scratch). *)
-        Eval.two_mode_delta_base ev ~period:c.period ~low:c.v_low
-          ~high:c.v_high ~high_ratio:(two_mode_ratio c);
-        let best_stale = ref infinity in
-        for j = 0 to n - 1 do
-          if have.(j) && adjustable c j t_unit && score.(j) < !best_stale then
-            best_stale := score.(j)
-        done;
-        let cached = ref 0 and scored = ref 0 in
-        for j = 0 to n - 1 do
-          if adjustable c j t_unit then begin
-            if have.(j) && score.(j) > !best_stale +. delta_margin then
-              (* An accepted step moved every candidate's score by about
-                 the same amount, so a stale score this far from the
-                 best cannot have become competitive: keep it. *)
-              incr cached
-            else begin
-              score.(j) <-
-                Eval.two_mode_delta_temp_at ev ~at:hottest ~core:j
-                  ~low:c.v_low.(j) ~high:c.v_high.(j)
-                  ~high_ratio:(cand_ratio c j);
-              have.(j) <- true;
-              incr scored
-            end
-          end
-          else have.(j) <- false
-        done;
-        ignore (Atomic.fetch_and_add tally_cached !cached : int);
-        ignore (Atomic.fetch_and_add tally_scored !scored : int);
-        let best = ref None in
-        for j = 0 to n - 1 do
-          if adjustable c j t_unit then begin
-            let dt = temps.(hottest) -. score.(j) in
-            let tpt = dt /. ((c.v_high.(j) -. c.v_low.(j)) *. t_unit) in
-            match !best with
-            | Some (_, best_tpt) when best_tpt >= tpt -> ()
-            | _ -> best := Some (j, tpt)
-          end
-        done;
-        match !best with
-        | None -> (c, steps)
-        | Some (j, _) ->
-            (* Exact verification of the winner before acting on it:
-               delta scores never feed the termination test or the next
-               iteration's hottest-core read. *)
-            let c' = with_high_time c j (-.t_unit) in
-            let temps' = hot_metric ev c' in
-            ignore (Atomic.fetch_and_add tally_exact 1 : int);
-            have.(j) <- false;
-            loop c' temps' (Linalg.Vec.max temps') (steps + 1)
-      end
-    in
-    let temps = hot_metric ev c in
-    loop c temps (Linalg.Vec.max temps) 0
+        prepare_base ev c;
+        refresh cache ~margin:delta_margin ~eligible:(eligible c) (fun j ->
+            Eval.two_mode_delta_temp_at ev ~at:hottest ~core:j
+              ~low:c.v_low.(j) ~high:c.v_high.(j)
+              ~high_ratio:(moved_ratio c j (-.t_unit)));
+        let accept j c' =
+          (* Exact verification of the winner before acting on it:
+             delta scores never feed the termination test or the next
+             iteration's hottest-core read. *)
+          ignore (Atomic.fetch_and_add tally_exact 1 : int);
+          cache.have.(j) <- false;
+          hot_metric ev c'
+        in
+        ((fun j -> cache.score.(j)), accept)
+    end
+    else fun c hottest ->
+      (* Every score is exact, and the winner's scan evaluation already
+         holds its end temps for the next iteration. *)
+      let temps =
+        Screen.batch ev ~par n (fun j ->
+            if eligible c j then hot_metric ev (lowered c j) else [||])
+      in
+      ((fun j -> temps.(j).(hottest)), fun j _ -> temps.(j))
   in
-  (* The delta tier only prices aligned fused candidates. *)
-  if delta_margin > 0. && fused then delta_loop () else exact_loop ()
+  let rec loop c temps current_peak steps =
+    if current_peak <= p.t_max +. 1e-9 then (c, steps)
+    else begin
+      let hottest = Linalg.Vec.argmax temps in
+      let score, accept = price c hottest in
+      (* TPT index: peak reduction at the hottest core per unit of
+         throughput given up on core j. *)
+      let tpt j =
+        if eligible c j then
+          Some
+            ((temps.(hottest) -. score j)
+            /. ((c.v_high.(j) -. c.v_low.(j)) *. t_unit))
+        else None
+      in
+      match arg_best n tpt with
+      | None -> (c, steps) (* nothing left to trade; caller checks peak *)
+      | Some j ->
+          let c' = lowered c j in
+          let temps' = accept j c' in
+          loop c' temps' (peak_of c' temps') (steps + 1)
+    end
+  in
+  let temps = hot_metric ev c in
+  loop c temps (peak_of c temps) 0
 
 let scale_high_times c s =
   { c with high_time = Array.map (fun h -> h *. s) c.high_time }
@@ -310,126 +295,78 @@ let fill_headroom (p : Platform.t) ?eval ?t_unit ?(par = true)
   validate c;
   if not (delta_margin >= 0.) then
     invalid_arg "Tpt.fill_headroom: negative delta_margin";
-  let t_unit = match t_unit with Some u -> u | None -> c.period /. 100. in
-  if t_unit <= 0. then invalid_arg "Tpt.fill_headroom: non-positive t_unit";
+  let t_unit = t_unit_of ~what:"Tpt.fill_headroom" c t_unit in
   let ev = Eval.for_platform eval p in
   let n = Array.length c.v_low in
-  let work = n * Thermal.Model.n_nodes p.model in
-  (* [base_peak] is the peak of [c], threaded through the loop: it is
-     loop-invariant across the candidate scan (each candidate evaluation
-     is a full schedule evaluation, so recomputing it per core was pure
-     waste) and the chosen candidate's peak seeds the next iteration. *)
-  let exact_loop () =
-    let rec loop c base_peak steps =
-      if base_peak > p.t_max -. 1e-9 then (c, steps)
-      else begin
-        let candidate_peaks =
-          eval_candidates ev ~par ~work n (fun j ->
-              if raisable c j t_unit then
-                Some (exact_peak ev ~dense:false (with_high_time c j t_unit))
-              else None)
-        in
-        (* Among raisable cores, pick the largest throughput gain per
-           degree of headroom consumed, among those that stay feasible. *)
-        let best = ref None in
-        for j = 0 to n - 1 do
-          match candidate_peaks.(j) with
-          | Some candidate_peak when candidate_peak <= p.t_max +. 1e-9 ->
-              let gain = (c.v_high.(j) -. c.v_low.(j)) *. t_unit in
-              let cost = Float.max 1e-12 (candidate_peak -. base_peak) in
-              let index = gain /. cost in
-              (match !best with
-              | Some (_, _, best_index) when best_index >= index -> ()
-              | _ -> best := Some (j, candidate_peak, index))
-          | _ -> ()
-        done;
-        match !best with
-        | None -> (c, steps)
-        | Some (j, candidate_peak, _) ->
-            loop (with_high_time c j t_unit) candidate_peak (steps + 1)
-      end
-    in
-    loop c (exact_peak ev ~dense:false c) 0
-  in
-  let delta_loop () =
-    let score = Array.make n infinity in
-    let have = Array.make n false in
-    let exact_backed = Array.make n false in
-    (* A candidate's two-mode ratio after gaining one [t_unit],
-       replicating [with_high_time]'s clamp then [two_mode_ratio]'s. *)
-    let cand_ratio c j =
-      let ht = Float.max 0. (Float.min c.period (c.high_time.(j) +. t_unit)) in
-      Float.max 0. (Float.min 1. (ht /. c.period))
-    in
-    let rec loop c base_peak steps =
-      if base_peak > p.t_max -. 1e-9 then (c, steps)
-      else begin
-        Eval.two_mode_delta_base ev ~period:c.period ~low:c.v_low
-          ~high:c.v_high ~high_ratio:(two_mode_ratio c);
-        let best_stale = ref infinity in
-        for j = 0 to n - 1 do
-          if have.(j) && raisable c j t_unit && score.(j) < !best_stale then
-            best_stale := score.(j)
-        done;
-        let cached = ref 0 and scored = ref 0 in
-        for j = 0 to n - 1 do
-          if raisable c j t_unit then begin
-            if have.(j) && score.(j) > !best_stale +. delta_margin then
-              incr cached
-            else begin
-              score.(j) <-
-                Eval.two_mode_delta_peak ev ~core:j ~low:c.v_low.(j)
-                  ~high:c.v_high.(j) ~high_ratio:(cand_ratio c j);
-              have.(j) <- true;
-              incr scored
-            end
+  let par = Screen.fan_out ~par ~work:(n * Thermal.Model.n_nodes p.model) in
+  let eligible c j = raisable c j t_unit in
+  let raised c j = with_high_time c j t_unit in
+  (* Each step prices the eligible candidates' peaks one of two ways and
+     returns [score j] and [confirm j]: whether [score j] is exact, in
+     which case candidate j is taken.  Otherwise [confirm] re-prices it
+     exactly and the arg-best is picked again. *)
+  let price =
+    if delta_margin > 0. && is_aligned c then begin
+      let cache = stale n and exact = Array.make n false in
+      fun c ->
+        prepare_base ev c;
+        refresh cache ~margin:delta_margin ~eligible:(eligible c) (fun j ->
+            Eval.two_mode_delta_peak ev ~core:j ~low:c.v_low.(j)
+              ~high:c.v_high.(j) ~high_ratio:(moved_ratio c j t_unit));
+        Array.fill exact 0 n false;
+        (* A delta (or stale) score may flatter a candidate near the
+           feasibility boundary, so the winner's feasibility and headroom
+           cost are always re-read from a full exact evaluation.  Each
+           re-pick verifies one new candidate, so a step confirms within
+           n picks. *)
+        let confirm j =
+          if exact.(j) then begin
+            cache.have.(j) <- false;
+            true
           end
-          else have.(j) <- false
-        done;
-        ignore (Atomic.fetch_and_add tally_cached !cached : int);
-        ignore (Atomic.fetch_and_add tally_scored !scored : int);
-        Array.fill exact_backed 0 n false;
-        (* Re-pick until the arg-best candidate is exact-backed: a delta
-           (or stale) score may flatter a candidate near the feasibility
-           boundary, so the winner's feasibility and headroom cost are
-           always re-read from a full exact evaluation before being
-           accepted.  Each pass verifies at most one new candidate, so
-           the inner loop runs at most n times. *)
-        let rec pick () =
-          let best = ref None in
-          for j = 0 to n - 1 do
-            if raisable c j t_unit && have.(j) && score.(j) <= p.t_max +. 1e-9
-            then begin
-              let gain = (c.v_high.(j) -. c.v_low.(j)) *. t_unit in
-              let cost = Float.max 1e-12 (score.(j) -. base_peak) in
-              let index = gain /. cost in
-              match !best with
-              | Some (_, best_index) when best_index >= index -> ()
-              | _ -> best := Some (j, index)
-            end
-          done;
-          match !best with
-          | None -> None
-          | Some (j, _) when exact_backed.(j) -> Some j
-          | Some (j, _) ->
-              score.(j) <- exact_peak ev ~dense:false (with_high_time c j t_unit);
-              exact_backed.(j) <- true;
-              ignore (Atomic.fetch_and_add tally_exact 1 : int);
-              pick ()
+          else begin
+            cache.score.(j) <- exact_peak ev ~dense:false (raised c j);
+            exact.(j) <- true;
+            ignore (Atomic.fetch_and_add tally_exact 1 : int);
+            false
+          end
         in
-        match pick () with
-        | None -> (c, steps)
-        | Some j ->
-            (* [score.(j)] is exact-backed here: it seeds the next
-               iteration's base peak exactly as the exact loop's does. *)
-            let candidate_peak = score.(j) in
-            have.(j) <- false;
-            loop (with_high_time c j t_unit) candidate_peak (steps + 1)
-      end
-    in
-    loop c (exact_peak ev ~dense:false c) 0
+        ((fun j -> cache.score.(j)), confirm)
+    end
+    else fun c ->
+      let peaks =
+        Screen.batch ev ~par n (fun j ->
+            if eligible c j then exact_peak ev ~dense:false (raised c j)
+            else nan)
+      in
+      ((fun j -> peaks.(j)), fun _ -> true)
   in
-  if delta_margin > 0. && is_aligned c then delta_loop () else exact_loop ()
+  (* [base_peak] is the peak of [c], threaded through the loop: the
+     taken candidate's exact peak seeds the next step. *)
+  let rec loop c base_peak steps =
+    if base_peak > p.t_max -. 1e-9 then (c, steps)
+    else begin
+      let score, confirm = price c in
+      (* Among raisable cores, pick the largest throughput gain per
+         degree of headroom consumed, among those that stay feasible. *)
+      let index j =
+        if eligible c j && score j <= p.t_max +. 1e-9 then
+          Some
+            ((c.v_high.(j) -. c.v_low.(j)) *. t_unit
+            /. Float.max 1e-12 (score j -. base_peak))
+        else None
+      in
+      let rec pick () =
+        match arg_best n index with
+        | Some j when not (confirm j) -> pick ()
+        | best -> best
+      in
+      match pick () with
+      | None -> (c, steps)
+      | Some j -> loop (raised c j) (score j) (steps + 1)
+    end
+  in
+  loop c (exact_peak ev ~dense:false c) 0
 
 let throughput (p : Platform.t) c =
   Sched.Throughput.with_overhead ~tau:p.tau (schedule_of_config c)

@@ -9,7 +9,15 @@
     best temperature-reduction-per-throughput-loss index
     [TPT_j = dT_hottest / ((v_H_j - v_L_j) t_unit)], until the peak
     temperature meets the constraint.  {!fill_headroom} runs the same
-    exchange in reverse while the constraint has slack. *)
+    exchange in reverse while the constraint has slack.
+
+    Each of the two is one greedy loop — one stop test, one index, one
+    arg-best pick — with two ways to price a step's candidates: the
+    exact scan (every eligible core priced freshly by the exact
+    evaluator, in parallel past {!Screen.fan_out}'s gate, so the winner
+    needs no re-check) and the opt-in delta tier ([delta_margin > 0] on
+    an aligned config: stale-score cache, prepared base, exact
+    re-verification of the winner). *)
 
 type config = {
   period : float;  (** The (mini-)period, seconds. *)
@@ -19,9 +27,9 @@ type config = {
   offset : float array;  (** Phase shift per core, seconds (0 = step-up). *)
 }
 
-(** [validate c] raises [Invalid_argument] on non-positive period,
-    mismatched arities, [v_low > v_high], or [high_time] outside
-    [0, period]. *)
+(** [validate c] raises [Invalid_argument] on a non-positive or NaN
+    period, mismatched arities, [v_low > v_high], or a [high_time]
+    outside [0, period] (NaN included). *)
 val validate : config -> unit
 
 (** [schedule_of_config c] materializes the schedule: each core runs low
@@ -41,25 +49,18 @@ val schedule_of_config : config -> Sched.Schedule.t
     foreign one resolves to a memo-less dense context. *)
 val peak : Platform.t -> ?eval:Eval.t -> ?dense:bool -> config -> float
 
-(** [rom_peak p ?eval c] is the screening-tier score of a config: the
-    reduced-model score of the fused candidate
-    ({!Eval.rom_two_mode_peak}) for aligned configs, the reduced-model
-    scan ({!Eval.rom_any_peak}) for shifted ones — the exact evaluation
-    on a dense context.  Approximate: sweeps use it only to pick
-    survivors for exact re-verification ({!Screen.select}). *)
-val rom_peak : Platform.t -> ?eval:Eval.t -> config -> float
-
 (** [adjust_to_constraint platform ?t_unit c] is the Algorithm 2 loop:
     returns the adjusted config and the number of [t_unit] exchanges.
-    [t_unit] defaults to [c.period / 100].  Gives up (returning the
+    [t_unit] defaults to [c.period / 100] and must be positive (NaN is
+    rejected with [Invalid_argument]).  Gives up (returning the
     all-low config) if every core reaches zero high time while still
     violating — callers should have checked {!Platform.feasible}.
     [par] (default [true]) fans each step's per-core candidate
     evaluations across the context's {!Util.Pool} when the batch
-    carries enough floating-point volume (cores * nodes, the same gate
-    AO's m sweep uses); the selection reduction stays sequential, so
-    the result is identical at any pool size.  [eval] memoizes the
-    step-up peak evaluations as in {!peak}.
+    carries enough floating-point volume ({!Screen.fan_out} on cores *
+    nodes, the gate AO's m sweep uses); the selection reduction stays
+    sequential, so the result is identical at any pool size.  [eval]
+    memoizes the step-up peak evaluations as in {!peak}.
 
     [delta_margin] (kelvin, default [0.] — off) opts the per-core scan
     into the prepared-base delta tier (DESIGN.md §14) when [c] is

@@ -206,10 +206,9 @@ let two_mode_decompose s ~period ~low ~high ~high_ratio =
   let npts = ref 2 in
   for i = 0 to n - 1 do
     let r = high_ratio.(i) in
-    if r < -1e-12 || r > 1. +. 1e-12 then
+    if not (-1e-12 <= r && r <= 1. +. 1e-12) then
       invalid_arg
-        (Printf.sprintf
-           "Schedule.two_mode: ratio %.6g for core %d not in [0,1]" r i);
+        (Printf.sprintf "Schedule.two_mode: ratio %.6g for core %d not in [0,1]" r i);
     let lh = Float.max 0. (Float.min period (r *. period)) in
     let ll = period -. lh in
     if lh <= 1e-12 then begin

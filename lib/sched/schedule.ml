@@ -36,8 +36,8 @@ let two_mode ~period ~low ~high ~high_ratio =
     invalid_arg "Schedule.two_mode: array length mismatch";
   let core i =
     let r = high_ratio.(i) in
-    if r < -1e-12 || r > 1. +. 1e-12 then
-      invalid_arg (Printf.sprintf "Schedule.two_mode: ratio %g for core %d not in [0,1]" r i);
+    if not (-1e-12 <= r && r <= 1. +. 1e-12) then
+      invalid_arg (Printf.sprintf "Schedule.two_mode: ratio %.6g for core %d not in [0,1]" r i);
     let lh = Float.max 0. (Float.min period (r *. period)) in
     let ll = period -. lh in
     if lh <= 1e-12 then [ { duration = period; voltage = low.(i) } ]

@@ -274,9 +274,20 @@ let test_tpt_fill_headroom_stops_at_constraint () =
   Alcotest.(check bool) "high time grew" true (total_after > total_before)
 
 let test_tpt_validation () =
-  let bad = { (config_for_tests ()) with Core.Tpt.high_time = [| 0.02; 0.; 0. |] } in
+  let c = config_for_tests () and p = platform3 () in
+  let rejects f = match f () with exception Invalid_argument _ -> true | _ -> false in
+  let bad = { c with Core.Tpt.high_time = [| 0.02; 0.; 0. |] } in
   Alcotest.(check bool) "high_time > period rejected" true
-    (match Core.Tpt.validate bad with exception Invalid_argument _ -> true | _ -> false)
+    (rejects (fun () -> Core.Tpt.validate bad));
+  Alcotest.(check bool) "NaN period rejected" true
+    (rejects (fun () -> Core.Tpt.validate { c with Core.Tpt.period = nan }));
+  Alcotest.(check bool) "NaN high_time rejected" true
+    (rejects (fun () ->
+         Core.Tpt.validate { c with Core.Tpt.high_time = [| 0.009; nan; 0.009 |] }));
+  Alcotest.(check bool) "adjust rejects NaN t_unit" true
+    (rejects (fun () -> Core.Tpt.adjust_to_constraint p ~t_unit:nan c));
+  Alcotest.(check bool) "fill rejects NaN t_unit" true
+    (rejects (fun () -> Core.Tpt.fill_headroom p ~t_unit:nan c))
 
 (* ------------------------------------------------------------------- ao *)
 

@@ -30,7 +30,23 @@ let test_make_validates () =
   Alcotest.(check bool) "empty core rejected" true
     (match S.make ~period:1. [| [] |] with
     | exception Invalid_argument _ -> true
-    | _ -> false)
+    | _ -> false);
+  (* A NaN duty ratio fails the range check in the constructor and in
+     its fused mirror, with the same message. *)
+  let low = [| 0.6; 0.6; 0.6 |] and high = [| 1.0; 1.0; 1.0 |] in
+  let high_ratio = [| 0.5; nan; 0.25 |] in
+  let message f =
+    match f () with
+    | exception Invalid_argument msg -> msg
+    | _ -> Alcotest.fail "NaN ratio accepted"
+  in
+  let expected = "Schedule.two_mode: ratio nan for core 1 not in [0,1]" in
+  Alcotest.(check string) "two_mode rejects NaN ratio" expected
+    (message (fun () -> S.two_mode ~period:1. ~low ~high ~high_ratio));
+  Alcotest.(check string) "fused two_mode, same message" expected
+    (message (fun () ->
+         Peak.of_two_mode (Thermal.Backend.of_model (model3 ())) pm ~period:1. ~low
+           ~high ~high_ratio))
 
 let test_uniform () =
   let s = S.uniform ~period:2. [| 1.0; 0.6 |] in

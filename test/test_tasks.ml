@@ -108,6 +108,10 @@ let test_demand_validation () =
   Alcotest.(check bool) "range checked" true
     (match Core.Demand.solve p ~demands:[| 1.4; 1.; 1. |] with
     | exception Invalid_argument _ -> true
+    | _ -> false);
+  Alcotest.(check bool) "NaN rejected" true
+    (match Core.Demand.solve p ~demands:[| 0.8; nan; 0.9 |] with
+    | exception Invalid_argument _ -> true
     | _ -> false)
 
 let test_demand_schedule_verified () =
