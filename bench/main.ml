@@ -240,8 +240,9 @@ let tests () =
        Thermal.Sparse_model.of_spec
          (Thermal.Grid_model.sheet_spec ~rows:8 ~cols:8 ())
      in
-     let b64 = Thermal.Backend.of_response (Thermal.Sparse_response.make eng64) in
-     let rom64 = Thermal.Reduced.of_engine eng64 in
+     let resp64 = Thermal.Sparse_response.build eng64 in
+     let b64 = Thermal.Backend.of_response resp64 in
+     let rom64 = Thermal.Reduced.of_response resp64 in
      let low = Array.make 64 0.8 and high = Array.make 64 1.3 in
      let high_ratio =
        Array.init 64 (fun i -> 0.2 +. (0.6 *. float_of_int (i mod 8) /. 7.))
@@ -268,7 +269,7 @@ let tests () =
        Thermal.Sparse_model.of_spec
          (Thermal.Grid_model.sheet_spec ~rows:8 ~cols:8 ())
      in
-     let rom64 = Thermal.Reduced.of_engine eng64 in
+     let rom64 = Thermal.Reduced.of_response (Thermal.Sparse_response.build eng64) in
      let low = Array.make 64 0.8 and high = Array.make 64 1.3 in
      let high_ratio =
        Array.init 64 (fun i -> 0.2 +. (0.6 *. float_of_int (i mod 8) /. 7.))
@@ -308,8 +309,9 @@ let tests () =
        Thermal.Sparse_model.of_spec
          (Thermal.Grid_model.sheet_spec ~rows:16 ~cols:16 ())
      in
-     let b256 = Thermal.Backend.of_response (Thermal.Sparse_response.make eng256) in
-     let rom256 = Thermal.Reduced.of_engine eng256 in
+     let resp256 = Thermal.Sparse_response.build eng256 in
+     let b256 = Thermal.Backend.of_response resp256 in
+     let rom256 = Thermal.Reduced.of_response resp256 in
      let low = Array.make 256 0.8 and high = Array.make 256 1.3 in
      let high_ratio =
        Array.init 256 (fun i -> 0.2 +. (0.6 *. float_of_int (i mod 16) /. 15.))
@@ -329,8 +331,7 @@ let tests () =
                  ()))));
     (* One-time response-engine assembly at 256 cells: the n_cores + 1
        pool-parallel unit CG solves a platform pays before its first
-       candidate — [build], not the memoized [make], so every run pays
-       the real assembly. *)
+       candidate. *)
     (let eng256 =
        Thermal.Sparse_model.of_spec
          (Thermal.Grid_model.sheet_spec ~rows:16 ~cols:16 ())
@@ -348,7 +349,7 @@ let tests () =
        Thermal.Sparse_model.of_spec
          (Thermal.Grid_model.sheet_spec ~rows:8 ~cols:8 ())
      in
-     let b64 = Thermal.Backend.of_response (Thermal.Sparse_response.make eng64) in
+     let b64 = Thermal.Backend.of_response (Thermal.Sparse_response.build eng64) in
      let low = Array.make 64 0.8 and high = Array.make 64 1.3 in
      let high_ratio =
        Array.init 64 (fun i -> 0.2 +. (0.6 *. float_of_int (i mod 8) /. 7.))
@@ -384,7 +385,7 @@ let tests () =
        Thermal.Sparse_model.of_spec
          (Thermal.Grid_model.sheet_spec ~rows:8 ~cols:8 ())
      in
-     let b64 = Thermal.Backend.of_response (Thermal.Sparse_response.make eng64) in
+     let b64 = Thermal.Backend.of_response (Thermal.Sparse_response.build eng64) in
      let low = Array.make 64 0.8 and high = Array.make 64 1.3 in
      let high_ratio =
        Array.init 64 (fun i -> 0.2 +. (0.6 *. float_of_int (i mod 8) /. 7.))
@@ -400,7 +401,7 @@ let tests () =
        Thermal.Sparse_model.of_spec
          (Thermal.Grid_model.sheet_spec ~rows:8 ~cols:8 ())
      in
-     let b64 = Thermal.Backend.of_response (Thermal.Sparse_response.make eng64) in
+     let b64 = Thermal.Backend.of_response (Thermal.Sparse_response.build eng64) in
      let low = Array.make 64 0.8 and high = Array.make 64 1.3 in
      let high_ratio =
        Array.init 64 (fun i -> 0.2 +. (0.6 *. float_of_int (i mod 8) /. 7.))

@@ -101,10 +101,11 @@ let solve ?eval ?(base_period = 0.1) ?(m_cap = 512) ?t_unit ?(fill = false)
      adjusting against the dense peak (a no-op when already feasible). *)
   (* The safety pass stays exact: [dense:true] disables the delta tier
      anyway (its evaluators only price the aligned fused path).  The
-     re-check itself deliberately passes no context: it always runs the
-     dense modal scan, even when the search ran on a sparse one. *)
+     re-check itself always runs the dense modal scan, on the context's
+     dense engine ([Eval.dense]), even when the search ran on a sparse
+     context. *)
   let config, safety_steps =
-    if Tpt.peak p ~dense:true config > p.t_max +. 1e-9 then
+    if Tpt.peak p ~eval:(Eval.dense ev) ~dense:true config > p.t_max +. 1e-9 then
       Tpt.adjust_to_constraint p ~eval:ev ?t_unit ~dense:true ~par config
     else (config, 0)
   in

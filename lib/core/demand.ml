@@ -26,7 +26,7 @@ let solve ?eval ?(base_period = 0.1) ?(m_cap = 512) ?(par = true) (p : Platform.
     Ao.m_sweep ev ~base_period ~m_cap ~par (Array.map (Float.max v_lo) demands)
   in
   let schedule = Tpt.schedule_of_config sweep.Ao.config in
-  let peak = Tpt.peak p ~dense:true sweep.config in
+  let peak = Tpt.peak p ~eval:(Eval.dense ev) ~dense:true sweep.config in
   {
     feasible = peak <= p.t_max +. 1e-9;
     schedule;

@@ -2,38 +2,34 @@
 
 type backend_kind = Dense | Sparse
 
-(* The sparse side's screening tier.  The deferred engines are
-   [Util.Once] cells, not [Lazy]: evaluation contexts are shared across
-   pool workers, and with ?par policies a worker can be the first caller
-   to need an engine.  [Lazy.force] racing across domains raises
-   [Lazy.RacyLazy] — the crash class fosc-race's R8 flags — while
-   [Once.get] single-flights the build under a mutex and is one atomic
-   read thereafter. *)
-type sparse = {
-  response : Thermal.Sparse_response.t Util.Once.t;
-      (* Superposition tables over the Krylov engine of the model's spec
-         ([Thermal.Sparse_response.make] memoizes per engine) — what the
-         backend wraps. *)
-  rom : Thermal.Reduced.t Util.Once.t;
-      (* The Lanczos-reduced screening model over the same engine. *)
-}
-
+(* The deferred engines are [Util.Once] cells, not [Lazy]: evaluation
+   contexts are shared across pool workers, and with ?par policies a
+   worker can be the first caller to need an engine.  [Lazy.force]
+   racing across domains raises [Lazy.RacyLazy] — the crash class
+   fosc-race's R8 flags — while [Once.get] single-flights the build
+   under a mutex and is one atomic read thereafter.  Every engine below
+   belongs to its context and dies with it. *)
 type t = {
   platform : Platform.t;
   pool : Util.Pool.t;
   steady_cache : Sched.Peak.Cache.t;
   stepup_cache : Sched.Peak.Cache.t;
-  kind : backend_kind;
   screen_margin : float;
       (* ROM-screening margin in kelvin; 0 disables screening.  Only a
          [Sparse] context ever screens. *)
-  backend : Thermal.Backend.t Util.Once.t;
-      (* Every evaluator's engine.  [Dense] wraps the platform's modal
-         engine ([Thermal.Modal.make] memoizes per model, so it is the
-         engine any eval-less caller wrapping the model resolves);
-         [Sparse] wraps the response engine and never forces the modal
-         one, so sparse solves skip the O(n³) eigensolve entirely. *)
+  modal : Thermal.Modal.t Util.Once.t;
+      (* The platform's dense engine.  A [Dense] context's backend wraps
+         it; a [Sparse] one builds it only for its [dense] twin. *)
+  backend : Thermal.Backend.t Util.Once.t;  (* every evaluator's engine *)
   sparse : sparse option;  (* [Some] exactly on a [Sparse] context. *)
+}
+
+and sparse = {
+  response : Thermal.Sparse_response.t Util.Once.t;
+      (* Superposition tables over the context's Krylov engine — what
+         the backend wraps and what the reduction's static tier reads. *)
+  rom : Thermal.Reduced.t Util.Once.t;  (* the Lanczos-reduced screening model *)
+  dense : t;  (* memo-less [Dense] twin on the same platform, pool and [modal] *)
 }
 
 type stats = {
@@ -47,39 +43,37 @@ let create ?pool ?(cache_size = 1024) ?(backend = Dense) ?(screen_margin = 0.)
     invalid_arg "Eval.create: negative screen_margin";
   let pool = match pool with Some p -> p | None -> Util.Pool.get () in
   let model = platform.Platform.model in
-  let sparse =
-    match backend with
-    | Dense -> None
-    | Sparse ->
-        (* One Krylov engine, assembled on the context's pool, under both
-           the response tables and the reduction. *)
-        let engine =
-          Util.Once.make (fun () -> Thermal.Sparse_model.of_model ~pool model)
-        in
-        Some
-          {
-            response =
-              Util.Once.make (fun () ->
-                  Thermal.Sparse_response.make (Util.Once.get engine));
-            rom =
-              Util.Once.make (fun () ->
-                  Thermal.Reduced.of_engine (Util.Once.get engine));
-          }
+  let modal = Util.Once.make (fun () -> Thermal.Modal.make model) in
+  let context ~cache_size sparse backend =
+    {
+      platform;
+      pool;
+      steady_cache = Sched.Peak.Cache.create ~max_entries:cache_size ();
+      stepup_cache = Sched.Peak.Cache.create ~max_entries:cache_size ();
+      screen_margin;
+      modal;
+      backend = Util.Once.make backend;
+      sparse;
+    }
   in
-  {
-    platform;
-    pool;
-    steady_cache = Sched.Peak.Cache.create ~max_entries:cache_size ();
-    stepup_cache = Sched.Peak.Cache.create ~max_entries:cache_size ();
-    kind = backend;
-    screen_margin;
-    backend =
-      Util.Once.make (fun () ->
-          match sparse with
-          | None -> Thermal.Backend.of_model model
-          | Some s -> Thermal.Backend.of_response (Util.Once.get s.response));
-    sparse;
-  }
+  let dense ~cache_size =
+    context ~cache_size None (fun () -> Thermal.Backend.of_modal (Util.Once.get modal))
+  in
+  match backend with
+  | Dense -> dense ~cache_size
+  | Sparse ->
+      (* One Krylov engine, assembled on the context's pool, and one
+         response engine over it, shared by the backend and the ROM. *)
+      let engine = Util.Once.make (fun () -> Thermal.Sparse_model.of_model ~pool model) in
+      let response =
+        Util.Once.make (fun () -> Thermal.Sparse_response.build (Util.Once.get engine))
+      in
+      let rom =
+        Util.Once.make (fun () -> Thermal.Reduced.of_response (Util.Once.get response))
+      in
+      context ~cache_size
+        (Some { response; rom; dense = dense ~cache_size:0 })
+        (fun () -> Thermal.Backend.of_response (Util.Once.get response))
 
 (* The single point where a policy's optional context is resolved: a
    context for another platform (or none) falls back to a memo-less
@@ -92,7 +86,8 @@ let for_platform eval (p : Platform.t) =
 
 let platform t = t.platform
 let pool t = t.pool
-let kind t = t.kind
+let kind t = if Option.is_none t.sparse then Dense else Sparse
+let dense t = match t.sparse with None -> t | Some s -> s.dense
 let backend t = Util.Once.get t.backend
 let power t = t.platform.Platform.power
 
@@ -171,7 +166,7 @@ let sparse_response_stats t =
       Some (Thermal.Sparse_response.stats (Util.Once.get s.response))
   | Some _ | None -> None
 
-let response_stats t = Thermal.Modal.stats (Thermal.Modal.make t.platform.Platform.model)
+let response_stats t = Thermal.Modal.stats (Util.Once.get t.modal)
 
 let hit_rate t =
   let s = stats t in

@@ -26,8 +26,8 @@ type t
     the reference {!Thermal.Modal} path (exact eigenbasis, O(n³) build);
     [Sparse] is the {!Thermal.Sparse_response} superposition engine over
     the Krylov engine (O(nnz) build, CG + Lanczos solves) plus a
-    {!Thermal.Reduced} screening model — a [Sparse] context never forces
-    the modal engine, so its solves skip the dense eigensolve entirely.
+    {!Thermal.Reduced} screening model — a [Sparse] context builds the
+    modal engine only for the questions it asks its {!dense} twin.
     Either way the evaluators are the same {!Sched.Peak} calls on the
     context's {!backend}, and both kinds share the same memo-table
     digests, so switching backends changes only who computes a miss. *)
@@ -70,13 +70,19 @@ val pool : t -> Util.Pool.t
 val kind : t -> backend_kind
 
 (** [backend t] is the {!Thermal.Backend} every evaluator below runs
-    on, built lazily on first use — ["dense-modal"] over the platform's
-    memoized {!Thermal.Modal} engine (the same engine an eval-less caller
-    gets from [Thermal.Backend.of_model]) for a [Dense] context,
+    on, built lazily on first use — ["dense-modal"] over the context's
+    own {!Thermal.Modal} engine for a [Dense] context,
     ["sparse-response"] (the superposition engine over the Krylov engine
     assembled from the model's spec on the context's pool) for a
-    [Sparse] one.  Each evaluator is one {!Sched.Peak} call on it. *)
+    [Sparse] one.  The context owns its engines and frees them with it.
+    Each evaluator is one {!Sched.Peak} call on it. *)
 val backend : t -> Thermal.Backend.t
+
+(** [dense t] is [t] on a [Dense] context; on a [Sparse] one, its
+    memo-less dense twin over the same platform, pool and modal engine.
+    Policies ask it what they always answer on the dense reference
+    (AO's safety re-check, the peaks EXS and Demand report). *)
+val dense : t -> t
 
 (** [for_platform eval p] resolves a policy's optional context: [eval]
     itself when it was created for [p] (physical equality), otherwise a
@@ -215,13 +221,11 @@ val stats : t -> stats
     response engine has actually been built (never forces it). *)
 val sparse_response_stats : t -> Thermal.Sparse_response.stats option
 
-(** [response_stats t] snapshots the platform's {!Thermal.Modal}
-    engine counters (superposition evaluations, decay-table
-    hits/misses, and the process-wide engine build count).  Engines are
-    shared per model, so the per-engine counters reflect every
-    evaluation on this platform since its engine was built, not just
-    this context's.  Builds the modal engine if it has not been used
-    yet — on a [Sparse] context too. *)
+(** [response_stats t] snapshots the context's {!Thermal.Modal} engine
+    counters (superposition evaluations, decay-table hits/misses, and
+    the process-wide engine build count): every dense evaluation made
+    through this context or its {!dense} twin.  Builds the modal engine
+    if it has not been used yet — on a [Sparse] context too. *)
 val response_stats : t -> Thermal.Modal.stats
 
 (** [hit_rate t] is the fraction of all lookups (both tables) answered

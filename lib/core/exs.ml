@@ -50,7 +50,9 @@ let enumerate ~n ~l ~on_tick ~visit =
   done;
   !count
 
-let best_result ?(exhaustive = true) (p : Platform.t) best_digits best_score
+(* [b] prices the reported peak: the policy passes its context's dense
+   engine ([Eval.dense]), the platform-level entry points a new one. *)
+let best_result ?(exhaustive = true) b (p : Platform.t) best_digits best_score
     levels evaluated =
   match best_digits with
   | Some digits ->
@@ -58,9 +60,7 @@ let best_result ?(exhaustive = true) (p : Platform.t) best_digits best_score
       {
         voltages;
         throughput = mean voltages;
-        peak =
-          Sched.Peak.steady_constant (Thermal.Backend.of_model p.model) p.power
-            voltages;
+        peak = Sched.Peak.steady_constant b p.power voltages;
         evaluated;
         feasible = true;
         exhaustive;
@@ -110,7 +110,9 @@ let steady_setup (p : Platform.t) =
   done;
   { levels; l; n; psi_of_level; columns; base_temps }
 
-let solve (p : Platform.t) =
+let reference (p : Platform.t) = Thermal.Backend.of_model p.model
+
+let solve_on b (p : Platform.t) =
   let { levels; l; n; psi_of_level; columns; base_temps } = steady_setup p in
   let temps = Array.copy base_temps in
   let best_score = ref neg_infinity in
@@ -140,7 +142,9 @@ let solve (p : Platform.t) =
     end
   in
   let evaluated = enumerate ~n ~l ~on_tick ~visit in
-  best_result p !best_digits !best_score levels evaluated
+  best_result b p !best_digits !best_score levels evaluated
+
+let solve p = solve_on (reference p) p
 
 let solve_naive (p : Platform.t) =
   let n = Platform.n_cores p in
@@ -167,7 +171,7 @@ let solve_naive (p : Platform.t) =
     end
   in
   let evaluated = enumerate ~n ~l ~on_tick:(fun _ _ _ -> ()) ~visit in
-  best_result p !best_digits !best_score levels evaluated
+  best_result (reference p) p !best_digits !best_score levels evaluated
 
 (* Deterministic greedy warm start: from the all-lowest assignment,
    repeatedly raise one core a single level, choosing among the
@@ -301,7 +305,7 @@ let bnb { levels; l; n; psi_of_level; columns; _ } ~t_max ~node_cap ~capped
   assign start score0;
   !visited
 
-let solve_pruned ?node_cap (p : Platform.t) =
+let solve_pruned_on b ?node_cap (p : Platform.t) =
   let st = steady_setup p in
   let node_cap =
     match node_cap with Some c -> c | None -> default_node_cap ~l:st.l ~n:st.n
@@ -331,10 +335,12 @@ let solve_pruned ?node_cap (p : Platform.t) =
       ~best_score:(fun () -> !best_score)
       ~offer ~start:0 ~score0:0.
   in
-  best_result ~exhaustive:(not !capped) p !best_digits !best_score st.levels
+  best_result ~exhaustive:(not !capped) b p !best_digits !best_score st.levels
     visited
 
-let solve_par ?pool ?(par = true) (p : Platform.t) =
+let solve_pruned ?node_cap p = solve_pruned_on (reference p) ?node_cap p
+
+let solve_par_on b ?pool ?(par = true) (p : Platform.t) =
   let st = steady_setup p in
   let pool_size =
     match pool with
@@ -351,7 +357,7 @@ let solve_par ?pool ?(par = true) (p : Platform.t) =
   if
     (not par) || pool_size <= 1 || st.n < 2 || space < 1024.
     || default_node_cap ~l:st.l ~n:st.n < max_int
-  then solve_pruned p
+  then solve_pruned_on b p
   else begin
     (* Shared incumbent: lock-free [Atomic.get] for the bound inside
        every subtree, CAS-loop publication on improvement.  The bound is
@@ -399,9 +405,11 @@ let solve_par ?pool ?(par = true) (p : Platform.t) =
        deterministic across runs — only the result fields are. *)
     let evaluated = Array.fold_left ( + ) 1 visits in
     match Atomic.get incumbent with
-    | Some (score, digits) -> best_result p (Some digits) score st.levels evaluated
-    | None -> best_result p None neg_infinity st.levels evaluated
+    | Some (score, digits) -> best_result b p (Some digits) score st.levels evaluated
+    | None -> best_result b p None neg_infinity st.levels evaluated
   end
+
+let solve_par ?pool ?par p = solve_par_on (reference p) ?pool ?par p
 
 type Solver.details += Details of result
 
@@ -415,8 +423,10 @@ let policy =
         let o =
           Solver.timed_outcome ev (fun () ->
               let p = Eval.platform ev in
+              let b = Eval.backend (Eval.dense ev) in
               let r =
-                if prm.Solver.par then solve_par ~pool:(Eval.pool ev) p else solve p
+                if prm.Solver.par then solve_par_on b ~pool:(Eval.pool ev) p
+                else solve_on b p
               in
               {
                 Solver.voltages = Array.copy r.voltages;

@@ -83,7 +83,9 @@ val solve_par : ?pool:Util.Pool.t -> ?par:bool -> Platform.t -> result
 type Solver.details += Details of result
 
 (** [policy] is EXS's registry adapter: {!solve_par} on the context's
-    pool when [params.par] holds, {!solve} otherwise.  All EXS solvers
+    pool when [params.par] holds, {!solve} otherwise, with the reported
+    peak priced on the context's dense engine ({!Eval.dense}) rather
+    than a new one.  All EXS solvers
     agree bit-for-bit on [voltages]/[throughput]/[peak]; the outcome's
     [evaluations] reports the solver's enumeration count (which alone
     may vary with scheduling on the parallel path). *)

@@ -4,8 +4,8 @@ let total b = b.dynamic +. b.leakage
 let average_power b = total b /. b.period
 
 let per_period model pm s =
-  let profile = Peak.profile (Thermal.Backend.of_model model) pm s in
   let eng = Thermal.Modal.make model in
+  let profile = Peak.profile (Thermal.Backend.of_modal eng) pm s in
   let lambda = Thermal.Modal.eigenvalues eng in
   let segs =
     List.map

@@ -25,15 +25,15 @@ type t = {
     at:int -> core:int -> psi_low:float -> psi_high:float -> high_ratio:float -> float;
 }
 
-let of_model model =
-  let eng = Modal.make model in
+let of_modal eng =
+  let model = Modal.model eng in
   let n = Model.n_nodes model in
   (* Modal images of a +1 K bump at each core node (one matvec per
      core), built on the first correction only: evaluation-only callers
-     wrap the model per call and never pay for them.  A [Util.Once], not
-     a [Lazy], because a shared backend may be first corrected from any
-     domain.  Reading the corrected state back through the core rows of
-     W recovers the bump exactly: core_rows . W^{-1} e_node = e_core. *)
+     never pay for them.  A [Util.Once], not a [Lazy], because a shared
+     backend may be first corrected from any domain.  Reading the
+     corrected state back through the core rows of W recovers the bump
+     exactly: core_rows . W^{-1} e_node = e_core. *)
   let core_cols =
     Util.Once.make (fun () ->
         Array.map
@@ -91,6 +91,8 @@ let of_model model =
       (fun ~at ~core ~psi_low ~psi_high ~high_ratio ->
         Modal.delta_core_temp eng ~at ~core ~psi_low ~psi_high ~high_ratio);
   }
+
+let of_model model = of_modal (Modal.make model)
 
 let of_response resp =
   let eng = Sparse_response.engine resp in

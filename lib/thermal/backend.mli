@@ -83,11 +83,14 @@ type t = {
       (** The same candidate's end-of-period temperature at core [at]. *)
 }
 
-(** [of_model model] is the dense reference backend: the model's cached
-    {!Modal} response engine behind the uniform interface.  Cheap to
-    call per evaluation — {!Modal.make} memoizes the engine and the
-    correction columns are built on first use — so callers holding only
-    a model wrap it on the spot. *)
+(** [of_modal eng] is the dense reference backend: the {!Modal}
+    response engine [eng] behind the uniform interface (correction
+    columns built on first use). *)
+val of_modal : Modal.t -> t
+
+(** [of_model model] is [of_modal (Modal.make model)], a new engine per
+    call, for callers holding only a model; code that evaluates one
+    platform repeatedly keeps the engine (or a [Core.Eval] context). *)
 val of_model : Model.t -> t
 
 (** [of_response resp] wraps a {!Sparse_response} superposition engine:

@@ -11,14 +11,14 @@
 
     This module holds the profile type every engine consumes, its
     validation, and the dense engine's in-period scans.  Everything runs
-    on the per-model cached {!Modal} response engine: equilibria come
+    on a {!Modal} response engine: equilibria come
     from unit-response superposition (zero LU solves per profile), decay
-    factors from the engine's per-duration table, each sample is O(n)
+    factors from the per-duration table, each sample is O(n)
     element-wise work, and the [(I - K)^{-1}] solve is a per-mode
     division.  Period-boundary questions (the step-up peak of Theorem 1,
     the end-of-period core temperatures) are answered once, for every
     engine, by [Sched.Peak] over a {!Backend.t}; {!peak_scan} and
-    {!peak_refined} are what {!Backend.of_model} runs for the in-period
+    {!peak_refined} are what {!Backend.of_modal} runs for the in-period
     ones. *)
 
 type segment = { duration : float; psi : Linalg.Vec.t }
@@ -50,7 +50,7 @@ val stable_start : Model.t -> profile -> Linalg.Vec.t
     exact sub-steps inside every segment, default 32) and returns the
     hottest absolute core temperature found.  This is the safe evaluator
     for profiles that are not step-up, where the peak may fall strictly
-    inside a segment; {!Backend.of_model} runs it behind
+    inside a segment; {!Backend.of_modal} runs it behind
     [Backend.peak_scan]. *)
 val peak_scan : Modal.t -> ?samples_per_segment:int -> profile -> float
 

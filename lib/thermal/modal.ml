@@ -10,26 +10,43 @@ type stats = {
   delta_evals : int;
 }
 
-(* Per-domain scratch, sized to the engine.  Pool workers each see
-   their own set through Domain.DLS, so the streaming stable-status
-   evaluation below is allocation-free without any locking — and two
-   domains can never observe each other's partial sums.
+(* The decay/gain memo: one direct-mapped table per domain, shared by
+   every engine evaluated there.  Slot [s] holds a duration's bit
+   pattern, the eigenvalue vector its row was computed from and the row
+   itself: n decays e^{lambda_j dt} then n gains -expm1(lambda_j dt).
+   The vector is compared by physical identity, and engines over one
+   model share [Model.modal_parts]'s vector, so they share warm rows
+   while engines over different models never read each other's.
+   Lock-free by construction (nothing is shared across domains), and a
+   miss is just [n] exp/expm1 pairs computed in place.  Collisions
+   simply overwrite: recomputation is deterministic, so any replacement
+   policy returns bit-identical values. *)
+type memo = {
+  keys : int64 array;  (* slot -> duration bits *)
+  lams : Vec.t array;  (* slot -> eigenvalues of the row; [||] = empty *)
+  rows : float array array;  (* slot -> n decays then n gains (>= 2n long) *)
+}
 
-   The decay/gain memo lives here too, as a direct-mapped table: slot
-   [s] of [dkeys] holds a duration's bit pattern and the corresponding
-   [2n] floats of [dvals] hold (e^{lambda_j dt}, -expm1(lambda_j dt)).
-   Lock-free by construction (nothing is shared), and a miss is just
-   [n] exp/expm1 pairs computed in place — so a cold table costs barely
-   more than a warm one, where the old shared mutex-guarded table paid
-   an allocation, a queue insertion and two lock rounds per miss.
-   Collisions simply overwrite: recomputation is deterministic, so any
-   replacement policy returns bit-identical values. *)
+let decay_slots = 1024 (* power of two; see [decay_slot] *)
+
+let memo_key =
+  Domain.DLS.new_key (fun () ->
+      {
+        keys = Array.make decay_slots 0L;
+        lams = Array.make decay_slots [||];
+        rows = Array.make decay_slots [||];
+      })
+
+(* Per-domain scratch, sized to the engine and owned by it
+   ({!Util.Per_domain}): pool workers each see their own set, so the
+   streaming stable-status evaluation below is allocation-free without
+   any locking, two domains can never observe each other's partial sums,
+   and the scratch dies with its engine. *)
 type scratch = {
+  memo : memo;  (* this domain's decay/gain memo *)
   d : float array;  (* accumulated periodic drive over one period *)
   z_eq : float array;  (* superposed per-segment modal equilibrium *)
   z_star : float array;  (* solved stable status *)
-  dkeys : int64 array;  (* slot -> duration bits; 0L = empty (dt > 0) *)
-  dvals : float array;  (* slot * 2n: n decays then n gains *)
   mutable tally_hits : int;  (* decay-table counters, flushed to the *)
   mutable tally_misses : int;  (* engine's atomics once per solve *)
   z_cur : float array;  (* dense-scan cursor (exact segment boundaries) *)
@@ -51,8 +68,6 @@ type scratch = {
   mutable base_ready : bool;  (* base_solve completed *)
 }
 
-let decay_slots = 1024 (* power of two; see [decay_slot] *)
-
 type t = {
   model : Model.t;
   n : int;
@@ -69,7 +84,7 @@ type t = {
   steady_rows : float array array;
   (* row k: theta_inf responses read at core k, indexed by driving core
      i — the constant-voltage steady peak needs only these entries. *)
-  scratch_key : scratch Domain.DLS.key;
+  scratch : scratch Util.Per_domain.t;
   superpose_evals : int Atomic.t;
   exp_hits : int Atomic.t;
   exp_misses : int Atomic.t;
@@ -79,7 +94,7 @@ type t = {
 
 let build_count = Atomic.make 0
 
-let build model =
+let make model =
   let lambda, w, w_inv = Model.modal_parts model in
   let n = Vec.dim lambda in
   let cores = Model.core_nodes model in
@@ -110,14 +125,13 @@ let build model =
     steady_rows =
       Array.init n_cores (fun k ->
           Array.init n_cores (fun i -> units.(i).(cores.(k))));
-    scratch_key =
-      Domain.DLS.new_key (fun () ->
+    scratch =
+      Util.Per_domain.make (fun () ->
           {
+            memo = Domain.DLS.get memo_key;
             d = Array.make n 0.;
             z_eq = Array.make n 0.;
             z_star = Array.make n 0.;
-            dkeys = Array.make decay_slots 0L;
-            dvals = Array.make (decay_slots * 2 * n) 0.;
             tally_hits = 0;
             tally_misses = 0;
             z_cur = Array.make n 0.;
@@ -138,39 +152,6 @@ let build model =
     base_solves = Atomic.make 0;
     delta_evals = Atomic.make 0;
   }
-
-(* Engines are cached per model (physical identity): the unit-response
-   build costs one LU solve per core, and every policy evaluation on a
-   platform wants the same tables.  The registry is a small bounded FIFO
-   so processes that churn through many models (property tests) stay
-   bounded; an evicted engine keeps working for holders of the old
-   reference, it just stops being shared. *)
-let engines_capacity = 16
-let engines_lock = Mutex.create ()
-let engines : (Model.t * t) list ref =
-  ref [] [@@fosc.guarded "mutex"] (* engines_lock *)
-
-let rec take n = function
-  | [] -> []
-  | _ when n <= 0 -> []
-  | x :: rest -> x :: take (n - 1) rest
-
-let make model =
-  Mutex.lock engines_lock;
-  Fun.protect
-    ~finally:(fun () -> Mutex.unlock engines_lock)
-    (fun () ->
-      match List.find_opt (fun (m, _) -> m == model) !engines with
-      | Some (_, eng) -> eng
-      | None ->
-          (* Built under the lock: construction is a handful of
-             cached-LU solves (which can raise on a degenerate model,
-             hence the [Fun.protect]), and serializing first use per
-             model keeps exactly one engine (one stats stream, one exp
-             table) per platform. *)
-          let eng = build model in
-          engines := (model, eng) :: take (engines_capacity - 1) !engines;
-          eng)
 
 let model t = t.model
 let eigenvalues t = Vec.copy t.lambda
@@ -247,26 +228,47 @@ let[@inline] decay_slot key =
   Int64.to_int (Int64.shift_right_logical (Int64.mul key 0x9E3779B97F4A7C15L) 52)
   land (decay_slots - 1)
 
-(* Ensure slot [slot] of the per-domain table holds [dt]'s decay/gain
-   row; returns the row's base offset into [s.dvals].  The counters
+(* The row of [dt] in this domain's memo, computed into its slot on a
+   miss.  The row is only valid until the next fetch: a later duration
+   may map to the same slot and overwrite it in place.  The counters
    tally into the scratch (flushed by [stable_solve]) so the hot loop
    performs no atomic traffic. *)
 let[@inline] decay_row t (s : scratch) dt =
+  let m = s.memo in
   let key = Int64.bits_of_float dt in
   let slot = decay_slot key in
-  let base = slot * 2 * t.n in
-  if Array.unsafe_get s.dkeys slot = key then
-    s.tally_hits <- s.tally_hits + 1
+  let row = Array.unsafe_get m.rows slot in
+  if Int64.equal (Array.unsafe_get m.keys slot) key && Array.unsafe_get m.lams slot == t.lambda
+  then begin
+    s.tally_hits <- s.tally_hits + 1;
+    row
+  end
   else begin
     s.tally_misses <- s.tally_misses + 1;
+    (* Rows only grow, so a domain's table stops allocating once it has
+       seen its largest model. *)
+    let row = if Array.length row >= 2 * t.n then row else Array.make (2 * t.n) 0. in
     for j = 0 to t.n - 1 do
       let x = Array.unsafe_get t.lambda j *. dt in
-      Array.unsafe_set s.dvals (base + j) (exp x);
-      Array.unsafe_set s.dvals (base + t.n + j) (-.Float.expm1 x)
+      Array.unsafe_set row j (exp x);
+      Array.unsafe_set row (t.n + j) (-.Float.expm1 x)
     done;
-    s.dkeys.(slot) <- key
+    m.keys.(slot) <- key;
+    m.lams.(slot) <- t.lambda;
+    m.rows.(slot) <- row;
+    row
+  end
+
+(* Publish this domain's decay-table tallies to the engine's atomics. *)
+let flush_tallies t (s : scratch) =
+  if s.tally_hits <> 0 then begin
+    ignore (Atomic.fetch_and_add t.exp_hits s.tally_hits);
+    s.tally_hits <- 0
   end;
-  base
+  if s.tally_misses <> 0 then begin
+    ignore (Atomic.fetch_and_add t.exp_misses s.tally_misses);
+    s.tally_misses <- 0
+  end
 
 let step t ~dt ~z ~psi =
   if Vec.dim z <> t.n then invalid_arg "Modal.step: bad state arity";
@@ -283,24 +285,16 @@ let step_into t ~dt ~z ~psi ~dst =
   if Vec.dim z <> t.n || Vec.dim dst <> t.n then
     invalid_arg "Modal.step_into: bad state arity";
   if z == dst then invalid_arg "Modal.step_into: dst must not alias z";
-  let s = Domain.DLS.get t.scratch_key in
-  let base = decay_row t s dt in
+  let s = Util.Per_domain.get t.scratch in
+  let row = decay_row t s dt in
   z_inf_into t dst psi;
-  let dvals = s.dvals in
   for j = 0 to t.n - 1 do
     let zi = Array.unsafe_get dst j in
     Array.unsafe_set dst j
       (zi
-      +. (Array.unsafe_get dvals (base + j) *. (Array.unsafe_get z j -. zi)))
+      +. (Array.unsafe_get row j *. (Array.unsafe_get z j -. zi)))
   done;
-  if s.tally_hits <> 0 then begin
-    ignore (Atomic.fetch_and_add t.exp_hits s.tally_hits);
-    s.tally_hits <- 0
-  end;
-  if s.tally_misses <> 0 then begin
-    ignore (Atomic.fetch_and_add t.exp_misses s.tally_misses);
-    s.tally_misses <- 0
-  end
+  flush_tallies t s
 
 let core_temps t z =
   if Vec.dim z <> t.n then invalid_arg "Modal.core_temps: bad state arity";
@@ -328,41 +322,32 @@ let max_core_temp t z =
    allocation, zero LU solves and table-amortized exponentials. *)
 
 let stable_begin t =
-  let s = Domain.DLS.get t.scratch_key in
+  let s = Util.Per_domain.get t.scratch in
   Array.fill s.d 0 t.n 0.
 
 let stable_feed t ~duration ~psi =
   if duration <= 0. then invalid_arg "Modal.stable_feed: non-positive duration";
-  let s = Domain.DLS.get t.scratch_key in
-  let base = decay_row t s duration in
+  let s = Util.Per_domain.get t.scratch in
+  let row = decay_row t s duration in
   z_inf_into t s.z_eq psi;
-  let dvals = s.dvals in
   for j = 0 to t.n - 1 do
     Array.unsafe_set s.d j
-      ((Array.unsafe_get dvals (base + j) *. Array.unsafe_get s.d j)
-      +. (Array.unsafe_get dvals (base + t.n + j) *. Array.unsafe_get s.z_eq j))
+      ((Array.unsafe_get row j *. Array.unsafe_get s.d j)
+      +. (Array.unsafe_get row (t.n + j) *. Array.unsafe_get s.z_eq j))
   done
 
 let stable_solve t ~t_p =
   (* z*_j = d_j / (1 - e^{lambda_j t_p}); the denominator is exactly the
      gain factor of a [t_p]-long segment, so it shares the table. *)
-  let s = Domain.DLS.get t.scratch_key in
-  let base = decay_row t s t_p in
-  let dvals = s.dvals in
+  let s = Util.Per_domain.get t.scratch in
+  let row = decay_row t s t_p in
   for j = 0 to t.n - 1 do
     Array.unsafe_set s.z_star j
-      (Array.unsafe_get s.d j /. Array.unsafe_get dvals (base + t.n + j))
+      (Array.unsafe_get s.d j /. Array.unsafe_get row (t.n + j))
   done;
   (* One flush per candidate keeps the shared stats observable without
      per-span atomic traffic from every pool worker. *)
-  if s.tally_hits <> 0 then begin
-    ignore (Atomic.fetch_and_add t.exp_hits s.tally_hits);
-    s.tally_hits <- 0
-  end;
-  if s.tally_misses <> 0 then begin
-    ignore (Atomic.fetch_and_add t.exp_misses s.tally_misses);
-    s.tally_misses <- 0
-  end;
+  flush_tallies t s;
   (s.z_star
   [@fosc.dls_ok
     "documented borrow of this domain's scratch (see modal.mli): valid until \
@@ -382,25 +367,25 @@ let stable_solve t ~t_p =
    whose results it reproduces bit-for-bit. *)
 
 let scan_begin t =
-  let s = Domain.DLS.get t.scratch_key in
+  let s = Util.Per_domain.get t.scratch in
   Array.blit s.z_star 0 s.z_cur 0 t.n
 
 let scan_feed t ~samples ~duration ~psi =
   if duration <= 0. then invalid_arg "Modal.scan_feed: non-positive duration";
   if samples < 1 then invalid_arg "Modal.scan_feed: non-positive sample count";
-  let s = Domain.DLS.get t.scratch_key in
+  let s = Util.Per_domain.get t.scratch in
   z_inf_into t s.z_eq psi;
   let { Mat.rows; cols; data } = t.core_rows in
   let best = ref neg_infinity in
   (* Sub-step walk on [z_smp]; nothing in the loop touches the decay
      table, so the row fetched here cannot be evicted mid-walk. *)
-  let sub_base = decay_row t s (duration /. float_of_int samples) in
+  let sub = decay_row t s (duration /. float_of_int samples) in
   Array.blit s.z_cur 0 s.z_smp 0 t.n;
   for _ = 1 to samples do
     for j = 0 to t.n - 1 do
       Array.unsafe_set s.z_smp j
-        ((Array.unsafe_get s.dvals (sub_base + j) *. Array.unsafe_get s.z_smp j)
-        +. Array.unsafe_get s.dvals (sub_base + t.n + j)
+        ((Array.unsafe_get sub j *. Array.unsafe_get s.z_smp j)
+        +. Array.unsafe_get sub (t.n + j)
            *. Array.unsafe_get s.z_eq j)
     done;
     for k = 0 to rows - 1 do
@@ -413,11 +398,11 @@ let scan_feed t ~samples ~duration ~psi =
     done
   done;
   (* Exact full-duration boundary step from the segment start. *)
-  let full_base = decay_row t s duration in
+  let full = decay_row t s duration in
   for j = 0 to t.n - 1 do
     Array.unsafe_set s.z_cur j
-      ((Array.unsafe_get s.dvals (full_base + j) *. Array.unsafe_get s.z_cur j)
-      +. Array.unsafe_get s.dvals (full_base + t.n + j) *. Array.unsafe_get s.z_eq j)
+      ((Array.unsafe_get full j *. Array.unsafe_get s.z_cur j)
+      +. Array.unsafe_get full (t.n + j) *. Array.unsafe_get s.z_eq j)
   done;
   !best +. t.ambient
 
@@ -445,25 +430,15 @@ let scan_feed t ~samples ~duration ~psi =
    the streaming stable_* state, so the exact winner verification the
    TPT loops interleave between candidates cannot clobber it. *)
 
-let flush_tallies t (s : scratch) =
-  if s.tally_hits <> 0 then begin
-    ignore (Atomic.fetch_and_add t.exp_hits s.tally_hits);
-    s.tally_hits <- 0
-  end;
-  if s.tally_misses <> 0 then begin
-    ignore (Atomic.fetch_and_add t.exp_misses s.tally_misses);
-    s.tally_misses <- 0
-  end
-
 (* Replicates [Sched.Peak.two_mode_decompose]'s ratio validation and
    boundary snapping (which itself replicates [Schedule.two_mode]), so
    the prepared-base path agrees with the exact decomposed path on
-   which spans exist.  Returns [(mode, ll)] with mode -1 = all-low
-   (ll = t_p), +1 = all-high (ll = 0), 0 = interior. *)
+   which spans exist.  Written as a positive range test so a NaN ratio
+   is rejected, as the exact path rejects it. *)
 let two_mode_core_shape ~t_p ~high_ratio =
-  if high_ratio < -1e-12 || high_ratio > 1. +. 1e-12 then
+  if not (-1e-12 <= high_ratio && high_ratio <= 1. +. 1e-12) then
     invalid_arg
-      (Printf.sprintf "Modal: high_ratio %.6g not in [0,1]" high_ratio);
+      (Printf.sprintf "two-mode delta: high_ratio %.6g not in [0,1]" high_ratio);
   let lh = Float.max 0. (Float.min t_p (high_ratio *. t_p)) in
   let ll = t_p -. lh in
   if lh <= 1e-12 then (-1, t_p)
@@ -472,13 +447,13 @@ let two_mode_core_shape ~t_p ~high_ratio =
 
 let base_begin t ~t_p =
   if t_p <= 0. then invalid_arg "Modal.base_begin: non-positive period";
-  let s = Domain.DLS.get t.scratch_key in
+  let s = Util.Per_domain.get t.scratch in
   s.base_t_p <- t_p;
   s.base_ready <- false;
   Array.fill s.base_mode 0 (Array.length s.base_mode) min_int
 
 let base_feed t ~core ~psi_low ~psi_high ~high_ratio =
-  let s = Domain.DLS.get t.scratch_key in
+  let s = Util.Per_domain.get t.scratch in
   if s.base_t_p <= 0. then
     invalid_arg "Modal.base_feed: no base_begin on this domain";
   if core < 0 || core >= Array.length s.base_mode then
@@ -495,29 +470,28 @@ let base_feed t ~core ~psi_low ~psi_high ~high_ratio =
 let w_into t (s : scratch) dst ~cl ~ch ~mode ~ll =
   let t_p = s.base_t_p in
   let n = t.n in
-  let dvals = s.dvals in
   if mode <> 0 then begin
     let c = if mode < 0 then cl else ch in
     let b = decay_row t s t_p in
     for j = 0 to n - 1 do
-      Array.unsafe_set dst j (c *. Array.unsafe_get dvals (b + n + j))
+      Array.unsafe_set dst j (c *. Array.unsafe_get b (n + j))
     done
   end
   else begin
     let b_low = decay_row t s ll in
     for j = 0 to n - 1 do
-      Array.unsafe_set dst j (cl *. Array.unsafe_get dvals (b_low + n + j))
+      Array.unsafe_set dst j (cl *. Array.unsafe_get b_low (n + j))
     done;
     let b_high = decay_row t s (t_p -. ll) in
     for j = 0 to n - 1 do
       Array.unsafe_set dst j
-        ((Array.unsafe_get dvals (b_high + j) *. Array.unsafe_get dst j)
-        +. (ch *. Array.unsafe_get dvals (b_high + n + j)))
+        ((Array.unsafe_get b_high j *. Array.unsafe_get dst j)
+        +. (ch *. Array.unsafe_get b_high (n + j)))
     done
   end
 
 let base_solve t =
-  let s = Domain.DLS.get t.scratch_key in
+  let s = Util.Per_domain.get t.scratch in
   if s.base_t_p <= 0. then
     invalid_arg "Modal.base_solve: no base_begin on this domain";
   let nc = Array.length s.base_mode in
@@ -540,7 +514,7 @@ let base_solve t =
   let b = decay_row t s s.base_t_p in
   for j = 0 to t.n - 1 do
     Array.unsafe_set s.z_base j
-      (Array.unsafe_get s.z_base j /. Array.unsafe_get s.dvals (b + t.n + j))
+      (Array.unsafe_get s.z_base j /. Array.unsafe_get b (t.n + j))
   done;
   s.base_ready <- true;
   Atomic.incr t.base_solves;
@@ -566,7 +540,6 @@ let delta_into t (s : scratch) ~core ~psi_low ~psi_high ~high_ratio =
   let le mode ll = if mode < 0 then t_p else if mode > 0 then 0. else ll in
   let l0 = le s.base_mode.(core) s.base_ll.(core) in
   let l1 = le mode' ll' in
-  let dvals = s.dvals in
   if Float.equal cl' cl && Float.equal ch' ch then begin
     if Float.equal l1 l0 then Array.blit s.z_base 0 s.z_cand 0 n
     else begin
@@ -575,16 +548,15 @@ let delta_into t (s : scratch) ~core ~psi_low ~psi_high ~high_ratio =
       let b_gap = decay_row t s (big -. small) in
       for j = 0 to n - 1 do
         Array.unsafe_set s.z_tmp j
-          (c *. Array.unsafe_get dvals (b_gap + n + j))
+          (c *. Array.unsafe_get b_gap (n + j))
       done;
-      (* D_{t_p - big} = 1 exactly when big = t_p (snapped all-low side);
-         skipping the fetch also avoids a dt = 0 table key, whose bit
-         pattern collides with the empty-slot sentinel. *)
+      (* D_{t_p - big} = 1 exactly when big = t_p (snapped all-low side),
+         so the fetch is skipped. *)
       if t_p -. big > 0. then begin
         let b_dec = decay_row t s (t_p -. big) in
         for j = 0 to n - 1 do
           Array.unsafe_set s.z_tmp j
-            (Array.unsafe_get s.z_tmp j *. Array.unsafe_get dvals (b_dec + j))
+            (Array.unsafe_get s.z_tmp j *. Array.unsafe_get b_dec j)
         done
       end;
       let u = t.unit_rz.(core) in
@@ -593,7 +565,7 @@ let delta_into t (s : scratch) ~core ~psi_low ~psi_high ~high_ratio =
         Array.unsafe_set s.z_cand j
           (Array.unsafe_get s.z_base j
           +. Array.unsafe_get u j *. Array.unsafe_get s.z_tmp j
-             /. Array.unsafe_get dvals (b_t + n + j))
+             /. Array.unsafe_get b_t (n + j))
       done
     end
   end
@@ -609,14 +581,14 @@ let delta_into t (s : scratch) ~core ~psi_low ~psi_high ~high_ratio =
         (Array.unsafe_get s.z_base j
         +. Array.unsafe_get u j
            *. (Array.unsafe_get s.z_tmp j -. Array.unsafe_get s.z_eq j)
-           /. Array.unsafe_get dvals (b_t + n + j))
+           /. Array.unsafe_get b_t (n + j))
     done
   end;
   Atomic.incr t.delta_evals;
   flush_tallies t s
 
 let delta_peak t ~core ~psi_low ~psi_high ~high_ratio =
-  let s = Domain.DLS.get t.scratch_key in
+  let s = Util.Per_domain.get t.scratch in
   delta_into t s ~core ~psi_low ~psi_high ~high_ratio;
   max_core_temp t s.z_cand
 
@@ -624,7 +596,7 @@ let delta_core_temp t ~at ~core ~psi_low ~psi_high ~high_ratio =
   let { Mat.rows; cols; data } = t.core_rows in
   if at < 0 || at >= rows then
     invalid_arg "Modal.delta_core_temp: core index out of range";
-  let s = Domain.DLS.get t.scratch_key in
+  let s = Util.Per_domain.get t.scratch in
   delta_into t s ~core ~psi_low ~psi_high ~high_ratio;
   let off = at * cols in
   let acc = ref 0. in

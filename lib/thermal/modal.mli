@@ -27,16 +27,19 @@
     evaluates a candidate's stable status into per-domain scratch
     buffers with no allocation at all.
 
-    {!make} caches one engine per model (physical identity), so repeated
-    evaluations on one platform share the tables; engines are safe to
-    share across domains ({!Domain.DLS} scratch, mutex-guarded tables).
+    An engine is a plain value owning its per-domain scratch
+    ({!Util.Per_domain}): {!make} builds one and its holder keeps it.
+    The decay/gain table is one per domain, its rows tagged with the
+    model's eigenvalue vector, so engines over one model share warm rows
+    and engines over different models never read each other's.  Engines
+    are safe to share across domains.
     This is the library's only transient path: the dense node-space
     stepping of Eqs. (3)-(4) exists only as a test oracle, and the
     property tests diff the two to <= 1e-9. *)
 
 type t
 (** A modal evaluation engine bound to a {!Model.t}.  Immutable eigendata
-    plus internally synchronized response tables; share freely across
+    and response tables plus per-domain scratch; share freely across
     domains. *)
 
 (** Amortization counters of one engine (plus the process-wide build
@@ -50,9 +53,10 @@ type stats = {
   delta_evals : int;  (** Delta candidate evaluations. *)
 }
 
-(** [make model] returns the engine of [model], building it (one LU
-    solve per core for the unit-response table) on first use and
-    returning the cached engine afterwards — amortized O(1). *)
+(** [make model] builds an engine over [model]: one LU solve per core
+    for the unit-response table, microseconds on the paper's platforms.
+    Each call returns a new engine with zeroed counters, so keep the
+    engine rather than calling [make] per evaluation. *)
 val make : Model.t -> t
 
 (** [model t] is the underlying thermal model. *)
@@ -161,8 +165,8 @@ val scan_feed : t -> samples:int -> duration:float -> psi:Linalg.Vec.t -> float
     The prepared base lives in per-domain scratch DISJOINT from the
     streaming [stable_*] state: exact evaluations interleaved between
     delta candidates (winner verification) do not disturb it.  Like all
-    DLS state, a base prepared on one domain is invisible on others —
-    prepare and evaluate on the same domain.  Boundary snapping
+    per-domain scratch, a base prepared on one domain is invisible on
+    others — prepare and evaluate on the same domain.  Boundary snapping
     replicates the exact decomposed path's 1e-12 clamps, so delta and
     full evaluations agree to the differential suite's 1e-9. *)
 
@@ -197,6 +201,12 @@ val delta_peak :
 val delta_core_temp :
   t -> at:int -> core:int -> psi_low:float -> psi_high:float ->
   high_ratio:float -> float
+
+(** [two_mode_core_shape ~t_p ~high_ratio] is one core's snapped shape
+    for both engines' delta evaluators: [(-1, t_p)] all-low, [(1, 0.)]
+    all-high, or [(0, ll)] with leading low duration [ll].  Raises
+    [Invalid_argument] on a ratio outside [[-1e-12, 1 + 1e-12]] or NaN. *)
+val two_mode_core_shape : t_p:float -> high_ratio:float -> int * float
 
 type segment
 (** A precomputed constant-power interval: duration, the decay factors

@@ -119,6 +119,7 @@ val eigenbasis : t -> Linalg.Vec.t * Linalg.Mat.t * Linalg.Mat.t
 
 (** [modal_parts m] is [(lambda, w, w_inv)] like {!eigenbasis} but
     WITHOUT copying: the returned arrays are the model's own and must be
-    treated as read-only.  O(1); this is what lets {!Modal.make} build an
-    evaluation engine for free on every call. *)
+    treated as read-only.  O(1); {!Modal.make} builds its engines on
+    these, and engines over one model share its eigenvalue vector (their
+    common decay/gain memo rows are tagged with it). *)
 val modal_parts : t -> Linalg.Vec.t * Linalg.Mat.t * Linalg.Mat.t

@@ -4,9 +4,9 @@ module Krylov = Linalg.Krylov
 
 (* Per-domain scratch for the streaming screening evaluators below:
    retained-mode drive accumulation and core-temperature reads, all
-   allocation-free.  Pool workers each see their own copy via
-   Domain.DLS, so concurrent candidate scores never share partial
-   sums. *)
+   allocation-free.  Pool workers each see their own copy
+   ({!Util.Per_domain}, owned by the reduction), so concurrent candidate
+   scores never share partial sums. *)
 type rom_scratch = {
   zd : float array;  (* accumulated per-mode periodic drive *)
   z_eq : float array;  (* current segment's retained equilibrium *)
@@ -26,9 +26,9 @@ type t = {
      T_amb)) and the core-temperature read of mode j's contribution. *)
   beta_tamb : float;
   response : Sparse_response.t;
-  (* The static (quasi-steady) tier of the screening evaluators, shared
-     per engine via [Sparse_response.make]. *)
-  rom_scratch_key : rom_scratch Domain.DLS.key;
+  (* The static (quasi-steady) tier of the screening evaluators: the
+     response engine the reduction was built from. *)
+  rom_scratch : rom_scratch Util.Per_domain.t;
 }
 
 let default_modes mu =
@@ -43,7 +43,8 @@ let default_modes mu =
   done;
   Stdlib.min n (Stdlib.max 4 !count)
 
-let of_engine ?modes engine =
+let of_response ?modes response =
+  let engine = Sparse_response.engine response in
   let n = Sparse_model.n_nodes engine in
   (match modes with
   | Some k when k < 1 || k > n ->
@@ -76,9 +77,9 @@ let of_engine ?modes engine =
             spec.Spec.core_nodes)
         basis;
     beta_tamb = spec.Spec.leak_beta *. spec.Spec.ambient;
-    response = Sparse_response.make engine;
-    rom_scratch_key =
-      Domain.DLS.new_key (fun () ->
+    response;
+    rom_scratch =
+      Util.Per_domain.make (fun () ->
           {
             zd = Array.make k 0.;
             z_eq = Array.make k 0.;
@@ -89,7 +90,8 @@ let of_engine ?modes engine =
           });
   }
 
-let build ?modes model = of_engine ?modes (Sparse_model.of_model model)
+let build ?modes model =
+  of_response ?modes (Sparse_response.build (Sparse_model.of_model model))
 
 let n_modes r = Vec.dim r.mu
 let engine r = r.engine
@@ -139,13 +141,13 @@ let rom_z_inf_into r dst psi =
   done
 
 let rom_begin r =
-  let s = Domain.DLS.get r.rom_scratch_key in
+  let s = Util.Per_domain.get r.rom_scratch in
   Array.fill s.zd 0 (n_modes r) 0.
 
 let rom_feed r ~duration ~psi =
   if duration <= 0. then invalid_arg "Reduced.rom_feed: non-positive duration";
   check_rom_psi r psi;
-  let s = Domain.DLS.get r.rom_scratch_key in
+  let s = Util.Per_domain.get r.rom_scratch in
   rom_z_inf_into r s.z_eq psi;
   for j = 0 to n_modes r - 1 do
     let g = -.Float.expm1 (-.r.mu.(j) *. duration) in
@@ -159,7 +161,7 @@ let rom_feed r ~duration ~psi =
 
 let rom_solve r ~t_p =
   if not (t_p > 0.) then invalid_arg "Reduced.rom_solve: non-positive period";
-  let s = Domain.DLS.get r.rom_scratch_key in
+  let s = Util.Per_domain.get r.rom_scratch in
   let k = n_modes r in
   (* z*_j in place of the drive (it is consumed here), then read the
      superposed peak: static part + retained-mode deviation. *)
@@ -190,7 +192,7 @@ let rom_peak_scan r ?(samples_per_segment = 32) profile =
   if samples_per_segment < 1 then
     invalid_arg "Reduced.rom_peak_scan: non-positive sample count";
   let k = n_modes r in
-  let s = Domain.DLS.get r.rom_scratch_key in
+  let s = Util.Per_domain.get r.rom_scratch in
   rom_begin r;
   List.iter
     (fun (seg : Matex.segment) -> rom_feed r ~duration:seg.duration ~psi:seg.psi)

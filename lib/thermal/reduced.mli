@@ -17,23 +17,23 @@
     shift-invert {!Linalg.Krylov.smallest_eigs} — O(k * nnz) work per
     iteration, so building a reduction never forms a dense matrix and
     the O(n^3) dense eigensolve disappears from the build path.  The
-    static correction reads the engine's shared {!Sparse_response}
-    tables, taken when the reduction is built: a reduction holds no
-    deferred state, so pool workers may share one freely. *)
+    static correction reads the {!Sparse_response} tables the reduction
+    is built from: a reduction holds no deferred state, so pool workers
+    may share one freely. *)
 
 type t
 
-(** [of_engine ?modes engine] retains the [modes] slowest eigenmodes of
-    an already-assembled sparse engine (default: enough to cover the
-    slowest decade of decay rates among the first [min n 12] computed,
-    at least 4) and takes the engine's {!Sparse_response.make} tables as
-    its static tier — the same tables a {!Backend.of_response} over
-    [engine] already built, or built here if none has.  Raises
+(** [of_response ?modes response] retains the [modes] slowest
+    eigenmodes of the sparse engine under [response] (default: enough to
+    cover the slowest decade of decay rates among the first [min n 12]
+    computed, at least 4) and takes [response]'s tables as its static
+    tier — pass the engine a {!Backend.of_response} already wraps, so
+    one platform solves its unit responses once.  Raises
     [Invalid_argument] if [modes] is outside [1, n_nodes]. *)
-val of_engine : ?modes:int -> Sparse_model.t -> t
+val of_response : ?modes:int -> Sparse_response.t -> t
 
-(** [build ?modes model] is {!of_engine} on the sparse engine of a dense
-    model's spec ({!Sparse_model.of_model}). *)
+(** [build ?modes model] is {!of_response} on a new response engine over
+    the sparse engine of a dense model's spec ({!Sparse_model.of_model}). *)
 val build : ?modes:int -> Model.t -> t
 
 (** [engine r] is the sparse engine the reduction projects through. *)

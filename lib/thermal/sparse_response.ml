@@ -17,12 +17,13 @@ type stats = {
    matching expmv tolerance.) *)
 let cg_tol = 1e-13
 
-(* Per-domain scratch, sized to the engine: the streaming feeds below
-   superpose segment equilibria and accumulate the periodic drive
-   without allocating, and two pool workers can never observe each
-   other's partial sums.  (The [e^{-dt M}] applications themselves grow
-   Lanczos bases — that allocation is inherent to the matrix-free
-   exponential, not to the feed.) *)
+(* Per-domain scratch, sized to the engine and owned by it
+   ({!Util.Per_domain}): the streaming feeds below superpose segment
+   equilibria and accumulate the periodic drive without allocating, two
+   pool workers can never observe each other's partial sums, and the
+   scratch dies with its engine.  (The [e^{-dt M}] applications
+   themselves grow Lanczos bases — that allocation is inherent to the
+   matrix-free exponential, not to the feed.) *)
 type scratch = {
   d : float array;  (* accumulated periodic drive over one period *)
   y_eq : float array;  (* superposed equilibrium of the current segment *)
@@ -33,7 +34,7 @@ type scratch = {
      lazily grown Lanczos factorization per core unit response — the
      basis is f-independent, so one preparation serves every duty-cycle
      weight evaluated against it.  Krylov.prepared is mutable and NOT
-     domain-safe, which is exactly why it lives here in DLS. *)
+     domain-safe, which is exactly why it lives in per-domain scratch. *)
   base_cl : float array;  (* nc: psi_low + beta T_amb *)
   base_ch : float array;  (* nc: psi_high + beta T_amb *)
   base_mode : int array;  (* nc: -1 all-low, +1 all-high, 0 interior *)
@@ -62,7 +63,7 @@ type t = {
   apply : Vec.t -> Vec.t;  (* the SPD operator M, shared read-only *)
   core_nodes : int array;  (* node index of each core, shared read-only *)
   c_sqrt_inv_cores : float array;  (* c^{-1/2} at each core's node *)
-  scratch_key : scratch Domain.DLS.key;
+  scratch : scratch Util.Per_domain.t;
   superpose_evals : int Atomic.t;
   stable_solves : int Atomic.t;
   base_solves : int Atomic.t;
@@ -113,8 +114,8 @@ let build engine =
     apply = Sparse.spmv (Sparse_model.operator engine);
     core_nodes = spec.Spec.core_nodes;
     c_sqrt_inv_cores = Array.map c_sqrt_inv_at spec.Spec.core_nodes;
-    scratch_key =
-      Domain.DLS.new_key (fun () ->
+    scratch =
+      Util.Per_domain.make (fun () ->
           {
             d = Array.make n 0.;
             y_eq = Array.make n 0.;
@@ -133,41 +134,6 @@ let build engine =
     base_solves = Atomic.make 0;
     delta_evals = Atomic.make 0;
   }
-
-(* Engines are cached per sparse engine (physical identity): the
-   unit-response build costs n_cores + 1 CG solves, and every policy
-   evaluation on a platform wants the same tables.  Bounded FIFO like
-   [Modal.make]'s registry; an evicted entry keeps working for holders
-   of the old reference, it just stops being shared. *)
-let engines_capacity = 16
-let engines_lock = Mutex.create ()
-
-let engines : (Sparse_model.t * t) list ref =
-  ref [] [@@fosc.guarded "mutex"] (* engines_lock *)
-
-let rec take n = function
-  | [] -> []
-  | _ when n <= 0 -> []
-  | x :: rest -> x :: take (n - 1) rest
-
-let make engine =
-  Mutex.lock engines_lock;
-  Fun.protect
-    ~finally:(fun () -> Mutex.unlock engines_lock)
-    (fun () ->
-      match List.find_opt (fun (e, _) -> e == engine) !engines with
-      | Some (_, resp) -> resp
-      | None ->
-          (* Built under the lock: serializing first use per engine keeps
-             exactly one response table (one stats stream) per platform.
-             The batch solve inside runs on the engine's pool; nested
-             submissions degrade to inline execution, so holding the lock
-             cannot deadlock the pool — and [Fun.protect] releases it if
-             the CG batch raises, so a failed build never wedges every
-             later [make]. *)
-          let resp = build engine in
-          engines := (engine, resp) :: take (engines_capacity - 1) !engines;
-          resp)
 
 let engine t = t.engine
 let n_nodes t = t.n
@@ -254,13 +220,13 @@ let step t ~dt ~state ~psi =
 (* --------------------------------------- streaming stable-status path *)
 
 let stable_begin t =
-  let s = Domain.DLS.get t.scratch_key in
+  let s = Util.Per_domain.get t.scratch in
   Array.fill s.d 0 t.n 0.
 
 let stable_feed t ~duration ~psi =
   if duration <= 0. then
     invalid_arg "Sparse_response.stable_feed: non-positive duration";
-  let s = Domain.DLS.get t.scratch_key in
+  let s = Util.Per_domain.get t.scratch in
   y_inf_into t s.y_eq psi;
   (* d <- y_eq + e^{-dt M} (d - y_eq): the same affine fold
      Sparse_model.stable_start performs, with the equilibrium superposed
@@ -271,7 +237,7 @@ let stable_feed t ~duration ~psi =
 let stable_solve t ~t_p =
   if not (t_p > 0.) then
     invalid_arg "Sparse_response.stable_solve: non-positive period";
-  let s = Domain.DLS.get t.scratch_key in
+  let s = Util.Per_domain.get t.scratch in
   Atomic.incr t.stable_solves;
   (* One Lanczos basis on the accumulated drive evaluates the matrix
      function (I - e^{-T_p M})^{-1} directly — candidate-local and
@@ -307,21 +273,6 @@ let stable_solve t ~t_p =
 
    applied to u_j: O(m . n_cores) per candidate, no new basis. *)
 
-(* Replicates [Sched.Peak.two_mode_decompose]'s ratio validation and
-   boundary snapping (as [Modal.two_mode_core_shape] does for the dense
-   engine), so the prepared-base path agrees with the exact decomposed
-   path on which spans exist. *)
-let two_mode_core_shape ~t_p ~high_ratio =
-  if high_ratio < -1e-12 || high_ratio > 1. +. 1e-12 then
-    invalid_arg
-      (Printf.sprintf "Sparse_response: high_ratio %.6g not in [0,1]"
-         high_ratio);
-  let lh = Float.max 0. (Float.min t_p (high_ratio *. t_p)) in
-  let ll = t_p -. lh in
-  if lh <= 1e-12 then (-1, t_p)
-  else if ll <= 1e-12 then (1, 0.)
-  else (0, ll)
-
 (* h_i for an interior core; [lam] ranges over Ritz values of the SPD
    operator, all positive, so the denominator never vanishes. *)
 let[@inline] h_interior ~cl ~ch ~ll ~t_p lam =
@@ -346,25 +297,25 @@ let get_basis t (s : scratch) i =
 let base_begin t ~t_p =
   if t_p <= 0. then
     invalid_arg "Sparse_response.base_begin: non-positive period";
-  let s = Domain.DLS.get t.scratch_key in
+  let s = Util.Per_domain.get t.scratch in
   s.base_t_p <- t_p;
   s.base_ready <- false;
   Array.fill s.base_mode 0 t.nc min_int
 
 let base_feed t ~core ~psi_low ~psi_high ~high_ratio =
-  let s = Domain.DLS.get t.scratch_key in
+  let s = Util.Per_domain.get t.scratch in
   if s.base_t_p <= 0. then
     invalid_arg "Sparse_response.base_feed: no base_begin on this domain";
   if core < 0 || core >= t.nc then
     invalid_arg "Sparse_response.base_feed: core index out of range";
-  let mode, ll = two_mode_core_shape ~t_p:s.base_t_p ~high_ratio in
+  let mode, ll = Modal.two_mode_core_shape ~t_p:s.base_t_p ~high_ratio in
   s.base_cl.(core) <- psi_low +. t.beta_tamb;
   s.base_ch.(core) <- psi_high +. t.beta_tamb;
   s.base_mode.(core) <- mode;
   s.base_ll.(core) <- ll
 
 let base_solve t =
-  let s = Domain.DLS.get t.scratch_key in
+  let s = Util.Per_domain.get t.scratch in
   if s.base_t_p <= 0. then
     invalid_arg "Sparse_response.base_solve: no base_begin on this domain";
   for i = 0 to t.nc - 1 do
@@ -413,7 +364,7 @@ let delta_nodes t (s : scratch) ~core ~psi_low ~psi_high ~high_ratio =
   if core < 0 || core >= t.nc then
     invalid_arg "Sparse_response.delta: core index out of range";
   let t_p = s.base_t_p in
-  let mode', ll' = two_mode_core_shape ~t_p ~high_ratio in
+  let mode', ll' = Modal.two_mode_core_shape ~t_p ~high_ratio in
   let cl' = psi_low +. t.beta_tamb and ch' = psi_high +. t.beta_tamb in
   let cl = s.base_cl.(core) and ch = s.base_ch.(core) in
   let le mode ll = if mode < 0 then t_p else if mode > 0 then 0. else ll in
@@ -447,7 +398,7 @@ let delta_nodes t (s : scratch) ~core ~psi_low ~psi_high ~high_ratio =
   Atomic.incr t.delta_evals
 
 let delta_peak t ~core ~psi_low ~psi_high ~high_ratio =
-  let s = Domain.DLS.get t.scratch_key in
+  let s = Util.Per_domain.get t.scratch in
   delta_nodes t s ~core ~psi_low ~psi_high ~high_ratio;
   let best = ref neg_infinity in
   for k = 0 to t.nc - 1 do
@@ -463,7 +414,7 @@ let delta_peak t ~core ~psi_low ~psi_high ~high_ratio =
 let delta_core_temp t ~at ~core ~psi_low ~psi_high ~high_ratio =
   if at < 0 || at >= t.nc then
     invalid_arg "Sparse_response.delta_core_temp: core index out of range";
-  let s = Domain.DLS.get t.scratch_key in
+  let s = Util.Per_domain.get t.scratch in
   delta_nodes t s ~core ~psi_low ~psi_high ~high_ratio;
   t.c_sqrt_inv_cores.(at)
   *. (s.y_base.(t.core_nodes.(at)) +. s.w_nodes.(at))
@@ -499,7 +450,7 @@ let peak_scan t ?(samples_per_segment = 32) profile =
   Matex.validate t.nc profile;
   let y = ref (stable_start t profile) in
   let best = ref (Sparse_model.max_core_temp t.engine !y) in
-  let s_scr = Domain.DLS.get t.scratch_key in
+  let s_scr = Util.Per_domain.get t.scratch in
   List.iter
     (fun (s : Matex.segment) ->
       y_inf_into t s_scr.y_eq s.psi;

@@ -43,13 +43,11 @@ type stats = {
 
 (** [build eng] solves the unit responses and assembles the tables —
     [n_cores + 1] preconditioned CG solves fanned across the engine's
-    pool.  Prefer {!make}, which shares the result per engine. *)
+    pool.  Each call builds a new engine, with its own counters and its
+    own per-domain scratch ({!Util.Per_domain}, freed with the engine);
+    the holder (an evaluation context, usually) keeps it and hands it to
+    everything that superposes over the same platform. *)
 val build : Sparse_model.t -> t
-
-(** [make eng] is the memoized {!build}: one response engine per sparse
-    engine (physical identity), so every evaluation context on a
-    platform superposes over identical tables. *)
-val make : Sparse_model.t -> t
 
 (** [engine t] is the sparse engine the responses were solved on. *)
 val engine : t -> Sparse_model.t
@@ -89,8 +87,8 @@ val step : t -> dt:float -> state:Linalg.Vec.t -> psi:Linalg.Vec.t -> Linalg.Vec
     through per-domain scratch (each feed superposes the segment's
     equilibrium allocation-free, then applies one [e^{-dt M}]), then
     solve the fixed point.  Pool workers each see their own scratch
-    through [Domain.DLS], so concurrent candidates never share partial
-    sums. *)
+    (per engine and domain), so concurrent candidates never share
+    partial sums. *)
 
 (** [stable_begin t] resets this domain's accumulated drive. *)
 val stable_begin : t -> unit
@@ -116,7 +114,7 @@ val stable_solve : t -> t_p:float -> Linalg.Vec.t
     candidate, no funmv stream, no new basis.
 
     All state (including the prepared bases, which are mutable and not
-    domain-safe) lives in per-domain [Domain.DLS] scratch, disjoint
+    domain-safe) lives in the engine's per-domain scratch, disjoint
     from the streaming [stable_*] arrays — prepare and evaluate on the
     same domain; exact evaluations interleaved between deltas do not
     disturb the base. *)

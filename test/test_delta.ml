@@ -144,6 +144,26 @@ let test_base_survives_exact_evals backend_of () =
   let e2 = Peak.two_mode_delta_peak b pm ~core:0 ~low:0.7 ~high:1.2 ~high_ratio:0.8 in
   check_bits "re-prepared base replaces the old one" e1 e2
 
+(* A NaN duty ratio lies outside [0, 1]: the prepared-base hooks reject
+   it, as the exact decomposition ([Schedule.two_mode]) does. *)
+let test_nan_ratio_rejected backend_of () =
+  let b = backend_of ?pool:None model_a in
+  let n = Model.n_cores model_a in
+  let low = Array.make n 0.7 and high = Array.make n 1.2 in
+  let raises what f =
+    Alcotest.(check bool) (what ^ " raises Invalid_argument on NaN") true
+      (match f () with exception Invalid_argument _ -> true | _ -> false)
+  in
+  raises "base_feed" (fun () ->
+      Peak.two_mode_delta_base b pm ~period:0.1 ~low ~high
+        ~high_ratio:[| 0.3; nan; 0.9 |]);
+  Peak.two_mode_delta_base b pm ~period:0.1 ~low ~high ~high_ratio:[| 0.3; 0.6; 0.9 |];
+  raises "delta_peak" (fun () ->
+      Peak.two_mode_delta_peak b pm ~core:1 ~low:0.7 ~high:1.2 ~high_ratio:nan);
+  raises "delta_core_temp" (fun () ->
+      Peak.two_mode_delta_temp_at b pm ~at:0 ~core:1 ~low:0.7 ~high:1.2
+        ~high_ratio:nan)
+
 (* --------------------- margin-0 trajectory = pre-delta loop, bitwise *)
 
 (* The pre-delta-tier loops, reimplemented verbatim from the old source
@@ -368,7 +388,12 @@ let () =
           (fun (kind, backend_of) ->
             Alcotest.test_case (kind ^ " base survives exact evals") `Quick
               (test_base_survives_exact_evals backend_of))
-          backends );
+          backends
+        @ List.map
+            (fun (kind, backend_of) ->
+              Alcotest.test_case (kind ^ " NaN ratio rejected") `Quick
+                (test_nan_ratio_rejected backend_of))
+            backends );
       ( "trajectory",
         [
           Alcotest.test_case "margin 0 = pre-delta loops, bitwise" `Quick

@@ -103,7 +103,7 @@ let race_fixture_cases =
     ("r6_bad.cmt", [ (11, "R6") ]);
     ("r7_bad.cmt", [ (9, "R7") ]);
     ("r8_bad.cmt", [ (11, "R8") ]);
-    ("r9_bad.cmt", [ (19, "R9"); (23, "R9") ]);
+    ("r9_bad.cmt", [ (19, "R9"); (23, "R9"); (40, "R9") ]);
     (* Regression guard for the pre-PR Thermal.Reduced shape: a shared
        lazy record field forced inside a pool closure (Lazy.RacyLazy
        class).  The live code now prepares on the submitting domain and

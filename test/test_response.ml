@@ -128,12 +128,6 @@ let test_pool_size_invariance () =
 
 (* ----------------------------------------------- engine independence *)
 
-let test_engine_identity () =
-  Alcotest.(check bool) "make memoizes per model" true
-    (Modal.make model_a == Modal.make model_a);
-  Alcotest.(check bool) "distinct models get distinct engines" true
-    (Modal.make model_a != Modal.make model_b)
-
 (* Interleaving a streaming evaluation on one engine with complete
    evaluations on another must not disturb the first: each engine owns
    its per-domain scratch. *)
@@ -165,21 +159,122 @@ let test_no_cross_contamination () =
   Alcotest.(check bool) "other platform undisturbed" true
     (Float.abs (b_now -. b_ref) <= 1e-9)
 
+(* Engines over one model share this domain's decay/gain rows; an
+   engine over another model with the same node count maps its
+   durations to the same slots but never reads those rows.  Interleaved
+   answers must equal the table-free segment path bit for bit. *)
+let test_shared_memo_isolation () =
+  let model_c =
+    Thermal.Hotspot.core_level
+      (Thermal.Floorplan.grid ~rows:1 ~cols:3 ~core_width:3e-3 ~core_height:5e-3)
+  in
+  Alcotest.(check int) "same node count" (Model.n_nodes model_a) (Model.n_nodes model_c);
+  let a1 = Modal.make model_a and a2 = Modal.make model_a and c = Modal.make model_c in
+  let rng = Random.State.make [| 3 |] in
+  (* One duration set for every profile, so all three engines hit the
+     same slots. *)
+  let durations = [ 0.013; 0.2; 0.057; 0.31 ] in
+  let profiles =
+    List.init 6 (fun _ ->
+        List.map
+          (fun duration -> { Matex.duration; psi = random_psi rng 3 })
+          durations)
+  in
+  let streamed eng profile =
+    Sched.Peak.profile_end_peak (Thermal.Backend.of_modal eng) profile
+  in
+  let table_free eng profile =
+    Modal.max_core_temp eng
+      (Modal.stable_z eng
+         (List.map
+            (fun (s : Matex.segment) -> Modal.segment eng ~duration:s.duration ~psi:s.psi)
+            profile))
+  in
+  List.iteri
+    (fun i profile ->
+      List.iter
+        (fun (name, eng) ->
+          Alcotest.(check int64)
+            (Printf.sprintf "%s, profile %d" name i)
+            (Int64.bits_of_float (table_free eng profile))
+            (Int64.bits_of_float (streamed eng profile)))
+        [ ("a1", a1); ("a2", a2); ("c", c) ])
+    profiles;
+  Alcotest.(check bool) "a2 reuses a1's rows" true
+    ((Modal.stats a2).Modal.exp_hits > 0)
+
+(* ------------------------------------------------- scratch lifetime *)
+
+(* Run [f] once on every domain of [pool]: one task per participant,
+   each waiting until all have started, so no participant takes two. *)
+let on_every_domain pool f =
+  let size = Util.Pool.size pool in
+  let started = Atomic.make 0 in
+  ignore
+    (Util.Pool.init ~pool ~chunk:1 size (fun _ ->
+         Atomic.incr started;
+         while Atomic.get started < size do
+           Domain.cpu_relax ()
+         done;
+         f ())
+      : unit array)
+
+let live_mb () =
+  Gc.compact ();
+  float_of_int ((Gc.stat ()).Gc.live_words * (Sys.word_size / 8)) /. 1e6
+
+(* Engine scratch belongs to the engine: building many engines over
+   distinct models, using each on every domain and dropping them leaves
+   the live heap where it was. *)
+let test_scratch_dies_with_engine () =
+  let pool = Util.Pool.create ~size:4 () in
+  let rng = Random.State.make [| 5 |] in
+  let batch ~modal ~sparse =
+    let jobs =
+      List.init (modal + sparse) (fun i ->
+          let model =
+            Thermal.Hotspot.core_level ~ambient:(Random.State.float rng 60.)
+              (Thermal.Floorplan.grid ~rows:1 ~cols:(1 + Random.State.int rng 2)
+                 ~core_width:4e-3 ~core_height:4e-3)
+          in
+          let b =
+            if i < modal then Thermal.Backend.of_modal (Modal.make model)
+            else
+              Thermal.Backend.of_response
+                (Thermal.Sparse_response.build (Thermal.Sparse_model.of_model ~pool model))
+          in
+          (b, random_profile rng model))
+    in
+    on_every_domain pool (fun () ->
+        List.iter (fun (b, p) -> ignore (Sched.Peak.profile_end_peak b p : float)) jobs)
+  in
+  batch ~modal:10 ~sparse:2;
+  let before = live_mb () in
+  for k = 1 to 20 do
+    batch ~modal:50 ~sparse:(if k <= 5 then 10 else 0)
+  done;
+  let grown = live_mb () -. before in
+  Util.Pool.shutdown pool;
+  Alcotest.(check bool)
+    (Printf.sprintf "live heap grew %.2f MB over 1000 dense and 50 sparse engines" grown)
+    true (grown < 5.)
+
 (* -------------------------------------------------- stats observability *)
 
 let test_stats_observable () =
   let eng = Modal.make model_a in
+  let b = Thermal.Backend.of_modal eng in
   let before = Modal.stats eng in
   Alcotest.(check bool) "at least one engine built" true (before.Modal.builds >= 1);
   let rng = Random.State.make [| 11 |] in
   let profile = random_profile rng model_a in
-  ignore (end_peak model_a profile);
+  ignore (Sched.Peak.profile_end_peak b profile);
   let mid = Modal.stats eng in
   Alcotest.(check bool) "superposition evaluations counted" true
     (mid.Modal.superpose_evals > before.Modal.superpose_evals);
   (* Re-evaluating the same profile reuses the same durations: every
      decay/gain lookup after the first pass hits the table. *)
-  ignore (end_peak model_a profile);
+  ignore (Sched.Peak.profile_end_peak b profile);
   let after = Modal.stats eng in
   Alcotest.(check bool) "decay-table hits grow on repeated durations" true
     (after.Modal.exp_hits > mid.Modal.exp_hits);
@@ -202,9 +297,12 @@ let () =
         [
           Alcotest.test_case "pool sizes 1 and 4 bit-identical" `Quick
             test_pool_size_invariance;
-          Alcotest.test_case "engine identity" `Quick test_engine_identity;
           Alcotest.test_case "no cross-contamination" `Quick
             test_no_cross_contamination;
+          Alcotest.test_case "shared decay memo isolation" `Quick
+            test_shared_memo_isolation;
+          Alcotest.test_case "scratch dies with its engine" `Quick
+            test_scratch_dies_with_engine;
         ] );
       ( "stats",
         [ Alcotest.test_case "counters observable" `Quick test_stats_observable ] );

@@ -322,7 +322,7 @@ let prop_sparse_stable_matches_dense =
 (* The production sparse scans: what [Backend.of_response] runs behind
    [Sched.Peak.of_any]/[of_any_refined] on every sparse context. *)
 let sparse_backend model =
-  Thermal.Backend.of_response (Thermal.Sparse_response.make (Sp_model.of_model model))
+  Thermal.Backend.of_response (Thermal.Sparse_response.build (Sp_model.of_model model))
 
 let prop_sparse_peak_scan_matches_dense =
   QCheck.Test.make ~name:"sparse peak_scan = Matex.peak_scan" ~count:25 seed_gen

@@ -181,10 +181,23 @@ let test_scratch_cross_engine_isolation () =
   Alcotest.(check bool) "engine B undisturbed by interleaved A feeds" true
     (Float.equal (Sp.max_core_temp eng_b zb) expect_b)
 
-let test_make_is_memoized () =
-  let eng = Sp.of_model model27 in
-  Alcotest.(check bool) "make returns one engine per sparse engine" true
-    (Resp.make eng == Resp.make eng)
+(* A sparse context builds one response engine, shared by its backend
+   and its screening model; its dense questions (AO's safety re-check)
+   go to the dense twin and build no response. *)
+let test_one_response_build_per_context () =
+  let p = Workload.Configs.platform ~cores:3 ~levels:5 ~t_max:65. in
+  let builds ev =
+    match Core.Eval.sparse_response_stats ev with
+    | Some s -> s.Resp.builds
+    | None -> Alcotest.fail "response engine not built"
+  in
+  let warm = Core.Eval.create ~backend:Core.Eval.Sparse p in
+  ignore (Core.Eval.backend warm : Thermal.Backend.t);
+  let before = builds warm in
+  let ev = Core.Eval.create ~backend:Core.Eval.Sparse ~screen_margin:0.5 p in
+  ignore (Core.Eval.screening ev : float option);
+  ignore (Core.Ao.solve ~eval:ev ~par:false p : Core.Ao.result);
+  Alcotest.(check int) "one response build" 1 (builds ev - before)
 
 (* ------------------------------------------- ROM screening soundness *)
 
@@ -202,7 +215,7 @@ let prop_screened_search_equals_exhaustive =
       let cols = 2 + Random.State.int rng (Stdlib.min 7 ((64 / rows) - 1)) in
       let spec = Thermal.Grid_model.sheet_spec ~rows ~cols () in
       let eng = Sp.of_spec spec in
-      let rom = Reduced.of_engine eng in
+      let rom = Reduced.of_response (Resp.build eng) in
       let nc = Sp.n_cores eng in
       let n_cand = 8 + Random.State.int rng 9 in
       let candidates =
@@ -341,7 +354,8 @@ let () =
             test_pool_size_determinism;
           Alcotest.test_case "cross-engine isolation" `Quick
             test_scratch_cross_engine_isolation;
-          Alcotest.test_case "make memoization" `Quick test_make_is_memoized;
+          Alcotest.test_case "one response build per context" `Quick
+            test_one_response_build_per_context;
         ] );
       qsuite "screening"
         [

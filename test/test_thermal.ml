@@ -396,7 +396,7 @@ let test_matex_interior_peak_found () =
 let test_matex_validation () =
   let m = model3 () in
   let sparse = Thermal.Sparse_model.of_model m in
-  let resp = Thermal.Sparse_response.make sparse in
+  let resp = Thermal.Sparse_response.build sparse in
   (* Every engine validates its profiles through Matex.validate, so the
      dense, direct-sparse and superposed evaluators reject the same
      inputs with the same messages. *)

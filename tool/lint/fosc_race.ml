@@ -47,7 +47,7 @@ let rule_descriptions =
     ("R6", "pool-reachable code must not touch unguarded module-level mutable state");
     ("R7", "Mutex.lock must be paired with an unlock on every path");
     ("R8", "no Lazy.force of a shared lazy in a parallel region");
-    ("R9", "Domain.DLS scratch must not escape its domain");
+    ("R9", "per-domain scratch (Domain.DLS, Util.Per_domain) must not escape its domain");
   ]
 
 let write_sarif file (findings : Race_rules.finding list) =

@@ -17,9 +17,10 @@
        Waiver: [@fosc.forced_before_parallel] on the lazy's binding,
        on the record field it lives in, or on the force expression —
        asserting the submitting domain forces it first.
-   R9  values read from [Domain.DLS.get] scratch must not escape the
-       domain: no stores into non-DLS shared structures and no
-       returning scratch from a pool-reachable function.  Waiver:
+   R9  values read from per-domain scratch ([Domain.DLS.get] or an
+       engine's [Util.Per_domain.get] slot) must not escape the domain:
+       no stores into non-DLS shared structures and no returning
+       scratch from a pool-reachable function.  Waiver:
        [@fosc.dls_ok] on the escaping expression (a documented
        borrow). *)
 
@@ -343,13 +344,15 @@ end)
 let check_r9 (cg : Callgraph.t) =
   let out = ref [] in
   Callgraph.iter_parallel cg (fun b ->
-      (* Locals holding this domain's DLS scratch (or projections of
-         it), collected on a pre-pass so order of definition vs. use in
-         the tree walk doesn't matter. *)
+      (* Locals holding this domain's scratch (or projections of it),
+         collected on a pre-pass so order of definition vs. use in the
+         tree walk doesn't matter. *)
       let derived_ids = ref IdSet.empty in
       let rec derived (e : Typedtree.expression) =
         match e.exp_desc with
-        | Texp_apply (f, _) when head_key f = Some "DLS.get" -> true
+        | Texp_apply (f, _)
+          when List.mem (head_key f) [ Some "DLS.get"; Some "Per_domain.get" ] ->
+            true
         | Texp_ident (Path.Pident id, _, _) -> IdSet.mem id !derived_ids
         | Texp_field (e', _, _) -> derived e'
         | _ -> false
@@ -377,9 +380,9 @@ let check_r9 (cg : Callgraph.t) =
         out :=
           finding b.source loc "R9"
             (Printf.sprintf
-               "Domain.DLS scratch %s: per-domain scratch escaping its \
-                domain is a data race in waiting; copy it \
-                (Array.copy/Bytes.copy) or annotate the expression with \
+               "Per-domain scratch %s: scratch escaping its domain is a \
+                data race in waiting; copy it (Array.copy/Bytes.copy) or \
+                annotate the expression with \
                 [@fosc.dls_ok \"reason\"] if this is a documented borrow"
                what)
           :: !out
