@@ -54,6 +54,9 @@ let evaluate ev =
   scalar "step_up_peak" (Eval.step_up_peak ev step_up);
   scalar "two_mode_peak" (Eval.two_mode_peak ev ~period ~low ~high ~high_ratio);
   scalar "any_peak" (Eval.any_peak ev ~samples_per_segment:16 shifted);
+  scalar "of_any_refined"
+    (Sched.Peak.of_any_refined (Eval.backend ev) (Eval.platform ev).P.power
+       ~samples_per_segment:16 shifted);
   vector "stable_end_core_temps" (Eval.stable_end_core_temps ev shifted);
   vector "two_mode_end_core_temps"
     (Eval.two_mode_end_core_temps ev ~period ~low ~high ~high_ratio);
@@ -75,6 +78,7 @@ let dense_golden =
     ("step_up_peak", 0x404cdaa39e1f0d9cL);
     ("two_mode_peak", 0x404cdaa39e1f0d9cL);
     ("any_peak", 0x404cdba45824370dL);
+    ("of_any_refined", 0x404cdba480ce8bdfL);
     ("stable_end_core_temps.(0)", 0x4048c7ca971037c8L);
     ("stable_end_core_temps.(1)", 0x404cdba45824370dL);
     ("stable_end_core_temps.(2)", 0x4048d9a6aa0d15acL);
@@ -93,6 +97,7 @@ let sparse_golden =
     ("step_up_peak", 0x405012313fc14bd2L);
     ("two_mode_peak", 0x405012313fc14bd2L);
     ("any_peak", 0x40501395bbd02342L);
+    ("of_any_refined", 0x405013961145c3eaL);
     ("stable_end_core_temps.(0)", 0x4049fc4232ae7d92L);
     ("stable_end_core_temps.(1)", 0x404e19582cdbc320L);
     ("stable_end_core_temps.(2)", 0x404b6a9bc9a2cc32L);
