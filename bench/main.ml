@@ -450,11 +450,10 @@ let tests () =
             ignore
               (Core.Tpt.fill_headroom p ~eval:ev ~par:false
                  ~t_unit:(period /. 4.) ~delta_margin:1.0 c0))));
-    (let profile3 = Sched.Peak.profile b3 pm (Sched.Schedule.two_mode ~period:0.1 ~low:[| 0.6; 0.6; 0.6 |] ~high:[| 1.3; 1.3; 1.3 |] ~high_ratio:[| 0.4; 0.5; 0.6 |])
-     and eng3 = Thermal.Modal.make model3 in
+    (let profile3 = Sched.Peak.profile b3 pm (Sched.Schedule.two_mode ~period:0.1 ~low:[| 0.6; 0.6; 0.6 |] ~high:[| 1.3; 1.3; 1.3 |] ~high_ratio:[| 0.4; 0.5; 0.6 |]) in
      Test.make ~name:"ext/peak-refined-3core"
        (Staged.stage (fun () ->
-            ignore (Thermal.Matex.peak_refined eng3 ~samples_per_segment:16 profile3))));
+            ignore (Sched.Peak.profile_refined_peak b3 ~samples_per_segment:16 profile3))));
     (let demand = Core.Registry.find_exn "demand"
      and ev =
        Core.Eval.create ~cache_size:0

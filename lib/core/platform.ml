@@ -7,9 +7,11 @@ type t = {
 }
 
 let make ?(power = Power.Power_model.default) ?(tau = 5e-6) ~levels ~t_max model =
-  if t_max <= Thermal.Model.ambient model then
-    invalid_arg "Platform.make: t_max must exceed the ambient temperature";
-  if tau < 0. then invalid_arg "Platform.make: negative tau";
+  (* Positive range tests, so a NaN threshold or overhead is rejected. *)
+  if not (Float.is_finite t_max && t_max > Thermal.Model.ambient model) then
+    invalid_arg "Platform.make: t_max must be finite and exceed the ambient temperature";
+  if not (Float.is_finite tau && tau >= 0.) then
+    invalid_arg "Platform.make: tau must be finite and non-negative";
   { model; power; levels; t_max; tau }
 
 let grid ?power ?tau ?(ambient = 35.) ~rows ~cols ~levels ~t_max () =

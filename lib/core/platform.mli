@@ -16,8 +16,8 @@ type t = {
 (** [make ?power ?tau ~levels ~t_max model] assembles a platform.
     Defaults: [power = Power.Power_model.default], [tau = 5e-6] (the
     paper's 5 us switching overhead).  Raises [Invalid_argument] when
-    [t_max] does not exceed the model's ambient temperature or [tau] is
-    negative. *)
+    [t_max] is not finite or does not exceed the model's ambient
+    temperature, or when [tau] is negative or not finite (NaN included). *)
 val make :
   ?power:Power.Power_model.t ->
   ?tau:float ->

@@ -7,20 +7,20 @@ let per_period model pm s =
   let eng = Thermal.Modal.make model in
   let profile = Peak.profile (Thermal.Backend.of_modal eng) pm s in
   let lambda = Thermal.Modal.eigenvalues eng in
-  let segs =
-    List.map
-      (fun (seg : Thermal.Matex.segment) ->
-        Thermal.Modal.segment eng ~duration:seg.duration ~psi:seg.psi)
-      profile
-  in
   let beta = Thermal.Model.leak_beta model in
   let ambient = Thermal.Model.ambient model in
   let cores = Thermal.Model.core_nodes model in
   let dynamic = ref 0. and leakage = ref 0. in
-  let z = ref (Thermal.Modal.stable_z eng segs) in
-  List.iter2
-    (fun (seg : Thermal.Matex.segment) mseg ->
-      let dt = seg.duration and z0 = !z in
+  Thermal.Modal.stable_begin eng;
+  List.iter
+    (fun (seg : Thermal.Matex.segment) ->
+      Thermal.Modal.stable_feed eng ~duration:seg.duration ~psi:seg.psi)
+    profile;
+  let t_p = Thermal.Matex.period profile in
+  let z = Array.copy (Thermal.Modal.stable_solve eng ~t_p) in
+  List.iter
+    (fun (seg : Thermal.Matex.segment) ->
+      let dt = seg.duration in
       dynamic := !dynamic +. (Linalg.Vec.sum seg.psi *. dt);
       (* Leakage: beta * (theta_i + T_amb) integrated exactly.  Per mode,
          int_0^dt z = z_eq dt + (z0 - z_eq) expm1(lambda dt) / lambda. *)
@@ -28,7 +28,7 @@ let per_period model pm s =
       let z_integral =
         Array.mapi
           (fun j l ->
-            (z_eq.(j) *. dt) +. ((z0.(j) -. z_eq.(j)) *. Float.expm1 (l *. dt) /. l))
+            (z_eq.(j) *. dt) +. ((z.(j) -. z_eq.(j)) *. Float.expm1 (l *. dt) /. l))
           lambda
       in
       let theta_integral = Thermal.Modal.of_modal eng z_integral in
@@ -36,8 +36,8 @@ let per_period model pm s =
         (fun i ->
           leakage := !leakage +. (beta *. (theta_integral.(i) +. (ambient *. dt))))
         cores;
-      z := Thermal.Modal.advance mseg z0)
-    profile segs;
+      Thermal.Modal.advance_into eng ~dt ~eq:z_eq ~src:z ~dst:z)
+    profile;
   { dynamic = !dynamic; leakage = !leakage; period = Schedule.period s }
 
 let per_work model pm ?(tau = 0.) s =

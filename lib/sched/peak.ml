@@ -230,6 +230,10 @@ let two_mode_decompose s ~period ~low ~high ~high_ratio =
       incr npts
     end
   done;
+  (* [Schedule.validate]'s period test, after the ratios as in
+     [Schedule.two_mode]; a NaN period must not price as -inf. *)
+  if not (Float.is_finite period && period > 0.) then
+    invalid_arg "Schedule: period must be finite and positive";
   (* Insertion sort: at most [2n + 2] points, no comparator closure. *)
   for k = 1 to !npts - 1 do
     let v = pts.(k) in
@@ -379,15 +383,75 @@ let profile_end_core_temps (b : B.t) profile =
 let profile_end_peak (b : B.t) profile =
   b.B.max_core_temp (stable_of_profile b profile)
 
+(* ------------------------------------------------- in-period walk *)
+
+(* A schedule that is not step-up may peak strictly inside a segment, so
+   the stable-status period is walked (the MatEx method, reference [28]
+   of the paper): from the period-boundary stable state, each segment is
+   taken in [samples] equal sub-steps toward its equilibrium, tracking
+   the hottest core, and the next segment starts from ONE exact
+   full-duration step from this segment's start, so boundary states
+   accumulate no sub-step rounding.  With [tol], the bracket around each
+   segment's hottest sample (the segment start counted) is then
+   golden-section searched to time resolution [tol * duration], each
+   probe one exact step from the segment start. *)
+let walk_peak (b : B.t) ~samples ?tol profile =
+  if samples < 1 then invalid_arg "Peak: non-positive sample count";
+  let z = Array.copy (stable_of_profile b profile) in
+  let n = Array.length z in
+  let eq = Array.make n 0. and walker = Array.make n 0. in
+  let best = ref (b.B.max_core_temp z) in
+  List.iter
+    (fun (seg : Thermal.Matex.segment) ->
+      let duration = seg.duration in
+      let dt = duration /. float_of_int samples in
+      b.B.equilibrium_into ~psi:seg.psi ~dst:eq;
+      let best_k = ref 0 in
+      let best_here =
+        ref (if Option.is_some tol then b.B.max_core_temp z else neg_infinity)
+      in
+      Array.blit z 0 walker 0 n;
+      for k = 1 to samples do
+        b.B.advance_into ~dt ~eq ~src:walker ~dst:walker;
+        let temp = b.B.max_core_temp walker in
+        if temp > !best_here then begin
+          best_here := temp;
+          best_k := k
+        end
+      done;
+      best := Float.max !best !best_here;
+      (match tol with
+      | None -> ()
+      | Some tol ->
+          let lo = Float.max 0. ((float_of_int !best_k -. 1.) *. dt) in
+          let hi = Float.min duration ((float_of_int !best_k +. 1.) *. dt) in
+          if hi > lo then begin
+            let temp_at t =
+              b.B.step_into ~dt:t ~state:z ~psi:seg.psi ~dst:walker;
+              b.B.max_core_temp walker
+            in
+            best :=
+              Float.max !best (Thermal.Matex.golden_max temp_at lo hi (tol *. duration))
+          end);
+      b.B.advance_into ~dt:duration ~eq ~src:z ~dst:z)
+    profile;
+  !best
+
+let profile_scan_peak b ?(samples_per_segment = 32) profile =
+  walk_peak b ~samples:samples_per_segment profile
+
+let profile_refined_peak b ?(samples_per_segment = 32) ?(tol = 1e-4) profile =
+  walk_peak b ~samples:samples_per_segment ~tol profile
+
 let of_step_up b pm s =
   if not (Stepup.is_step_up s) then invalid_arg "Peak.of_step_up: schedule is not step-up";
   profile_end_peak b (profile b pm s)
 
-let of_any (b : B.t) pm ?(samples_per_segment = 32) s =
-  b.B.peak_scan ~samples_per_segment (profile b pm s)
+let of_any b pm ?(samples_per_segment = 32) s =
+  profile_scan_peak b ~samples_per_segment (profile b pm s)
 
-let of_any_refined (b : B.t) pm ?(samples_per_segment = 32) s =
-  b.B.peak_refined ~samples_per_segment ~tol:1e-4 (profile b pm s)
+let of_any_refined b pm ?(samples_per_segment = 32) s =
+  profile_refined_peak b ~samples_per_segment (profile b pm s)
 
 let stable_end_core_temps b pm s = profile_end_core_temps b (profile b pm s)
 

@@ -12,8 +12,9 @@
     backend's business; callers holding only a model pass
     [Thermal.Backend.of_model model].  The engines underneath export
     primitives only, so this is the one layer that turns a profile into
-    an answer — period-boundary questions of a raw profile included
-    ({!profile_end_core_temps}, {!profile_end_peak}).  The two
+    an answer — the period-boundary and in-period questions of a raw
+    profile included ({!profile_end_core_temps}, {!profile_end_peak},
+    {!profile_scan_peak}, {!profile_refined_peak}).  The two
     {!Thermal.Reduced} screening scorers are the only evaluators that
     take something else. *)
 
@@ -77,10 +78,10 @@ val profile :
 
 (** {1 Profile evaluators}
 
-    One implementation per question, for every engine.  The two
-    [profile_end_*] readers take a ready {!Thermal.Matex.profile} (one
-    period of piecewise-constant core powers); the schedule evaluators
-    below build that profile with {!profile} and delegate. *)
+    One implementation per question, for every engine.  The [profile_*]
+    readers take a ready {!Thermal.Matex.profile} (one period of
+    piecewise-constant core powers); the schedule evaluators below build
+    that profile with {!profile} and delegate. *)
 
 (** [profile_end_core_temps b profile] are the absolute per-core
     temperatures at the stable-status period boundary of [profile]: the
@@ -94,6 +95,37 @@ val profile_end_core_temps : Thermal.Backend.t -> Thermal.Matex.profile -> Linal
     the period-boundary peak Theorem 1 proves is the true peak of a
     step-up schedule. *)
 val profile_end_peak : Thermal.Backend.t -> Thermal.Matex.profile -> float
+
+(** [profile_scan_peak b ?samples_per_segment profile] is the hottest
+    core temperature found by walking the stable-status period of
+    [profile] (the MatEx method, reference [28] of the paper): from the
+    period-boundary stable state, every segment is taken in
+    [samples_per_segment] (default 32) equal sub-steps through the
+    backend's {!Thermal.Backend.field-equilibrium_into}/[advance_into]
+    primitives, and the next segment starts from one exact
+    full-duration step, so boundary states accumulate no sub-step
+    rounding.  The safe evaluator for profiles that are not step-up,
+    whose peak may fall strictly inside a segment.  Raises
+    [Invalid_argument] on a sample count below 1 or on profiles
+    {!Thermal.Matex.validate} rejects. *)
+val profile_scan_peak :
+  Thermal.Backend.t -> ?samples_per_segment:int -> Thermal.Matex.profile -> float
+
+(** [profile_refined_peak b ?samples_per_segment ?tol profile] is the
+    same walk, then, inside every segment, a
+    {!Thermal.Matex.golden_max} search of the sub-interval bracketing
+    the segment's hottest sample (its start counted) down to time
+    resolution [tol * duration] (default [tol = 1e-4]); each probe is
+    one exact {!Thermal.Backend.field-step_into} from the segment
+    start.  At least the scan's answer up to the same sampling; used
+    where an exact interior peak matters (final verification,
+    theorem-tolerance measurements). *)
+val profile_refined_peak :
+  Thermal.Backend.t ->
+  ?samples_per_segment:int ->
+  ?tol:float ->
+  Thermal.Matex.profile ->
+  float
 
 (** [steady_constant b pm voltages] is the constant-schedule peak: the
     hottest steady core temperature under per-core voltages —
@@ -109,8 +141,8 @@ val steady_constant :
 val of_step_up : Thermal.Backend.t -> Power.Power_model.t -> Schedule.t -> float
 
 (** [of_any b pm ?samples_per_segment s] is the stable-status peak of an
-    arbitrary periodic schedule, by dense scanning (default 32 samples
-    per state interval). *)
+    arbitrary periodic schedule — {!profile_scan_peak} of its profile
+    (default 32 samples per state interval). *)
 val of_any :
   Thermal.Backend.t ->
   Power.Power_model.t ->
@@ -118,8 +150,8 @@ val of_any :
   Schedule.t ->
   float
 
-(** [of_any_refined b pm ?samples_per_segment s] sharpens {!of_any}
-    with per-segment golden-section refinement (to [1e-4] of each
+(** [of_any_refined b pm ?samples_per_segment s] sharpens {!of_any}:
+    {!profile_refined_peak} of the schedule's profile (to [1e-4] of each
     segment) — the most accurate evaluator, used for final
     verification. *)
 val of_any_refined :

@@ -1,8 +1,11 @@
 type segment = { duration : float; voltage : float }
 type t = { period : float; cores : segment list array }
 
+(* Positive range tests throughout, so a NaN or infinite input is
+   rejected instead of reaching the thermal engines. *)
 let validate s =
-  if s.period <= 0. then invalid_arg "Schedule: non-positive period";
+  if not (Float.is_finite s.period && s.period > 0.) then
+    invalid_arg "Schedule: period must be finite and positive";
   if Array.length s.cores = 0 then invalid_arg "Schedule: no cores";
   Array.iteri
     (fun i segments ->
@@ -10,10 +13,12 @@ let validate s =
         invalid_arg (Printf.sprintf "Schedule: core %d has no segments" i);
       List.iter
         (fun seg ->
-          if seg.duration <= 0. then
-            invalid_arg (Printf.sprintf "Schedule: core %d has a non-positive duration" i);
-          if seg.voltage < 0. then
-            invalid_arg (Printf.sprintf "Schedule: core %d has a negative voltage" i))
+          if not (Float.is_finite seg.duration && seg.duration > 0.) then
+            invalid_arg
+              (Printf.sprintf "Schedule: core %d has a non-finite or non-positive duration" i);
+          if not (Float.is_finite seg.voltage && seg.voltage >= 0.) then
+            invalid_arg
+              (Printf.sprintf "Schedule: core %d has a negative or non-finite voltage" i))
         segments;
       let total = List.fold_left (fun acc seg -> acc +. seg.duration) 0. segments in
       if Float.abs (total -. s.period) > 1e-9 *. Float.max 1. s.period then

@@ -17,8 +17,9 @@ type t = private { period : float; cores : segment list array }
     always satisfy {!val-validate}. *)
 
 (** [make ~period cores] validates and builds a schedule.  Raises
-    [Invalid_argument] when the period is non-positive, any core has no
-    segments, any duration is non-positive, any voltage is negative, or a
+    [Invalid_argument] when the period is not finite and positive, any
+    core has no segments, any duration is not finite and positive, any
+    voltage is negative or not finite, or a
     core's durations do not sum to the period (tolerance 1e-9
     relative). *)
 val make : period:float -> segment list array -> t

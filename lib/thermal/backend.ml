@@ -12,8 +12,9 @@ type t = {
   max_core_temp : Linalg.Vec.t -> float;
   steady_core_temps : Linalg.Vec.t -> Linalg.Vec.t;
   steady_peak : Linalg.Vec.t -> float;
-  peak_scan : samples_per_segment:int -> Matex.profile -> float;
-  peak_refined : samples_per_segment:int -> tol:float -> Matex.profile -> float;
+  equilibrium_into : psi:Linalg.Vec.t -> dst:Linalg.Vec.t -> unit;
+  advance_into :
+    dt:float -> eq:Linalg.Vec.t -> src:Linalg.Vec.t -> dst:Linalg.Vec.t -> unit;
   stable_begin : unit -> unit;
   stable_feed : duration:float -> psi:Linalg.Vec.t -> unit;
   stable_solve : t_p:float -> Linalg.Vec.t;
@@ -70,12 +71,9 @@ let of_modal eng =
     max_core_temp = Modal.max_core_temp eng;
     steady_core_temps = (fun psi -> Modal.core_temps eng (Modal.z_inf eng psi));
     steady_peak = Modal.steady_peak eng;
-    peak_scan =
-      (fun ~samples_per_segment profile ->
-        Matex.peak_scan eng ~samples_per_segment profile);
-    peak_refined =
-      (fun ~samples_per_segment ~tol profile ->
-        Matex.peak_refined eng ~samples_per_segment ~tol profile);
+    equilibrium_into = (fun ~psi ~dst -> Modal.z_inf_into eng dst psi);
+    advance_into =
+      (fun ~dt ~eq ~src ~dst -> Modal.advance_into eng ~dt ~eq ~src ~dst);
     stable_begin = (fun () -> Modal.stable_begin eng);
     stable_feed = (fun ~duration ~psi -> Modal.stable_feed eng ~duration ~psi);
     stable_solve = (fun ~t_p -> Modal.stable_solve eng ~t_p);
@@ -112,12 +110,11 @@ let of_response resp =
     max_core_temp = Sparse_model.max_core_temp eng;
     steady_core_temps = Sparse_response.steady_core_temps resp;
     steady_peak = Sparse_response.steady_peak resp;
-    peak_scan =
-      (fun ~samples_per_segment profile ->
-        Sparse_response.peak_scan resp ~samples_per_segment profile);
-    peak_refined =
-      (fun ~samples_per_segment ~tol profile ->
-        Sparse_response.peak_refined resp ~samples_per_segment ~tol profile);
+    equilibrium_into = (fun ~psi ~dst -> Sparse_response.y_inf_into resp dst psi);
+    advance_into =
+      (fun ~dt ~eq ~src ~dst ->
+        let next = Sparse_model.advance eng ~dt ~y_inf:eq src in
+        Array.blit next 0 dst 0 (Sparse_model.n_nodes eng));
     stable_begin = (fun () -> Sparse_response.stable_begin resp);
     stable_feed = (fun ~duration ~psi -> Sparse_response.stable_feed resp ~duration ~psi);
     stable_solve = (fun ~t_p -> Sparse_response.stable_solve resp ~t_p);

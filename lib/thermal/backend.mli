@@ -6,15 +6,16 @@
     come from the dense modal engine ({!Modal}, O(n³) build, exact
     eigenbasis) or the sparse Krylov engine ({!Sparse_model}, O(nnz)
     build, CG + Lanczos solves).  A backend is a record of closures over
-    one of those engines.  {!Sched.Peak} writes each evaluator once
-    against it — steady peaks through the [steady_*] fields, every
-    period-boundary stable status (whole profiles and the fused two-mode
-    stream alike) through
+    one of those engines, and every field is an engine primitive.
+    {!Sched.Peak} writes each evaluator once against it — steady peaks
+    through the [steady_*] fields, every period-boundary stable status
+    (whole profiles and the fused two-mode stream alike) through
     {!field:stable_begin}/{!field:stable_feed}/{!field:stable_solve},
-    interior peaks through the [peak_*] fields, the TPT delta scans
-    through the [base_*]/[delta_*] hooks — and
-    {!Core.Eval} holds one, so every registered policy runs unchanged on
-    either implementation.
+    the scanned and refined in-period peaks by walking the stable period
+    with {!field:equilibrium_into}/{!field:advance_into} and probing
+    with {!field:step_into}, the TPT delta scans through the
+    [base_*]/[delta_*] hooks — and {!Core.Eval} holds one, so every
+    registered policy runs unchanged on either implementation.
 
     States are opaque to callers: modal coordinates for the dense
     backend, symmetrized node coordinates for the sparse one.  Obtain
@@ -50,10 +51,17 @@ type t = {
   steady_core_temps : Linalg.Vec.t -> Linalg.Vec.t;
       (** Absolute steady core temperatures under constant powers. *)
   steady_peak : Linalg.Vec.t -> float;
-  peak_scan : samples_per_segment:int -> Matex.profile -> float;
-      (** Dense scan of the stable-status period. *)
-  peak_refined : samples_per_segment:int -> tol:float -> Matex.profile -> float;
-      (** Scan plus golden-section refinement. *)
+  equilibrium_into : psi:Linalg.Vec.t -> dst:Linalg.Vec.t -> unit;
+      (** The equilibrium state under constant per-core powers [psi],
+          superposed into [dst] (a state-length buffer) — the [eq] that
+          {!field:advance_into} steps toward. *)
+  advance_into :
+    dt:float -> eq:Linalg.Vec.t -> src:Linalg.Vec.t -> dst:Linalg.Vec.t -> unit;
+      (** Exact advance of [src] by [dt] toward the equilibrium [eq],
+          written into [dst]; [dst] may alias [src].  The sub-step of
+          every in-period walk: one equilibrium per segment, many steps
+          toward it.  Allocation-free on the dense backend; the sparse
+          one applies one [expmv] and blits. *)
   stable_begin : unit -> unit;
       (** Fused stable-status stream, the candidate hot path: reset this
           domain's accumulator ... *)

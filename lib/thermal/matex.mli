@@ -10,16 +10,17 @@
     the product of the per-segment exponentials [e^{A dt_q}].
 
     This module holds the profile type every engine consumes, its
-    validation, and the dense engine's in-period scans.  Everything runs
-    on a {!Modal} response engine: equilibria come
-    from unit-response superposition (zero LU solves per profile), decay
-    factors from the per-duration table, each sample is O(n)
-    element-wise work, and the [(I - K)^{-1}] solve is a per-mode
-    division.  Period-boundary questions (the step-up peak of Theorem 1,
-    the end-of-period core temperatures) are answered once, for every
-    engine, by [Sched.Peak] over a {!Backend.t}; {!peak_scan} and
-    {!peak_refined} are what {!Backend.of_modal} runs for the in-period
-    ones. *)
+    validation, the golden-section search every refined peak probes
+    with, and the few questions only the dense engine answers: the
+    node-space stable state, the Fig. 4 trace, and the transient
+    (non-periodic) walks from a given start.  They run on a {!Modal}
+    response engine: equilibria come from unit-response superposition
+    (zero LU solves per profile), decay factors from the per-duration
+    table, each sample is O(n) element-wise work, and the [(I - K)^{-1}]
+    solve is a per-mode division.  Every per-platform question — the
+    step-up peak of Theorem 1, the end-of-period core temperatures, and
+    the scanned and refined in-period peaks — is answered once, for
+    every engine, by [Sched.Peak] over a {!Backend.t}. *)
 
 type segment = { duration : float; psi : Linalg.Vec.t }
 
@@ -31,9 +32,10 @@ type profile = segment list
 val period : profile -> float
 
 (** [validate n_cores profile] raises [Invalid_argument] on empty
-    profiles, non-positive durations or power vectors whose arity is not
-    [n_cores].  Every engine ({!Sparse_model}, {!Sparse_response}) checks
-    its profiles here, so all of them reject bad input with the same
+    profiles, durations that are not finite and positive, power vectors
+    whose arity is not [n_cores], or non-finite powers.  Every engine
+    ({!Sparse_model}, and [Sched.Peak] for every {!Backend}) checks its
+    profiles here, so all of them reject bad input with the same
     messages. *)
 val validate : int -> profile -> unit
 
@@ -45,38 +47,20 @@ val validate : int -> profile -> unit
     differential suites pin the other engines' stable statuses to it. *)
 val stable_start : Model.t -> profile -> Linalg.Vec.t
 
-(** [peak_scan eng ?samples_per_segment profile] scans the stable-status
-    period on the modal engine [eng] densely ([samples_per_segment]
-    exact sub-steps inside every segment, default 32) and returns the
-    hottest absolute core temperature found.  This is the safe evaluator
-    for profiles that are not step-up, where the peak may fall strictly
-    inside a segment; {!Backend.of_modal} runs it behind
-    [Backend.peak_scan]. *)
-val peak_scan : Modal.t -> ?samples_per_segment:int -> profile -> float
-
 (** [stable_core_trace model ~samples_per_segment profile] samples the
     stable-status period densely and returns [(time, absolute core
     temperatures)] pairs covering one period, boundaries included.  Kept
     for the Fig. 4 experiment, which plots it; no backend hook samples a
-    whole period. *)
+    whole period.  Like {!time_to_threshold} and {!mission_peak}, raises
+    [Invalid_argument] on a sample count below 1. *)
 val stable_core_trace :
   Model.t -> samples_per_segment:int -> profile -> (float * Linalg.Vec.t) array
-
-(** [peak_refined eng ?samples_per_segment ?tol profile] sharpens
-    {!peak_scan} on the same engine: after the dense scan it
-    golden-section-maximizes the hottest-core temperature inside the
-    bracketing sub-interval of every segment's best sample, to time
-    resolution [tol * duration] (default [tol = 1e-4]).  Guaranteed
-    [>= peak_scan] up to the same sampling; used where an exact interior
-    peak matters (PCO verification, theorem-tolerance measurements). *)
-val peak_refined :
-  Modal.t -> ?samples_per_segment:int -> ?tol:float -> profile -> float
 
 (** [golden_max f a b tol] maximizes [f] over [[a, b]] by golden-section
     search down to an interval of width [tol].  Exact for [f] unimodal on
     the bracket; otherwise still a value [f] attains.  The one
-    refinement search every [peak_refined] (dense modal, sparse superposition)
-    probes with, so all engines sample the same abscissae. *)
+    refinement search: [Sched.Peak.profile_refined_peak] probes every
+    engine with it, so all engines sample the same abscissae. *)
 val golden_max : (float -> float) -> float -> float -> float -> float
 
 (** [time_to_threshold model ?theta0 ?max_periods ?samples_per_segment
@@ -102,9 +86,9 @@ val time_to_threshold :
 (** [mission_peak model ?theta0 ?samples_per_segment segments] is the
     hottest core temperature over a ONE-SHOT (non-repeating) sequence of
     power segments starting from [theta0] (default: ambient) — mission-
-    profile analysis, e.g. boot + burst + settle.  Unlike {!peak_scan}
-    there is no stable-status solve; the trajectory is simulated once
-    with dense sampling.  Returns the peak and the final state.  Kept as
+    profile analysis, e.g. boot + burst + settle.  Unlike the scans of
+    [Sched.Peak] there is no stable-status solve; the trajectory is
+    simulated once with dense sampling.  Returns the peak and the final state.  Kept as
     the library's one non-periodic evaluator, a README feature. *)
 val mission_peak :
   Model.t ->

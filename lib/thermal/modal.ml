@@ -49,8 +49,6 @@ type scratch = {
   z_star : float array;  (* solved stable status *)
   mutable tally_hits : int;  (* decay-table counters, flushed to the *)
   mutable tally_misses : int;  (* engine's atomics once per solve *)
-  z_cur : float array;  (* dense-scan cursor (exact segment boundaries) *)
-  z_smp : float array;  (* dense-scan sub-step walker *)
   (* ---- prepared-base delta state (base_begin / base_feed / base_solve
      and the delta evaluators): the per-core two-mode drive parameters
      of the prepared base config, its stable status, and candidate scratch.
@@ -134,8 +132,6 @@ let make model =
             z_star = Array.make n 0.;
             tally_hits = 0;
             tally_misses = 0;
-            z_cur = Array.make n 0.;
-            z_smp = Array.make n 0.;
             base_cl = Array.make n_cores 0.;
             base_ch = Array.make n_cores 0.;
             base_mode = Array.make n_cores min_int;
@@ -180,6 +176,7 @@ let check_psi t psi =
    leakage drive beta*T_amb entering every core identically. *)
 let z_inf_into t dst psi =
   check_psi t psi;
+  if Vec.dim dst <> t.n then invalid_arg "Modal.z_inf_into: bad state arity";
   Atomic.incr t.superpose_evals;
   Array.fill dst 0 t.n 0.;
   for i = 0 to Array.length t.unit_rz - 1 do
@@ -215,10 +212,6 @@ let steady_peak t psi =
   !best +. t.ambient
 
 (* --------------------------------------------------- decay/gain table *)
-
-let compute_decay_gain t dt =
-  ( Array.map (fun l -> exp (l *. dt)) t.lambda,
-    Array.map (fun l -> -.Float.expm1 (l *. dt)) t.lambda )
 
 (* Fibonacci-style multiplicative hash of a duration's bit pattern into
    a direct-mapped slot.  The low mantissa bits of nearby durations are
@@ -318,8 +311,12 @@ let max_core_temp t z =
 
 (* The candidate-evaluation hot path: fold a periodic profile's segments
    through the per-domain scratch, then solve the per-mode fixed point.
-   Equivalent to [stable_z] over freshly built segments, but with zero
-   allocation, zero LU solves and table-amortized exponentials. *)
+   One period from the zero state leaves the drive d (d <- D_dt d +
+   g_dt z_eq per segment); K = prod e^{lambda dt_q} is diagonal in modal
+   space, so the (I - K)^{-1} solve of Eq. (4) collapses to a per-mode
+   division, whose expm1 denominator keeps slow modes (lambda t_p ~ 0)
+   at full precision.  Zero allocation, zero LU solves and
+   table-amortized exponentials. *)
 
 let stable_begin t =
   let s = Util.Per_domain.get t.scratch in
@@ -354,57 +351,24 @@ let stable_solve t ~t_p =
      the next stable_begin/feed/solve on the same domain, never shared \
      across domains"])
 
-(* ------------------------------------------- streaming dense scan *)
+(* ------------------------------------------------ sub-step advance *)
 
-(* Allocation-free counterpart of the segment-list peak scan: after
-   [stable_solve], [scan_begin] seats the cursor on the stable start and
-   each [scan_feed] walks one segment in [samples] equal sub-steps
-   (identical update to [advance] on a [split] segment: z <- decay z +
-   gain z_eq), returning the hottest core temperature among the visited
-   states.  The cursor itself advances by the segment's full duration in
-   ONE exact step from the segment start, so boundary states accumulate
-   no sub-step rounding — exactly like the allocating scan it replaces,
-   whose results it reproduces bit-for-bit. *)
-
-let scan_begin t =
+(* One exact advance toward a given equilibrium: z <- D_dt z + g_dt eq,
+   with the decay/gain row from the per-domain table.  Element-wise, so
+   [dst] may alias [src] — an in-period walk steps one buffer in place.
+   The tallies are left for the next [stable_solve]/[step_into] to
+   flush: a walk calls this once per sub-step. *)
+let advance_into t ~dt ~eq ~src ~dst =
+  if not (dt >= 0.) then invalid_arg "Modal.advance_into: negative duration";
+  if Vec.dim eq <> t.n || Vec.dim src <> t.n || Vec.dim dst <> t.n then
+    invalid_arg "Modal.advance_into: bad state arity";
   let s = Util.Per_domain.get t.scratch in
-  Array.blit s.z_star 0 s.z_cur 0 t.n
-
-let scan_feed t ~samples ~duration ~psi =
-  if duration <= 0. then invalid_arg "Modal.scan_feed: non-positive duration";
-  if samples < 1 then invalid_arg "Modal.scan_feed: non-positive sample count";
-  let s = Util.Per_domain.get t.scratch in
-  z_inf_into t s.z_eq psi;
-  let { Mat.rows; cols; data } = t.core_rows in
-  let best = ref neg_infinity in
-  (* Sub-step walk on [z_smp]; nothing in the loop touches the decay
-     table, so the row fetched here cannot be evicted mid-walk. *)
-  let sub = decay_row t s (duration /. float_of_int samples) in
-  Array.blit s.z_cur 0 s.z_smp 0 t.n;
-  for _ = 1 to samples do
-    for j = 0 to t.n - 1 do
-      Array.unsafe_set s.z_smp j
-        ((Array.unsafe_get sub j *. Array.unsafe_get s.z_smp j)
-        +. Array.unsafe_get sub (t.n + j)
-           *. Array.unsafe_get s.z_eq j)
-    done;
-    for k = 0 to rows - 1 do
-      let off = k * cols in
-      let acc = ref 0. in
-      for j = 0 to cols - 1 do
-        acc := !acc +. (Array.unsafe_get data (off + j) *. Array.unsafe_get s.z_smp j)
-      done;
-      if !acc > !best then best := !acc
-    done
-  done;
-  (* Exact full-duration boundary step from the segment start. *)
-  let full = decay_row t s duration in
+  let row = decay_row t s dt in
   for j = 0 to t.n - 1 do
-    Array.unsafe_set s.z_cur j
-      ((Array.unsafe_get full j *. Array.unsafe_get s.z_cur j)
-      +. Array.unsafe_get full (t.n + j) *. Array.unsafe_get s.z_eq j)
-  done;
-  !best +. t.ambient
+    Array.unsafe_set dst j
+      ((Array.unsafe_get row j *. Array.unsafe_get src j)
+      +. (Array.unsafe_get row (t.n + j) *. Array.unsafe_get eq j))
+  done
 
 (* ------------------------------------------- prepared-base deltas *)
 
@@ -604,59 +568,3 @@ let delta_core_temp t ~at ~core ~psi_low ~psi_high ~high_ratio =
     acc := !acc +. (Array.unsafe_get data (off + j) *. Array.unsafe_get s.z_cand j)
   done;
   !acc +. t.ambient
-
-(* --------------------------------------------------------- segments *)
-
-type segment = {
-  duration : float;
-  decay : Vec.t; (* e^{lambda_j * duration}; shared, read-only *)
-  gain : Vec.t; (* 1 - decay, via expm1 for accuracy at slow modes *)
-  z_eq : Vec.t; (* modal equilibrium of this segment's psi *)
-  lambda : Vec.t;
-}
-
-let segment (t : t) ~duration ~psi =
-  if duration <= 0. then invalid_arg "Modal.segment: non-positive duration";
-  (* Computed fresh: the vectors escape into the segment record, and the
-     dense-scan paths that build segments are not the candidate hot
-     loop. *)
-  let decay, gain = compute_decay_gain t duration in
-  Atomic.incr t.exp_misses;
-  { duration; decay; gain; z_eq = z_inf t psi; lambda = t.lambda }
-
-let duration s = s.duration
-
-let split s k =
-  if k < 1 then invalid_arg "Modal.split: non-positive sample count";
-  let dt = s.duration /. float_of_int k in
-  {
-    s with
-    duration = dt;
-    decay = Array.map (fun l -> exp (l *. dt)) s.lambda;
-    gain = Array.map (fun l -> -.Float.expm1 (l *. dt)) s.lambda;
-  }
-
-let advance s z =
-  Array.init (Vec.dim z) (fun j ->
-      (s.decay.(j) *. z.(j)) +. (s.gain.(j) *. s.z_eq.(j)))
-
-let at s ~t_rel z =
-  Array.init (Vec.dim z) (fun j ->
-      s.z_eq.(j) +. (exp (s.lambda.(j) *. t_rel) *. (z.(j) -. s.z_eq.(j))))
-
-let stable_z (t : t) segs =
-  if List.is_empty segs then invalid_arg "Modal.stable_z: empty segment list";
-  (* One period from the zero state: z(t_p) = K z0 + d with diagonal
-     K = prod e^{lambda dt_q}; from z0 = 0 the iteration below leaves d. *)
-  let d = Vec.zeros t.n in
-  let t_p = List.fold_left (fun acc s -> acc +. s.duration) 0. segs in
-  List.iter
-    (fun s ->
-      for j = 0 to t.n - 1 do
-        d.(j) <- (s.decay.(j) *. d.(j)) +. (s.gain.(j) *. s.z_eq.(j))
-      done)
-    segs;
-  (* Stable status per mode: z* = d / (1 - e^{lambda t_p}); the
-     denominator comes from expm1 so slow modes (lambda t_p ~ 0) keep
-     full precision where the dense (I - K) solve loses it. *)
-  Array.init t.n (fun j -> d.(j) /. -.Float.expm1 (t.lambda.(j) *. t_p))

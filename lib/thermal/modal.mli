@@ -25,7 +25,10 @@
     (policy sweeps reuse a handful of durations thousands of times), and
     the streaming {!stable_begin}/{!stable_feed}/{!stable_solve} path
     evaluates a candidate's stable status into per-domain scratch
-    buffers with no allocation at all.
+    buffers with no allocation at all.  States advance by {!step} /
+    {!step_into}, or — when one equilibrium serves many sub-steps, as in
+    the in-period walk of [Sched.Peak] — by {!z_inf_into} once and
+    {!advance_into} per step.
 
     An engine is a plain value owning its per-domain scratch
     ({!Util.Per_domain}): {!make} builds one and its holder keeps it.
@@ -85,14 +88,19 @@ val ambient_state : t -> Linalg.Vec.t
     the differential suite). *)
 val z_inf : t -> Linalg.Vec.t -> Linalg.Vec.t
 
+(** [z_inf_into t dst psi] writes {!z_inf}[ t psi] into [dst] without
+    allocating.  Raises [Invalid_argument] on arity mismatches. *)
+val z_inf_into : t -> Linalg.Vec.t -> Linalg.Vec.t -> unit
+
 (** [steady_peak t psi] is the hottest steady-state core temperature
     under constant powers [psi], by superposition on the core-row
     response table — O(n_cores^2), allocation-free. *)
 val steady_peak : t -> Linalg.Vec.t -> float
 
 (** [step t ~dt ~z ~psi] advances a modal state by [dt] under constant
-    powers [psi] — Eq. (3) in modal coordinates, O(n).  Prefer
-    {!segment}/{!advance} when the same [(dt, psi)] recurs. *)
+    powers [psi] — Eq. (3) in modal coordinates, O(n), allocating the
+    result.  Prefer {!step_into}, or {!z_inf_into} plus
+    {!advance_into}, when the same [(dt, psi)] recurs. *)
 val step : t -> dt:float -> z:Linalg.Vec.t -> psi:Linalg.Vec.t -> Linalg.Vec.t
 
 (** [step_into t ~dt ~z ~psi ~dst] writes {!step}'s result into [dst]
@@ -104,6 +112,18 @@ val step : t -> dt:float -> z:Linalg.Vec.t -> psi:Linalg.Vec.t -> Linalg.Vec.t
     on a negative [dt]. *)
 val step_into :
   t -> dt:float -> z:Linalg.Vec.t -> psi:Linalg.Vec.t -> dst:Linalg.Vec.t -> unit
+
+(** [advance_into t ~dt ~eq ~src ~dst] writes the modal state [dt]
+    seconds after [src], toward the equilibrium [eq] (a {!z_inf_into}
+    result), into [dst]: [D_dt . src + g_dt . eq] per mode, with
+    [D_dt = e^{lambda dt}] and [g_dt = -expm1(lambda dt)] from the
+    per-domain duration table — the update {!stable_feed} folds.  [dst]
+    may alias [src], so a walk steps one buffer in place without
+    allocating.  {!step} rounds differently ([eq + D_dt (src - eq)]) and
+    agrees to machine precision.  Raises [Invalid_argument] on a
+    negative or NaN [dt] or on arity mismatches. *)
+val advance_into :
+  t -> dt:float -> eq:Linalg.Vec.t -> src:Linalg.Vec.t -> dst:Linalg.Vec.t -> unit
 
 (** [core_temps t z] are the absolute core temperatures of modal state
     [z], read through the precomputed core rows of [W] — O(n_cores * n),
@@ -118,8 +138,9 @@ val max_core_temp : t -> Linalg.Vec.t -> float
 
     The candidate-evaluation hot path: fold a periodic profile through
     {!stable_begin} / {!stable_feed} (once per segment, in order), then
-    {!stable_solve} with the period length.  Mathematically identical to
-    {!stable_z} over freshly built segments, but allocation-free: all
+    {!stable_solve} with the period length.  Because [K = prod
+    e^{A dt_q}] is diagonal in modal space, the [(I - K)^{-1}] solve of
+    Eq. (4) collapses to a per-mode division.  Allocation-free: all
     state lives in per-domain scratch, so pool workers never contend or
     cross-contaminate.  The scratch is reused by the next evaluation on
     the same domain — read everything you need from the returned vector
@@ -137,19 +158,6 @@ val stable_feed : t -> duration:float -> psi:Linalg.Vec.t -> unit
     [t_p] seconds and returns this domain's scratch stable status (valid
     until the next streaming evaluation on this domain). *)
 val stable_solve : t -> t_p:float -> Linalg.Vec.t
-
-(** [scan_begin t] seats this domain's dense-scan cursor on the stable
-    status just produced by {!stable_solve}. *)
-val scan_begin : t -> unit
-
-(** [scan_feed t ~samples ~duration ~psi] walks one segment of the
-    periodic trajectory in [samples] equal sub-steps and returns the
-    hottest core temperature among the visited states; the cursor then
-    advances by the full [duration] in one exact step so boundary states
-    accumulate no sub-step rounding.  Allocation-free; bit-identical to
-    scanning freshly built {!segment}s.  Raises [Invalid_argument] on a
-    non-positive [duration] or [samples]. *)
-val scan_feed : t -> samples:int -> duration:float -> psi:Linalg.Vec.t -> float
 
 (** {2 Prepared-base delta evaluation}
 
@@ -207,36 +215,3 @@ val delta_core_temp :
     all-high, or [(0, ll)] with leading low duration [ll].  Raises
     [Invalid_argument] on a ratio outside [[-1e-12, 1 + 1e-12]] or NaN. *)
 val two_mode_core_shape : t_p:float -> high_ratio:float -> int * float
-
-type segment
-(** A precomputed constant-power interval: duration, the decay factors
-    [e^{lambda dt}] and the modal equilibrium [z_inf(psi)]. *)
-
-(** [segment t ~duration ~psi] precomputes a segment (decay/gain from the
-    shared table, equilibrium by superposition).  Raises
-    [Invalid_argument] on non-positive durations. *)
-val segment : t -> duration:float -> psi:Linalg.Vec.t -> segment
-
-(** [duration s] is the segment length. *)
-val duration : segment -> float
-
-(** [split s k] is the segment covering [duration s / k] under the same
-    power — the sub-step used by dense scans, sharing [s]'s equilibrium
-    so no new solve is performed. *)
-val split : segment -> int -> segment
-
-(** [advance s z] is the modal state one full segment after [z] — O(n)
-    multiply-adds. *)
-val advance : segment -> Linalg.Vec.t -> Linalg.Vec.t
-
-(** [at s ~t_rel z] is the modal state [t_rel] seconds into the segment,
-    starting from [z] at the segment boundary ([t_rel] need not be a
-    sub-step multiple — golden-section probes use this). *)
-val at : segment -> t_rel:float -> Linalg.Vec.t -> Linalg.Vec.t
-
-(** [stable_z t segs] is the modal stable status of the periodic profile
-    [segs]: because [K = prod e^{A dt_q}] is diagonal in modal space, the
-    [(I - K)^{-1}] solve of {!Matex.stable_start} collapses to a per-mode
-    division, O(n) per segment plus O(n) for the solve.  Raises
-    [Invalid_argument] on an empty list. *)
-val stable_z : t -> segment list -> Linalg.Vec.t

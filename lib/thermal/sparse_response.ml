@@ -160,6 +160,8 @@ let check_psi t psi =
    thermal model is linear and the heat input is affine in psi. *)
 let y_inf_into t dst psi =
   check_psi t psi;
+  if Vec.dim dst <> t.n then
+    invalid_arg "Sparse_response.y_inf_into: state arity mismatch";
   Atomic.incr t.superpose_evals;
   Array.fill dst 0 t.n 0.;
   for i = 0 to t.nc - 1 do
@@ -419,80 +421,3 @@ let delta_core_temp t ~at ~core ~psi_low ~psi_high ~high_ratio =
   t.c_sqrt_inv_cores.(at)
   *. (s.y_base.(t.core_nodes.(at)) +. s.w_nodes.(at))
   +. t.ambient
-
-(* ------------------------------------------------- in-period scans *)
-
-(* The period-boundary stable state the scans walk from: the streaming
-   path above over a whole profile.  Internal — boundary-only questions
-   go through [Sched.Peak] on [Backend.of_response]. *)
-let stable_start t profile =
-  Matex.validate t.nc profile;
-  stable_begin t;
-  List.iter
-    (fun (s : Matex.segment) -> stable_feed t ~duration:s.duration ~psi:s.psi)
-    profile;
-  stable_solve t ~t_p:(Matex.period profile)
-
-(* Visit the [samples] interior/end states of a segment starting from
-   [y0]; returns the exact end-of-segment state (advanced in one step,
-   so boundary states do not accumulate sub-step rounding) — the same
-   walk as the dense [Matex] scans, over a superposed equilibrium. *)
-let scan_segment t ~samples ~y_inf ~duration y0 visit =
-  let dt = duration /. float_of_int samples in
-  let yc = ref y0 in
-  for k = 1 to samples do
-    yc := Sparse_model.advance t.engine ~dt ~y_inf !yc;
-    visit (float_of_int k *. dt) !yc
-  done;
-  Sparse_model.advance t.engine ~dt:duration ~y_inf y0
-
-let peak_scan t ?(samples_per_segment = 32) profile =
-  Matex.validate t.nc profile;
-  let y = ref (stable_start t profile) in
-  let best = ref (Sparse_model.max_core_temp t.engine !y) in
-  let s_scr = Util.Per_domain.get t.scratch in
-  List.iter
-    (fun (s : Matex.segment) ->
-      y_inf_into t s_scr.y_eq s.psi;
-      y :=
-        scan_segment t ~samples:samples_per_segment ~y_inf:s_scr.y_eq
-          ~duration:s.duration !y (fun _ yc ->
-            best := Float.max !best (Sparse_model.max_core_temp t.engine yc)))
-    profile;
-  !best
-
-let peak_refined t ?(samples_per_segment = 32) ?(tol = 1e-4) profile =
-  Matex.validate t.nc profile;
-  let y = ref (stable_start t profile) in
-  let best = ref (Sparse_model.max_core_temp t.engine !y) in
-  List.iter
-    (fun (s : Matex.segment) ->
-      let y0 = !y in
-      (* The refinement's golden probes run interleaved with the scan's
-         visits, so the segment equilibrium lives in a fresh vector here
-         rather than the shared scratch. *)
-      let y_inf = y_inf t s.psi in
-      let duration = s.duration in
-      let dt = duration /. float_of_int samples_per_segment in
-      let best_k = ref 0
-      and best_here = ref (Sparse_model.max_core_temp t.engine y0) in
-      y :=
-        scan_segment t ~samples:samples_per_segment ~y_inf ~duration y0
-          (fun tm yc ->
-            let temp = Sparse_model.max_core_temp t.engine yc in
-            if temp > !best_here then begin
-              best_here := temp;
-              best_k := int_of_float (Float.round (tm /. dt))
-            end);
-      best := Float.max !best !best_here;
-      let lo = Float.max 0. ((float_of_int !best_k -. 1.) *. dt) in
-      let hi = Float.min duration ((float_of_int !best_k +. 1.) *. dt) in
-      if hi > lo then begin
-        let temp_at tm =
-          Sparse_model.max_core_temp t.engine
-            (Sparse_model.advance t.engine ~dt:tm ~y_inf y0)
-        in
-        best := Float.max !best (Matex.golden_max temp_at lo hi (tol *. duration))
-      end)
-    profile;
-  !best

@@ -27,9 +27,9 @@
     magnitude under the differential suite's 1e-9 bound.
 
     Like {!Modal}, the engine exports primitives only — steady reads,
-    steps, the stable stream, prepared-base deltas and the in-period
-    scans.  {!Backend.of_response} wraps them, and [Sched.Peak] turns
-    whole profiles into answers. *)
+    equilibria, steps, the stable stream and prepared-base deltas.
+    {!Backend.of_response} wraps them, and [Sched.Peak] turns whole
+    profiles into answers, in-period scans included. *)
 
 type t
 
@@ -63,6 +63,11 @@ val stats : t -> stats
     per-core powers — bitwise a weighted sum of the unit responses, no
     solve. *)
 val y_inf : t -> Linalg.Vec.t -> Linalg.Vec.t
+
+(** [y_inf_into t dst psi] writes {!y_inf}[ t psi] into [dst] without
+    allocating — the backend's [equilibrium_into].  Raises
+    [Invalid_argument] on arity mismatches. *)
+val y_inf_into : t -> Linalg.Vec.t -> Linalg.Vec.t -> unit
 
 (** [steady_core_into t dst psi] writes the ambient-relative steady
     core temperatures (superposed off the core-row table, O(n_cores²))
@@ -145,19 +150,3 @@ val delta_peak :
 val delta_core_temp :
   t -> at:int -> core:int -> psi_low:float -> psi_high:float ->
   high_ratio:float -> float
-
-(** {1 In-period scans}
-
-    The scans behind {!Backend.of_response}'s [peak_scan] and
-    [peak_refined]: walk the stable-status period (the streaming path
-    above) with per-segment equilibria from the superposition tables.
-    Validation, sampling semantics and golden-section refinement match
-    {!Matex.peak_scan}/{!Matex.peak_refined} on the dense engine, which
-    the differential suite pins them to at 1e-9.  Period-boundary
-    questions have no entry point here: [Sched.Peak] answers them over
-    the backend's [stable_*] hooks. *)
-
-val peak_scan : t -> ?samples_per_segment:int -> Matex.profile -> float
-
-val peak_refined :
-  t -> ?samples_per_segment:int -> ?tol:float -> Matex.profile -> float

@@ -26,19 +26,17 @@ let periods_to_stable model ?(tol = 1e-6) profile =
   Matex.validate (Model.n_cores model) profile;
   let eng = Modal.make model in
   let segs =
-    List.map
-      (fun (s : Matex.segment) -> Modal.segment eng ~duration:s.duration ~psi:s.psi)
-      profile
+    List.map (fun (s : Matex.segment) -> (s.duration, Modal.z_inf eng s.psi)) profile
   in
   (* Iterate in modal coordinates; convergence is judged on the
      node-space boundary states, as the tolerance is in kelvin. *)
-  let z = ref (Modal.ambient_state eng) in
-  let theta = ref (Modal.of_modal eng !z) in
+  let z = Modal.ambient_state eng in
+  let theta = ref (Modal.of_modal eng z) in
   let rec go count =
     if count >= 10_000 then count
     else begin
-      z := List.fold_left (fun z seg -> Modal.advance seg z) !z segs;
-      let next = Modal.of_modal eng !z in
+      List.iter (fun (dt, eq) -> Modal.advance_into eng ~dt ~eq ~src:z ~dst:z) segs;
+      let next = Modal.of_modal eng z in
       let moved = Vec.dist_inf next !theta in
       theta := next;
       if moved < tol then count + 1 else go (count + 1)

@@ -23,7 +23,16 @@ let test_platform_validation () =
   Alcotest.(check bool) "t_max below ambient rejected" true
     (match P.make ~levels:(Power.Vf.table_iv 2) ~t_max:30. model with
     | exception Invalid_argument _ -> true
-    | _ -> false)
+    | _ -> false);
+  (* NaN must fail the range tests, not slip past [<=]/[<] guards. *)
+  let rejected ?tau t_max =
+    match P.make ?tau ~levels:(Power.Vf.table_iv 2) ~t_max model with
+    | exception Invalid_argument _ -> true
+    | _ -> false
+  in
+  Alcotest.(check bool) "NaN t_max rejected" true (rejected nan);
+  Alcotest.(check bool) "infinite t_max rejected" true (rejected infinity);
+  Alcotest.(check bool) "NaN tau rejected" true (rejected ~tau:nan 65.)
 
 let test_platform_infeasible_detected () =
   (* A 1-degree margin above ambient is below even the all-low steady state. *)

@@ -153,10 +153,10 @@ let test_peak_refined_at_least_scan () =
       Workload.Random_sched.arbitrary rng ~n_cores:3 ~period:0.5 ~max_intervals:4
         ~levels:(Power.Vf.table_iv 5)
     in
-    let profile = Sched.Peak.profile (Thermal.Backend.of_model m) pm s in
-    let eng = Thermal.Modal.make m in
-    let scan = Thermal.Matex.peak_scan eng ~samples_per_segment:16 profile in
-    let refined = Thermal.Matex.peak_refined eng ~samples_per_segment:16 profile in
+    let b = Thermal.Backend.of_model m in
+    let profile = Sched.Peak.profile b pm s in
+    let scan = Sched.Peak.profile_scan_peak b ~samples_per_segment:16 profile in
+    let refined = Sched.Peak.profile_refined_peak b ~samples_per_segment:16 profile in
     Alcotest.(check bool) "refined >= scan" true (refined >= scan -. 1e-9)
   done
 
@@ -168,9 +168,9 @@ let test_peak_refined_converges () =
     { Thermal.Matex.duration = d; psi = Power.Power_model.psi_vector pm v }
   in
   let profile = [ seg 0.4 [| 1.3; 0.6; 0.6 |]; seg 0.4 [| 0.6; 0.6; 0.6 |] ] in
-  let eng = Thermal.Modal.make m in
-  let fine = Thermal.Matex.peak_scan eng ~samples_per_segment:512 profile in
-  let refined = Thermal.Matex.peak_refined eng ~samples_per_segment:8 profile in
+  let b = Thermal.Backend.of_model m in
+  let fine = Sched.Peak.profile_scan_peak b ~samples_per_segment:512 profile in
+  let refined = Sched.Peak.profile_refined_peak b ~samples_per_segment:8 profile in
   check_close 1e-3 "coarse+golden = very fine scan" fine refined
 
 let test_peak_of_any_refined_step_up_consistent () =
@@ -533,11 +533,10 @@ let test_theorem1_exact_without_coupling () =
       Workload.Random_sched.step_up rng ~n_cores:3 ~period:0.6 ~max_intervals:4
         ~levels:(Power.Vf.table_iv 5)
     in
-    let profile = Sched.Peak.profile (Thermal.Backend.of_model m) pm s in
-    let end_peak = Sched.Peak.profile_end_peak (Thermal.Backend.of_model m) profile in
-    let true_peak =
-      Thermal.Matex.peak_refined (Thermal.Modal.make m) ~samples_per_segment:32 profile
-    in
+    let b = Thermal.Backend.of_model m in
+    let profile = Sched.Peak.profile b pm s in
+    let end_peak = Sched.Peak.profile_end_peak b profile in
+    let true_peak = Sched.Peak.profile_refined_peak b ~samples_per_segment:32 profile in
     Alcotest.(check bool) "no exceedance at zero coupling" true
       (true_peak <= end_peak +. 1e-6)
   done

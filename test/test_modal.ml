@@ -60,8 +60,9 @@ let prop_trajectory_matches_reference model name =
              <= 1e-9)
         segs)
 
-(* Interior sampling: Modal.at must agree with a direct reference step of
-   the same offset. *)
+(* Interior sampling: an in-period walk's step (z_inf_into once, then
+   advance_into by any offset) must agree with a direct reference step
+   of the same offset. *)
 let prop_interior_samples_match =
   QCheck.Test.make ~name:"Modal.at matches Model.step at interior times" ~count:100
     seed_gen (fun seed ->
@@ -73,13 +74,16 @@ let prop_interior_samples_match =
         Array.init (Model.n_nodes model) (fun _ -> Random.State.float rng 30.)
       in
       let eng = Modal.make model in
-      let seg = Modal.segment eng ~duration ~psi in
+      let eq = Array.make (Model.n_nodes model) 0. in
+      Modal.z_inf_into eng eq psi;
       let z0 = Modal.to_modal eng theta0 in
       List.for_all
         (fun frac ->
           let t = frac *. duration in
           let reference = Oracle.Reference.step model ~dt:t ~theta:theta0 ~psi in
-          let modal = Modal.of_modal eng (Modal.at seg ~t_rel:t z0) in
+          let z = Array.make (Model.n_nodes model) 0. in
+          Modal.advance_into eng ~dt:t ~eq ~src:z0 ~dst:z;
+          let modal = Modal.of_modal eng z in
           Vec.dist_inf reference modal <= 1e-9)
         [ 0.1; 0.37; 0.5; 0.99 ])
 
@@ -116,7 +120,10 @@ let prop_peak_scan_matches =
       let rng = Random.State.make [| seed |] in
       let segs = random_segments rng model3 4 in
       let reference = Oracle.Reference.peak_scan model3 ~samples_per_segment:16 segs in
-      let modal = Matex.peak_scan (Modal.make model3) ~samples_per_segment:16 segs in
+      let modal =
+        Sched.Peak.profile_scan_peak (Thermal.Backend.of_model model3)
+          ~samples_per_segment:16 segs
+      in
       Float.abs (reference -. modal) <= 1e-9)
 
 (* The Fig. 2 two-mode schedules, evaluated by both peak_refined paths. *)
@@ -139,7 +146,10 @@ let test_peak_refined_fig2 () =
       let reference =
         Oracle.Reference.peak_refined model2 ~samples_per_segment:32 profile
       in
-      let modal = Matex.peak_refined (Modal.make model2) ~samples_per_segment:32 profile in
+      let modal =
+        Sched.Peak.profile_refined_peak (Thermal.Backend.of_model model2)
+          ~samples_per_segment:32 profile
+      in
       Alcotest.(check (float 1e-9))
         (Printf.sprintf "fig2 schedule %d refined peak" i)
         reference modal)
@@ -159,7 +169,10 @@ let prop_peak_refined_matches =
       let reference =
         Oracle.Reference.peak_refined model3 ~samples_per_segment:16 profile
       in
-      let modal = Matex.peak_refined (Modal.make model3) ~samples_per_segment:16 profile in
+      let modal =
+        Sched.Peak.profile_refined_peak (Thermal.Backend.of_model model3)
+          ~samples_per_segment:16 profile
+      in
       Float.abs (reference -. modal) <= 1e-9)
 
 (* ------------------------------------------------------ ported callers *)
@@ -274,14 +287,17 @@ let test_stable_z_periodicity () =
   let eng = Modal.make model9 in
   let rng = Random.State.make [| 42 |] in
   let profile = random_segments rng model9 5 in
-  let segs =
-    List.map
-      (fun (s : Thermal.Matex.segment) ->
-        Modal.segment eng ~duration:s.duration ~psi:s.psi)
-      profile
-  in
-  let z_star = Modal.stable_z eng segs in
-  let z_end = List.fold_left (fun z s -> Modal.advance s z) z_star segs in
+  Modal.stable_begin eng;
+  List.iter
+    (fun (s : Thermal.Matex.segment) -> Modal.stable_feed eng ~duration:s.duration ~psi:s.psi)
+    profile;
+  let z_star = Array.copy (Modal.stable_solve eng ~t_p:(Thermal.Matex.period profile)) in
+  let z_end = Array.copy z_star in
+  List.iter
+    (fun (s : Thermal.Matex.segment) ->
+      Modal.advance_into eng ~dt:s.duration ~eq:(Modal.z_inf eng s.psi) ~src:z_end
+        ~dst:z_end)
+    profile;
   Alcotest.(check bool) "stable status repeats after one period" true
     (Vec.dist_inf z_star z_end <= 1e-9)
 

@@ -162,7 +162,7 @@ let test_no_cross_contamination () =
 (* Engines over one model share this domain's decay/gain rows; an
    engine over another model with the same node count maps its
    durations to the same slots but never reads those rows.  Interleaved
-   answers must equal the table-free segment path bit for bit. *)
+   answers must equal a table-free evaluation bit for bit. *)
 let test_shared_memo_isolation () =
   let model_c =
     Thermal.Hotspot.core_level
@@ -184,11 +184,23 @@ let test_shared_memo_isolation () =
     Sched.Peak.profile_end_peak (Thermal.Backend.of_modal eng) profile
   in
   let table_free eng profile =
+    (* Every decay/gain factor computed fresh, bypassing the table: one
+       period from the zero state, then the per-mode division. *)
+    let lambda = Modal.eigenvalues eng in
+    let d = Array.make (Array.length lambda) 0. in
+    List.iter
+      (fun (s : Matex.segment) ->
+        let z_eq = Modal.z_inf eng s.psi in
+        Array.iteri
+          (fun j l ->
+            d.(j) <-
+              (exp (l *. s.duration) *. d.(j))
+              +. (-.Float.expm1 (l *. s.duration) *. z_eq.(j)))
+          lambda)
+      profile;
+    let t_p = Matex.period profile in
     Modal.max_core_temp eng
-      (Modal.stable_z eng
-         (List.map
-            (fun (s : Matex.segment) -> Modal.segment eng ~duration:s.duration ~psi:s.psi)
-            profile))
+      (Array.mapi (fun j l -> d.(j) /. -.Float.expm1 (l *. t_p)) lambda)
   in
   List.iteri
     (fun i profile ->

@@ -38,7 +38,7 @@ let test_make_validates () =
   let message f =
     match f () with
     | exception Invalid_argument msg -> msg
-    | _ -> Alcotest.fail "NaN ratio accepted"
+    | _ -> Alcotest.fail "NaN accepted"
   in
   let expected = "Schedule.two_mode: ratio nan for core 1 not in [0,1]" in
   Alcotest.(check string) "two_mode rejects NaN ratio" expected
@@ -46,7 +46,31 @@ let test_make_validates () =
   Alcotest.(check string) "fused two_mode, same message" expected
     (message (fun () ->
          Peak.of_two_mode (Thermal.Backend.of_model (model3 ())) pm ~period:1. ~low
-           ~high ~high_ratio))
+           ~high ~high_ratio));
+  (* NaN periods, durations and voltages fail positive range tests
+     instead of pricing as the coolest possible peak. *)
+  let rejected f =
+    match f () with exception Invalid_argument _ -> true | _ -> false
+  in
+  Alcotest.(check bool) "NaN period rejected" true
+    (rejected (fun () -> S.make ~period:nan [| [ seg nan 1. ] |]));
+  Alcotest.(check bool) "infinite period rejected" true
+    (rejected (fun () -> S.make ~period:infinity [| [ seg infinity 1. ] |]));
+  Alcotest.(check bool) "NaN duration rejected" true
+    (rejected (fun () -> S.make ~period:1. [| [ seg 0.5 1.; seg nan 1. ] |]));
+  Alcotest.(check bool) "NaN voltage rejected" true
+    (rejected (fun () -> S.make ~period:1. [| [ seg 1. nan ] |]));
+  let high_ratio = [| 0.5; 0.5; 0.25 |] in
+  let expected = "Schedule: period must be finite and positive" in
+  Alcotest.(check string) "two_mode rejects NaN period" expected
+    (message (fun () -> S.two_mode ~period:nan ~low ~high ~high_ratio));
+  Alcotest.(check string) "fused two_mode, same period message" expected
+    (message (fun () ->
+         Peak.of_two_mode (Thermal.Backend.of_model (model3 ())) pm ~period:nan ~low
+           ~high ~high_ratio));
+  let ev = Core.Eval.create (Workload.Configs.platform ~cores:3 ~levels:5 ~t_max:65.) in
+  Alcotest.(check bool) "Eval.two_mode_peak rejects NaN period" true
+    (rejected (fun () -> Core.Eval.two_mode_peak ev ~period:nan ~low ~high ~high_ratio))
 
 let test_uniform () =
   let s = S.uniform ~period:2. [| 1.0; 0.6 |] in

@@ -319,8 +319,9 @@ let prop_sparse_stable_matches_dense =
            -. Sp_model.end_of_period_peak eng profile)
          <= 1e-9)
 
-(* The production sparse scans: what [Backend.of_response] runs behind
-   [Sched.Peak.of_any]/[of_any_refined] on every sparse context. *)
+(* The production sparse scans: [Sched.Peak]'s in-period walk over
+   [Backend.of_response], what [of_any]/[of_any_refined] run on every
+   sparse context. *)
 let sparse_backend model =
   Thermal.Backend.of_response (Thermal.Sparse_response.build (Sp_model.of_model model))
 
@@ -329,9 +330,9 @@ let prop_sparse_peak_scan_matches_dense =
     (fun seed ->
       let rng = Random.State.make [| seed |] in
       let segs = random_segments rng model3 4 in
+      let scan b = Sched.Peak.profile_scan_peak b ~samples_per_segment:16 segs in
       Float.abs
-        (Matex.peak_scan (Thermal.Modal.make model3) ~samples_per_segment:16 segs
-        -. (sparse_backend model3).Thermal.Backend.peak_scan ~samples_per_segment:16 segs)
+        (scan (Thermal.Backend.of_model model3) -. scan (sparse_backend model3))
       <= 1e-9)
 
 let prop_sparse_peak_refined_matches_dense =
@@ -345,10 +346,9 @@ let prop_sparse_peak_refined_matches_dense =
           ~high_ratio:[| ratio (); ratio (); ratio () |]
       in
       let profile = Sched.Peak.profile (Thermal.Backend.of_model model3) pm s in
+      let refined b = Sched.Peak.profile_refined_peak b ~samples_per_segment:16 profile in
       Float.abs
-        (Matex.peak_refined (Thermal.Modal.make model3) ~samples_per_segment:16 profile
-        -. (sparse_backend model3).Thermal.Backend.peak_refined ~samples_per_segment:16
-             ~tol:1e-4 profile)
+        (refined (Thermal.Backend.of_model model3) -. refined (sparse_backend model3))
       <= 1e-9)
 
 let test_parallel_assembly_deterministic () =

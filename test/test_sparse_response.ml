@@ -87,16 +87,16 @@ let prop_streaming_stable_matches_segment_path =
       let profile = random_profile rng (Sp.n_cores eng) in
       (* The scans' references are the dense modal scans: the direct
          engine has no in-period scan of its own. *)
-      let dense = Thermal.Modal.make model in
+      let dense = Thermal.Backend.of_model model
+      and sparse = Thermal.Backend.of_response resp in
+      let scan b = Sched.Peak.profile_scan_peak b profile
+      and refined b = Sched.Peak.profile_refined_peak b profile in
       Vec.dist_inf (stable_state resp profile) (Sp.stable_start eng profile)
       <= 1e-9
       && Float.abs (end_peak resp profile -. Sp.end_of_period_peak eng profile)
          <= 1e-9
-      && Float.abs (Resp.peak_scan resp profile -. Matex.peak_scan dense profile)
-         <= 1e-9
-      && Float.abs
-           (Resp.peak_refined resp profile -. Matex.peak_refined dense profile)
-         <= 1e-9)
+      && Float.abs (scan sparse -. scan dense) <= 1e-9
+      && Float.abs (refined sparse -. refined dense) <= 1e-9)
 
 let prop_step_matches_engine =
   QCheck.Test.make ~name:"superposed step = Sparse_model.step" ~count:60

@@ -295,11 +295,12 @@ let test_grid_model_profile_roundtrip () =
       { Matex.duration = 0.05; psi = psi_vec [| 0.6; 1.3; 0.6 |] };
     ]
   in
+  let scan model = Sched.Peak.profile_scan_peak (Thermal.Backend.of_model model) in
   let fine_peak =
-    Matex.peak_scan (Modal.make g.Thermal.Grid_model.model) ~samples_per_segment:16
+    scan g.Thermal.Grid_model.model ~samples_per_segment:16
       (Thermal.Grid_model.profile_of g profile)
   in
-  let coarse_peak = Matex.peak_scan (Modal.make block) ~samples_per_segment:16 profile in
+  let coarse_peak = scan block ~samples_per_segment:16 profile in
   Alcotest.(check bool) "fine-grid periodic peak bracketed" true
     (fine_peak >= coarse_peak -. 0.2 && fine_peak <= coarse_peak +. 6.)
 
@@ -368,27 +369,26 @@ let test_matex_peak_scan_at_least_boundaries () =
   (* Hottest core over the stable-status segment boundaries, walked with
      the modal primitives the scan itself advances by. *)
   let eng = Modal.make m in
-  let segs =
-    List.map (fun (s : Matex.segment) -> Modal.segment eng ~duration:s.duration ~psi:s.psi) p
-  in
-  let z0 = Modal.stable_z eng segs in
-  let _, boundary_peak =
+  Modal.stable_begin eng;
+  List.iter (fun (s : Matex.segment) -> Modal.stable_feed eng ~duration:s.duration ~psi:s.psi) p;
+  let z = Array.copy (Modal.stable_solve eng ~t_p:(Matex.period p)) in
+  let boundary_peak =
     List.fold_left
-      (fun (z, best) seg ->
-        let z = Modal.advance seg z in
-        (z, Float.max best (Modal.max_core_temp eng z)))
-      (z0, Modal.max_core_temp eng z0)
-      segs
+      (fun best (s : Matex.segment) ->
+        Modal.advance_into eng ~dt:s.duration ~eq:(Modal.z_inf eng s.psi) ~src:z ~dst:z;
+        Float.max best (Modal.max_core_temp eng z))
+      (Modal.max_core_temp eng z) p
   in
   Alcotest.(check bool) "scan >= boundary peak" true
-    (Matex.peak_scan eng p >= boundary_peak -. 1e-12)
+    (Sched.Peak.profile_scan_peak (Thermal.Backend.of_modal eng) p
+    >= boundary_peak -. 1e-12)
 
 let test_matex_interior_peak_found () =
   (* Hot interval first, then a long cool-down: the true peak is at the
      first (interior) boundary, far above the end-of-period temperature. *)
   let m = model3 () in
   let p = two_mode_profile ~d1:0.5 ~v1:[| 1.3; 0.6; 0.6 |] ~d2:0.5 ~v2:[| 0.6; 0.6; 0.6 |] in
-  let scan = Matex.peak_scan (Modal.make m) p in
+  let scan = Sched.Peak.profile_scan_peak (Thermal.Backend.of_model m) p in
   let end_peak = Sched.Peak.profile_end_peak (Thermal.Backend.of_model m) p in
   Alcotest.(check bool) "non-step-up: scan strictly above end-of-period" true
     (scan > end_peak +. 0.5)
@@ -404,7 +404,9 @@ let test_matex_validation () =
     [
       ("dense", fun p -> ignore (Matex.stable_start m p));
       ("sparse", fun p -> ignore (Thermal.Sparse_model.stable_start sparse p));
-      ("response", fun p -> ignore (Thermal.Sparse_response.peak_scan resp p));
+      ( "response",
+        fun p ->
+          ignore (Sched.Peak.profile_scan_peak (Thermal.Backend.of_response resp) p) );
     ]
   in
   Alcotest.check_raises "empty profile" (Invalid_argument "Matex: empty profile")
@@ -427,8 +429,37 @@ let test_matex_validation () =
             [
               { Matex.duration = 1.; psi = psi_vec [| 1.; 1.; 1. |] };
               { Matex.duration = 0.; psi = psi_vec [| 1.; 1.; 1. |] };
-            ]))
-    engines
+            ]);
+      (* A NaN duration or power must not read as the coolest peak. *)
+      Alcotest.check_raises (name ^ " NaN duration")
+        (Invalid_argument "Matex: segment 0 has non-finite duration")
+        (fun () -> eval [ { Matex.duration = nan; psi = psi_vec [| 1.; 1.; 1. |] } ]);
+      Alcotest.check_raises (name ^ " NaN power")
+        (Invalid_argument "Matex: segment 0 has a non-finite power")
+        (fun () -> eval [ { Matex.duration = 1.; psi = [| 1.; nan; 1. |] } ]))
+    engines;
+  (* The profile evaluators validate the same way: a NaN duration or
+     power is rejected, not priced as a -inf peak. *)
+  let end_peak = Sched.Peak.profile_end_peak (Thermal.Backend.of_model m) in
+  Alcotest.check_raises "end peak NaN duration"
+    (Invalid_argument "Matex: segment 0 has non-finite duration")
+    (fun () -> ignore (end_peak [ { Matex.duration = nan; psi = psi_vec [| 1.; 1.; 1. |] } ]));
+  Alcotest.check_raises "end peak NaN power"
+    (Invalid_argument "Matex: segment 0 has a non-finite power")
+    (fun () -> ignore (end_peak [ { Matex.duration = 1.; psi = [| 1.; nan; 1. |] } ]));
+  (* The sparse backend rejects a sample count below 1 for the in-period
+     walks, as the dense one does, instead of scanning with an infinite
+     sub-step. *)
+  let s =
+    Sched.Schedule.two_mode ~period:0.1 ~low:[| 0.6; 0.6; 0.6 |]
+      ~high:[| 1.3; 1.3; 1.3 |] ~high_ratio:[| 0.4; 0.5; 0.6 |]
+  in
+  let b = Thermal.Backend.of_response resp and pm = Power.Power_model.default in
+  let rejected f = match f () with exception Invalid_argument _ -> true | _ -> false in
+  Alcotest.(check bool) "sparse scan rejects 0 samples" true
+    (rejected (fun () -> Sched.Peak.of_any b pm ~samples_per_segment:0 s));
+  Alcotest.(check bool) "sparse refined rejects 0 samples" true
+    (rejected (fun () -> Sched.Peak.of_any_refined b pm ~samples_per_segment:0 s))
 
 let test_matex_trace_continuity () =
   let m = model3 () in
