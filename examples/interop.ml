@@ -56,12 +56,16 @@ let () =
     *. Float.cos (2. *. Float.pi *. Random.State.float rng 1.)
   in
   let truth = ref (b.Thermal.Backend.ambient_state ()) in
+  let next = ref (b.Thermal.Backend.ambient_state ()) in
   let est = ref (Runtime.Observer.initial obs) in
   let raw = ref 0. and filtered = ref 0. and count = ref 0 in
   Array.iter
     (fun row ->
       let psi = Array.map (fun c -> row.(c)) map in
-      truth := b.Thermal.Backend.step ~dt:0.02 ~state:!truth ~psi;
+      b.Thermal.Backend.step_into ~dt:0.02 ~state:!truth ~psi ~dst:!next;
+      let stepped = !next in
+      next := !truth;
+      truth := stepped;
       let true_temps = b.Thermal.Backend.core_temps !truth in
       let measured = Array.map (fun t -> t +. gaussian 1.0) true_temps in
       est := Runtime.Observer.update obs ~estimate:!est ~psi ~measured;

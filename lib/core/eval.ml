@@ -111,10 +111,13 @@ let two_mode_end_core_temps t ~period ~low ~high ~high_ratio =
 
 (* -------------------------------------- prepared-base delta scans *)
 
-(* The delta evaluators are per-domain and uncached by design: delta
-   scores are within Krylov/rounding tolerance of the exact paths but
-   not bit-identical, so they must never enter the exact memo tables.
-   Callers (the TPT loops) re-verify winners through [two_mode_peak]. *)
+(* The delta evaluators are per-domain and uncached by design: the base
+   is prepared in one backend call into the engine's per-domain scratch,
+   where the delta reads that follow on the same domain find it (so the
+   two calls take no base argument).  Delta scores are within
+   Krylov/rounding tolerance of the exact paths but not bit-identical,
+   so they must never enter the exact memo tables.  Callers (the TPT
+   loops) re-verify winners through [two_mode_peak]. *)
 
 let two_mode_delta_base t ~period ~low ~high ~high_ratio =
   Sched.Peak.two_mode_delta_base (backend t) (power t) ~period ~low ~high

@@ -152,7 +152,9 @@ val two_mode_end_core_temps :
     acting on it. *)
 
 (** [two_mode_delta_base t ~period ~low ~high ~high_ratio] prepares the
-    base config on this domain, on the context's backend engine. *)
+    base config on this domain, in one call to the context's backend
+    ({!Thermal.Backend.field-prepare_base}); the delta reads below find
+    it on the same domain until the next preparation there. *)
 val two_mode_delta_base :
   t ->
   period:float ->

@@ -147,9 +147,11 @@ let refresh s ~margin ~eligible price =
   ignore (Atomic.fetch_and_add tally_cached !cached : int);
   ignore (Atomic.fetch_and_add tally_scored !scored : int)
 
-(* Prepare [c]'s drive once on this domain: each delta candidate is then
-   a single-core change off it — O(n) dense, O(m * cores) sparse —
-   evaluated sequentially here (the prepared base is domain-local). *)
+(* Prepare [c]'s drive once on this domain, in one backend call: each
+   delta candidate is then a single-core change off it — O(n) dense,
+   O(m * cores) sparse — evaluated sequentially here, because the
+   prepared base lives in the engine's per-domain scratch and is
+   invisible to other pool workers. *)
 let prepare_base ev c =
   Eval.two_mode_delta_base ev ~period:c.period ~low:c.v_low ~high:c.v_high
     ~high_ratio:(two_mode_ratio c)

@@ -10,8 +10,9 @@ type t = {
 }
 
 let create ?(gain = 0.5) backend ~dt =
-  if gain <= 0. || gain > 1. then invalid_arg "Observer.create: gain outside (0, 1]";
-  if dt <= 0. then invalid_arg "Observer.create: non-positive dt";
+  if not (gain > 0. && gain <= 1.) then invalid_arg "Observer.create: gain outside (0, 1]";
+  if not (Float.is_finite dt && dt > 0.) then
+    invalid_arg "Observer.create: dt must be finite and positive";
   {
     backend;
     dt;

@@ -27,7 +27,8 @@ type t
 (** [create ?gain backend ~dt] builds an observer stepping at the
     sensor sampling interval [dt] on [backend]'s plant model.  [gain]
     in (0, 1] (default 0.5) scales the innovation correction.  Raises
-    [Invalid_argument] on a bad gain or non-positive [dt]. *)
+    [Invalid_argument] on a gain outside (0, 1] or a [dt] that is not
+    finite and positive (NaN fails both tests). *)
 val create : ?gain:float -> Thermal.Backend.t -> dt:float -> t
 
 (** [backend o] is the backend whose states [o] estimates. *)

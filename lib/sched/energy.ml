@@ -11,13 +11,11 @@ let per_period model pm s =
   let ambient = Thermal.Model.ambient model in
   let cores = Thermal.Model.core_nodes model in
   let dynamic = ref 0. and leakage = ref 0. in
-  Thermal.Modal.stable_begin eng;
-  List.iter
-    (fun (seg : Thermal.Matex.segment) ->
-      Thermal.Modal.stable_feed eng ~duration:seg.duration ~psi:seg.psi)
-    profile;
-  let t_p = Thermal.Matex.period profile in
-  let z = Array.copy (Thermal.Modal.stable_solve eng ~t_p) in
+  let z =
+    Array.copy
+      (Thermal.Modal.stable eng ~t_p:(Thermal.Matex.period profile)
+         (Thermal.Matex.spans profile))
+  in
   List.iter
     (fun (seg : Thermal.Matex.segment) ->
       let dt = seg.duration in
@@ -36,7 +34,9 @@ let per_period model pm s =
         (fun i ->
           leakage := !leakage +. (beta *. (theta_integral.(i) +. (ambient *. dt))))
         cores;
-      Thermal.Modal.advance_into eng ~dt ~eq:z_eq ~src:z ~dst:z)
+      ignore
+        (Thermal.Modal.sample_segment eng ~dt ~samples:1 ~eq:z_eq ~walker:z
+          : int * float))
     profile;
   { dynamic = !dynamic; leakage = !leakage; period = Schedule.period s }
 

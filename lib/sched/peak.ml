@@ -156,52 +156,28 @@ let profile (b : B.t) pm s = profile_for b.B.n_cores pm s
    intervals per candidate costs several times the thermal solve, so the
    evaluators below replicate [Schedule.two_mode] + [state_intervals]
    span-for-span — the same ratio clamps, the same 1e-12 boundary
-   coalescing, the same midpoint voltage reads — and stream the spans
+   coalescing, the same midpoint voltage reads — and feed the spans
    straight into the response engine.  The replication is exact, so the
    results (and the cache digests) are bit-interchangeable with the
    schedule-based path. *)
 
-(* Per-domain scratch for the decomposition: boundary points, per-core
-   shapes and the power vector handed to the engine — a candidate
-   evaluation allocates nothing.  [psi] is kept at exactly the current
-   core count (the engine checks arity); switching platforms of a
-   different width on one domain re-sizes, which is rare and cheap. *)
-type two_mode_scratch = {
-  mutable pts : float array;  (* sorted, coalesced boundary points *)
-  mutable lens : float array;  (* leading low-segment length per core *)
-  mutable consts : int array;  (* -1 all-low, +1 all-high, 0 two-mode *)
-  mutable psi : float array;  (* the span's power vector *)
-}
+(* The merged state-interval decomposition of one candidate: the sorted,
+   coalesced boundary points (the first [kept] of [pts]) and each core's
+   leading low-segment length, [infinity] for an all-low core and
+   [neg_infinity] for an all-high one, so one comparison reads any
+   core's voltage.  Allocated per candidate: a few short float arrays on
+   the minor heap. *)
+type decomposition = { pts : float array; kept : int; lens : float array }
 
-let two_mode_scratch_key =
-  Domain.DLS.new_key (fun () ->
-      { pts = [||]; lens = [||]; consts = [||]; psi = [||] })
-
-let two_mode_scratch n =
-  let s = Domain.DLS.get two_mode_scratch_key in
-  if Array.length s.psi <> n then begin
-    s.pts <- Array.make ((2 * n) + 2) 0.;
-    s.lens <- Array.make n 0.;
-    s.consts <- Array.make n 0;
-    s.psi <- Array.make n 0.
-  end;
-  (s
-  [@fosc.dls_ok
-    "accessor hands this domain's scratch to same-domain callers only; every \
-     caller finishes with it before returning (nothing stores or returns it \
-     further)"])
-
-(* Fill [s] with the merged state-interval decomposition; returns the
-   kept boundary-point count.  Replicates [Schedule.two_mode]'s ratio
-   validation and clamps and [state_intervals]' sorted-point 1e-12
-   coalescing EXACTLY, so the spans — and everything computed from them
-   — are bit-identical to the schedule-based path. *)
-let two_mode_decompose s ~period ~low ~high ~high_ratio =
+(* Replicates [Schedule.two_mode]'s ratio validation and clamps and
+   [state_intervals]' sorted-point 1e-12 coalescing EXACTLY, so the
+   spans — and everything computed from them — are bit-identical to the
+   schedule-based path. *)
+let two_mode_decompose ~period ~low ~high ~high_ratio =
   let n = Array.length low in
   if Array.length high <> n || Array.length high_ratio <> n then
     invalid_arg "Schedule.two_mode: array length mismatch";
-  let pts = s.pts in
-  pts.(0) <- 0.;
+  let pts = Array.make ((2 * n) + 2) 0. and lens = Array.make n 0. in
   pts.(1) <- period;
   let npts = ref 2 in
   for i = 0 to n - 1 do
@@ -211,19 +187,13 @@ let two_mode_decompose s ~period ~low ~high ~high_ratio =
         (Printf.sprintf "Schedule.two_mode: ratio %.6g for core %d not in [0,1]" r i);
     let lh = Float.max 0. (Float.min period (r *. period)) in
     let ll = period -. lh in
-    if lh <= 1e-12 then begin
-      s.consts.(i) <- -1;
-      pts.(!npts) <- period;
-      incr npts
-    end
-    else if ll <= 1e-12 then begin
-      s.consts.(i) <- 1;
+    if lh <= 1e-12 || ll <= 1e-12 then begin
+      lens.(i) <- (if lh <= 1e-12 then infinity else neg_infinity);
       pts.(!npts) <- period;
       incr npts
     end
     else begin
-      s.consts.(i) <- 0;
-      s.lens.(i) <- ll;
+      lens.(i) <- ll;
       pts.(!npts) <- ll;
       incr npts;
       pts.(!npts) <- ll +. lh;
@@ -253,16 +223,12 @@ let two_mode_decompose s ~period ~low ~high ~high_ratio =
       incr kept
     end
   done;
-  !kept
+  { pts; kept = !kept; lens }
 
 (* The voltage core [i] runs during the span whose normalized midpoint
    is [t] — the read [Schedule.voltage_at] would perform. *)
-let[@inline] two_mode_voltage s ~low ~high t i =
-  let c = s.consts.(i) in
-  if c = -1 then low.(i)
-  else if c = 1 then high.(i)
-  else if t < s.lens.(i) then low.(i)
-  else high.(i)
+let[@inline] two_mode_voltage d ~low ~high t i =
+  if t < d.lens.(i) then low.(i) else high.(i)
 
 (* The exact normalization [voltage_at] applies to the span midpoint
    before its walk. *)
@@ -270,74 +236,58 @@ let[@inline] two_mode_mid ~period t0 t1 =
   let mid = (t0 +. t1) /. 2. in
   Float.rem (Float.rem mid period +. period) period
 
-(* The one span-feeding loop: stream an ALREADY-DECOMPOSED candidate's
-   spans (in [s]) into [feed] in period order — the backend's fused
-   stable-status stream or the reduced model's.  Per-span powers are
-   computed straight from [Power_model.psi] into the scratch vector: the
-   same floats [psi_vector] would produce, without the key digest a
-   memo lookup would build. *)
-let feed_spans pm s ~period ~low ~high kept feed =
+(* The one span iterator: feed a decomposed candidate's spans to [feed]
+   in period order — the backend's stable status or the reduced
+   model's.  Per-span powers are computed straight from
+   [Power_model.psi] into one vector: the same floats [psi_vector] would
+   produce, without the key digest a memo lookup would build. *)
+let feed_spans pm d ~period ~low ~high feed =
   let n = Array.length low in
-  for k = 0 to kept - 2 do
-    let t0 = s.pts.(k) and t1 = s.pts.(k + 1) in
+  let psi = Array.make n 0. in
+  for k = 0 to d.kept - 2 do
+    let t0 = d.pts.(k) and t1 = d.pts.(k + 1) in
     let t = two_mode_mid ~period t0 t1 in
     for i = 0 to n - 1 do
-      s.psi.(i) <- Power.Power_model.psi pm (two_mode_voltage s ~low ~high t i)
+      psi.(i) <- Power.Power_model.psi pm (two_mode_voltage d ~low ~high t i)
     done;
-    feed ~duration:(t1 -. t0) ~psi:s.psi
+    feed ~duration:(t1 -. t0) ~psi
   done
 
 (* End-of-period stable state of a decomposed candidate, solved with
    [t_p = period] and left in whatever scratch the backend uses. *)
-let two_mode_stable (b : B.t) pm s ~period ~low ~high kept =
-  b.B.stable_begin ();
-  feed_spans pm s ~period ~low ~high kept b.B.stable_feed;
-  b.B.stable_solve ~t_p:period
+let two_mode_stable (b : B.t) pm d ~period ~low ~high =
+  b.B.stable ~t_p:period (feed_spans pm d ~period ~low ~high)
 
 let of_two_mode (b : B.t) pm ~period ~low ~high ~high_ratio =
-  let s = two_mode_scratch (Array.length low) in
-  let kept = two_mode_decompose s ~period ~low ~high ~high_ratio in
-  b.B.max_core_temp (two_mode_stable b pm s ~period ~low ~high kept)
+  let d = two_mode_decompose ~period ~low ~high ~high_ratio in
+  b.B.max_core_temp (two_mode_stable b pm d ~period ~low ~high)
 
 let two_mode_end_core_temps (b : B.t) pm ~period ~low ~high ~high_ratio =
-  let s = two_mode_scratch (Array.length low) in
-  let kept = two_mode_decompose s ~period ~low ~high ~high_ratio in
-  b.B.core_temps (two_mode_stable b pm s ~period ~low ~high kept)
+  let d = two_mode_decompose ~period ~low ~high ~high_ratio in
+  b.B.core_temps (two_mode_stable b pm d ~period ~low ~high)
 
 (* The same digest [Cache.key_of_schedule] produces for the equivalent
    schedule: period, then every span's duration and voltages (as
    little-endian IEEE-754 bits, -0. canonicalized) — so fused and
-   schedule-based lookups share entries exactly.  Built from the
-   already-decomposed scratch into a per-domain byte buffer: the only
-   allocation is the final key string itself. *)
-let key_bytes_key = Domain.DLS.new_key (fun () -> Bytes.create 256)
-
-let two_mode_key_decomposed s ~period ~low ~high kept =
+   schedule-based lookups share entries exactly.  Written straight into
+   an exact-length byte string. *)
+let two_mode_key d ~period ~low ~high =
   let n = Array.length low in
-  let len = 8 * (1 + ((kept - 1) * (1 + n))) in
-  let b =
-    let b = Domain.DLS.get key_bytes_key in
-    if Bytes.length b >= len then b
-    else begin
-      let b = Bytes.create len in
-      Domain.DLS.set key_bytes_key b;
-      b
-    end
-  in
+  let b = Bytes.create (8 * (1 + ((d.kept - 1) * (1 + n)))) in
   Bytes.set_int64_le b 0 (Int64.bits_of_float (period +. 0.));
   let off = ref 8 in
-  for k = 0 to kept - 2 do
-    let t0 = s.pts.(k) and t1 = s.pts.(k + 1) in
+  for k = 0 to d.kept - 2 do
+    let t0 = d.pts.(k) and t1 = d.pts.(k + 1) in
     Bytes.set_int64_le b !off (Int64.bits_of_float (t1 -. t0 +. 0.));
     off := !off + 8;
     let t = two_mode_mid ~period t0 t1 in
     for i = 0 to n - 1 do
       Bytes.set_int64_le b !off
-        (Int64.bits_of_float (two_mode_voltage s ~low ~high t i +. 0.));
+        (Int64.bits_of_float (two_mode_voltage d ~low ~high t i +. 0.));
       off := !off + 8
     done
   done;
-  Bytes.sub_string b 0 len
+  Bytes.unsafe_to_string b
 
 let of_two_mode_cached cache (b : B.t) pm ~period ~low ~high ~high_ratio =
   if Cache.disabled cache then begin
@@ -346,15 +296,13 @@ let of_two_mode_cached cache (b : B.t) pm ~period ~low ~high ~high_ratio =
   end
   else begin
     (* One decomposition serves both the key and (on a miss) the
-       evaluation — nothing between the [find] and the feed loop touches
-       this domain's scratch. *)
-    let s = two_mode_scratch (Array.length low) in
-    let kept = two_mode_decompose s ~period ~low ~high ~high_ratio in
-    let key = two_mode_key_decomposed s ~period ~low ~high kept in
+       evaluation. *)
+    let d = two_mode_decompose ~period ~low ~high ~high_ratio in
+    let key = two_mode_key d ~period ~low ~high in
     match Cache.find cache key with
     | Some v -> v
     | None ->
-        let v = b.B.max_core_temp (two_mode_stable b pm s ~period ~low ~high kept) in
+        let v = b.B.max_core_temp (two_mode_stable b pm d ~period ~low ~high) in
         Cache.add cache key v;
         v
   end
@@ -365,17 +313,13 @@ let steady_constant (b : B.t) pm voltages =
   b.B.steady_peak (Power.Power_model.psi_vector_memo pm voltages)
 
 (* Period-boundary stable status of a whole profile, through the same
-   fused stream as the two-mode evaluators: validated by [Matex.validate],
-   fed in period order, solved with the profile's left-folded period
-   length.  The state may be backend scratch: read it straight away. *)
+   backend call as the two-mode evaluators: validated by
+   [Matex.validate], fed in period order, solved with the profile's
+   left-folded period length.  The state may be backend scratch: read
+   it straight away. *)
 let stable_of_profile (b : B.t) profile =
   Thermal.Matex.validate b.B.n_cores profile;
-  b.B.stable_begin ();
-  List.iter
-    (fun (seg : Thermal.Matex.segment) ->
-      b.B.stable_feed ~duration:seg.duration ~psi:seg.psi)
-    profile;
-  b.B.stable_solve ~t_p:(Thermal.Matex.period profile)
+  b.B.stable ~t_p:(Thermal.Matex.period profile) (Thermal.Matex.spans profile)
 
 let profile_end_core_temps (b : B.t) profile =
   b.B.core_temps (stable_of_profile b profile)
@@ -388,43 +332,36 @@ let profile_end_peak (b : B.t) profile =
 (* A schedule that is not step-up may peak strictly inside a segment, so
    the stable-status period is walked (the MatEx method, reference [28]
    of the paper): from the period-boundary stable state, each segment is
-   taken in [samples] equal sub-steps toward its equilibrium, tracking
-   the hottest core, and the next segment starts from ONE exact
-   full-duration step from this segment's start, so boundary states
-   accumulate no sub-step rounding.  With [tol], the bracket around each
-   segment's hottest sample (the segment start counted) is then
-   golden-section searched to time resolution [tol * duration], each
-   probe one exact step from the segment start. *)
+   taken in [samples] equal sub-steps toward its equilibrium (one
+   [sample_segment] call, tracking the hottest core), and the next
+   segment starts from ONE exact full-duration step from this segment's
+   start, so boundary states accumulate no sub-step rounding.  With
+   [tol], the bracket around each segment's hottest sample (the segment
+   start counted) is then golden-section searched to time resolution
+   [tol * duration], each probe one exact step from the segment start. *)
 let walk_peak (b : B.t) ~samples ?tol profile =
   if samples < 1 then invalid_arg "Peak: non-positive sample count";
   let z = Array.copy (stable_of_profile b profile) in
   let n = Array.length z in
   let eq = Array.make n 0. and walker = Array.make n 0. in
-  let best = ref (b.B.max_core_temp z) in
+  (* Hottest core at the current segment's start: the boundary step
+     that reaches a segment reads it. *)
+  let start = ref (b.B.max_core_temp z) in
+  let best = ref !start in
   List.iter
     (fun (seg : Thermal.Matex.segment) ->
       let duration = seg.duration in
       let dt = duration /. float_of_int samples in
       b.B.equilibrium_into ~psi:seg.psi ~dst:eq;
-      let best_k = ref 0 in
-      let best_here =
-        ref (if Option.is_some tol then b.B.max_core_temp z else neg_infinity)
-      in
       Array.blit z 0 walker 0 n;
-      for k = 1 to samples do
-        b.B.advance_into ~dt ~eq ~src:walker ~dst:walker;
-        let temp = b.B.max_core_temp walker in
-        if temp > !best_here then begin
-          best_here := temp;
-          best_k := k
-        end
-      done;
-      best := Float.max !best !best_here;
+      let k, temp = b.B.sample_segment ~dt ~samples ~eq ~walker in
       (match tol with
-      | None -> ()
+      | None -> best := Float.max !best temp
       | Some tol ->
-          let lo = Float.max 0. ((float_of_int !best_k -. 1.) *. dt) in
-          let hi = Float.min duration ((float_of_int !best_k +. 1.) *. dt) in
+          let best_k, best_here = if temp > !start then (k, temp) else (0, !start) in
+          best := Float.max !best best_here;
+          let lo = Float.max 0. ((float_of_int best_k -. 1.) *. dt) in
+          let hi = Float.min duration ((float_of_int best_k +. 1.) *. dt) in
           if hi > lo then begin
             let temp_at t =
               b.B.step_into ~dt:t ~state:z ~psi:seg.psi ~dst:walker;
@@ -433,7 +370,7 @@ let walk_peak (b : B.t) ~samples ?tol profile =
             best :=
               Float.max !best (Thermal.Matex.golden_max temp_at lo hi (tol *. duration))
           end);
-      b.B.advance_into ~dt:duration ~eq ~src:z ~dst:z)
+      start := snd (b.B.sample_segment ~dt:duration ~samples:1 ~eq ~walker:z))
     profile;
   !best
 
@@ -477,21 +414,12 @@ let of_step_up_cached cache b pm s =
 
 (* Voltage-to-psi conversion shared with the exact decomposed path
    ([Power.Power_model.psi] on the span's voltage), handed to the
-   backend's prepared-base hooks.  Base/delta state is per-domain:
+   backend's prepared-base hooks.  The prepared base is per-domain:
    prepare and evaluate on the same domain. *)
 
 let two_mode_delta_base (b : B.t) pm ~period ~low ~high ~high_ratio =
-  let n = Array.length low in
-  if Array.length high <> n || Array.length high_ratio <> n then
-    invalid_arg "Peak.two_mode_delta_base: array length mismatch";
-  b.B.base_begin ~t_p:period;
-  for i = 0 to n - 1 do
-    b.B.base_feed ~core:i
-      ~psi_low:(Power.Power_model.psi pm low.(i))
-      ~psi_high:(Power.Power_model.psi pm high.(i))
-      ~high_ratio:high_ratio.(i)
-  done;
-  ignore (b.B.base_solve () : float array)
+  let psi = Array.map (Power.Power_model.psi pm) in
+  b.B.prepare_base ~t_p:period ~psi_low:(psi low) ~psi_high:(psi high) ~high_ratio
 
 let two_mode_delta_peak (b : B.t) pm ~core ~low ~high ~high_ratio =
   b.B.delta_peak ~core
@@ -514,11 +442,8 @@ let two_mode_delta_temp_at (b : B.t) pm ~at ~core ~low ~high ~high_ratio =
    cached exact entry points above, and a ROM float behind an exact
    digest would silently corrupt that re-check). *)
 let rom_of_two_mode rom pm ~period ~low ~high ~high_ratio =
-  let s = two_mode_scratch (Array.length low) in
-  let kept = two_mode_decompose s ~period ~low ~high ~high_ratio in
-  Rom.rom_begin rom;
-  feed_spans pm s ~period ~low ~high kept (Rom.rom_feed rom);
-  Rom.rom_solve rom ~t_p:period
+  let d = two_mode_decompose ~period ~low ~high ~high_ratio in
+  Rom.rom_stable rom ~t_p:period (feed_spans pm d ~period ~low ~high)
 
 let rom_of_any rom pm ?(samples_per_segment = 32) s =
   Rom.rom_peak_scan rom ~samples_per_segment

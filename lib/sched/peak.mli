@@ -6,7 +6,7 @@
     and this module answers it once per shape, against the backend
     record: the cheap end-of-period evaluator Theorem 1 licenses for
     step-up schedules, the dense scan needed for arbitrary ones, the
-    fused aligned two-mode stream AO's m sweep and the TPT loops price
+    fused aligned two-mode evaluator AO's m sweep and the TPT loops price
     thousands of candidates with, and the prepared-base delta scans.
     Which engine solves (dense modal or sparse superposition) is the
     backend's business; callers holding only a model pass
@@ -85,9 +85,8 @@ val profile :
 
 (** [profile_end_core_temps b profile] are the absolute per-core
     temperatures at the stable-status period boundary of [profile]: the
-    profile streamed through the backend's
-    {!Thermal.Backend.field-stable_begin}/[stable_feed]/[stable_solve]
-    hooks with [t_p = Thermal.Matex.period profile].  Raises
+    profile's segments fed to one {!Thermal.Backend.field-stable} call
+    with [t_p = Thermal.Matex.period profile].  Raises
     [Invalid_argument] on profiles {!Thermal.Matex.validate} rejects. *)
 val profile_end_core_temps : Thermal.Backend.t -> Thermal.Matex.profile -> Linalg.Vec.t
 
@@ -100,11 +99,12 @@ val profile_end_peak : Thermal.Backend.t -> Thermal.Matex.profile -> float
     core temperature found by walking the stable-status period of
     [profile] (the MatEx method, reference [28] of the paper): from the
     period-boundary stable state, every segment is taken in
-    [samples_per_segment] (default 32) equal sub-steps through the
-    backend's {!Thermal.Backend.field-equilibrium_into}/[advance_into]
-    primitives, and the next segment starts from one exact
-    full-duration step, so boundary states accumulate no sub-step
-    rounding.  The safe evaluator for profiles that are not step-up,
+    [samples_per_segment] (default 32) equal sub-steps — one
+    {!Thermal.Backend.field-equilibrium_into} and one
+    {!Thermal.Backend.field-sample_segment} call per segment — and the
+    next segment starts from one exact full-duration step
+    ([sample_segment ~samples:1]), so boundary states accumulate no
+    sub-step rounding.  The safe evaluator for profiles that are not step-up,
     whose peak may fall strictly inside a segment.  Raises
     [Invalid_argument] on a sample count below 1 or on profiles
     {!Thermal.Matex.validate} rejects. *)
@@ -187,9 +187,8 @@ val of_step_up_cached :
     {!of_step_up} of [Schedule.two_mode ~period ~low ~high ~high_ratio]
     evaluated WITHOUT constructing the schedule: the aligned two-mode
     state intervals are derived directly (replicating the schedule
-    decomposition bit-for-bit) and streamed through the backend's
-    {!Thermal.Backend.field-stable_begin}/[stable_feed]/[stable_solve]
-    hooks with [t_p = period].  This is the policy hot path — AO's m
+    decomposition bit-for-bit) and fed to one
+    {!Thermal.Backend.field-stable} call with [t_p = period].  This is the policy hot path — AO's m
     sweep and the TPT loops price thousands of these candidates. *)
 
 (** [of_two_mode b pm ~period ~low ~high ~high_ratio] is the
@@ -234,9 +233,10 @@ val of_two_mode_cached :
     two-mode config's drive once ({!two_mode_delta_base}), then price
     candidates that change a {e single} core's duty cycle in O(n) (dense
     modal) or O(m · n_cores) (sparse response) each — no full
-    re-superposition, no span stream.  Base/delta state is per-domain
-    scratch: prepare and evaluate on the same domain, and re-prepare
-    after the config itself changes.  Delta scores agree with the exact
+    re-superposition, no span feed.  The prepared base is per-domain
+    scratch of the backend's engine (one
+    {!Thermal.Backend.field-prepare_base} call): prepare and evaluate on
+    the same domain, and re-prepare after the config itself changes.  Delta scores agree with the exact
     two-mode evaluators to the differential suite's 1e-9, but are NOT
     bit-identical and must never enter the exact memo tables — search
     loops re-verify any winner through the cached exact entry points
@@ -288,7 +288,8 @@ val two_mode_delta_temp_at :
 
 (** [rom_of_two_mode rom pm ~period ~low ~high ~high_ratio] is the
     approximate stable-status peak of the fused two-mode candidate,
-    streamed through the same span loop as {!of_two_mode}. *)
+    fed by the same span iterator as {!of_two_mode}, to one
+    {!Thermal.Reduced.rom_stable} call. *)
 val rom_of_two_mode :
   Thermal.Reduced.t ->
   Power.Power_model.t ->

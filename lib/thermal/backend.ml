@@ -4,7 +4,6 @@ type t = {
   n_cores : int;
   ambient : float;
   ambient_state : unit -> Linalg.Vec.t;
-  step : dt:float -> state:Linalg.Vec.t -> psi:Linalg.Vec.t -> Linalg.Vec.t;
   step_into :
     dt:float -> state:Linalg.Vec.t -> psi:Linalg.Vec.t -> dst:Linalg.Vec.t -> unit;
   correct_cores : state:Linalg.Vec.t -> deltas:Linalg.Vec.t -> unit;
@@ -13,14 +12,16 @@ type t = {
   steady_core_temps : Linalg.Vec.t -> Linalg.Vec.t;
   steady_peak : Linalg.Vec.t -> float;
   equilibrium_into : psi:Linalg.Vec.t -> dst:Linalg.Vec.t -> unit;
-  advance_into :
-    dt:float -> eq:Linalg.Vec.t -> src:Linalg.Vec.t -> dst:Linalg.Vec.t -> unit;
-  stable_begin : unit -> unit;
-  stable_feed : duration:float -> psi:Linalg.Vec.t -> unit;
-  stable_solve : t_p:float -> Linalg.Vec.t;
-  base_begin : t_p:float -> unit;
-  base_feed : core:int -> psi_low:float -> psi_high:float -> high_ratio:float -> unit;
-  base_solve : unit -> Linalg.Vec.t;
+  sample_segment :
+    dt:float -> samples:int -> eq:Linalg.Vec.t -> walker:Linalg.Vec.t -> int * float;
+  stable :
+    t_p:float -> ((duration:float -> psi:Linalg.Vec.t -> unit) -> unit) -> Linalg.Vec.t;
+  prepare_base :
+    t_p:float ->
+    psi_low:Linalg.Vec.t ->
+    psi_high:Linalg.Vec.t ->
+    high_ratio:float array ->
+    unit;
   delta_peak : core:int -> psi_low:float -> psi_high:float -> high_ratio:float -> float;
   delta_core_temp :
     at:int -> core:int -> psi_low:float -> psi_high:float -> high_ratio:float -> float;
@@ -50,7 +51,6 @@ let of_modal eng =
     n_cores = Model.n_cores model;
     ambient = Model.ambient model;
     ambient_state = (fun () -> Modal.ambient_state eng);
-    step = (fun ~dt ~state ~psi -> Modal.step eng ~dt ~z:state ~psi);
     step_into = (fun ~dt ~state ~psi ~dst -> Modal.step_into eng ~dt ~z:state ~psi ~dst);
     correct_cores =
       (fun ~state ~deltas ->
@@ -72,62 +72,54 @@ let of_modal eng =
     steady_core_temps = (fun psi -> Modal.core_temps eng (Modal.z_inf eng psi));
     steady_peak = Modal.steady_peak eng;
     equilibrium_into = (fun ~psi ~dst -> Modal.z_inf_into eng dst psi);
-    advance_into =
-      (fun ~dt ~eq ~src ~dst -> Modal.advance_into eng ~dt ~eq ~src ~dst);
-    stable_begin = (fun () -> Modal.stable_begin eng);
-    stable_feed = (fun ~duration ~psi -> Modal.stable_feed eng ~duration ~psi);
-    stable_solve = (fun ~t_p -> Modal.stable_solve eng ~t_p);
-    base_begin = (fun ~t_p -> Modal.base_begin eng ~t_p);
-    base_feed =
-      (fun ~core ~psi_low ~psi_high ~high_ratio ->
-        Modal.base_feed eng ~core ~psi_low ~psi_high ~high_ratio);
-    base_solve = (fun () -> Modal.base_solve eng);
-    delta_peak =
-      (fun ~core ~psi_low ~psi_high ~high_ratio ->
-        Modal.delta_peak eng ~core ~psi_low ~psi_high ~high_ratio);
-    delta_core_temp =
-      (fun ~at ~core ~psi_low ~psi_high ~high_ratio ->
-        Modal.delta_core_temp eng ~at ~core ~psi_low ~psi_high ~high_ratio);
+    sample_segment = Modal.sample_segment eng;
+    stable = Modal.stable eng;
+    prepare_base = Modal.prepare_base eng;
+    delta_peak = Modal.delta_peak eng;
+    delta_core_temp = Modal.delta_core_temp eng;
   }
 
 let of_model model = of_modal (Modal.make model)
 
 let of_response resp =
   let eng = Sparse_response.engine resp in
+  let n = Sparse_model.n_nodes eng in
   {
     name = "sparse-response";
-    n_nodes = Sparse_response.n_nodes resp;
+    n_nodes = n;
     n_cores = Sparse_response.n_cores resp;
     ambient = Sparse_response.ambient resp;
     ambient_state = (fun () -> Sparse_model.ambient_state eng);
-    step = Sparse_response.step resp;
     step_into =
       (fun ~dt ~state ~psi ~dst ->
         let next = Sparse_response.step resp ~dt ~state ~psi in
-        Array.blit next 0 dst 0 (Sparse_model.n_nodes eng));
+        Array.blit next 0 dst 0 n);
     correct_cores = (fun ~state ~deltas -> Sparse_model.correct_cores eng ~state ~deltas);
     core_temps = Sparse_model.core_temps eng;
     max_core_temp = Sparse_model.max_core_temp eng;
     steady_core_temps = Sparse_response.steady_core_temps resp;
     steady_peak = Sparse_response.steady_peak resp;
     equilibrium_into = (fun ~psi ~dst -> Sparse_response.y_inf_into resp dst psi);
-    advance_into =
-      (fun ~dt ~eq ~src ~dst ->
-        let next = Sparse_model.advance eng ~dt ~y_inf:eq src in
-        Array.blit next 0 dst 0 (Sparse_model.n_nodes eng));
-    stable_begin = (fun () -> Sparse_response.stable_begin resp);
-    stable_feed = (fun ~duration ~psi -> Sparse_response.stable_feed resp ~duration ~psi);
-    stable_solve = (fun ~t_p -> Sparse_response.stable_solve resp ~t_p);
-    base_begin = (fun ~t_p -> Sparse_response.base_begin resp ~t_p);
-    base_feed =
-      (fun ~core ~psi_low ~psi_high ~high_ratio ->
-        Sparse_response.base_feed resp ~core ~psi_low ~psi_high ~high_ratio);
-    base_solve = (fun () -> Sparse_response.base_solve resp);
-    delta_peak =
-      (fun ~core ~psi_low ~psi_high ~high_ratio ->
-        Sparse_response.delta_peak resp ~core ~psi_low ~psi_high ~high_ratio);
-    delta_core_temp =
-      (fun ~at ~core ~psi_low ~psi_high ~high_ratio ->
-        Sparse_response.delta_core_temp resp ~at ~core ~psi_low ~psi_high
-          ~high_ratio);
+    sample_segment =
+      (fun ~dt ~samples ~eq ~walker ->
+        if samples < 1 then invalid_arg "Backend.sample_segment: non-positive sample count";
+        if not (Float.is_finite dt && dt >= 0.) then
+          invalid_arg "Backend.sample_segment: duration must be finite and non-negative";
+        (* One [expmv] per sub-step: the sparse engine has no table to
+           look up. *)
+        let best = ref neg_infinity and best_k = ref 0 in
+        for k = 1 to samples do
+          let next = Sparse_model.advance eng ~dt ~y_inf:eq walker in
+          Array.blit next 0 walker 0 n;
+          let temp = Sparse_model.max_core_temp eng walker in
+          if temp > !best then begin
+            best := temp;
+            best_k := k
+          end
+        done;
+        (!best_k, !best));
+    stable = Sparse_response.stable resp;
+    prepare_base = Sparse_response.prepare_base resp;
+    delta_peak = Sparse_response.delta_peak resp;
+    delta_core_temp = Sparse_response.delta_core_temp resp;
   }

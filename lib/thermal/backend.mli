@@ -6,20 +6,21 @@
     come from the dense modal engine ({!Modal}, O(n³) build, exact
     eigenbasis) or the sparse Krylov engine ({!Sparse_model}, O(nnz)
     build, CG + Lanczos solves).  A backend is a record of closures over
-    one of those engines, and every field is an engine primitive.
+    one of those engines, and every field answers one whole question in
+    one call: the engine borrows its per-domain scratch once, at entry.
     {!Sched.Peak} writes each evaluator once against it — steady peaks
     through the [steady_*] fields, every period-boundary stable status
-    (whole profiles and the fused two-mode stream alike) through
-    {!field:stable_begin}/{!field:stable_feed}/{!field:stable_solve},
-    the scanned and refined in-period peaks by walking the stable period
-    with {!field:equilibrium_into}/{!field:advance_into} and probing
-    with {!field:step_into}, the TPT delta scans through the
-    [base_*]/[delta_*] hooks — and {!Core.Eval} holds one, so every
-    registered policy runs unchanged on either implementation.
+    (whole profiles and the fused two-mode candidates alike) through
+    {!field:stable}, the scanned and refined in-period peaks by walking
+    the stable period one {!field:sample_segment} per segment and
+    probing with {!field:step_into}, the TPT delta scans through
+    {!field:prepare_base} and the [delta_*] fields — and {!Core.Eval}
+    holds one, so every registered policy runs unchanged on either
+    implementation.
 
     States are opaque to callers: modal coordinates for the dense
     backend, symmetrized node coordinates for the sparse one.  Obtain
-    them only from {!field:ambient_state}/{!field:step} of the SAME
+    them only from {!field:ambient_state}/{!field:step_into} of the SAME
     backend and read them through {!field:core_temps}/
     {!field:max_core_temp}.  The differential suite pins both
     implementations to each other to ≤ 1e-9. *)
@@ -31,14 +32,14 @@ type t = {
   n_cores : int;
   ambient : float;
   ambient_state : unit -> Linalg.Vec.t;  (** The all-ambient state. *)
-  step : dt:float -> state:Linalg.Vec.t -> psi:Linalg.Vec.t -> Linalg.Vec.t;
-      (** Exact LTI advance under constant per-core powers. *)
   step_into :
     dt:float -> state:Linalg.Vec.t -> psi:Linalg.Vec.t -> dst:Linalg.Vec.t -> unit;
-      (** {!field:step} writing into a caller-owned buffer [dst] (same
-          length as [state], physically distinct from it) — the epoch
-          loop's ping-pong hook.  Allocation-free on the dense backend;
-          the sparse backends fall back to [step] plus a blit. *)
+      (** Exact LTI advance of [state] by [dt] under constant per-core
+          powers, written into a caller-owned buffer [dst] (same length
+          as [state], physically distinct from it) — the epoch loop's
+          ping-pong hook.  Allocation-free on the dense backend; the
+          sparse one applies one [expmv] and blits.  [Invalid_argument]
+          on a [dt] that is negative, infinite or NaN. *)
   correct_cores : state:Linalg.Vec.t -> deltas:Linalg.Vec.t -> unit;
       (** In-place measured-state correction: add [deltas.(k)] kelvin to
           core [k]'s temperature reading, mapped into the backend's
@@ -54,35 +55,43 @@ type t = {
   equilibrium_into : psi:Linalg.Vec.t -> dst:Linalg.Vec.t -> unit;
       (** The equilibrium state under constant per-core powers [psi],
           superposed into [dst] (a state-length buffer) — the [eq] that
-          {!field:advance_into} steps toward. *)
-  advance_into :
-    dt:float -> eq:Linalg.Vec.t -> src:Linalg.Vec.t -> dst:Linalg.Vec.t -> unit;
-      (** Exact advance of [src] by [dt] toward the equilibrium [eq],
-          written into [dst]; [dst] may alias [src].  The sub-step of
-          every in-period walk: one equilibrium per segment, many steps
-          toward it.  Allocation-free on the dense backend; the sparse
-          one applies one [expmv] and blits. *)
-  stable_begin : unit -> unit;
-      (** Fused stable-status stream, the candidate hot path: reset this
-          domain's accumulator ... *)
-  stable_feed : duration:float -> psi:Linalg.Vec.t -> unit;
-      (** ... fold one constant-power span into it (in period order;
-          [Invalid_argument] on a non-positive duration) ... *)
-  stable_solve : t_p:float -> Linalg.Vec.t;
-      (** ... and solve the period-[t_p] fixed point.  The returned
-          state is read through {!field:core_temps}/{!field:max_core_temp}
-          and may be per-domain scratch: read it before the next stream
-          on this domain. *)
-  base_begin : t_p:float -> unit;
-      (** Prepared-base delta evaluation (DESIGN.md §14): start a base
-          two-mode config of period [t_p] on this domain ... *)
-  base_feed : core:int -> psi_low:float -> psi_high:float -> high_ratio:float -> unit;
-      (** ... record core [core]'s low/high powers and duty ratio (every
-          core exactly once) ... *)
-  base_solve : unit -> Linalg.Vec.t;
-      (** ... solve the base and arm the delta reads; returns this
-          domain's scratch base state.  Base state is per-domain and
-          untouched by interleaved streams. *)
+          {!field:sample_segment} steps toward. *)
+  sample_segment :
+    dt:float -> samples:int -> eq:Linalg.Vec.t -> walker:Linalg.Vec.t -> int * float;
+      (** One walked segment: advance [walker] in place [samples] times
+          by [dt] toward the equilibrium [eq] and return
+          [(best_k, best_temp)], the first sub-step (from 1) reaching
+          the hottest core temperature seen and that temperature.  The
+          dense engine looks its decay row up once per call and reads
+          the hottest core inline; the sparse one applies one [expmv]
+          per sub-step.  [~samples:1] over the whole duration is one
+          exact step, the boundary step of an in-period walk.
+          [Invalid_argument] on a sample count below 1 or a [dt] that is
+          negative, infinite or NaN. *)
+  stable :
+    t_p:float -> ((duration:float -> psi:Linalg.Vec.t -> unit) -> unit) -> Linalg.Vec.t;
+      (** The period-[t_p] stable status, the candidate hot path:
+          [stable ~t_p spans] hands [spans] a feed, which it calls once
+          per constant-power span in period order, then solves the
+          fixed point.  The returned state is read through
+          {!field:core_temps}/{!field:max_core_temp} and may be
+          per-domain scratch: read it before the next stable status on
+          this domain.  [spans] may evaluate on other backends between
+          feeds, but not start another stable status on this one.
+          [Invalid_argument] on a non-positive period or duration. *)
+  prepare_base :
+    t_p:float ->
+    psi_low:Linalg.Vec.t ->
+    psi_high:Linalg.Vec.t ->
+    high_ratio:float array ->
+    unit;
+      (** Prepared-base delta evaluation (DESIGN.md §14): solve, on this
+          domain, the base two-mode config of period [t_p] whose core
+          [i] draws [psi_low.(i)]/[psi_high.(i)] and runs high for the
+          fraction [high_ratio.(i)], and arm the delta reads.  The base
+          is per-domain and untouched by interleaved stable statuses;
+          it stays prepared until the next [prepare_base] on this
+          domain. *)
   delta_peak : core:int -> psi_low:float -> psi_high:float -> high_ratio:float -> float;
       (** End-of-period stable peak of the prepared base with core
           [core]'s terms replaced. *)

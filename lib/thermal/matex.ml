@@ -4,6 +4,7 @@ type segment = { duration : float; psi : Vec.t }
 type profile = segment list
 
 let period profile = List.fold_left (fun acc s -> acc +. s.duration) 0. profile
+let spans profile feed = List.iter (fun s -> feed ~duration:s.duration ~psi:s.psi) profile
 
 let validate n_cores profile =
   if profile = [] then invalid_arg "Matex: empty profile";
@@ -30,10 +31,7 @@ let validate n_cores profile =
    from the engine's per-duration table, O(n) element-wise work per
    sample. *)
 
-let modal_stable eng profile =
-  Modal.stable_begin eng;
-  List.iter (fun s -> Modal.stable_feed eng ~duration:s.duration ~psi:s.psi) profile;
-  Modal.stable_solve eng ~t_p:(period profile)
+let modal_stable eng profile = Modal.stable eng ~t_p:(period profile) (spans profile)
 
 let stable_start model profile =
   validate (Model.n_cores model) profile;
@@ -50,11 +48,9 @@ let walk_segment eng ~samples s z visit =
   let eq = Modal.z_inf eng s.psi in
   let dt = s.duration /. float_of_int samples in
   let zc = Array.copy z in
-  for k = 1 to samples do
-    Modal.advance_into eng ~dt ~eq ~src:zc ~dst:zc;
-    visit (float_of_int k *. dt) zc
-  done;
-  Modal.advance_into eng ~dt:s.duration ~eq ~src:z ~dst:zc;
+  Modal.walk eng ~dt ~samples ~eq ~walker:zc (fun k zc -> visit (float_of_int k *. dt) zc);
+  Array.blit z 0 zc 0 (Array.length z);
+  ignore (Modal.sample_segment eng ~dt:s.duration ~samples:1 ~eq ~walker:zc : int * float);
   zc
 
 let stable_core_trace model ~samples_per_segment profile =

@@ -31,6 +31,12 @@ type profile = segment list
 (** [period profile] is the sum of segment durations. *)
 val period : profile -> float
 
+(** [spans profile feed] calls [feed ~duration ~psi] on every segment in
+    period order: the span iterator the engines' one-call stable
+    statuses ({!Modal.stable}, {!Sparse_response.stable},
+    {!Reduced.rom_stable}) take for a whole profile. *)
+val spans : profile -> (duration:float -> psi:Linalg.Vec.t -> unit) -> unit
+
 (** [validate n_cores profile] raises [Invalid_argument] on empty
     profiles, durations that are not finite and positive, power vectors
     whose arity is not [n_cores], or non-finite powers.  Every engine

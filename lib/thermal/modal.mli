@@ -23,15 +23,17 @@
     equilibrium into an O(n * n_cores) multiply-add with zero LU solves.
     Decay factors [e^{lambda dt}] are amortized in a per-duration table
     (policy sweeps reuse a handful of durations thousands of times), and
-    the streaming {!stable_begin}/{!stable_feed}/{!stable_solve} path
-    evaluates a candidate's stable status into per-domain scratch
-    buffers with no allocation at all.  States advance by {!step} /
-    {!step_into}, or — when one equilibrium serves many sub-steps, as in
-    the in-period walk of [Sched.Peak] — by {!z_inf_into} once and
-    {!advance_into} per step.
+    {!stable} evaluates a candidate's stable status into per-domain
+    scratch buffers.  States advance by {!step} / {!step_into}, or —
+    when one equilibrium serves many sub-steps, as in the in-period walk
+    of [Sched.Peak] — by {!z_inf_into} once and one {!sample_segment}
+    (or {!walk}) per segment.
 
     An engine is a plain value owning its per-domain scratch
     ({!Util.Per_domain}): {!make} builds one and its holder keeps it.
+    Every call below is one whole question — a stable status, a walked
+    segment, a prepared base, a delta candidate — and borrows that
+    scratch once, at entry.
     The decay/gain table is one per domain, its rows tagged with the
     model's eigenvalue vector, so engines over one model share warm rows
     and engines over different models never read each other's.  Engines
@@ -50,9 +52,13 @@ type t
 type stats = {
   builds : int;  (** Engines built process-wide (unit-response solves). *)
   superpose_evals : int;  (** Superposition equilibrium evaluations. *)
-  exp_hits : int;  (** Decay/gain lookups answered from the table. *)
+  exp_hits : int;
+      (** Decay/gain lookups answered from the table.  A stable status
+          looks up once per span plus once for the period, a
+          {!sample_segment} or {!walk} call once for all its
+          sub-steps. *)
   exp_misses : int;  (** Decay/gain lookups that computed. *)
-  base_solves : int;  (** Prepared-base builds ({!base_solve}). *)
+  base_solves : int;  (** Prepared bases ({!prepare_base}). *)
   delta_evals : int;  (** Delta candidate evaluations. *)
 }
 
@@ -100,7 +106,9 @@ val steady_peak : t -> Linalg.Vec.t -> float
 (** [step t ~dt ~z ~psi] advances a modal state by [dt] under constant
     powers [psi] — Eq. (3) in modal coordinates, O(n), allocating the
     result.  Prefer {!step_into}, or {!z_inf_into} plus
-    {!advance_into}, when the same [(dt, psi)] recurs. *)
+    {!sample_segment}, when the same [(dt, psi)] recurs.  Raises
+    [Invalid_argument] on a [dt] that is negative, infinite or NaN, or
+    on arity mismatches. *)
 val step : t -> dt:float -> z:Linalg.Vec.t -> psi:Linalg.Vec.t -> Linalg.Vec.t
 
 (** [step_into t ~dt ~z ~psi ~dst] writes {!step}'s result into [dst]
@@ -109,21 +117,40 @@ val step : t -> dt:float -> z:Linalg.Vec.t -> psi:Linalg.Vec.t -> Linalg.Vec.t
     table, so a control loop stepping at one fixed [dt] pays [n]
     multiply-adds per call.  Bit-identical to {!step}.  Raises
     [Invalid_argument] when [dst] aliases [z], on arity mismatches, or
-    on a negative [dt]. *)
+    on a [dt] that is negative, infinite or NaN. *)
 val step_into :
   t -> dt:float -> z:Linalg.Vec.t -> psi:Linalg.Vec.t -> dst:Linalg.Vec.t -> unit
 
-(** [advance_into t ~dt ~eq ~src ~dst] writes the modal state [dt]
-    seconds after [src], toward the equilibrium [eq] (a {!z_inf_into}
-    result), into [dst]: [D_dt . src + g_dt . eq] per mode, with
-    [D_dt = e^{lambda dt}] and [g_dt = -expm1(lambda dt)] from the
-    per-domain duration table — the update {!stable_feed} folds.  [dst]
-    may alias [src], so a walk steps one buffer in place without
-    allocating.  {!step} rounds differently ([eq + D_dt (src - eq)]) and
-    agrees to machine precision.  Raises [Invalid_argument] on a
-    negative or NaN [dt] or on arity mismatches. *)
-val advance_into :
-  t -> dt:float -> eq:Linalg.Vec.t -> src:Linalg.Vec.t -> dst:Linalg.Vec.t -> unit
+(** [sample_segment t ~dt ~samples ~eq ~walker] advances [walker] in
+    place [samples] times by [dt] toward the equilibrium [eq] (a
+    {!z_inf_into} result) — [D_dt . z + g_dt . eq] per mode, with
+    [D_dt = e^{lambda dt}] and [g_dt = -expm1(lambda dt)] looked up
+    once in the per-domain duration table — and returns
+    [(best_k, best_temp)]: the first sub-step (from 1) reaching the
+    hottest core temperature seen, and that temperature.  With
+    [~samples:1] and the whole duration it is one exact step, the
+    boundary step of an in-period walk.  Allocation-free apart from the
+    result pair.  {!step} rounds differently ([eq + D_dt (z - eq)]) and
+    agrees to machine precision.  Raises [Invalid_argument] on a sample
+    count below 1, a [dt] that is negative, infinite or NaN, or arity
+    mismatches. *)
+val sample_segment :
+  t -> dt:float -> samples:int -> eq:Linalg.Vec.t -> walker:Linalg.Vec.t -> int * float
+
+(** [walk t ~dt ~samples ~eq ~walker visit] takes the same sub-steps as
+    {!sample_segment} and calls [visit k walker] after the [k]-th
+    (read [walker] during the call; do not keep it).  One table lookup
+    per call, copied out first, so [visit] may evaluate anything — the
+    dense traces and transient walks of {!Matex} sample through it.
+    Same exceptions as {!sample_segment}. *)
+val walk :
+  t ->
+  dt:float ->
+  samples:int ->
+  eq:Linalg.Vec.t ->
+  walker:Linalg.Vec.t ->
+  (int -> Linalg.Vec.t -> unit) ->
+  unit
 
 (** [core_temps t z] are the absolute core temperatures of modal state
     [z], read through the precomputed core rows of [W] — O(n_cores * n),
@@ -134,69 +161,56 @@ val core_temps : t -> Linalg.Vec.t -> Linalg.Vec.t
     modal state [z]; allocation-free. *)
 val max_core_temp : t -> Linalg.Vec.t -> float
 
-(** {2 Streaming stable-status evaluation}
+(** {2 Stable status}
 
-    The candidate-evaluation hot path: fold a periodic profile through
-    {!stable_begin} / {!stable_feed} (once per segment, in order), then
-    {!stable_solve} with the period length.  Because [K = prod
-    e^{A dt_q}] is diagonal in modal space, the [(I - K)^{-1}] solve of
-    Eq. (4) collapses to a per-mode division.  Allocation-free: all
-    state lives in per-domain scratch, so pool workers never contend or
-    cross-contaminate.  The scratch is reused by the next evaluation on
-    the same domain — read everything you need from the returned vector
-    before starting another one. *)
-
-(** [stable_begin t] resets this domain's accumulator. *)
-val stable_begin : t -> unit
-
-(** [stable_feed t ~duration ~psi] folds one constant-power segment into
-    the accumulator.  Raises [Invalid_argument] on non-positive
-    durations. *)
-val stable_feed : t -> duration:float -> psi:Linalg.Vec.t -> unit
-
-(** [stable_solve t ~t_p] solves the per-mode fixed point for a period of
-    [t_p] seconds and returns this domain's scratch stable status (valid
-    until the next streaming evaluation on this domain). *)
-val stable_solve : t -> t_p:float -> Linalg.Vec.t
+    [stable t ~t_p spans] is the stable state at the period boundary of
+    a periodic profile with period [t_p]: [spans feed] must call [feed
+    ~duration ~psi] once per constant-power segment, in period order.
+    Because [K = prod e^{A dt_q}] is diagonal in modal space, the
+    [(I - K)^{-1}] solve of Eq. (4) collapses to a per-mode division.
+    The drive accumulates in per-domain scratch, so pool workers never
+    contend or cross-contaminate, and the returned vector is that
+    scratch: read it before the next stable status on this domain.
+    [spans] may evaluate on other engines between feeds, but must not
+    start another stable status on [t] itself.  Raises
+    [Invalid_argument] on a non-positive (or NaN) period or duration. *)
+val stable :
+  t -> t_p:float -> ((duration:float -> psi:Linalg.Vec.t -> unit) -> unit) -> Linalg.Vec.t
 
 (** {2 Prepared-base delta evaluation}
 
     The TPT-loop hot path (DESIGN.md §14): capture an aligned two-mode
-    config's accumulated drive once ({!base_begin} / {!base_feed} per
-    core / {!base_solve}), then evaluate candidates that change a
-    {e single} core's duty cycle or voltages in O(n) each — the base
-    stable status plus one rescaled unit response — instead of a full
-    O(n · n_cores) re-superposition.  Same-voltage deltas (the TPT
-    loops only move duty cycles) are evaluated cancellation-free
-    through an [expm1]-backed gain factor.
+    config's accumulated drive once ({!prepare_base}), then evaluate
+    candidates that change a {e single} core's duty cycle or voltages
+    in O(n) each — the base stable status plus one rescaled unit
+    response — instead of a full O(n · n_cores) re-superposition.
+    Same-voltage deltas (the TPT loops only move duty cycles) are
+    evaluated cancellation-free through an [expm1]-backed gain factor.
 
     The prepared base lives in per-domain scratch DISJOINT from the
-    streaming [stable_*] state: exact evaluations interleaved between
-    delta candidates (winner verification) do not disturb it.  Like all
+    {!stable} state: exact evaluations interleaved between delta
+    candidates (winner verification) do not disturb it.  Like all
     per-domain scratch, a base prepared on one domain is invisible on
     others — prepare and evaluate on the same domain.  Boundary snapping
     replicates the exact decomposed path's 1e-12 clamps, so delta and
     full evaluations agree to the differential suite's 1e-9. *)
 
-(** [base_begin t ~t_p] starts preparing a base config with period
-    [t_p] on this domain.  Raises [Invalid_argument] on a non-positive
-    period. *)
-val base_begin : t -> t_p:float -> unit
-
-(** [base_feed t ~core ~psi_low ~psi_high ~high_ratio] records core
-    [core]'s two-mode terms: low/high power draws (pre-leakage, as
-    {!Power.Power_model.psi} returns them) and the high-time fraction.
-    Every core must be fed exactly once before {!base_solve}.  Raises
-    [Invalid_argument] without a preceding {!base_begin}, on an
-    out-of-range core, or a ratio outside [[-1e-12, 1 + 1e-12]]. *)
-val base_feed :
-  t -> core:int -> psi_low:float -> psi_high:float -> high_ratio:float -> unit
-
-(** [base_solve t] solves the prepared base's stable status and arms the
-    delta evaluators; returns this domain's scratch base vector (valid
-    until the next [base_begin] on this domain).  Raises
-    [Invalid_argument] if some core was never fed. *)
-val base_solve : t -> Linalg.Vec.t
+(** [prepare_base t ~t_p ~psi_low ~psi_high ~high_ratio] prepares, on
+    this domain, the base config of period [t_p] in which core [i]
+    draws [psi_low.(i)]/[psi_high.(i)] (pre-leakage, as
+    {!Power.Power_model.psi} returns them) and runs high for the
+    fraction [high_ratio.(i)] of the period, and arms the delta
+    evaluators.  Raises [Invalid_argument] on a period that is not
+    finite and positive, arrays whose length is not the core count, or
+    a ratio outside [[-1e-12, 1 + 1e-12]] (NaN included); the domain
+    then has no prepared base. *)
+val prepare_base :
+  t ->
+  t_p:float ->
+  psi_low:Linalg.Vec.t ->
+  psi_high:Linalg.Vec.t ->
+  high_ratio:float array ->
+  unit
 
 (** [delta_peak t ~core ~psi_low ~psi_high ~high_ratio] is the hottest
     end-of-period core temperature of the delta candidate. *)

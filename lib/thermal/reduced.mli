@@ -57,38 +57,36 @@ val ambient_state : t -> Linalg.Vec.t
     [psi]). *)
 val core_temps : t -> state:Linalg.Vec.t -> psi:Linalg.Vec.t -> Linalg.Vec.t
 
-(** {1 Streaming ROM screening}
+(** {1 ROM screening}
 
     Approximate stable-peak scores for two-tier candidate screening:
     O(n_cores² + k·n_cores) per candidate, zero Krylov work after the
-    shared {!Sparse_response} tables exist.  The API mirrors {!Modal}'s
-    streaming evaluators ([stable_begin]/[stable_feed]/[stable_solve])
-    and runs on per-domain scratch, so pool workers never share partial
-    sums.  Scores are approximate — truncated fast modes are treated
-    quasi-statically — so screened searches must re-verify survivors
-    with an exact sparse solve (see [Core.Screen]). *)
+    shared {!Sparse_response} tables exist.  Each score is one call
+    that borrows the reduction's per-domain scratch once, so pool
+    workers never share partial sums.  Scores are approximate —
+    truncated fast modes are treated quasi-statically — so screened
+    searches must re-verify survivors with an exact sparse solve (see
+    [Core.Screen]). *)
 
-(** [rom_begin r] resets this domain's accumulated per-mode drive. *)
-val rom_begin : t -> unit
+(** [rom_stable r ~t_p spans] is the approximate hottest core
+    temperature at the period boundary of a periodic profile with period
+    [t_p], the ROM counterpart of {!Modal.stable}: [spans feed] calls
+    [feed ~duration ~psi] once per segment, in period order; each
+    retained mode's drive folds in closed form and the period-[t_p]
+    fixed point closes per mode; the static tier is the last-fed
+    segment's steady superposition.  Raises [Invalid_argument] on a
+    non-positive (or NaN) period or duration, or a power vector whose
+    arity differs from the engine's core count. *)
+val rom_stable :
+  t -> t_p:float -> ((duration:float -> psi:Linalg.Vec.t -> unit) -> unit) -> float
 
-(** [rom_feed r ~duration ~psi] folds one periodic segment into the
-    drive.  Raises [Invalid_argument] on a non-positive duration or a
-    power vector whose arity differs from the engine's core count. *)
-val rom_feed : t -> duration:float -> psi:Linalg.Vec.t -> unit
-
-(** [rom_solve r ~t_p] closes the period-[t_p] fixed point per retained
-    mode and returns the approximate hottest core temperature at the
-    period boundary (static tier: the last-fed segment's steady
-    superposition). *)
-val rom_solve : t -> t_p:float -> float
-
-(** [rom_stable_peak r profile] is [rom_begin]; [rom_feed] every
-    segment; [rom_solve] at the profile's period — the ROM counterpart
-    of the exact end-of-period peak ([Sched.Peak.profile_end_peak]). *)
+(** [rom_stable_peak r profile] is {!rom_stable} over the profile's
+    segments at its period — the ROM counterpart of the exact
+    end-of-period peak ([Sched.Peak.profile_end_peak]). *)
 val rom_stable_peak : t -> Matex.profile -> float
 
 (** [rom_peak_scan r ?samples_per_segment profile] approximates
-    {!Sparse_response.peak_scan}: walks the stable period on the retained
+    [Sched.Peak.profile_scan_peak]: walks the stable period on the retained
     modes ([samples_per_segment] sub-steps per segment, default 32,
     exact full-duration boundary steps) with per-segment quasi-static
     corrections. *)

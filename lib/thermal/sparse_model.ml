@@ -137,7 +137,8 @@ let advance t ~dt ~y_inf y =
   Vec.add y_inf (Krylov.expmv ~tol:expmv_tol (apply t) ~t:dt (Vec.sub y y_inf))
 
 let step t ~dt ~state ~psi =
-  if dt < 0. then invalid_arg "Sparse_model.step: negative duration";
+  if not (Float.is_finite dt && dt >= 0.) then
+    invalid_arg "Sparse_model.step: duration must be finite and non-negative";
   if Vec.dim state <> t.n then invalid_arg "Sparse_model.step: state arity mismatch";
   advance t ~dt ~y_inf:(steady_state t psi) state
 

@@ -18,19 +18,20 @@ type stats = {
 let cg_tol = 1e-13
 
 (* Per-domain scratch, sized to the engine and owned by it
-   ({!Util.Per_domain}): the streaming feeds below superpose segment
-   equilibria and accumulate the periodic drive without allocating, two
-   pool workers can never observe each other's partial sums, and the
-   scratch dies with its engine.  (The [e^{-dt M}] applications
-   themselves grow Lanczos bases — that allocation is inherent to the
-   matrix-free exponential, not to the feed.) *)
+   ({!Util.Per_domain}) and borrowed once per question: the stable
+   status below superposes segment equilibria and accumulates the
+   periodic drive without allocating, two pool workers can never observe
+   each other's partial sums, and the scratch dies with its engine.
+   (The [e^{-dt M}] applications themselves grow Lanczos bases — that
+   allocation is inherent to the matrix-free exponential, not to the
+   feed.) *)
 type scratch = {
   d : float array;  (* accumulated periodic drive over one period *)
   y_eq : float array;  (* superposed equilibrium of the current segment *)
-  (* ---- prepared-base delta state (base_begin / base_feed / base_solve
-     and the delta evaluators).  Disjoint from the streaming arrays
-     above, so exact stable_* evaluations interleaved between delta
-     candidates never clobber the prepared base.  [bases] holds one
+  (* ---- prepared-base delta state ([prepare_base] and the delta
+     evaluators).  Disjoint from the stable-status arrays above, so
+     exact [stable] evaluations interleaved between delta candidates
+     never clobber the prepared base.  [bases] holds one
      lazily grown Lanczos factorization per core unit response — the
      basis is f-independent, so one preparation serves every duty-cycle
      weight evaluated against it.  Krylov.prepared is mutable and NOT
@@ -42,8 +43,8 @@ type scratch = {
   y_base : float array;  (* n: the base config's stable status *)
   w_nodes : float array;  (* nc: candidate delta read at the core nodes *)
   bases : Krylov.prepared option array;  (* nc, grown on demand *)
-  mutable base_t_p : float;  (* period; 0. = no base being prepared *)
-  mutable base_ready : bool;  (* base_solve completed *)
+  mutable base_t_p : float;  (* the prepared base's period *)
+  mutable base_ready : bool;  (* a base is prepared on this domain *)
 }
 
 type t = {
@@ -121,7 +122,7 @@ let build engine =
             y_eq = Array.make n 0.;
             base_cl = Array.make nc 0.;
             base_ch = Array.make nc 0.;
-            base_mode = Array.make nc min_int;
+            base_mode = Array.make nc 0;
             base_ll = Array.make nc 0.;
             y_base = Array.make n 0.;
             w_nodes = Array.make nc 0.;
@@ -214,32 +215,27 @@ let steady_peak t psi =
   !best +. t.ambient
 
 let step t ~dt ~state ~psi =
-  if dt < 0. then invalid_arg "Sparse_response.step: negative duration";
+  if not (Float.is_finite dt && dt >= 0.) then
+    invalid_arg "Sparse_response.step: duration must be finite and non-negative";
   if Vec.dim state <> t.n then
     invalid_arg "Sparse_response.step: state arity mismatch";
   Sparse_model.advance t.engine ~dt ~y_inf:(y_inf t psi) state
 
-(* --------------------------------------- streaming stable-status path *)
+(* ------------------------------------------------ stable status *)
 
-let stable_begin t =
+let stable t ~t_p spans =
+  if not (t_p > 0.) then invalid_arg "Sparse_response.stable: non-positive period";
   let s = Util.Per_domain.get t.scratch in
-  Array.fill s.d 0 t.n 0.
-
-let stable_feed t ~duration ~psi =
-  if duration <= 0. then
-    invalid_arg "Sparse_response.stable_feed: non-positive duration";
-  let s = Util.Per_domain.get t.scratch in
-  y_inf_into t s.y_eq psi;
-  (* d <- y_eq + e^{-dt M} (d - y_eq): the same affine fold
-     Sparse_model.stable_start performs, with the equilibrium superposed
-     instead of solved. *)
-  let d' = Sparse_model.advance t.engine ~dt:duration ~y_inf:s.y_eq s.d in
-  Array.blit d' 0 s.d 0 t.n
-
-let stable_solve t ~t_p =
-  if not (t_p > 0.) then
-    invalid_arg "Sparse_response.stable_solve: non-positive period";
-  let s = Util.Per_domain.get t.scratch in
+  Array.fill s.d 0 t.n 0.;
+  spans (fun ~duration ~psi ->
+      if not (duration > 0.) then
+        invalid_arg "Sparse_response.stable: non-positive duration";
+      y_inf_into t s.y_eq psi;
+      (* d <- y_eq + e^{-dt M} (d - y_eq): the same affine fold
+         Sparse_model.stable_start performs, with the equilibrium
+         superposed instead of solved. *)
+      let d' = Sparse_model.advance t.engine ~dt:duration ~y_inf:s.y_eq s.d in
+      Array.blit d' 0 s.d 0 t.n);
   Atomic.incr t.stable_solves;
   (* One Lanczos basis on the accumulated drive evaluates the matrix
      function (I - e^{-T_p M})^{-1} directly — candidate-local and
@@ -296,37 +292,24 @@ let get_basis t (s : scratch) i =
       s.bases.(i) <- Some b;
       b
 
-let base_begin t ~t_p =
-  if t_p <= 0. then
-    invalid_arg "Sparse_response.base_begin: non-positive period";
+let prepare_base t ~t_p ~psi_low ~psi_high ~high_ratio =
+  if not (Float.is_finite t_p && t_p > 0.) then
+    invalid_arg "Sparse_response.prepare_base: period must be finite and positive";
+  if Vec.dim psi_low <> t.nc || Vec.dim psi_high <> t.nc
+     || Array.length high_ratio <> t.nc
+  then
+    invalid_arg
+      "Sparse_response.prepare_base: arity differs from the engine's core count";
   let s = Util.Per_domain.get t.scratch in
-  s.base_t_p <- t_p;
   s.base_ready <- false;
-  Array.fill s.base_mode 0 t.nc min_int
-
-let base_feed t ~core ~psi_low ~psi_high ~high_ratio =
-  let s = Util.Per_domain.get t.scratch in
-  if s.base_t_p <= 0. then
-    invalid_arg "Sparse_response.base_feed: no base_begin on this domain";
-  if core < 0 || core >= t.nc then
-    invalid_arg "Sparse_response.base_feed: core index out of range";
-  let mode, ll = Modal.two_mode_core_shape ~t_p:s.base_t_p ~high_ratio in
-  s.base_cl.(core) <- psi_low +. t.beta_tamb;
-  s.base_ch.(core) <- psi_high +. t.beta_tamb;
-  s.base_mode.(core) <- mode;
-  s.base_ll.(core) <- ll
-
-let base_solve t =
-  let s = Util.Per_domain.get t.scratch in
-  if s.base_t_p <= 0. then
-    invalid_arg "Sparse_response.base_solve: no base_begin on this domain";
+  s.base_t_p <- t_p;
   for i = 0 to t.nc - 1 do
-    if s.base_mode.(i) = min_int then
-      invalid_arg
-        (Printf.sprintf "Sparse_response.base_solve: core %d was never base_feed"
-           i)
+    let mode, ll = Modal.two_mode_core_shape ~t_p ~high_ratio:high_ratio.(i) in
+    s.base_cl.(i) <- psi_low.(i) +. t.beta_tamb;
+    s.base_ch.(i) <- psi_high.(i) +. t.beta_tamb;
+    s.base_mode.(i) <- mode;
+    s.base_ll.(i) <- ll
   done;
-  let t_p = s.base_t_p in
   Array.fill s.y_base 0 t.n 0.;
   for i = 0 to t.nc - 1 do
     let mode = s.base_mode.(i) in
@@ -352,12 +335,7 @@ let base_solve t =
     end
   done;
   s.base_ready <- true;
-  Atomic.incr t.base_solves;
-  (s.y_base
-  [@fosc.dls_ok
-    "documented borrow of this domain's scratch (see sparse_response.mli): \
-     valid until the next base or delta call on the same domain, never \
-     shared across domains"])
+  Atomic.incr t.base_solves
 
 (* Candidate delta at the core nodes, into [s.w_nodes]. *)
 let delta_nodes t (s : scratch) ~core ~psi_low ~psi_high ~high_ratio =

@@ -4,7 +4,7 @@
     {!Modal}'s unit-response tables: per-core unit steady responses are
     solved once per platform, after which every candidate equilibrium
     is an O(n · n_cores) superposition and every stable-status solve
-    streams segments through per-domain scratch.  This module is the
+    folds segments through per-domain scratch.  This module is the
     same idea ported to {!Sparse_model}, where no eigenbasis exists:
 
     - build solves the [n_cores + 1] unit steady systems once, by
@@ -13,9 +13,8 @@
       unit responses — no per-candidate CG steady solves;
     - the constant-voltage steady peak reads a precomputed
       core-row table, O(n_cores²) per candidate with zero allocation;
-    - the periodic stable status accumulates the drive [d] through
-      allocation-free streaming feeds ({!stable_begin}/{!stable_feed}/
-      {!stable_solve}, mirroring {!Modal}'s API; the [e^{-dt M}]
+    - the periodic stable status ({!stable}, mirroring {!Modal.stable})
+      accumulates the drive [d] in per-domain scratch (the [e^{-dt M}]
       applications still build their Krylov bases) and evaluates the
       fixed point [y* = (I - e^{-T_p M})^{-1} d] from one Lanczos basis
       on the candidate's own drive, so results are bit-identical at any
@@ -27,7 +26,8 @@
     magnitude under the differential suite's 1e-9 bound.
 
     Like {!Modal}, the engine exports primitives only — steady reads,
-    equilibria, steps, the stable stream and prepared-base deltas.
+    equilibria, steps, the stable status and prepared-base deltas, each
+    one call that borrows the engine's per-domain scratch once.
     {!Backend.of_response} wraps them, and [Sched.Peak] turns whole
     profiles into answers, in-period scans included. *)
 
@@ -36,8 +36,8 @@ type t
 type stats = {
   builds : int;  (** Engines constructed process-wide. *)
   superpose_evals : int;  (** Superposed equilibrium evaluations. *)
-  stable_solves : int;  (** Streaming stable-status fixed points solved. *)
-  base_solves : int;  (** Prepared-base builds ({!base_solve}). *)
+  stable_solves : int;  (** Stable statuses solved ({!stable}). *)
+  base_solves : int;  (** Prepared bases ({!prepare_base}). *)
   delta_evals : int;  (** Delta candidate evaluations. *)
 }
 
@@ -82,30 +82,25 @@ val steady_core_temps : t -> Linalg.Vec.t -> Linalg.Vec.t
 val steady_peak : t -> Linalg.Vec.t -> float
 
 (** [step t ~dt ~state ~psi] — exact LTI advance with a superposed
-    equilibrium: one [expmv], no CG. *)
+    equilibrium: one [expmv], no CG.  Raises [Invalid_argument] on a
+    [dt] that is negative, infinite or NaN. *)
 val step : t -> dt:float -> state:Linalg.Vec.t -> psi:Linalg.Vec.t -> Linalg.Vec.t
 
-(** {1 Streaming stable-status evaluation}
+(** {1 Stable status}
 
-    The candidate hot path, mirroring {!Modal.stable_begin}/
-    [stable_feed]/[stable_solve]: fold a periodic profile's segments
-    through per-domain scratch (each feed superposes the segment's
-    equilibrium allocation-free, then applies one [e^{-dt M}]), then
-    solve the fixed point.  Pool workers each see their own scratch
-    (per engine and domain), so concurrent candidates never share
-    partial sums. *)
-
-(** [stable_begin t] resets this domain's accumulated drive. *)
-val stable_begin : t -> unit
-
-(** [stable_feed t ~duration ~psi] folds one segment into the drive.
-    Raises [Invalid_argument] on a non-positive duration. *)
-val stable_feed : t -> duration:float -> psi:Linalg.Vec.t -> unit
-
-(** [stable_solve t ~t_p] solves the period-[t_p] fixed point from the
-    accumulated drive and returns the stable state at the period
-    boundary (a fresh vector). *)
-val stable_solve : t -> t_p:float -> Linalg.Vec.t
+    [stable t ~t_p spans] is the stable state at the period boundary of
+    a periodic profile with period [t_p] (a fresh vector), the candidate
+    hot path, mirroring {!Modal.stable}: [spans feed] calls [feed
+    ~duration ~psi] once per segment, in period order; each feed
+    superposes the segment's equilibrium allocation-free into this
+    domain's scratch, then applies one [e^{-dt M}] to the drive.  Pool
+    workers each see their own scratch (per engine and domain), so
+    concurrent candidates never share partial sums.  [spans] may
+    evaluate on other engines between feeds, but must not start another
+    stable status on [t] itself.  Raises [Invalid_argument] on a
+    non-positive (or NaN) period or duration. *)
+val stable :
+  t -> t_p:float -> ((duration:float -> psi:Linalg.Vec.t -> unit) -> unit) -> Linalg.Vec.t
 
 (** {1 Prepared-base delta evaluation}
 
@@ -120,24 +115,23 @@ val stable_solve : t -> t_p:float -> Linalg.Vec.t
 
     All state (including the prepared bases, which are mutable and not
     domain-safe) lives in the engine's per-domain scratch, disjoint
-    from the streaming [stable_*] arrays — prepare and evaluate on the
+    from the {!stable} arrays — prepare and evaluate on the
     same domain; exact evaluations interleaved between deltas do not
     disturb the base. *)
 
-(** [base_begin t ~t_p] starts preparing a base config with period
-    [t_p] on this domain. *)
-val base_begin : t -> t_p:float -> unit
-
-(** [base_feed t ~core ~psi_low ~psi_high ~high_ratio] records core
-    [core]'s two-mode terms (boundary snapping replicates the exact
-    decomposed path's 1e-12 clamps).  Every core must be fed before
-    {!base_solve}. *)
-val base_feed :
-  t -> core:int -> psi_low:float -> psi_high:float -> high_ratio:float -> unit
-
-(** [base_solve t] solves the prepared base's stable status and arms the
-    delta evaluators; returns this domain's scratch base vector. *)
-val base_solve : t -> Linalg.Vec.t
+(** [prepare_base t ~t_p ~psi_low ~psi_high ~high_ratio] prepares the
+    base config of period [t_p] on this domain (core [i] at
+    [psi_low.(i)]/[psi_high.(i)], high for the fraction
+    [high_ratio.(i)]; boundary snapping replicates the exact decomposed
+    path's 1e-12 clamps) and arms the delta evaluators.  Same
+    exceptions as {!Modal.prepare_base}. *)
+val prepare_base :
+  t ->
+  t_p:float ->
+  psi_low:Linalg.Vec.t ->
+  psi_high:Linalg.Vec.t ->
+  high_ratio:float array ->
+  unit
 
 (** [delta_peak t ~core ~psi_low ~psi_high ~high_ratio] is the hottest
     end-of-period core temperature of the delta candidate, from

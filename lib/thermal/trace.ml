@@ -35,7 +35,10 @@ let periods_to_stable model ?(tol = 1e-6) profile =
   let rec go count =
     if count >= 10_000 then count
     else begin
-      List.iter (fun (dt, eq) -> Modal.advance_into eng ~dt ~eq ~src:z ~dst:z) segs;
+      List.iter
+        (fun (dt, eq) ->
+          ignore (Modal.sample_segment eng ~dt ~samples:1 ~eq ~walker:z : int * float))
+        segs;
       let next = Modal.of_modal eng z in
       let moved = Vec.dist_inf next !theta in
       theta := next;

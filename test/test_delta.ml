@@ -90,8 +90,8 @@ let parity_prop ~name ~count ~pool_size backend_of =
         let dpk =
           Peak.two_mode_delta_peak b pm ~core ~low:l' ~high:h' ~high_ratio:r'
         in
-        (* The full evaluation runs through the SAME engine's streaming
-           scratch between delta calls — also exercising base-state
+        (* The full evaluation runs through the SAME engine's
+           stable-status scratch between delta calls — also exercising base-state
            isolation on the hot path. *)
         let full =
           Peak.of_two_mode b pm ~period ~low:low2 ~high:high2 ~high_ratio:hr2
@@ -125,8 +125,8 @@ let test_base_survives_exact_evals backend_of () =
   let high_ratio = [| 0.3; 0.6; 0.9 |] in
   Peak.two_mode_delta_base b pm ~period ~low ~high ~high_ratio;
   let d1 = Peak.two_mode_delta_peak b pm ~core:1 ~low:0.7 ~high:1.2 ~high_ratio:0.45 in
-  (* Unrelated full evaluations run through the same engine's streaming
-     scratch; the prepared base must be untouched. *)
+  (* Unrelated full evaluations run through the same engine's
+     stable-status scratch; the prepared base must be untouched. *)
   for k = 1 to 5 do
     let r = 0.1 *. float_of_int k in
     ignore

@@ -7,6 +7,12 @@ module Fp = Thermal.Floorplan
 let check_close tol = Alcotest.(check (float tol))
 let pm = Power.Power_model.default
 
+(* One exact step of [state] into a fresh buffer. *)
+let step_state (b : Thermal.Backend.t) ~dt ~state ~psi =
+  let dst = b.Thermal.Backend.ambient_state () in
+  b.Thermal.Backend.step_into ~dt ~state ~psi ~dst;
+  dst
+
 (* ------------------------------------------------------------------ flp *)
 
 let sample_flp =
@@ -433,7 +439,7 @@ let test_observer_converges_from_wrong_state () =
   let est = ref (Runtime.Observer.initial obs) in
   b.Thermal.Backend.correct_cores ~state:!est ~deltas:[| 8.; 8. |];
   for _ = 1 to 1200 do
-    truth := b.Thermal.Backend.step ~dt ~state:!truth ~psi;
+    truth := step_state b ~dt ~state:!truth ~psi;
     let measured = b.Thermal.Backend.core_temps !truth in
     est := Runtime.Observer.update obs ~estimate:!est ~psi ~measured
   done;
@@ -458,7 +464,7 @@ let test_observer_filters_noise () =
   let est = ref (Runtime.Observer.initial obs) in
   let raw_err = ref 0. and obs_err = ref 0. and samples = ref 0 in
   for step = 1 to 600 do
-    truth := b.Thermal.Backend.step ~dt ~state:!truth ~psi;
+    truth := step_state b ~dt ~state:!truth ~psi;
     let true_temps = b.Thermal.Backend.core_temps !truth in
     let measured = Array.map (fun t -> t +. gaussian 1.5) true_temps in
     est := Runtime.Observer.update obs ~estimate:!est ~psi ~measured;

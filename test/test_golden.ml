@@ -123,7 +123,7 @@ let sparse_golden =
   ]
 
 (* The one documented numerical difference the fixture tolerates.  The
-   sparse fused two-mode end-of-period temperatures stream the spans
+   sparse fused two-mode end-of-period temperatures feed the spans
    into the backend's stable-status fixed point with [t_p = period];
    the superseded profile-based path summed the span durations instead,
    which rounds differently in the last ulp of the period.  The two

@@ -61,8 +61,8 @@ let prop_trajectory_matches_reference model name =
         segs)
 
 (* Interior sampling: an in-period walk's step (z_inf_into once, then
-   advance_into by any offset) must agree with a direct reference step
-   of the same offset. *)
+   one sample_segment sub-step of any offset) must agree with a direct
+   reference step of the same offset. *)
 let prop_interior_samples_match =
   QCheck.Test.make ~name:"Modal.at matches Model.step at interior times" ~count:100
     seed_gen (fun seed ->
@@ -81,8 +81,8 @@ let prop_interior_samples_match =
         (fun frac ->
           let t = frac *. duration in
           let reference = Oracle.Reference.step model ~dt:t ~theta:theta0 ~psi in
-          let z = Array.make (Model.n_nodes model) 0. in
-          Modal.advance_into eng ~dt:t ~eq ~src:z0 ~dst:z;
+          let z = Array.copy z0 in
+          ignore (Modal.sample_segment eng ~dt:t ~samples:1 ~eq ~walker:z : int * float);
           let modal = Modal.of_modal eng z in
           Vec.dist_inf reference modal <= 1e-9)
         [ 0.1; 0.37; 0.5; 0.99 ])
@@ -114,17 +114,34 @@ let prop_stable_core_temps_match =
 
 (* ------------------------------------------------------- peak agreement *)
 
+(* Both production backends, against the dense-propagator oracle: the
+   default-style walk, a one-sample walk (each segment one sub-step plus
+   its boundary step) and a one-segment profile. *)
+let scan_backends3 =
+  [
+    Thermal.Backend.of_model model3;
+    Thermal.Backend.of_response
+      (Thermal.Sparse_response.build (Thermal.Sparse_model.of_model model3));
+  ]
+
 let prop_peak_scan_matches =
   QCheck.Test.make ~name:"peak_scan agrees with reference" ~count:50 seed_gen
     (fun seed ->
       let rng = Random.State.make [| seed |] in
       let segs = random_segments rng model3 4 in
-      let reference = Oracle.Reference.peak_scan model3 ~samples_per_segment:16 segs in
-      let modal =
-        Sched.Peak.profile_scan_peak (Thermal.Backend.of_model model3)
-          ~samples_per_segment:16 segs
-      in
-      Float.abs (reference -. modal) <= 1e-9)
+      let one_segment = random_segments rng model3 1 in
+      List.for_all
+        (fun (samples_per_segment, profile) ->
+          let reference =
+            Oracle.Reference.peak_scan model3 ~samples_per_segment profile
+          in
+          List.for_all
+            (fun b ->
+              Float.abs
+                (reference -. Sched.Peak.profile_scan_peak b ~samples_per_segment profile)
+              <= 1e-9)
+            scan_backends3)
+        [ (16, segs); (1, segs); (16, one_segment) ])
 
 (* The Fig. 2 two-mode schedules, evaluated by both peak_refined paths. *)
 let test_peak_refined_fig2 () =
@@ -287,16 +304,17 @@ let test_stable_z_periodicity () =
   let eng = Modal.make model9 in
   let rng = Random.State.make [| 42 |] in
   let profile = random_segments rng model9 5 in
-  Modal.stable_begin eng;
-  List.iter
-    (fun (s : Thermal.Matex.segment) -> Modal.stable_feed eng ~duration:s.duration ~psi:s.psi)
-    profile;
-  let z_star = Array.copy (Modal.stable_solve eng ~t_p:(Thermal.Matex.period profile)) in
+  let z_star =
+    Array.copy
+      (Modal.stable eng ~t_p:(Thermal.Matex.period profile) (Thermal.Matex.spans profile))
+  in
   let z_end = Array.copy z_star in
   List.iter
     (fun (s : Thermal.Matex.segment) ->
-      Modal.advance_into eng ~dt:s.duration ~eq:(Modal.z_inf eng s.psi) ~src:z_end
-        ~dst:z_end)
+      ignore
+        (Modal.sample_segment eng ~dt:s.duration ~samples:1 ~eq:(Modal.z_inf eng s.psi)
+           ~walker:z_end
+          : int * float))
     profile;
   Alcotest.(check bool) "stable status repeats after one period" true
     (Vec.dist_inf z_star z_end <= 1e-9)

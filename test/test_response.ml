@@ -105,7 +105,7 @@ let prop_end_of_period_peak_matches_lu =
 
 (* ---------------------------------------------- pool-size invariance *)
 
-(* The streaming path keeps all its state in per-domain scratch; fanning
+(* The stable status keeps all its state in per-domain scratch; fanning
    a batch of candidates across pools of different sizes must return
    bit-identical floats in index order. *)
 let test_pool_size_invariance () =
@@ -128,27 +128,26 @@ let test_pool_size_invariance () =
 
 (* ----------------------------------------------- engine independence *)
 
-(* Interleaving a streaming evaluation on one engine with complete
-   evaluations on another must not disturb the first: each engine owns
-   its per-domain scratch. *)
+(* Complete evaluations on another engine, run inside one engine's span
+   iterator between its feeds, must not disturb it: each engine owns its
+   per-domain scratch. *)
 let test_no_cross_contamination () =
   let rng = Random.State.make [| 7 |] in
   let profile_a = random_profile rng model_a in
   let profile_b = random_profile rng model_b in
   let eng_a = Modal.make model_a in
   let expected_a = end_peak model_a profile_a in
-  (* Replay profile_a through the streaming API by hand, running full
-     evaluations on model_b between every feed. *)
-  Modal.stable_begin eng_a;
-  let t_p =
-    List.fold_left
-      (fun acc (s : Matex.segment) ->
-        ignore (end_peak model_b profile_b);
-        Modal.stable_feed eng_a ~duration:s.duration ~psi:s.psi;
-        acc +. s.duration)
-      0. profile_a
+  (* Feed profile_a by hand, running complete evaluations on model_b
+     inside the span iterator, before every feed. *)
+  let interleaved =
+    Modal.max_core_temp eng_a
+      (Modal.stable eng_a ~t_p:(Matex.period profile_a) (fun feed ->
+           List.iter
+             (fun (s : Matex.segment) ->
+               ignore (end_peak model_b profile_b);
+               feed ~duration:s.duration ~psi:s.psi)
+             profile_a))
   in
-  let interleaved = Modal.max_core_temp eng_a (Modal.stable_solve eng_a ~t_p) in
   Alcotest.(check bool) "interleaved streaming bit-identical" true
     (Int64.bits_of_float interleaved = Int64.bits_of_float expected_a);
   (* And the other platform still answers correctly afterwards. *)

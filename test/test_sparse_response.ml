@@ -44,13 +44,9 @@ let random_profile rng n =
 let end_peak resp profile =
   Sched.Peak.profile_end_peak (Thermal.Backend.of_response resp) profile
 
-(* The stable state itself, read off the same stream. *)
+(* The stable state itself, read off the same engine call. *)
 let stable_state resp profile =
-  Resp.stable_begin resp;
-  List.iter
-    (fun (s : Matex.segment) -> Resp.stable_feed resp ~duration:s.duration ~psi:s.psi)
-    profile;
-  Resp.stable_solve resp ~t_p:(Matex.period profile)
+  Resp.stable resp ~t_p:(Matex.period profile) (Matex.spans profile)
 
 (* ------------------------------------- superposition vs direct CG *)
 
@@ -150,8 +146,8 @@ let test_pool_size_determinism () =
         (Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float par.(i))))
     seq
 
-(* Two engines evaluated interleaved on one domain: each engine's
-   DLS scratch is keyed per engine, so feeds never leak across. *)
+(* Two engines evaluated interleaved on one domain: each engine owns its
+   per-domain scratch, so feeds never leak across. *)
 let test_scratch_cross_engine_isolation () =
   let rng = Random.State.make [| 7 |] in
   let eng_a = Sp.of_model model27 in
@@ -165,17 +161,18 @@ let test_scratch_cross_engine_isolation () =
   let pb = random_profile rng (Sp.n_cores eng_b) in
   let expect_a = end_peak ra pa in
   let expect_b = end_peak rb pb in
-  (* Interleave the streaming feeds by hand. *)
-  Resp.stable_begin ra;
-  Resp.stable_begin rb;
-  List.iter
-    (fun (s : Matex.segment) -> Resp.stable_feed ra ~duration:s.duration ~psi:s.psi)
-    pa;
-  List.iter
-    (fun (s : Matex.segment) -> Resp.stable_feed rb ~duration:s.duration ~psi:s.psi)
-    pb;
-  let za = Resp.stable_solve ra ~t_p:(Matex.period pa) in
-  let zb = Resp.stable_solve rb ~t_p:(Matex.period pb) in
+  (* Interleave by hand: engine B's complete stable status runs inside
+     engine A's span iterator, after every feed. *)
+  let zb = ref [||] in
+  let za =
+    Resp.stable ra ~t_p:(Matex.period pa) (fun feed ->
+        List.iter
+          (fun (s : Matex.segment) ->
+            feed ~duration:s.duration ~psi:s.psi;
+            zb := stable_state rb pb)
+          pa)
+  in
+  let zb = !zb in
   Alcotest.(check bool) "engine A undisturbed by interleaved B feeds" true
     (Float.equal (Sp.max_core_temp eng_a za) expect_a);
   Alcotest.(check bool) "engine B undisturbed by interleaved A feeds" true

@@ -369,14 +369,15 @@ let test_matex_peak_scan_at_least_boundaries () =
   (* Hottest core over the stable-status segment boundaries, walked with
      the modal primitives the scan itself advances by. *)
   let eng = Modal.make m in
-  Modal.stable_begin eng;
-  List.iter (fun (s : Matex.segment) -> Modal.stable_feed eng ~duration:s.duration ~psi:s.psi) p;
-  let z = Array.copy (Modal.stable_solve eng ~t_p:(Matex.period p)) in
+  let z = Array.copy (Modal.stable eng ~t_p:(Matex.period p) (Matex.spans p)) in
   let boundary_peak =
     List.fold_left
       (fun best (s : Matex.segment) ->
-        Modal.advance_into eng ~dt:s.duration ~eq:(Modal.z_inf eng s.psi) ~src:z ~dst:z;
-        Float.max best (Modal.max_core_temp eng z))
+        let _, temp =
+          Modal.sample_segment eng ~dt:s.duration ~samples:1 ~eq:(Modal.z_inf eng s.psi)
+            ~walker:z
+        in
+        Float.max best temp)
       (Modal.max_core_temp eng z) p
   in
   Alcotest.(check bool) "scan >= boundary peak" true
