@@ -88,10 +88,8 @@ type lanczos_state = {
 }
 
 let lanczos_start ~m_cap q0 =
-  let n = Array.length q0 in
   let qs = Array.make (m_cap + 1) [||] in
   qs.(0) <- q0;
-  ignore n;
   {
     qs;
     alpha = Array.make m_cap 0.;
@@ -148,7 +146,10 @@ let lanczos_step ~apply st =
     st.steps <- j + 1
   end
 
-let tridiagonal st m =
+(* The eigendecomposition of T_m, the leading m x m block of the
+   tridiagonal — the one place a Lanczos projection is diagonalized, so
+   swapping the small eigensolver is a change to this function alone. *)
+let tridiag_eig st m =
   let t = Mat.zeros m m in
   for i = 0 to m - 1 do
     Mat.set t i i st.alpha.(i);
@@ -157,12 +158,11 @@ let tridiagonal st m =
       Mat.set t (i + 1) i st.beta.(i)
     end
   done;
-  t
+  Sym_eig.decompose t
 
-(* y = f(T_m) e1 through the exact eigendecomposition of the small
-   tridiagonal: y = S diag(f theta) S^T e1. *)
-let apply_tridiag_function st m f =
-  let { Sym_eig.eigenvalues; eigenvectors } = Sym_eig.decompose (tridiagonal st m) in
+(* y = f(T_m) e1 = S diag(f theta) S^T e1 from T_m's decomposition. *)
+let tridiag_coeffs { Sym_eig.eigenvalues; eigenvectors } f =
+  let m = Vec.dim eigenvalues in
   let y = Array.make m 0. in
   for l = 0 to m - 1 do
     let w = f eigenvalues.(l) *. Mat.get eigenvectors 0 l in
@@ -204,7 +204,7 @@ let expmv ?(tol = 1e-12) ?(m_max = 64) apply ~t v =
           st.invariant || m >= m_cap || m land (m - 1) = 0 || m mod 8 = 0
         in
         if checkpoint then begin
-          let y = apply_tridiag_function st m (fun lam -> Float.exp (-.t *. lam)) in
+          let y = tridiag_coeffs (tridiag_eig st m) (fun lam -> Float.exp (-.t *. lam)) in
           if st.invariant then result := Some (combine st m beta0 y)
           else begin
             let err = beta0 *. st.beta.(m - 1) *. Float.abs y.(m - 1) in
@@ -222,77 +222,32 @@ let expmv ?(tol = 1e-12) ?(m_max = 64) apply ~t v =
   in
   go t v 0
 
-(* ------------------------------------------------------------- f(A)·v *)
-
-let funmv ?(tol = 1e-13) ?(m_max = 256) apply ~f v =
-  let n = Array.length v in
-  let beta0 = Vec.norm2 v in
-  if Float.equal beta0 0. then Vec.zeros n
-  else begin
-    let m_cap = Stdlib.min n (Stdlib.max 2 m_max) in
-    let st = lanczos_start ~m_cap (Vec.scale (1. /. beta0) v) in
-    (* Gauss-quadrature convergence: the coefficient vector f(T_m) e1
-       stabilizes geometrically for smooth positive [f]; accept once two
-       consecutive checkpoints agree to [tol] relative — a plateau of
-       one checkpoint is not trusted (symmetric spectra can stall one
-       step before a new Ritz value splits off). *)
-    let prev = ref [||] in
-    let streak = ref 0 in
-    let result = ref None in
-    while Option.is_none !result do
-      lanczos_step ~apply st;
-      let m = st.steps in
-      let checkpoint = st.invariant || m >= m_cap || m mod 4 = 0 in
-      if checkpoint then begin
-        let y = apply_tridiag_function st m f in
-        if st.invariant then result := Some (lanczos_combine st ~n m beta0 y)
-        else begin
-          let delta = ref 0.
-          and scale = ref 0. in
-          for i = 0 to m - 1 do
-            let yp = if i < Array.length !prev then !prev.(i) else 0. in
-            let d = y.(i) -. yp in
-            delta := !delta +. (d *. d);
-            scale := !scale +. (y.(i) *. y.(i))
-          done;
-          if Float.sqrt !delta <= tol *. Float.sqrt !scale then incr streak
-          else streak := 0;
-          prev := y;
-          if !streak >= 2 then result := Some (lanczos_combine st ~n m beta0 y)
-          else if m >= m_cap then
-            failwith
-              (Printf.sprintf "Krylov.funmv: no convergence in %d steps (n = %d)"
-                 m_cap n)
-        end
-      end
-    done;
-    Option.get !result
-  end
-
 (* ------------------------------------------------------ prepared f(A)v *)
 
 (* A reusable Lanczos factorization of [A] on a fixed start vector [v].
    The basis depends only on [(apply, v)] — never on [f] — so one
    preparation serves every smooth function evaluated against it; the
    basis is grown lazily, on demand, and each [prepared_coeffs] call
-   re-walks the checkpoint ladder from the bottom with funmv's plateau
-   rule, so the accepted size for a given [f] is deterministic and
-   independent of which other functions were evaluated first. *)
+   re-walks the checkpoint ladder from the bottom, so the accepted size
+   for a given [f] is deterministic and independent of which other
+   functions were evaluated first. *)
 type prepared = {
   p_apply : Vec.t -> Vec.t;
   p_st : lanczos_state option;  (* [None] iff the start vector is zero *)
   p_beta0 : float;
   p_n : int;
   p_m_cap : int;
-  p_tol : float;
   (* Memoized eigendecompositions of T_m at visited checkpoint sizes —
      f-independent, so they are shared across every [f].  Mutable growth
      state: a [prepared] value is NOT domain-safe; confine each one to a
-     single domain (store per-domain, e.g. in Domain.DLS scratch). *)
+     single domain. *)
   mutable p_eigs : (int * Sym_eig.t) list;
 }
 
-let prepare ?(tol = 1e-13) ?(m_max = 256) apply v =
+(* Relative plateau tolerance of the coefficient vector f(T_m) e1. *)
+let plateau_tol = 1e-13
+
+let prepare ?(m_max = 256) apply v =
   let n = Array.length v in
   let beta0 = Vec.norm2 v in
   let m_cap = Stdlib.min n (Stdlib.max 2 m_max) in
@@ -301,42 +256,32 @@ let prepare ?(tol = 1e-13) ?(m_max = 256) apply v =
     else Some (lanczos_start ~m_cap (Vec.scale (1. /. beta0) v))
   in
   { p_apply = apply; p_st = st; p_beta0 = beta0; p_n = n; p_m_cap = m_cap;
-    p_tol = tol; p_eigs = [] }
+    p_eigs = [] }
 
 let prepared_eig p st m =
   match List.assoc_opt m p.p_eigs with
   | Some e -> e
   | None ->
-      let e = Sym_eig.decompose (tridiagonal st m) in
+      let e = tridiag_eig st m in
       p.p_eigs <- (m, e) :: p.p_eigs;
       e
 
-(* y = f(T_m) e1 from the memoized decomposition. *)
-let prepared_coeffs_at p st m f =
-  let { Sym_eig.eigenvalues; eigenvectors } = prepared_eig p st m in
-  let y = Array.make m 0. in
-  for l = 0 to m - 1 do
-    let w = f eigenvalues.(l) *. Mat.get eigenvectors 0 l in
-    for i = 0 to m - 1 do
-      y.(i) <- y.(i) +. (w *. Mat.get eigenvectors i l)
-    done
-  done;
-  y
-
-(* Accepted coefficient vector for [f]: walk checkpoints m = 4, 8, ...
-   (funmv's ladder) growing the basis as needed, and accept at the
-   smallest size where two consecutive checkpoints agree to [tol]
-   relative — or exactly, on an invariant subspace.  Returns [(m, y)]. *)
+(* Accepted coefficient vector for [f]: walk checkpoints m = 4, 8, ...,
+   capped at [p_m_cap], growing the basis as needed.  Gauss-quadrature
+   convergence: f(T_m) e1 stabilizes geometrically for smooth positive
+   [f], so accept at the smallest size where two consecutive checkpoints
+   agree to [plateau_tol] relative — a plateau of one checkpoint is not
+   trusted (symmetric spectra can stall one step before a new Ritz value
+   splits off) — or exactly, on an invariant subspace.  Returns
+   [(m, y)]. *)
 let prepared_coeffs p st ~f =
-  let grow_to m =
+  let rec walk m prev streak =
+    let m = Stdlib.min m p.p_m_cap in
     while st.steps < m && not st.invariant do
       lanczos_step ~apply:p.p_apply st
-    done
-  in
-  let rec walk m prev streak =
-    grow_to m;
+    done;
     let m_eff = Stdlib.min m st.steps in
-    let y = prepared_coeffs_at p st m_eff f in
+    let y = tridiag_coeffs (prepared_eig p st m_eff) f in
     if st.invariant && st.steps <= m then (m_eff, y)
     else begin
       let delta = ref 0. and scale = ref 0. in
@@ -347,7 +292,7 @@ let prepared_coeffs p st ~f =
         scale := !scale +. (y.(i) *. y.(i))
       done;
       let streak =
-        if Float.sqrt !delta <= p.p_tol *. Float.sqrt !scale then streak + 1
+        if Float.sqrt !delta <= plateau_tol *. Float.sqrt !scale then streak + 1
         else 0
       in
       if streak >= 2 then (m_eff, y)
@@ -408,15 +353,17 @@ let smallest_eigs ?(tol = 1e-10) ?(m_max = 0) ~n ~k solve =
   if k <= 0 || k > n then
     invalid_arg (Printf.sprintf "Krylov.smallest_eigs: k = %d with n = %d" k n);
   let m_cap =
-    let default = Stdlib.min n (Stdlib.max (4 * k) (2 * k) + 20) in
+    let default = Stdlib.min n ((4 * k) + 20) in
     if m_max > 0 then Stdlib.min n (Stdlib.max k m_max) else default
   in
   (* Fixed ramp start vector: no randomness (lint R4), and generic
      enough to have components along every slow mode in practice. *)
   let v0 = Vec.init n (fun i -> 1. +. (float_of_int (i + 1) /. float_of_int n)) in
   let st = lanczos_start ~m_cap (Vec.scale (1. /. Vec.norm2 v0) v0) in
-  let finished = ref false in
-  while not !finished do
+  (* T_m's decomposition once the basis is final — on convergence, the
+     one the residual check just made. *)
+  let result = ref None in
+  while Option.is_none !result do
     lanczos_step ~apply:solve st;
     let m = st.steps in
     if st.invariant && m < m_cap then begin
@@ -426,26 +373,24 @@ let smallest_eigs ?(tol = 1e-10) ?(m_max = 0) ~n ~k solve =
       | Some q ->
           st.qs.(m) <- q;
           st.invariant <- false
-      | None -> finished := true
+      | None -> result := Some (tridiag_eig st m)
     end
-    else if m >= m_cap then finished := true
+    else if m >= m_cap then result := Some (tridiag_eig st m)
     else if m >= k then begin
       (* Converged when the k largest Ritz values of the shift-inverted
          operator all have small residuals |beta_m . s_{m,j}|. *)
-      let { Sym_eig.eigenvalues; eigenvectors } =
-        Sym_eig.decompose (tridiagonal st m)
-      in
+      let ({ Sym_eig.eigenvalues; eigenvectors } as eig) = tridiag_eig st m in
       let ok = ref true in
       for j = m - k to m - 1 do
         let mu = eigenvalues.(j) in
         let res = st.beta.(m - 1) *. Float.abs (Mat.get eigenvectors (m - 1) j) in
         if not (mu > 0.) || res > tol *. mu then ok := false
       done;
-      if !ok then finished := true
+      if !ok then result := Some eig
     end
   done;
   let m = st.steps in
-  let { Sym_eig.eigenvalues; eigenvectors } = Sym_eig.decompose (tridiagonal st m) in
+  let { Sym_eig.eigenvalues; eigenvectors } = Option.get !result in
   (* Largest mu of A^{-1} are the smallest lambda = 1/mu of A; eigenvalues
      come back ascending, so walk the top of the spectrum backwards. *)
   if m < k then

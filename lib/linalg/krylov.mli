@@ -3,14 +3,21 @@
 
     The sparse thermal backend works in symmetrized coordinates where
     the conductance operator [M = C^{-1/2} G' C^{-1/2}] is SPD, so
-    three kernels cover every solve the engine needs:
+    four kernels cover every solve the engine needs:
 
-    - {!cg} — steady states and stable-status systems ([M y = b] and
-      [(I - e^{-M T}) y = d], both SPD);
+    - {!cg} — steady states ([M y = b], SPD);
     - {!expmv} — the transient action [e^{-t M} v] via the Lanczos
       approximation, never forming the dense exponential;
+    - {!prepare} with {!prepared_apply}/{!prepared_apply_at} — [f(M) v]
+      for smooth positive [f] from one reusable Lanczos basis: the
+      periodic fixed point [(I - e^{-T M})^{-1} d] and the delta tier's
+      per-core spectral weights;
     - {!smallest_eigs} — shift-invert Lanczos Ritz pairs of the slowest
       modes, feeding the reduced-order model ({!Thermal.Reduced}).
+
+    Every Lanczos tridiagonal [T_m] is diagonalized at one internal
+    site, and [f(T_m) e1] is formed by one internal routine shared by
+    {!expmv} and the prepared ladder.
 
     Everything here is matrix-free: operators are plain [Vec.t -> Vec.t]
     closures, typically {!Sparse.spmv} partial applications.  All
@@ -59,27 +66,6 @@ val cg :
 val expmv :
   ?tol:float -> ?m_max:int -> (Vec.t -> Vec.t) -> t:float -> Vec.t -> Vec.t
 
-(** [funmv ?tol ?m_max apply ~f v] is [f(A) v] for a smooth positive
-    function [f] of the SPD operator behind [apply], by a single Lanczos
-    factorization: [f(A) v ≈ β Q_m f(T_m) e1].  One O(nnz) operator
-    application per step — where [f] encodes work that would otherwise
-    need an iterative solve with an [expmv] per iteration (e.g. the
-    periodic fixed point [(I - e^{-T A})^{-1}], [f(λ) =
-    1/(1 - e^{-T λ})]), this collapses that nested iteration into one
-    basis build.  Convergence is declared when the coefficient vector
-    [f(T_m) e1] agrees between two consecutive checkpoints to [tol]
-    relative (default [1e-13]); an invariant Krylov subspace makes the
-    result exact.  Raises [Failure] if [m_max] (default 256) steps do
-    not converge.  Deterministic: the iteration depends only on
-    [(apply, f, v)], never on worker or call order. *)
-val funmv :
-  ?tol:float ->
-  ?m_max:int ->
-  (Vec.t -> Vec.t) ->
-  f:(float -> float) ->
-  Vec.t ->
-  Vec.t
-
 (** A reusable Lanczos factorization on a {e fixed} start vector: the
     basis depends only on [(apply, v)], never on the function being
     evaluated, so one preparation amortizes across many [f]s — the
@@ -89,25 +75,34 @@ val funmv :
     memoized per checkpoint size (also f-independent).
 
     NOT domain-safe: a [prepared] value carries mutable growth state.
-    Confine each one to a single domain (the response engine stores them
-    in per-domain [Domain.DLS] scratch). *)
+    Confine each one to a single domain (the response engine keeps its
+    per-core preparations in {!Util.Per_domain} scratch). *)
 type prepared
 
-(** [prepare ?tol ?m_max apply v] captures the operator and start vector
-    without running any Lanczos steps.  [tol] (default [1e-13]) and
-    [m_max] (default 256) mirror {!funmv}'s convergence contract.  A
-    zero [v] yields a preparation whose every evaluation is zero. *)
-val prepare :
-  ?tol:float -> ?m_max:int -> (Vec.t -> Vec.t) -> Vec.t -> prepared
+(** [prepare ?m_max apply v] captures the SPD operator behind [apply]
+    and the start vector [v] without running any Lanczos steps.  The
+    basis grows to at most [min n m_max] vectors (default [m_max =
+    256]).  A zero [v] yields a preparation whose every evaluation is
+    zero. *)
+val prepare : ?m_max:int -> (Vec.t -> Vec.t) -> Vec.t -> prepared
 
-(** [prepared_apply p ~f] is [f(A) v] using the prepared basis.  The
-    accepted basis size for a given [f] follows exactly {!funmv}'s
-    checkpoint ladder and plateau rule (smallest [m ∈ {4, 8, ...}] with
-    two consecutive agreements to [tol] relative; invariant subspaces
-    are exact), re-walked from the bottom on every call — so the result
-    is deterministic in [(apply, v, f, tol)] and independent of which
-    other functions were evaluated against [p] before.  Raises [Failure]
-    if [m_max] steps do not converge. *)
+(** [prepared_apply p ~f] is [f(A) v] for a smooth positive function
+    [f], by a single Lanczos factorization: [f(A) v ≈ β Q_m f(T_m) e1].
+    One O(nnz) operator application per basis vector — where [f]
+    encodes work that would otherwise need an iterative solve with an
+    [expmv] per iteration (e.g. the periodic fixed point
+    [(I - e^{-T A})^{-1}], [f(λ) = 1/(1 - e^{-T λ})]), this collapses
+    that nested iteration into one basis build.
+
+    The accepted basis size is the smallest checkpoint
+    [m ∈ {4, 8, ...}] (capped at [min n m_max], the last checkpoint)
+    where the coefficient vector [f(T_m) e1] agrees with the previous
+    checkpoint's to [1e-13] relative twice in a row; an invariant Krylov
+    subspace makes the result exact.  The ladder is re-walked from the
+    bottom on every call, so the result is deterministic in
+    [(apply, v, f)] and independent of which other functions were
+    evaluated against [p] before, or on which worker.  Raises [Failure]
+    if the cap is reached without convergence. *)
 val prepared_apply : prepared -> f:(float -> float) -> Vec.t
 
 (** [prepared_apply_at p ~f ~idx dst] writes [(f(A) v).(idx.(l))] into

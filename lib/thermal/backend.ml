@@ -1,15 +1,12 @@
 type t = {
   name : string;
-  n_nodes : int;
   n_cores : int;
-  ambient : float;
   ambient_state : unit -> Linalg.Vec.t;
   step_into :
     dt:float -> state:Linalg.Vec.t -> psi:Linalg.Vec.t -> dst:Linalg.Vec.t -> unit;
   correct_cores : state:Linalg.Vec.t -> deltas:Linalg.Vec.t -> unit;
   core_temps : Linalg.Vec.t -> Linalg.Vec.t;
   max_core_temp : Linalg.Vec.t -> float;
-  steady_core_temps : Linalg.Vec.t -> Linalg.Vec.t;
   steady_peak : Linalg.Vec.t -> float;
   equilibrium_into : psi:Linalg.Vec.t -> dst:Linalg.Vec.t -> unit;
   sample_segment :
@@ -47,9 +44,7 @@ let of_modal eng =
   in
   {
     name = "dense-modal";
-    n_nodes = n;
     n_cores = Model.n_cores model;
-    ambient = Model.ambient model;
     ambient_state = (fun () -> Modal.ambient_state eng);
     step_into = (fun ~dt ~state ~psi ~dst -> Modal.step_into eng ~dt ~z:state ~psi ~dst);
     correct_cores =
@@ -69,7 +64,6 @@ let of_modal eng =
           core_cols);
     core_temps = Modal.core_temps eng;
     max_core_temp = Modal.max_core_temp eng;
-    steady_core_temps = (fun psi -> Modal.core_temps eng (Modal.z_inf eng psi));
     steady_peak = Modal.steady_peak eng;
     equilibrium_into = (fun ~psi ~dst -> Modal.z_inf_into eng dst psi);
     sample_segment = Modal.sample_segment eng;
@@ -86,9 +80,7 @@ let of_response resp =
   let n = Sparse_model.n_nodes eng in
   {
     name = "sparse-response";
-    n_nodes = n;
     n_cores = Sparse_response.n_cores resp;
-    ambient = Sparse_response.ambient resp;
     ambient_state = (fun () -> Sparse_model.ambient_state eng);
     step_into =
       (fun ~dt ~state ~psi ~dst ->
@@ -97,7 +89,6 @@ let of_response resp =
     correct_cores = (fun ~state ~deltas -> Sparse_model.correct_cores eng ~state ~deltas);
     core_temps = Sparse_model.core_temps eng;
     max_core_temp = Sparse_model.max_core_temp eng;
-    steady_core_temps = Sparse_response.steady_core_temps resp;
     steady_peak = Sparse_response.steady_peak resp;
     equilibrium_into = (fun ~psi ~dst -> Sparse_response.y_inf_into resp dst psi);
     sample_segment =

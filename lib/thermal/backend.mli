@@ -28,9 +28,7 @@
 type t = {
   name : string;
       (** ["dense-modal"] or ["sparse-response"]. *)
-  n_nodes : int;
   n_cores : int;
-  ambient : float;
   ambient_state : unit -> Linalg.Vec.t;  (** The all-ambient state. *)
   step_into :
     dt:float -> state:Linalg.Vec.t -> psi:Linalg.Vec.t -> dst:Linalg.Vec.t -> unit;
@@ -49,8 +47,6 @@ type t = {
   core_temps : Linalg.Vec.t -> Linalg.Vec.t;
       (** Absolute core temperatures of a state. *)
   max_core_temp : Linalg.Vec.t -> float;
-  steady_core_temps : Linalg.Vec.t -> Linalg.Vec.t;
-      (** Absolute steady core temperatures under constant powers. *)
   steady_peak : Linalg.Vec.t -> float;
   equilibrium_into : psi:Linalg.Vec.t -> dst:Linalg.Vec.t -> unit;
       (** The equilibrium state under constant per-core powers [psi],

@@ -19,9 +19,9 @@ type rom_scratch = {
 type t = {
   engine : Sparse_model.t;
   mu : Vec.t;  (* retained decay rates, ascending, all positive *)
-  basis : Vec.t array;  (* orthonormal Ritz vectors, symmetrized space *)
   cw : float array array;
-  (* row j: c^{-1/2}_k w_j(core_k) per core k — one table serving both
+  (* row j: c^{-1/2}_k w_j(core_k) per core k, for the orthonormal Ritz
+     vector w_j (symmetrized space) — one table serving both
      the heat-input projection (w_j . b = sum_k cw_jk (psi_k + beta
      T_amb)) and the core-temperature read of mode j's contribution. *)
   beta_tamb : float;
@@ -48,7 +48,7 @@ let of_response ?modes response =
   let n = Sparse_model.n_nodes engine in
   (match modes with
   | Some k when k < 1 || k > n ->
-      invalid_arg "Reduced.build: modes outside [1, n_nodes]"
+      invalid_arg "Reduced.of_response: modes outside [1, n_nodes]"
   | _ -> ());
   (* With no explicit mode count, probe a few rates beyond the decade
      heuristic's floor and let [default_modes] truncate. *)
@@ -64,18 +64,15 @@ let of_response ?modes response =
   let k = match modes with Some k -> k | None -> default_modes mu_all in
   let spec = Sparse_model.spec engine in
   let nc = Array.length spec.Spec.core_nodes in
-  let basis = Array.init k (fun j -> snd pairs.(j)) in
   {
     engine;
     mu = Array.sub mu_all 0 k;
-    basis;
     cw =
-      Array.map
-        (fun w ->
+      Array.init k (fun j ->
+          let w = snd pairs.(j) in
           Array.map
             (fun node -> w.(node) /. sqrt spec.Spec.capacitance.(node))
-            spec.Spec.core_nodes)
-        basis;
+            spec.Spec.core_nodes);
     beta_tamb = spec.Spec.leak_beta *. spec.Spec.ambient;
     response;
     rom_scratch =
@@ -90,26 +87,8 @@ let of_response ?modes response =
           });
   }
 
-let build ?modes model =
-  of_response ?modes (Sparse_response.build (Sparse_model.of_model model))
-
 let n_modes r = Vec.dim r.mu
 let engine r = r.engine
-let steady_core_temps r psi = Sparse_model.steady_core_temps r.engine psi
-let ambient_state r = Vec.zeros (n_modes r)
-
-(* Retained modes' equilibrium coordinates: the basis is orthonormal and
-   M w_j = mu_j w_j, so w_j . y_inf = (w_j . b) / mu_j with no solve. *)
-let z_inf r psi =
-  let b = Sparse_model.heat_input r.engine psi in
-  Array.mapi (fun j w -> Vec.dot w b /. r.mu.(j)) r.basis
-
-let step r ~dt ~state ~psi =
-  if Vec.dim state <> n_modes r then invalid_arg "Reduced.step: bad state arity";
-  let zi = z_inf r psi in
-  Array.mapi
-    (fun j z -> zi.(j) +. (Float.exp (-.r.mu.(j) *. dt) *. (z -. zi.(j))))
-    state
 
 (* ------------------------------------------------- ROM screening *)
 
@@ -225,20 +204,3 @@ let rom_peak_scan r ?(samples_per_segment = 32) profile =
       done)
     profile;
   !best +. Sparse_model.ambient r.engine
-
-let core_temps r ~state ~psi =
-  if Vec.dim state <> n_modes r then
-    invalid_arg "Reduced.core_temps: bad state arity";
-  (* y(t) = y_inf + sum_j w_j (z_j - z_inf_j): exact at DC (the CG
-     steady solve), modal for the retained dynamics, quasi-static for
-     the truncated fast modes. *)
-  let y = Sparse_model.steady_state r.engine psi in
-  let zi = z_inf r psi in
-  Array.iteri
-    (fun j w ->
-      let dz = state.(j) -. zi.(j) in
-      for i = 0 to Vec.dim y - 1 do
-        y.(i) <- y.(i) +. (dz *. w.(i))
-      done)
-    r.basis;
-  Sparse_model.core_temps r.engine y

@@ -1,4 +1,5 @@
-(** Model-order reduction by retained-mode truncation.
+(** Model-order reduction by retained-mode truncation: the approximate
+    tier of two-tier candidate screening.
 
     Fine-grid models ({!Grid_model}) grow quadratically in node count;
     most of their eigenmodes decay within microseconds and contribute
@@ -16,10 +17,11 @@
     sparse symmetrized operator ({!Sparse_model.operator}), computed by
     shift-invert {!Linalg.Krylov.smallest_eigs} — O(k * nnz) work per
     iteration, so building a reduction never forms a dense matrix and
-    the O(n^3) dense eigensolve disappears from the build path.  The
-    static correction reads the {!Sparse_response} tables the reduction
-    is built from: a reduction holds no deferred state, so pool workers
-    may share one freely. *)
+    the O(n^3) dense eigensolve disappears from the build path.  Only
+    the Ritz vectors' core-node entries are kept.  The static correction
+    reads the {!Sparse_response} tables the reduction is built from: a
+    reduction holds no deferred state, so pool workers may share one
+    freely. *)
 
 type t
 
@@ -32,30 +34,8 @@ type t
     [Invalid_argument] if [modes] is outside [1, n_nodes]. *)
 val of_response : ?modes:int -> Sparse_response.t -> t
 
-(** [build ?modes model] is {!of_response} on a new response engine over
-    the sparse engine of a dense model's spec ({!Sparse_model.of_model}). *)
-val build : ?modes:int -> Model.t -> t
-
 (** [engine r] is the sparse engine the reduction projects through. *)
 val engine : t -> Sparse_model.t
-
-(** [steady_core_temps r psi] — exact (the static correction makes the
-    reduction lossless at DC). *)
-val steady_core_temps : t -> Linalg.Vec.t -> Linalg.Vec.t
-
-(** [step r ~dt ~state ~psi] advances the reduced modal state one exact
-    step under constant core powers.  The state is opaque; start from
-    {!ambient_state}. *)
-val step : t -> dt:float -> state:Linalg.Vec.t -> psi:Linalg.Vec.t -> Linalg.Vec.t
-
-(** [ambient_state r] is the modal state corresponding to every node at
-    the ambient temperature. *)
-val ambient_state : t -> Linalg.Vec.t
-
-(** [core_temps r ~state ~psi] reconstructs absolute core temperatures
-    from the modal state (the static correction needs the current input
-    [psi]). *)
-val core_temps : t -> state:Linalg.Vec.t -> psi:Linalg.Vec.t -> Linalg.Vec.t
 
 (** {1 ROM screening}
 

@@ -157,9 +157,7 @@ let correct_cores t ~state ~deltas =
 
 (* Periodic stable status.  Every segment shares the operator M, so one
    period is the affine map y -> e^{-T_p M} y + d; the fixed point solves
-   (I - e^{-T_p M}) y* = d.  That system is SPD (eigenvalues
-   1 - e^{-T_p mu} over the SPD spectrum of M), so CG applies with one
-   Lanczos expmv per iteration — no matrix power, no LU, no O(n^2)
+   (I - e^{-T_p M}) y* = d — no matrix power, no LU, no O(n^2)
    storage.  d is one simulated period from the zero state, exactly like
    the dense (I - K) reference solve of Eq. (4). *)
 let stable_start t profile =
@@ -178,8 +176,7 @@ let stable_start t profile =
      stable form of 1/(1 - e^{-x}) for the slow modes (T_p lambda << 1).
      [d] is a pure function of the candidate profile — no worker-local
      history — so results stay bit-identical at any pool size. *)
-  Krylov.funmv ~tol:cg_tol (apply t)
+  Krylov.prepared_apply (Krylov.prepare (apply t) d)
     ~f:(fun lam -> 1. /. -.Float.expm1 (-.t_p *. lam))
-    d
 
 let end_of_period_peak t profile = max_core_temp t (stable_start t profile)

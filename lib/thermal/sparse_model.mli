@@ -15,7 +15,8 @@
     - the periodic stable status exploits that every segment shares the
       same [M] — the period map is affine with linear part [e^{-T M}],
       so the fixed point [y* = (I - e^{-T M})^{-1} d] is one Lanczos
-      matrix-function evaluation ({!Linalg.Krylov.funmv}).
+      matrix-function evaluation ({!Linalg.Krylov.prepared_apply} on a
+      basis prepared from [d]).
 
     States are ambient-relative temperatures in symmetrized coordinates
     [y = C^{1/2} θ] ([M] is SPD there, which is what the Krylov kernels

@@ -10,13 +10,6 @@ type stats = {
   delta_evals : int;
 }
 
-(* Same tolerance as Sparse_model: three orders of magnitude under the
-   1e-9 differential bound, so superposed evaluations never drift a
-   comparison against the direct per-candidate solves.  (Propagator
-   applications go through [Sparse_model.advance], which carries its own
-   matching expmv tolerance.) *)
-let cg_tol = 1e-13
-
 (* Per-domain scratch, sized to the engine and owned by it
    ({!Util.Per_domain}) and borrowed once per question: the stable
    status below superposes segment equilibria and accumulates the
@@ -139,7 +132,6 @@ let build engine =
 let engine t = t.engine
 let n_nodes t = t.n
 let n_cores t = t.nc
-let ambient t = t.ambient
 
 let stats t =
   {
@@ -241,9 +233,8 @@ let stable t ~t_p spans =
      function (I - e^{-T_p M})^{-1} directly — candidate-local and
      deterministic, so pool workers racing through candidates in any
      order return identical bits (see Sparse_model.stable_start). *)
-  Krylov.funmv ~tol:cg_tol t.apply
+  Krylov.prepared_apply (Krylov.prepare t.apply s.d)
     ~f:(fun lam -> 1. /. -.Float.expm1 (-.t_p *. lam))
-    s.d
 
 (* ------------------------------------------- prepared-base deltas *)
 
@@ -263,7 +254,8 @@ let stable t ~t_p spans =
    — their contribution is c . u_i with no matrix function at all.  A
    prepared Lanczos basis per unit response ({!Krylov.prepare}) makes
    every h_i(M) u_i an O(m) coefficient solve plus an O(m n) combine —
-   no funmv stream — and a candidate changing only core j's duty cycle
+   no basis on the config's own drive — and a candidate changing only
+   core j's duty cycle
    needs only the core-node reads of
 
      dh_j(lam) = +-(cl - ch) e^{-(t_p - max(ll,ll')) lam}
@@ -288,7 +280,7 @@ let get_basis t (s : scratch) i =
   match s.bases.(i) with
   | Some b -> b
   | None ->
-      let b = Krylov.prepare ~tol:cg_tol t.apply t.units.(i) in
+      let b = Krylov.prepare t.apply t.units.(i) in
       s.bases.(i) <- Some b;
       b
 

@@ -54,7 +54,6 @@ val engine : t -> Sparse_model.t
 
 val n_nodes : t -> int
 val n_cores : t -> int
-val ambient : t -> float
 
 (** [stats t] snapshots the counters ([builds] is process-wide). *)
 val stats : t -> stats
@@ -111,7 +110,7 @@ val stable :
     — f-independent, grown lazily, reused by every candidate) and a
     candidate changing one core's duty cycle needs only the core-node
     reads of a rank-one spectral correction: O(m · n_cores) per
-    candidate, no funmv stream, no new basis.
+    candidate, no basis on the candidate's own drive.
 
     All state (including the prepared bases, which are mutable and not
     domain-safe) lives in the engine's per-domain scratch, disjoint

@@ -194,6 +194,112 @@ let prop_smallest_eigs_match_dense =
              <= 1e-6 *. dense.eigenvalues.(idx))
            (Array.init k (fun i -> i)))
 
+(* The prepared matrix-function ladder against the dense reference
+   V f(Λ) V^T v, on the two function families the sparse engine
+   evaluates: the transient e^{-tλ} and the periodic fixed point
+   1/(1 - e^{-T_p λ}). *)
+
+(* Random SPD operator of order 1..12 (so some sit below the first
+   checkpoint and most are off the 4-step ladder); every third one has at
+   most three distinct eigenvalues, which closes the Krylov space early
+   (invariant breakdown). *)
+let random_matfun_operator rng =
+  let n = 1 + Random.State.int rng 12 in
+  let a = random_spd rng n in
+  if Random.State.int rng 3 > 0 then a
+  else begin
+    let { Linalg.Sym_eig.eigenvectors = v; _ } = Linalg.Sym_eig.decompose a in
+    let distinct = Array.init 3 (fun _ -> 0.1 +. Random.State.float rng 4.0) in
+    let lam = Array.init n (fun _ -> distinct.(Random.State.int rng 3)) in
+    Mat.init n n (fun i j ->
+        let acc = ref 0. in
+        for l = 0 to n - 1 do
+          acc := !acc +. (Mat.get v i l *. lam.(l) *. Mat.get v j l)
+        done;
+        !acc)
+  end
+
+let random_matfun rng =
+  if Random.State.bool rng then
+    let t = 0.01 +. Random.State.float rng 3.0 in
+    fun lam -> Float.exp (-.t *. lam)
+  else
+    let t_p = 0.01 +. Random.State.float rng 1.0 in
+    fun lam -> 1. /. -.Float.expm1 (-.t_p *. lam)
+
+let prop_prepared_matches_dense =
+  QCheck.Test.make ~name:"prepared_apply(_at) = Sym_eig f(A) v" ~count:300
+    seed_gen (fun seed ->
+      let rng = Random.State.make [| seed |] in
+      let a = random_matfun_operator rng in
+      let n = fst (Mat.dims a) in
+      let f = random_matfun rng in
+      let v = Vec.init n (fun _ -> Random.State.float rng 2.0 -. 1.0) in
+      let reference =
+        Mat.matvec (Linalg.Sym_eig.apply_function (Linalg.Sym_eig.decompose a) f) v
+      in
+      let p = Krylov.prepare (Sparse.spmv (Sparse.of_dense a)) v in
+      let idx = Array.init (1 + Random.State.int rng n) (fun _ -> Random.State.int rng n) in
+      let at = Vec.zeros (Array.length idx) in
+      Krylov.prepared_apply_at p ~f ~idx at;
+      let tol = 1e-10 *. Vec.norm_inf reference in
+      Vec.dist_inf reference (Krylov.prepared_apply p ~f) <= tol
+      && Vec.dist_inf (Array.map (fun i -> reference.(i)) idx) at <= tol)
+
+let same_bits a b =
+  Array.length a = Array.length b
+  && Array.for_all2
+       (fun x y -> Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y))
+       a b
+
+let prop_prepared_order_independent =
+  QCheck.Test.make ~name:"prepared_apply bits do not depend on call order"
+    ~count:100 seed_gen (fun seed ->
+      let rng = Random.State.make [| seed |] in
+      let a = random_matfun_operator rng in
+      let n = fst (Mat.dims a) in
+      let f1 = random_matfun rng and f2 = random_matfun rng in
+      let v = Vec.init n (fun _ -> Random.State.float rng 2.0 -. 1.0) in
+      let apply = Sparse.spmv (Sparse.of_dense a) in
+      let p = Krylov.prepare apply v and q = Krylov.prepare apply v in
+      let p1 = Krylov.prepared_apply p ~f:f1 in
+      let p2 = Krylov.prepared_apply p ~f:f2 in
+      let q2 = Krylov.prepared_apply q ~f:f2 in
+      let q1 = Krylov.prepared_apply q ~f:f1 in
+      same_bits p1 q1 && same_bits p2 q2)
+
+(* A basis cap off the 4-step ladder must end in the documented
+   no-convergence [Failure], not in a Lanczos step past the cap. *)
+let test_prepared_cap_off_ladder () =
+  let n = 100 in
+  let lap =
+    Mat.init n n (fun i j ->
+        if i = j then 3. else if abs (i - j) = 1 then -1. else 0.)
+  in
+  let apply = Sparse.spmv (Sparse.of_dense lap) in
+  let v = Vec.init n (fun i -> 1. +. float_of_int i) in
+  let f lam = Float.exp (-.lam) in
+  let fails name run =
+    match run () with
+    | exception Failure _ -> ()
+    | exception e -> Alcotest.failf "%s raised %s" name (Printexc.to_string e)
+    | () -> Alcotest.failf "%s converged under the cap" name
+  in
+  List.iter
+    (fun m_max ->
+      fails (Printf.sprintf "prepared_apply, m_max = %d" m_max) (fun () ->
+          ignore (Krylov.prepared_apply (Krylov.prepare ~m_max apply v) ~f : Vec.t));
+      fails (Printf.sprintf "prepared_apply_at, m_max = %d" m_max) (fun () ->
+          Krylov.prepared_apply_at (Krylov.prepare ~m_max apply v) ~f
+            ~idx:[| 0; 50 |] (Vec.zeros 2)))
+    [ 6; 10 ]
+
+let test_prepared_zero_start () =
+  let apply = Sparse.spmv (Sparse.of_dense (Mat.identity 5)) in
+  let p = Krylov.prepare apply (Vec.zeros 5) in
+  Alcotest.(check bool) "zero start vector, zero result" true
+    (same_bits (Vec.zeros 5) (Krylov.prepared_apply p ~f:(fun lam -> 1. /. lam)))
+
 (* ------------------------------------------- thermal backend parity *)
 
 (* The sparse engine must agree with the dense Model/Matex path to
@@ -487,7 +593,15 @@ let () =
           prop_expmv_matches_dense_expm;
           prop_expmv_small_basis_splits_time;
           prop_smallest_eigs_match_dense;
+          prop_prepared_matches_dense;
+          prop_prepared_order_independent;
         ];
+      ( "krylov units",
+        [
+          Alcotest.test_case "prepared cap off the ladder" `Quick
+            test_prepared_cap_off_ladder;
+          Alcotest.test_case "prepared zero start" `Quick test_prepared_zero_start;
+        ] );
       qsuite "thermal parity"
         [
           prop_sparse_steady_matches_dense;

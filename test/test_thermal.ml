@@ -516,73 +516,44 @@ let test_time_to_threshold_monotone_in_threshold () =
 
 (* -------------------------------------------------------------- reduced *)
 
-let test_reduced_exact_at_steady_state () =
-  let g = Thermal.Grid_model.build ~subdivisions:3 grid3 in
-  let m = g.Thermal.Grid_model.model in
-  let r = Thermal.Reduced.build ~modes:6 m in
-  let psi = Thermal.Grid_model.expand_powers g (psi_vec [| 1.3; 0.6; 1.0 |]) in
-  Alcotest.(check bool) "DC exact by construction" true
-    (Vec.approx_equal ~tol:1e-9
-       (Model.steady_core_temps m psi)
-       (Thermal.Reduced.steady_core_temps r psi));
-  (* Stepping from ambient long enough converges to the same steady
-     state, through the reduced dynamics. *)
-  let state = ref (Thermal.Reduced.ambient_state r) in
-  for _ = 1 to 200 do
-    state := Thermal.Reduced.step r ~dt:0.05 ~state:!state ~psi
-  done;
-  Alcotest.(check bool) "reduced transient converges to steady" true
-    (Vec.approx_equal ~tol:1e-4
-       (Model.steady_core_temps m psi)
-       (Thermal.Reduced.core_temps r ~state:!state ~psi))
+let reduced_of ?modes eng =
+  Thermal.Reduced.of_response ?modes (Thermal.Sparse_response.build eng)
 
-let test_reduced_tracks_full_transient () =
-  let g = Thermal.Grid_model.build ~subdivisions:3 grid3 in
-  let m = g.Thermal.Grid_model.model in
-  (* This model's spectrum is compact (time constants 21..208 ms, no
-     sharp timescale gap), so keep 2/3 of the modes; the interesting
-     point is that the 27-node fine grid then steps at 18-mode cost. *)
-  let r = Thermal.Reduced.build ~modes:18 m in
-  let psi = Thermal.Grid_model.expand_powers g (psi_vec [| 1.3; 1.3; 0.6 |]) in
-  (* Compare trajectories from ambient at schedule-scale steps. *)
-  let theta = ref (Vec.zeros (Model.n_nodes m)) in
-  let state = ref (Thermal.Reduced.ambient_state r) in
-  let worst = ref 0. in
-  for _ = 1 to 40 do
-    theta := Oracle.Reference.step m ~dt:0.02 ~theta:!theta ~psi;
-    state := Thermal.Reduced.step r ~dt:0.02 ~state:!state ~psi;
-    let full = Model.core_temps_of_theta m !theta in
-    let red = Thermal.Reduced.core_temps r ~state:!state ~psi in
-    worst := Float.max !worst (Vec.dist_inf full red)
-  done;
-  Alcotest.(check bool)
-    (Printf.sprintf "18-of-27-mode reduction within 0.2C (worst %.3f)" !worst)
-    true (!worst < 0.2)
-
-let test_reduced_more_modes_more_accurate () =
-  let g = Thermal.Grid_model.build ~subdivisions:3 grid3 in
-  let m = g.Thermal.Grid_model.model in
-  let psi = Thermal.Grid_model.expand_powers g (psi_vec [| 1.3; 0.6; 0.6 |]) in
-  let error k =
-    let r = Thermal.Reduced.build ~modes:k m in
-    let theta = Oracle.Reference.step m ~dt:0.05 ~theta:(Vec.zeros (Model.n_nodes m)) ~psi in
-    let state = Thermal.Reduced.step r ~dt:0.05 ~state:(Thermal.Reduced.ambient_state r) ~psi in
-    Vec.dist_inf (Model.core_temps_of_theta m theta)
-      (Thermal.Reduced.core_temps r ~state ~psi)
-  in
-  Alcotest.(check bool) "more modes, tighter" true (error 18 <= error 4 +. 1e-9);
-  Alcotest.(check bool) "full basis is exact" true (error 27 < 1e-8)
+let test_reduced_full_basis_exact () =
+  (* Retaining every mode leaves the static correction nothing to patch,
+     so the ROM's stable peak is the exact sparse one up to rounding. *)
+  List.iter
+    (fun (rows, cols) ->
+      let spec = Thermal.Grid_model.sheet_spec ~rows ~cols () in
+      let eng = Thermal.Sparse_model.of_spec spec in
+      let n = Thermal.Sparse_model.n_nodes eng in
+      let nc = Thermal.Sparse_model.n_cores eng in
+      let r = reduced_of ~modes:n eng in
+      let ramp v0 dv = Array.init nc (fun i -> psi_of (v0 +. (dv *. float_of_int i))) in
+      let profile =
+        [
+          { Matex.duration = 0.03; psi = ramp 0.4 0.1 };
+          { Matex.duration = 0.02; psi = ramp 1.3 (-0.1) };
+        ]
+      in
+      check_close 1e-9
+        (Printf.sprintf "%dx%d sheet, all %d modes" rows cols n)
+        (Thermal.Sparse_model.end_of_period_peak eng profile)
+        (Thermal.Reduced.rom_stable_peak r profile))
+    [ (2, 2); (3, 3) ]
 
 let test_reduced_validation () =
-  let m = model3 () in
-  Alcotest.(check bool) "zero modes rejected" true
-    (match Thermal.Reduced.build ~modes:0 m with
-    | exception Invalid_argument _ -> true
-    | _ -> false);
-  Alcotest.(check bool) "too many modes rejected" true
-    (match Thermal.Reduced.build ~modes:99 m with
-    | exception Invalid_argument _ -> true
-    | _ -> false)
+  let eng = Thermal.Sparse_model.of_spec (Thermal.Grid_model.sheet_spec ~rows:2 ~cols:2 ()) in
+  let rejected modes =
+    match reduced_of ~modes eng with
+    | exception Invalid_argument msg ->
+        Alcotest.(check string) "message names the entry point"
+          "Reduced.of_response: modes outside [1, n_nodes]" msg;
+        true
+    | _ -> false
+  in
+  Alcotest.(check bool) "zero modes rejected" true (rejected 0);
+  Alcotest.(check bool) "too many modes rejected" true (rejected 99)
 
 let test_mission_peak () =
   let m = model3 () in
@@ -699,9 +670,7 @@ let () =
         ] );
       ( "reduced",
         [
-          Alcotest.test_case "DC exact" `Quick test_reduced_exact_at_steady_state;
-          Alcotest.test_case "tracks full transient" `Quick test_reduced_tracks_full_transient;
-          Alcotest.test_case "mode count accuracy" `Quick test_reduced_more_modes_more_accurate;
+          Alcotest.test_case "full basis exact" `Quick test_reduced_full_basis_exact;
           Alcotest.test_case "validation" `Quick test_reduced_validation;
         ] );
       ( "time_to_threshold",
