@@ -167,82 +167,19 @@ let tests () =
      Test.make ~name:"ext/grid-27cell-stable"
        (Staged.stage (fun () ->
             ignore (Thermal.Matex.stable_start grid.Thermal.Grid_model.model profile))));
-    (* Sparse/Krylov backend kernels: the 256-cell steady CG solve, the
-       1024-cell stable-status peak (shift-invert-free expmv + CG fixed
-       point), and the dense-vs-sparse one-shot crossover at 64 cells —
-       each arm pays its own assembly/factorization, the cost a driver
-       pays per floorplan. *)
-    (let eng256 =
-       Thermal.Sparse_model.of_spec
-         (Thermal.Grid_model.sheet_spec ~rows:16 ~cols:16 ())
-     in
-     let psi256 = Array.init 256 (fun i -> if ((i / 16) + i) mod 2 = 0 then 8. else 2.) in
-     Test.make ~name:"kernel/sparse-steady-256"
-       (Staged.stage (fun () ->
-            ignore (Thermal.Sparse_model.steady_peak eng256 psi256))));
-    (let eng1024 =
-       Thermal.Sparse_model.of_spec
-         (Thermal.Grid_model.sheet_spec ~rows:32 ~cols:32 ())
-     in
-     let psi = Array.init 1024 (fun i -> if ((i / 32) + i) mod 2 = 0 then 8. else 2.) in
-     let psi2 = Array.map (fun p -> 10. -. p) psi in
-     let profile =
-       [
-         { Thermal.Matex.duration = 0.05; psi };
-         { Thermal.Matex.duration = 0.05; psi = psi2 };
-       ]
-     in
-     Test.make ~name:"kernel/sparse-peak-1024"
-       (Staged.stage (fun () ->
-            ignore (Thermal.Sparse_model.end_of_period_peak eng1024 profile))));
-    (let spec64 = Thermal.Grid_model.sheet_spec ~rows:8 ~cols:8 () in
-     let psi64 = Array.init 64 (fun i -> if ((i / 8) + i) mod 2 = 0 then 8. else 2.) in
-     Test.make ~name:"kernel/steady-crossover-64/sparse"
-       (Staged.stage (fun () ->
-            ignore
-              (Thermal.Sparse_model.steady_peak
-                 (Thermal.Sparse_model.of_spec spec64)
-                 psi64))));
-    (let spec64 = Thermal.Grid_model.sheet_spec ~rows:8 ~cols:8 () in
-     let psi64 = Array.init 64 (fun i -> if ((i / 8) + i) mod 2 = 0 then 8. else 2.) in
-     Test.make ~name:"kernel/steady-crossover-64/dense-lu"
-       (Staged.stage (fun () ->
-            let g =
-              Linalg.Sparse.to_dense
-                (Linalg.Sparse.of_triplets ~rows:64 ~cols:64
-                   (Thermal.Spec.g_eff_triplets spec64))
-            in
-            let lu = Linalg.Lu.factorize g in
-            let h = Linalg.Vec.zeros 64 in
-            Array.iteri
-              (fun k node ->
-                h.(node) <-
-                  psi64.(k)
-                  +. (spec64.Thermal.Spec.leak_beta *. spec64.Thermal.Spec.ambient))
-              spec64.Thermal.Spec.core_nodes;
-            let theta = Linalg.Lu.solve_vec lu h in
-            ignore
-              (Array.fold_left
-                 (fun acc node ->
-                   Float.max acc (theta.(node) +. spec64.Thermal.Spec.ambient))
-                 neg_infinity spec64.Thermal.Spec.core_nodes))));
     (* Two-tier candidate evaluation at 64+ cells: the same AO-style
        m sweep (fixed per-core duty ratios, period shrinking with m)
-       priced three ways.  The screened arm scores every candidate on
-       the Lanczos-reduced model and re-verifies only the near-minimum
-       survivors through the superposition engine (cache disabled, so
-       each survivor pays its real warm-started fixed point); the
-       baseline twin pays the pre-screening cost — one direct Krylov
-       stable solve per candidate, per-segment CG equilibria and a cold
-       fixed point.  Their ratio is the policy-search win the response
-       engine + screening tier buy at many-core sizes. *)
+       priced two ways.  The screened arm scores every candidate on the
+       Lanczos-reduced model and re-verifies only the near-minimum
+       survivors through the sparse engine (cache disabled, so each
+       survivor pays its real stable-status solve); the ROM tier arm
+       below scores the batch alone. *)
     (let eng64 =
-       Thermal.Sparse_model.of_spec
+       Thermal.Sparse_response.of_spec
          (Thermal.Grid_model.sheet_spec ~rows:8 ~cols:8 ())
      in
-     let resp64 = Thermal.Sparse_response.build eng64 in
-     let b64 = Thermal.Backend.of_response resp64 in
-     let rom64 = Thermal.Reduced.of_response resp64 in
+     let b64 = Thermal.Backend.of_response eng64 in
+     let rom64 = Thermal.Reduced.of_response eng64 in
      let low = Array.make 64 0.8 and high = Array.make 64 1.3 in
      let high_ratio =
        Array.init 64 (fun i -> 0.2 +. (0.6 *. float_of_int (i mod 8) /. 7.))
@@ -261,15 +198,13 @@ let tests () =
                      ~period:(period i) ~low ~high ~high_ratio)
                  ()))));
     (* The screening tier alone: ROM-score the full 24-candidate batch
-       with no exact re-verification.  Against the exact baseline below
-       this is the per-candidate evaluation throughput the reduced
-       model buys — the ratio the two-tier search approaches as the
-       survivor fraction shrinks. *)
-    (let eng64 =
-       Thermal.Sparse_model.of_spec
-         (Thermal.Grid_model.sheet_spec ~rows:8 ~cols:8 ())
+       with no exact re-verification — the per-candidate evaluation
+       throughput the reduced model buys, which the two-tier search
+       approaches as the survivor fraction shrinks. *)
+    (let rom64 =
+       Thermal.Reduced.of_response
+         (Thermal.Sparse_response.of_spec (Thermal.Grid_model.sheet_spec ~rows:8 ~cols:8 ()))
      in
-     let rom64 = Thermal.Reduced.of_response (Thermal.Sparse_response.build eng64) in
      let low = Array.make 64 0.8 and high = Array.make 64 1.3 in
      let high_ratio =
        Array.init 64 (fun i -> 0.2 +. (0.6 *. float_of_int (i mod 8) /. 7.))
@@ -282,34 +217,12 @@ let tests () =
                 (Sched.Peak.rom_of_two_mode rom64 pm ~period:(period i) ~low
                    ~high ~high_ratio)
             done)));
-    (let eng64 =
-       Thermal.Sparse_model.of_spec
-         (Thermal.Grid_model.sheet_spec ~rows:8 ~cols:8 ())
-     in
-     let low = Array.make 64 0.8 and high = Array.make 64 1.3 in
-     let high_ratio =
-       Array.init 64 (fun i -> 0.2 +. (0.6 *. float_of_int (i mod 8) /. 7.))
-     in
-     let period m = 0.1 /. float_of_int (m + 1) in
-     let profile m =
-       List.map
-         (fun (duration, v) ->
-           { Thermal.Matex.duration; psi = Power.Power_model.psi_vector pm v })
-         (Sched.Schedule.state_intervals
-            (Sched.Schedule.two_mode ~period:(period m) ~low ~high ~high_ratio))
-     in
-     Test.make ~name:"kernel/ao-64cell-sparse/exact-baseline"
-       (Staged.stage (fun () ->
-            for i = 0 to 23 do
-              ignore (Thermal.Sparse_model.end_of_period_peak eng64 (profile i))
-            done)));
     (* The same two-tier sweep at 256 cells — the TPT/Demand m-sweep
        shape the 16x16 scaling study runs. *)
-    (let eng256 =
-       Thermal.Sparse_model.of_spec
+    (let resp256 =
+       Thermal.Sparse_response.of_spec
          (Thermal.Grid_model.sheet_spec ~rows:16 ~cols:16 ())
      in
-     let resp256 = Thermal.Sparse_response.build eng256 in
      let b256 = Thermal.Backend.of_response resp256 in
      let rom256 = Thermal.Reduced.of_response resp256 in
      let low = Array.make 256 0.8 and high = Array.make 256 1.3 in
@@ -329,27 +242,23 @@ let tests () =
                    Sched.Peak.of_two_mode_cached cache b256 pm
                      ~period:(period i) ~low ~high ~high_ratio)
                  ()))));
-    (* One-time response-engine assembly at 256 cells: the n_cores + 1
-       pool-parallel unit CG solves a platform pays before its first
-       candidate. *)
-    (let eng256 =
-       Thermal.Sparse_model.of_spec
-         (Thermal.Grid_model.sheet_spec ~rows:16 ~cols:16 ())
-     in
+    (* One-time sparse-engine build at 256 cells: the O(nnz) CSR
+       assembly plus the n_cores + 1 pool-parallel unit CG solves a
+       platform pays before its first candidate. *)
+    (let spec256 = Thermal.Grid_model.sheet_spec ~rows:16 ~cols:16 () in
      Test.make ~name:"kernel/sparse-response-build-256"
        (Staged.stage (fun () ->
-            ignore (Thermal.Sparse_response.build eng256))));
+            ignore (Thermal.Sparse_response.of_spec spec256))));
     (* Prepared-base delta scan at 64 cells (DESIGN.md §14): one TPT
        adjust-style inner iteration priced the delta way — prepare the
        base once, score all 64 single-core duty-cycle candidates off
        it, exact-verify the winner (cache disabled).  Against the
        kernel/ao-64cell-sparse arms above, this is the per-step cost
        the delta tier leaves in the policy search. *)
-    (let eng64 =
-       Thermal.Sparse_model.of_spec
-         (Thermal.Grid_model.sheet_spec ~rows:8 ~cols:8 ())
+    (let b64 =
+       Thermal.Backend.of_response
+         (Thermal.Sparse_response.of_spec (Thermal.Grid_model.sheet_spec ~rows:8 ~cols:8 ()))
      in
-     let b64 = Thermal.Backend.of_response (Thermal.Sparse_response.build eng64) in
      let low = Array.make 64 0.8 and high = Array.make 64 1.3 in
      let high_ratio =
        Array.init 64 (fun i -> 0.2 +. (0.6 *. float_of_int (i mod 8) /. 7.))
@@ -381,11 +290,10 @@ let tests () =
        base prepared at setup; the full arm re-superposes the whole
        candidate with the cache disabled.  Their ratio is the
        per-candidate win the prepared base buys. *)
-    (let eng64 =
-       Thermal.Sparse_model.of_spec
-         (Thermal.Grid_model.sheet_spec ~rows:8 ~cols:8 ())
+    (let b64 =
+       Thermal.Backend.of_response
+         (Thermal.Sparse_response.of_spec (Thermal.Grid_model.sheet_spec ~rows:8 ~cols:8 ()))
      in
-     let b64 = Thermal.Backend.of_response (Thermal.Sparse_response.build eng64) in
      let low = Array.make 64 0.8 and high = Array.make 64 1.3 in
      let high_ratio =
        Array.init 64 (fun i -> 0.2 +. (0.6 *. float_of_int (i mod 8) /. 7.))
@@ -397,11 +305,10 @@ let tests () =
               (Sched.Peak.two_mode_delta_peak b64 pm ~core:17
                  ~low:low.(17) ~high:high.(17)
                  ~high_ratio:(high_ratio.(17) -. 0.05)))));
-    (let eng64 =
-       Thermal.Sparse_model.of_spec
-         (Thermal.Grid_model.sheet_spec ~rows:8 ~cols:8 ())
+    (let b64 =
+       Thermal.Backend.of_response
+         (Thermal.Sparse_response.of_spec (Thermal.Grid_model.sheet_spec ~rows:8 ~cols:8 ()))
      in
-     let b64 = Thermal.Backend.of_response (Thermal.Sparse_response.build eng64) in
      let low = Array.make 64 0.8 and high = Array.make 64 1.3 in
      let high_ratio =
        Array.init 64 (fun i -> 0.2 +. (0.6 *. float_of_int (i mod 8) /. 7.))

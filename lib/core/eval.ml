@@ -26,8 +26,8 @@ type t = {
 
 and sparse = {
   response : Thermal.Sparse_response.t Util.Once.t;
-      (* Superposition tables over the context's Krylov engine — what
-         the backend wraps and what the reduction's static tier reads. *)
+      (* The context's sparse engine — what the backend wraps and what
+         the reduction's static tier reads. *)
   rom : Thermal.Reduced.t Util.Once.t;  (* the Lanczos-reduced screening model *)
   dense : t;  (* memo-less [Dense] twin on the same platform, pool and [modal] *)
 }
@@ -62,11 +62,11 @@ let create ?pool ?(cache_size = 1024) ?(backend = Dense) ?(screen_margin = 0.)
   match backend with
   | Dense -> dense ~cache_size
   | Sparse ->
-      (* One Krylov engine, assembled on the context's pool, and one
-         response engine over it, shared by the backend and the ROM. *)
-      let engine = Util.Once.make (fun () -> Thermal.Sparse_model.of_model ~pool model) in
+      (* One sparse engine, assembled and unit-solved on the context's
+         pool, shared by the backend and the ROM. *)
       let response =
-        Util.Once.make (fun () -> Thermal.Sparse_response.build (Util.Once.get engine))
+        Util.Once.make (fun () ->
+            Thermal.Sparse_response.of_spec ~pool (Thermal.Spec.of_model model))
       in
       let rom =
         Util.Once.make (fun () -> Thermal.Reduced.of_response (Util.Once.get response))

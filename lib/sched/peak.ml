@@ -447,4 +447,4 @@ let rom_of_two_mode rom pm ~period ~low ~high ~high_ratio =
 
 let rom_of_any rom pm ?(samples_per_segment = 32) s =
   Rom.rom_peak_scan rom ~samples_per_segment
-    (profile_for (Thermal.Sparse_model.n_cores (Rom.engine rom)) pm s)
+    (profile_for (Rom.n_cores rom) pm s)

@@ -75,42 +75,20 @@ let of_modal eng =
 
 let of_model model = of_modal (Modal.make model)
 
-let of_response resp =
-  let eng = Sparse_response.engine resp in
-  let n = Sparse_model.n_nodes eng in
+let of_response eng =
   {
     name = "sparse-response";
-    n_cores = Sparse_response.n_cores resp;
-    ambient_state = (fun () -> Sparse_model.ambient_state eng);
-    step_into =
-      (fun ~dt ~state ~psi ~dst ->
-        let next = Sparse_response.step resp ~dt ~state ~psi in
-        Array.blit next 0 dst 0 n);
-    correct_cores = (fun ~state ~deltas -> Sparse_model.correct_cores eng ~state ~deltas);
-    core_temps = Sparse_model.core_temps eng;
-    max_core_temp = Sparse_model.max_core_temp eng;
-    steady_peak = Sparse_response.steady_peak resp;
-    equilibrium_into = (fun ~psi ~dst -> Sparse_response.y_inf_into resp dst psi);
-    sample_segment =
-      (fun ~dt ~samples ~eq ~walker ->
-        if samples < 1 then invalid_arg "Backend.sample_segment: non-positive sample count";
-        if not (Float.is_finite dt && dt >= 0.) then
-          invalid_arg "Backend.sample_segment: duration must be finite and non-negative";
-        (* One [expmv] per sub-step: the sparse engine has no table to
-           look up. *)
-        let best = ref neg_infinity and best_k = ref 0 in
-        for k = 1 to samples do
-          let next = Sparse_model.advance eng ~dt ~y_inf:eq walker in
-          Array.blit next 0 walker 0 n;
-          let temp = Sparse_model.max_core_temp eng walker in
-          if temp > !best then begin
-            best := temp;
-            best_k := k
-          end
-        done;
-        (!best_k, !best));
-    stable = Sparse_response.stable resp;
-    prepare_base = Sparse_response.prepare_base resp;
-    delta_peak = Sparse_response.delta_peak resp;
-    delta_core_temp = Sparse_response.delta_core_temp resp;
+    n_cores = Sparse_response.n_cores eng;
+    ambient_state = (fun () -> Sparse_response.ambient_state eng);
+    step_into = Sparse_response.step_into eng;
+    correct_cores = Sparse_response.correct_cores eng;
+    core_temps = Sparse_response.core_temps eng;
+    max_core_temp = Sparse_response.max_core_temp eng;
+    steady_peak = Sparse_response.steady_peak eng;
+    equilibrium_into = (fun ~psi ~dst -> Sparse_response.y_inf_into eng dst psi);
+    sample_segment = Sparse_response.sample_segment eng;
+    stable = Sparse_response.stable eng;
+    prepare_base = Sparse_response.prepare_base eng;
+    delta_peak = Sparse_response.delta_peak eng;
+    delta_core_temp = Sparse_response.delta_core_temp eng;
   }

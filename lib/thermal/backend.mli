@@ -4,8 +4,8 @@
     steady peaks, stable-status temperatures, scanned/refined period
     peaks, exact transient steps — and must not care whether the answers
     come from the dense modal engine ({!Modal}, O(n³) build, exact
-    eigenbasis) or the sparse Krylov engine ({!Sparse_model}, O(nnz)
-    build, CG + Lanczos solves).  A backend is a record of closures over
+    eigenbasis) or the sparse engine ({!Sparse_response}, O(nnz)
+    assembly plus [n_cores + 1] CG unit solves, Lanczos transients).  A backend is a record of closures over
     one of those engines, and every field answers one whole question in
     one call: the engine borrows its per-domain scratch once, at entry.
     {!Sched.Peak} writes each evaluator once against it — steady peaks
@@ -37,7 +37,8 @@ type t = {
           as [state], physically distinct from it) — the epoch loop's
           ping-pong hook.  Allocation-free on the dense backend; the
           sparse one applies one [expmv] and blits.  [Invalid_argument]
-          on a [dt] that is negative, infinite or NaN. *)
+          when [dst] aliases [state], or on a [dt] that is negative,
+          infinite or NaN. *)
   correct_cores : state:Linalg.Vec.t -> deltas:Linalg.Vec.t -> unit;
       (** In-place measured-state correction: add [deltas.(k)] kelvin to
           core [k]'s temperature reading, mapped into the backend's
@@ -106,10 +107,8 @@ val of_modal : Modal.t -> t
     platform repeatedly keeps the engine (or a [Core.Eval] context). *)
 val of_model : Model.t -> t
 
-(** [of_response resp] wraps a {!Sparse_response} superposition engine:
-    steady and stable evaluators superpose over the unit-response tables
-    (and warm-start the fixed-point CG) instead of solving per-candidate
-    steady systems; the engine pays its [n_cores + 1] unit solves up
-    front.  Code measuring the direct Krylov engine calls
-    {!Sparse_model} itself. *)
+(** [of_response eng] is the sparse backend: the {!Sparse_response}
+    engine [eng] behind the uniform interface, field for field — steady
+    and stable evaluators superpose over its unit-response tables, which
+    the engine solved once at construction. *)
 val of_response : Sparse_response.t -> t

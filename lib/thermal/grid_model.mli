@@ -43,7 +43,7 @@ val sheet_floorplan :
 (** [sheet_spec ?ambient ?leak_beta ?core_width ?core_height ~rows ~cols
     ()] is the sparse problem description of {!sheet_floorplan}: every
     cell is a core node.  At [32 x 32] this assembles 1024 nodes in
-    O(nnz) — feed it to {!Sparse_model.of_spec}. *)
+    O(nnz) — feed it to {!Sparse_response.of_spec}. *)
 val sheet_spec :
   ?ambient:float ->
   ?leak_beta:float ->

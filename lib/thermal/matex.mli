@@ -39,10 +39,9 @@ val spans : profile -> (duration:float -> psi:Linalg.Vec.t -> unit) -> unit
 
 (** [validate n_cores profile] raises [Invalid_argument] on empty
     profiles, durations that are not finite and positive, power vectors
-    whose arity is not [n_cores], or non-finite powers.  Every engine
-    ({!Sparse_model}, and [Sched.Peak] for every {!Backend}) checks its
-    profiles here, so all of them reject bad input with the same
-    messages. *)
+    whose arity is not [n_cores], or non-finite powers.  [Sched.Peak]
+    checks every {!Backend}'s profiles here, and {!stable_start} its
+    own, so all of them reject bad input with the same messages. *)
 val validate : int -> profile -> unit
 
 (** [stable_start model profile] is the ambient-relative node-space

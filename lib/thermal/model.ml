@@ -23,7 +23,10 @@ let make ~ambient ~leak_beta ~capacitance ~conductance ~core_nodes () =
     invalid_arg "Model.make: conductance matrix must be symmetric";
   if not (Vec.for_all (fun c -> c > 0.) capacitance) then
     invalid_arg "Model.make: capacitances must be positive";
-  if leak_beta < 0. then invalid_arg "Model.make: negative leakage slope";
+  if not (Float.is_finite ambient) then
+    invalid_arg "Model.make: ambient temperature must be finite";
+  if not (Float.is_finite leak_beta && leak_beta >= 0.) then
+    invalid_arg "Model.make: leakage slope must be finite and non-negative";
   let is_core = Array.make n false in
   Array.iter
     (fun i ->

@@ -18,8 +18,9 @@ type t
     of [C] (J/K, all positive); [conductance] is the symmetric [G] from
     {!Rc_network.conductance_matrix}; [core_nodes] lists the node indices
     that host cores (power inputs and temperature constraints).  Raises
-    [Invalid_argument] on dimension mismatches, a non-symmetric [G], or a
-    [leak_beta] so large that [G - beta E] loses positive definiteness
+    [Invalid_argument] on dimension mismatches, a non-symmetric [G], a
+    non-finite [ambient], a [leak_beta] that is negative or not finite,
+    or one so large that [G - beta E] loses positive definiteness
     (thermal runaway). *)
 val make :
   ambient:float ->

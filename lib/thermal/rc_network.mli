@@ -42,7 +42,7 @@ val to_ambient_vector : t -> Linalg.Vec.t
 (** [edges net] lists the node-to-node conductances [(i, j, g)] in
     insertion order (duplicates appear as given; they accumulate on
     assembly).  This is the natural sparsity the sparse backend
-    ({!Spec}, {!Sparse_model}) assembles from without ever forming the
+    ({!Spec}, {!Sparse_response}) assembles from without ever forming the
     dense matrix. *)
 val edges : t -> (int * int * float) list
 

@@ -17,7 +17,7 @@ type rom_scratch = {
 }
 
 type t = {
-  engine : Sparse_model.t;
+  ambient : float;
   mu : Vec.t;  (* retained decay rates, ascending, all positive *)
   cw : float array array;
   (* row j: c^{-1/2}_k w_j(core_k) per core k, for the orthonormal Ritz
@@ -44,8 +44,8 @@ let default_modes mu =
   Stdlib.min n (Stdlib.max 4 !count)
 
 let of_response ?modes response =
-  let engine = Sparse_response.engine response in
-  let n = Sparse_model.n_nodes engine in
+  let spec = Sparse_response.spec response in
+  let n = Spec.n_nodes spec in
   (match modes with
   | Some k when k < 1 || k > n ->
       invalid_arg "Reduced.of_response: modes outside [1, n_nodes]"
@@ -53,7 +53,7 @@ let of_response ?modes response =
   (* With no explicit mode count, probe a few rates beyond the decade
      heuristic's floor and let [default_modes] truncate. *)
   let probe = match modes with Some k -> k | None -> Stdlib.min n 12 in
-  let m = Sparse_model.operator engine in
+  let m = Sparse_response.operator response in
   let precond = Krylov.jacobi (Sparse.diagonal m) in
   let solve b = Krylov.cg ~precond (Sparse.spmv m) b in
   (* Shift-invert Lanczos: O(probe * nnz) per CG iteration, never a
@@ -62,10 +62,9 @@ let of_response ?modes response =
   let pairs = Krylov.smallest_eigs ~tol:1e-12 ~n ~k:probe solve in
   let mu_all = Array.map fst pairs in
   let k = match modes with Some k -> k | None -> default_modes mu_all in
-  let spec = Sparse_model.spec engine in
-  let nc = Array.length spec.Spec.core_nodes in
+  let nc = Spec.n_cores spec in
   {
-    engine;
+    ambient = spec.Spec.ambient;
     mu = Array.sub mu_all 0 k;
     cw =
       Array.init k (fun j ->
@@ -88,7 +87,7 @@ let of_response ?modes response =
   }
 
 let n_modes r = Vec.dim r.mu
-let engine r = r.engine
+let n_cores r = Sparse_response.n_cores r.response
 
 (* ------------------------------------------------- ROM screening *)
 
@@ -102,7 +101,7 @@ let engine r = r.engine
    with an exact sparse solve — see Core.Screen. *)
 
 let check_rom_psi r psi =
-  if Vec.dim psi <> Array.length (r.cw.(0)) then
+  if Vec.dim psi <> n_cores r then
     invalid_arg "Reduced: power vector arity differs from the engine's core count"
 
 (* Retained equilibrium coordinates into [dst]: z_inf_j = (w_j . b) /
@@ -146,7 +145,7 @@ let rom_stable r ~t_p spans =
   for j = 0 to k - 1 do
     s.zd.(j) <- s.zd.(j) /. -.Float.expm1 (-.r.mu.(j) *. t_p)
   done;
-  let nc = Array.length r.cw.(0) in
+  let nc = n_cores r in
   let best = ref neg_infinity in
   for c = 0 to nc - 1 do
     let acc = ref s.th.(c) in
@@ -155,7 +154,7 @@ let rom_stable r ~t_p spans =
     done;
     if !acc > !best then best := !acc
   done;
-  !best +. Sparse_model.ambient r.engine
+  !best +. r.ambient
 
 let rom_stable_peak r profile =
   (match profile with [] -> invalid_arg "Reduced.rom_stable_peak: empty profile" | _ -> ());
@@ -175,7 +174,7 @@ let rom_peak_scan r ?(samples_per_segment = 32) profile =
   for j = 0 to k - 1 do
     s.z_cur.(j) <- s.zd.(j) /. -.Float.expm1 (-.r.mu.(j) *. t_p)
   done;
-  let nc = Array.length r.cw.(0) in
+  let nc = n_cores r in
   let best = ref neg_infinity in
   List.iter
     (fun (seg : Matex.segment) ->
@@ -203,4 +202,4 @@ let rom_peak_scan r ?(samples_per_segment = 32) profile =
         s.z_cur.(j) <- ((1. -. g) *. s.z_cur.(j)) +. (g *. s.z_eq.(j))
       done)
     profile;
-  !best +. Sparse_model.ambient r.engine
+  !best +. r.ambient

@@ -14,7 +14,7 @@
     inputs changing faster than the fastest retained mode.
 
     The retained pairs [(mu_j, w_j)] are Lanczos Ritz pairs of the
-    sparse symmetrized operator ({!Sparse_model.operator}), computed by
+    sparse symmetrized operator ({!Sparse_response.operator}), computed by
     shift-invert {!Linalg.Krylov.smallest_eigs} — O(k * nnz) work per
     iteration, so building a reduction never forms a dense matrix and
     the O(n^3) dense eigensolve disappears from the build path.  Only
@@ -34,8 +34,9 @@ type t
     [Invalid_argument] if [modes] is outside [1, n_nodes]. *)
 val of_response : ?modes:int -> Sparse_response.t -> t
 
-(** [engine r] is the sparse engine the reduction projects through. *)
-val engine : t -> Sparse_model.t
+(** [n_cores r] is the core count of the engine the reduction was built
+    from. *)
+val n_cores : t -> int
 
 (** {1 ROM screening}
 

@@ -41,11 +41,12 @@ type scratch = {
 }
 
 type t = {
-  engine : Sparse_model.t;
+  spec : Spec.t;
   n : int;
   nc : int;
   ambient : float;
   beta_tamb : float;  (* leak_beta * T_amb, the per-core ambient drive *)
+  m_sym : Sparse.t;  (* M = C^{-1/2} G' C^{-1/2}, SPD, shared read-only *)
   units : Vec.t array;
   (* row i: the unit steady response y_inf(e_i) under 1 W on core i,
      solved once by pool-parallel CG at build time (symmetrized
@@ -56,6 +57,7 @@ type t = {
      only these entries. *)
   apply : Vec.t -> Vec.t;  (* the SPD operator M, shared read-only *)
   core_nodes : int array;  (* node index of each core, shared read-only *)
+  c_sqrt_cores : float array;  (* c^{1/2} at each core's node *)
   c_sqrt_inv_cores : float array;  (* c^{-1/2} at each core's node *)
   scratch : scratch Util.Per_domain.t;
   superpose_evals : int Atomic.t;
@@ -66,15 +68,87 @@ type t = {
 
 let build_count = Atomic.make 0
 
-let build engine =
-  let n = Sparse_model.n_nodes engine in
-  let nc = Sparse_model.n_cores engine in
-  let spec = Sparse_model.spec engine in
+(* Solver tolerances: three orders of magnitude under the 1e-9 bound the
+   differential suite asserts against the dense path, so Krylov
+   truncation never shows up in a comparison. *)
+let cg_tol = 1e-13
+let expmv_tol = 1e-13
+
+(* Canonicalize one row of (col, value) pairs listed in assembly order:
+   stable insertion sort by column, then sum runs of equal columns.
+   Mirrors [Sparse.of_row_buckets] so a parallel per-row build matches
+   [Sparse.of_triplets] bit for bit. *)
+let canonical_row entries =
+  let m = List.length entries in
+  let cols = Array.make m 0 and vals = Array.make m 0. in
+  List.iteri
+    (fun k (j, v) ->
+      cols.(k) <- j;
+      vals.(k) <- v)
+    entries;
+  for k = 1 to m - 1 do
+    let cj = cols.(k) and cv = vals.(k) in
+    let p = ref (k - 1) in
+    while !p >= 0 && cols.(!p) > cj do
+      cols.(!p + 1) <- cols.(!p);
+      vals.(!p + 1) <- vals.(!p);
+      decr p
+    done;
+    cols.(!p + 1) <- cj;
+    vals.(!p + 1) <- cv
+  done;
+  let w = ref 0 and k = ref 0 in
+  while !k < m do
+    let j = cols.(!k) in
+    let acc = ref vals.(!k) in
+    incr k;
+    while !k < m && cols.(!k) = j do
+      acc := !acc +. vals.(!k);
+      incr k
+    done;
+    cols.(!w) <- j;
+    vals.(!w) <- !acc;
+    incr w
+  done;
+  (Array.sub cols 0 !w, Array.sub vals 0 !w)
+
+let of_spec ?pool spec =
+  let n = Spec.n_nodes spec in
+  let nc = Spec.n_cores spec in
+  let core_nodes = spec.Spec.core_nodes in
+  let c_sqrt = Vec.map sqrt spec.Spec.capacitance in
+  let c_sqrt_inv = Vec.map (fun s -> 1. /. s) c_sqrt in
+  (* Bucket the G' triplets by row sequentially (cheap, order-defining),
+     then canonicalize and symmetrically scale each row across the pool.
+     Per-row work is a pure function of its bucket, so the assembled CSR
+     is bit-identical at any pool size. *)
+  let buckets = Array.make n [] in
+  List.iter
+    (fun ((i, _, _) as tr) -> buckets.(i) <- tr :: buckets.(i))
+    (Spec.g_eff_triplets spec);
+  let rows =
+    Util.Pool.init ?pool n (fun i ->
+        let scale_i = c_sqrt_inv.(i) in
+        canonical_row
+          (List.rev_map
+             (fun (_, j, v) -> (j, scale_i *. v *. c_sqrt_inv.(j)))
+             buckets.(i)))
+  in
+  let m_sym = Sparse.of_row_arrays ~cols:n rows in
+  let diag = Sparse.diagonal m_sym in
+  let apply = Sparse.spmv m_sym in
+  let beta_tamb = spec.Spec.leak_beta *. spec.Spec.ambient in
   (* The heat input is affine in psi (the leakage drive beta*T_amb
      enters every core node), so subtracting the zero-power response
      isolates the pure per-core linear part u_i = M^{-1} C^{-1/2}
-     e_{core_i}.  All n_cores + 1 systems solve across the engine's
-     pool in one deterministic batch. *)
+     e_{core_i}.  All n_cores + 1 Jacobi-preconditioned CG solves of
+     the symmetrized drive b = C^{-1/2} h(psi) run across the pool in
+     one deterministic batch. *)
+  let steady_state psi =
+    let b = Vec.zeros n in
+    Array.iteri (fun k i -> b.(i) <- (psi.(k) +. beta_tamb) *. c_sqrt_inv.(i)) core_nodes;
+    Krylov.cg ~tol:cg_tol ~precond:(Krylov.jacobi diag) apply b
+  in
   let unit_psis =
     List.init (nc + 1) (fun i ->
         let e = Vec.zeros nc in
@@ -82,32 +156,32 @@ let build engine =
         e)
   in
   let u0, responses =
-    match Sparse_model.steady_batch engine unit_psis with
+    match Util.Pool.map ?pool steady_state unit_psis with
     | u0 :: rest -> (u0, Array.of_list rest)
     | [] -> assert false
   in
   let units = Array.map (fun u -> Vec.sub u u0) responses in
-  (* Core reads happen in node space: theta(core k) = c^{-1/2}_k y_k,
-     with the inverse root computed exactly as the engine computes it
-     so table reads and direct state reads agree bitwise. *)
-  let c_sqrt_inv_at i = 1. /. sqrt spec.Spec.capacitance.(i) in
+  let c_sqrt_inv_cores = Array.map (fun i -> c_sqrt_inv.(i)) core_nodes in
   Atomic.incr build_count;
   {
-    engine;
+    spec;
     n;
     nc;
     ambient = spec.Spec.ambient;
-    beta_tamb = spec.Spec.leak_beta *. spec.Spec.ambient;
+    beta_tamb;
+    m_sym;
     units;
+    (* Core reads happen in node space: theta(core k) = c^{-1/2}_k y_k. *)
     steady_rows =
-      Array.map
-        (fun node ->
-          let ci = c_sqrt_inv_at node in
+      Array.mapi
+        (fun k node ->
+          let ci = c_sqrt_inv_cores.(k) in
           Array.init nc (fun i -> ci *. units.(i).(node)))
-        spec.Spec.core_nodes;
-    apply = Sparse.spmv (Sparse_model.operator engine);
-    core_nodes = spec.Spec.core_nodes;
-    c_sqrt_inv_cores = Array.map c_sqrt_inv_at spec.Spec.core_nodes;
+        core_nodes;
+    apply;
+    core_nodes;
+    c_sqrt_cores = Array.map (fun i -> c_sqrt.(i)) core_nodes;
+    c_sqrt_inv_cores;
     scratch =
       Util.Per_domain.make (fun () ->
           {
@@ -129,8 +203,8 @@ let build engine =
     delta_evals = Atomic.make 0;
   }
 
-let engine t = t.engine
-let n_nodes t = t.n
+let spec t = t.spec
+let operator t = t.m_sym
 let n_cores t = t.nc
 
 let stats t =
@@ -141,6 +215,36 @@ let stats t =
     base_solves = Atomic.get t.base_solves;
     delta_evals = Atomic.get t.delta_evals;
   }
+
+(* ------------------------------------------------ state reads *)
+
+let ambient_state t = Vec.zeros t.n
+
+let core_temps t y =
+  Array.init t.nc (fun k ->
+      (t.c_sqrt_inv_cores.(k) *. y.(t.core_nodes.(k))) +. t.ambient)
+
+let max_core_temp t y =
+  let best = ref neg_infinity in
+  for k = 0 to t.nc - 1 do
+    best :=
+      Float.max !best ((t.c_sqrt_inv_cores.(k) *. y.(t.core_nodes.(k))) +. t.ambient)
+  done;
+  !best
+
+(* Measured-state correction, in place: core temperatures read
+   c^{-1/2}(i) * y_i + T_amb, so adding [deltas.(k)] kelvin to core
+   [k]'s reading is y_i += deltas.(k) * c^{1/2}(i) at its node.
+   Off-core nodes are untouched — exactly the Luenberger L = gain * H^T
+   shape. *)
+let correct_cores t ~state ~deltas =
+  if Vec.dim state <> t.n then
+    invalid_arg "Sparse_response.correct_cores: state arity mismatch";
+  if Vec.dim deltas <> t.nc then
+    invalid_arg "Sparse_response.correct_cores: deltas arity differs from core count";
+  Array.iteri
+    (fun k i -> state.(i) <- state.(i) +. (deltas.(k) *. t.c_sqrt_cores.(k)))
+    t.core_nodes
 
 (* ------------------------------------------------ superposed responses *)
 
@@ -166,11 +270,6 @@ let y_inf_into t dst psi =
     done
   done
 
-let y_inf t psi =
-  let dst = Array.make t.n 0. in
-  y_inf_into t dst psi;
-  dst
-
 let steady_core_into t dst psi =
   check_psi t psi;
   if Vec.dim dst <> t.nc then
@@ -184,11 +283,6 @@ let steady_core_into t dst psi =
     done;
     dst.(k) <- !acc
   done
-
-let steady_core_temps t psi =
-  let dst = Array.make t.nc 0. in
-  steady_core_into t dst psi;
-  Array.map (fun x -> x +. t.ambient) dst
 
 (* The constant-voltage steady peak off the core-row table: O(n_cores^2),
    no CG, no allocation. *)
@@ -206,12 +300,48 @@ let steady_peak t psi =
   done;
   !best +. t.ambient
 
-let step t ~dt ~state ~psi =
+(* ------------------------------------------------ transient steps *)
+
+(* Exact LTI advance by [dt] toward equilibrium [y_inf]:
+   y(dt) = y_inf + e^{-dt M} (y - y_inf), one [expmv] and no solve. *)
+let advance t ~dt ~y_inf y =
+  Vec.add y_inf (Krylov.expmv ~tol:expmv_tol t.apply ~t:dt (Vec.sub y y_inf))
+
+let check_dt what dt =
   if not (Float.is_finite dt && dt >= 0.) then
-    invalid_arg "Sparse_response.step: duration must be finite and non-negative";
-  if Vec.dim state <> t.n then
-    invalid_arg "Sparse_response.step: state arity mismatch";
-  Sparse_model.advance t.engine ~dt ~y_inf:(y_inf t psi) state
+    invalid_arg (what ^ ": duration must be finite and non-negative")
+
+(* The equilibrium superposes straight into [dst]; [advance] reads it
+   and [state] before the result is blitted over [dst], which is why
+   [dst] must be a buffer of its own. *)
+let step_into t ~dt ~state ~psi ~dst =
+  check_dt "Sparse_response.step_into" dt;
+  if Vec.dim state <> t.n || Vec.dim dst <> t.n then
+    invalid_arg "Sparse_response.step_into: bad state arity";
+  if state == dst then invalid_arg "Sparse_response.step_into: dst must not alias state";
+  y_inf_into t dst psi;
+  let next = advance t ~dt ~y_inf:dst state in
+  Array.blit next 0 dst 0 t.n
+
+(* One [expmv] per sub-step: the sparse engine has no decay table to
+   look up. *)
+let sample_segment t ~dt ~samples ~eq ~walker =
+  if samples < 1 then
+    invalid_arg "Sparse_response.sample_segment: non-positive sample count";
+  check_dt "Sparse_response.sample_segment" dt;
+  if Vec.dim eq <> t.n || Vec.dim walker <> t.n then
+    invalid_arg "Sparse_response.sample_segment: bad state arity";
+  let best = ref neg_infinity and best_k = ref 0 in
+  for k = 1 to samples do
+    let next = advance t ~dt ~y_inf:eq walker in
+    Array.blit next 0 walker 0 t.n;
+    let temp = max_core_temp t walker in
+    if temp > !best then begin
+      best := temp;
+      best_k := k
+    end
+  done;
+  (!best_k, !best)
 
 (* ------------------------------------------------ stable status *)
 
@@ -223,16 +353,20 @@ let stable t ~t_p spans =
       if not (duration > 0.) then
         invalid_arg "Sparse_response.stable: non-positive duration";
       y_inf_into t s.y_eq psi;
-      (* d <- y_eq + e^{-dt M} (d - y_eq): the same affine fold
-         Sparse_model.stable_start performs, with the equilibrium
-         superposed instead of solved. *)
-      let d' = Sparse_model.advance t.engine ~dt:duration ~y_inf:s.y_eq s.d in
+      (* d <- y_eq + e^{-dt M} (d - y_eq): one period of the affine
+         map, simulated from the zero state exactly like the dense
+         (I - K) reference solve of Eq. (4). *)
+      let d' = advance t ~dt:duration ~y_inf:s.y_eq s.d in
       Array.blit d' 0 s.d 0 t.n);
   Atomic.incr t.stable_solves;
-  (* One Lanczos basis on the accumulated drive evaluates the matrix
-     function (I - e^{-T_p M})^{-1} directly — candidate-local and
-     deterministic, so pool workers racing through candidates in any
-     order return identical bits (see Sparse_model.stable_start). *)
+  (* Every segment shares M, so one period is the affine map
+     y -> e^{-T_p M} y + d and the fixed point y* = (I - e^{-T_p M})^{-1} d
+     is a matrix function of M applied to the drive: one Lanczos basis
+     on [d], no matrix power, no LU, no O(n^2) storage.  1/-expm1(-x)
+     is the numerically stable form of 1/(1 - e^{-x}) for the slow
+     modes (T_p lambda << 1).  [d] is a pure function of the candidate
+     — no worker-local history — so pool workers racing through
+     candidates in any order return identical bits. *)
   Krylov.prepared_apply (Krylov.prepare t.apply s.d)
     ~f:(fun lam -> 1. /. -.Float.expm1 (-.t_p *. lam))
 

@@ -1,35 +1,44 @@
-(** Linear-response superposition engine for the sparse backend.
+(** The sparse thermal engine: the counterpart of {!Modal} for the
+    256–1024-cell grids the dense pipeline cannot reach.
 
-    The dense pipeline amortizes candidate evaluation through
-    {!Modal}'s unit-response tables: per-core unit steady responses are
-    solved once per platform, after which every candidate equilibrium
-    is an O(n · n_cores) superposition and every stable-status solve
-    folds segments through per-domain scratch.  This module is the
-    same idea ported to {!Sparse_model}, where no eigenbasis exists:
+    The dense pipeline ({!Model} + {!Modal}) pays an O(n³)
+    eigendecomposition at build time.  This engine never forms a dense
+    matrix, and amortizes candidate evaluation the way {!Modal} does,
+    through unit-response tables — with no eigenbasis behind them:
 
-    - build solves the [n_cores + 1] unit steady systems once, by
-      pool-parallel preconditioned CG ({!Sparse_model.steady_batch});
+    - build ({!of_spec}) is an O(nnz) CSR assembly of the symmetrized
+      operator [M = C^{-1/2} G' C^{-1/2}] (pool-parallel across rows,
+      deterministic at any pool size), then [n_cores + 1]
+      Jacobi-preconditioned {!Linalg.Krylov.cg} solves for the unit
+      steady responses, batched across the same pool;
     - every segment equilibrium thereafter is a superposition over the
       unit responses — no per-candidate CG steady solves;
     - the constant-voltage steady peak reads a precomputed
       core-row table, O(n_cores²) per candidate with zero allocation;
+    - transient steps and walked segments are Lanczos
+      {!Linalg.Krylov.expmv} applications of [e^{-dt M}] toward a
+      superposed equilibrium;
     - the periodic stable status ({!stable}, mirroring {!Modal.stable})
-      accumulates the drive [d] in per-domain scratch (the [e^{-dt M}]
-      applications still build their Krylov bases) and evaluates the
+      accumulates the drive [d] in per-domain scratch and evaluates the
       fixed point [y* = (I - e^{-T_p M})^{-1} d] from one Lanczos basis
       on the candidate's own drive, so results are bit-identical at any
       pool size.
 
-    Superposition is mathematically exact (the heat input is affine in
-    the power vector); the engine differs from per-candidate
-    {!Sparse_model} solves only by Krylov truncation, three orders of
+    States are ambient-relative temperatures in symmetrized coordinates
+    [y = C^{1/2} θ] ([M] is SPD there, which is what the Krylov kernels
+    need); obtain them from {!ambient_state}/{!step_into} and read them
+    through {!core_temps}/{!max_core_temp}.  Superposition is
+    mathematically exact (the heat input is affine in the power
+    vector), so the engine differs from the dense {!Modal}/{!Matex}
+    answers only by Krylov truncation, with tolerances three orders of
     magnitude under the differential suite's 1e-9 bound.
 
-    Like {!Modal}, the engine exports primitives only — steady reads,
-    equilibria, steps, the stable status and prepared-base deltas, each
-    one call that borrows the engine's per-domain scratch once.
-    {!Backend.of_response} wraps them, and [Sched.Peak] turns whole
-    profiles into answers, in-period scans included. *)
+    Like {!Modal}, the engine exports primitives only — state reads,
+    steady reads, equilibria, steps, walked segments, the stable status
+    and prepared-base deltas, each one call that borrows the engine's
+    per-domain scratch at most once.  {!Backend.of_response} maps them
+    field for field, and [Sched.Peak] turns whole profiles into
+    answers, in-period scans included. *)
 
 type t
 
@@ -41,31 +50,55 @@ type stats = {
   delta_evals : int;  (** Delta candidate evaluations. *)
 }
 
-(** [build eng] solves the unit responses and assembles the tables —
-    [n_cores + 1] preconditioned CG solves fanned across the engine's
-    pool.  Each call builds a new engine, with its own counters and its
-    own per-domain scratch ({!Util.Per_domain}, freed with the engine);
-    the holder (an evaluation context, usually) keeps it and hands it to
-    everything that superposes over the same platform. *)
-val build : Sparse_model.t -> t
+(** [of_spec ?pool spec] assembles the operator and solves the unit
+    responses — O(k·nnz) assembly plus [n_cores + 1] preconditioned CG
+    solves, both fanned across [pool] (default: the shared
+    {!Util.Pool.get}) and bit-identical at any pool size.  Each call
+    builds a new engine, with its own counters and its own per-domain
+    scratch ({!Util.Per_domain}, freed with the engine); the holder (an
+    evaluation context, usually) keeps it and hands it to everything
+    that evaluates the same platform.  Fails with [Invalid_argument]
+    from the preconditioner on a spec whose operator diagonal is not
+    positive. *)
+val of_spec : ?pool:Util.Pool.t -> Spec.t -> t
 
-(** [engine t] is the sparse engine the responses were solved on. *)
-val engine : t -> Sparse_model.t
+(** [spec t] is the problem description the engine was built from. *)
+val spec : t -> Spec.t
 
-val n_nodes : t -> int
+(** [operator t] is the assembled SPD operator [M] (shared, read-only);
+    {!Reduced} builds its Ritz basis on it. *)
+val operator : t -> Linalg.Sparse.t
+
 val n_cores : t -> int
 
 (** [stats t] snapshots the counters ([builds] is process-wide). *)
 val stats : t -> stats
 
-(** [y_inf t psi] is the superposed equilibrium state under constant
-    per-core powers — bitwise a weighted sum of the unit responses, no
-    solve. *)
-val y_inf : t -> Linalg.Vec.t -> Linalg.Vec.t
+(** {1 States} *)
 
-(** [y_inf_into t dst psi] writes {!y_inf}[ t psi] into [dst] without
-    allocating — the backend's [equilibrium_into].  Raises
-    [Invalid_argument] on arity mismatches. *)
+(** [ambient_state t] is the all-ambient state ([y = 0]). *)
+val ambient_state : t -> Linalg.Vec.t
+
+(** [core_temps t state] / [max_core_temp t state] read absolute core
+    temperatures straight off the state — O(n_cores). *)
+val core_temps : t -> Linalg.Vec.t -> Linalg.Vec.t
+
+val max_core_temp : t -> Linalg.Vec.t -> float
+
+(** [correct_cores t ~state ~deltas] adds [deltas.(k)] kelvin to core
+    [k]'s temperature reading, in place on the symmetrized state
+    ([y_i += deltas.(k) * sqrt(C_i)] at the core's node); off-core nodes
+    are untouched.  The measured-state restart hook observers correct
+    through.  Raises [Invalid_argument] on arity mismatches. *)
+val correct_cores : t -> state:Linalg.Vec.t -> deltas:Linalg.Vec.t -> unit
+
+(** {1 Superposed responses} *)
+
+(** [y_inf_into t dst psi] writes the equilibrium state under constant
+    per-core powers [psi] into [dst] without allocating — bitwise a
+    weighted sum of the unit responses, no solve; the backend's
+    [equilibrium_into].  Raises [Invalid_argument] on arity
+    mismatches. *)
 val y_inf_into : t -> Linalg.Vec.t -> Linalg.Vec.t -> unit
 
 (** [steady_core_into t dst psi] writes the ambient-relative steady
@@ -74,16 +107,29 @@ val y_inf_into : t -> Linalg.Vec.t -> Linalg.Vec.t -> unit
     on. *)
 val steady_core_into : t -> Linalg.Vec.t -> Linalg.Vec.t -> unit
 
-(** [steady_core_temps t psi] / [steady_peak t psi] are the absolute
-    steady core temperatures / their maximum, by superposition. *)
-val steady_core_temps : t -> Linalg.Vec.t -> Linalg.Vec.t
-
+(** [steady_peak t psi] is the hottest absolute steady core
+    temperature, by superposition off the core-row table. *)
 val steady_peak : t -> Linalg.Vec.t -> float
 
-(** [step t ~dt ~state ~psi] — exact LTI advance with a superposed
-    equilibrium: one [expmv], no CG.  Raises [Invalid_argument] on a
-    [dt] that is negative, infinite or NaN. *)
-val step : t -> dt:float -> state:Linalg.Vec.t -> psi:Linalg.Vec.t -> Linalg.Vec.t
+(** {1 Transient steps} *)
+
+(** [step_into t ~dt ~state ~psi ~dst] writes the exact LTI advance of
+    [state] by [dt] under constant powers [psi] into [dst]: the
+    equilibrium superposes into [dst], then one [expmv] and a blit, no
+    CG.  Raises [Invalid_argument] when [dst] aliases [state], on arity
+    mismatches, or on a [dt] that is negative, infinite or NaN. *)
+val step_into :
+  t -> dt:float -> state:Linalg.Vec.t -> psi:Linalg.Vec.t -> dst:Linalg.Vec.t -> unit
+
+(** [sample_segment t ~dt ~samples ~eq ~walker] advances [walker] in
+    place [samples] times by [dt] toward the equilibrium [eq] (a
+    {!y_inf_into} result), one [expmv] per sub-step, and returns
+    [(best_k, best_temp)]: the first sub-step (from 1) reaching the
+    hottest core temperature seen, and that temperature.  Raises
+    [Invalid_argument] on a sample count below 1, a [dt] that is
+    negative, infinite or NaN, or arity mismatches. *)
+val sample_segment :
+  t -> dt:float -> samples:int -> eq:Linalg.Vec.t -> walker:Linalg.Vec.t -> int * float
 
 (** {1 Stable status}
 

@@ -14,17 +14,22 @@ let make ~ambient ~leak_beta ~capacitance ~to_ambient ~edges ~core_nodes () =
   let n = Vec.dim capacitance in
   if Vec.dim to_ambient <> n then
     invalid_arg "Spec.make: capacitance/to_ambient arity mismatch";
-  if not (Vec.for_all (fun c -> c > 0.) capacitance) then
-    invalid_arg "Spec.make: capacitances must be positive";
-  if not (Vec.for_all (fun g -> g >= 0.) to_ambient) then
-    invalid_arg "Spec.make: negative ambient conductance";
-  if leak_beta < 0. then invalid_arg "Spec.make: negative leakage slope";
+  (* Finite-range tests, written so that NaN and infinity fail them. *)
+  if not (Float.is_finite ambient) then
+    invalid_arg "Spec.make: ambient temperature must be finite";
+  if not (Vec.for_all (fun c -> Float.is_finite c && c > 0.) capacitance) then
+    invalid_arg "Spec.make: capacitances must be finite and positive";
+  if not (Vec.for_all (fun g -> Float.is_finite g && g >= 0.) to_ambient) then
+    invalid_arg "Spec.make: ambient conductances must be finite and non-negative";
+  if not (Float.is_finite leak_beta && leak_beta >= 0.) then
+    invalid_arg "Spec.make: leakage slope must be finite and non-negative";
   List.iter
     (fun (i, j, g) ->
       if i < 0 || i >= n || j < 0 || j >= n then
         invalid_arg (Printf.sprintf "Spec.make: edge (%d, %d) out of range" i j);
       if i = j then invalid_arg "Spec.make: self-loop edge";
-      if g < 0. then invalid_arg "Spec.make: negative edge conductance")
+      if not (Float.is_finite g && g >= 0.) then
+        invalid_arg "Spec.make: edge conductances must be finite and non-negative")
     edges;
   if Array.length core_nodes = 0 then invalid_arg "Spec.make: no core nodes";
   let seen = Array.make n false in

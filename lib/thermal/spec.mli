@@ -4,7 +4,7 @@
     is exactly what the sparse path must avoid at 256–1024 cells.  A
     spec carries the raw problem data instead — capacitances, ambient
     conductances, the edge list, the core-node set — so
-    {!Sparse_model.of_spec} can assemble its CSR operator in O(nnz)
+    {!Sparse_response.of_spec} can assemble its CSR operator in O(nnz)
     without ever forming a dense matrix, while {!to_model} still builds
     the dense reference model from the identical data for differential
     testing. *)
@@ -22,9 +22,10 @@ type t = private {
 
 (** [make ~ambient ~leak_beta ~capacitance ~to_ambient ~edges
     ~core_nodes ()] validates and builds a spec.  Raises
-    [Invalid_argument] on arity mismatches, non-positive capacitances,
-    negative conductances, self-loops, out-of-range or duplicate core
-    nodes, or an empty core set. *)
+    [Invalid_argument] on arity mismatches, a non-finite ambient, a
+    leakage slope or conductance that is negative or not finite,
+    capacitances that are not finite and positive, self-loops,
+    out-of-range or duplicate core nodes, or an empty core set. *)
 val make :
   ambient:float ->
   leak_beta:float ->

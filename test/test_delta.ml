@@ -9,7 +9,6 @@
 
 module Vec = Linalg.Vec
 module Model = Thermal.Model
-module Sp = Thermal.Sparse_model
 module Resp = Thermal.Sparse_response
 module Peak = Sched.Peak
 module Pm = Power.Power_model
@@ -66,7 +65,8 @@ let perturb rng ~low ~high core =
    engine and a freshly built sparse superposition engine (on [pool]
    when one is given). *)
 let dense ?pool:_ model = Thermal.Backend.of_model model
-let sparse ?pool model = Thermal.Backend.of_response (Resp.build (Sp.of_model ?pool model))
+let sparse ?pool model =
+  Thermal.Backend.of_response (Resp.of_spec ?pool (Thermal.Spec.of_model model))
 let backends = [ ("dense", dense); ("sparse", sparse) ]
 
 let parity_prop ~name ~count ~pool_size backend_of =

@@ -121,7 +121,7 @@ let scan_backends3 =
   [
     Thermal.Backend.of_model model3;
     Thermal.Backend.of_response
-      (Thermal.Sparse_response.build (Thermal.Sparse_model.of_model model3));
+      (Thermal.Sparse_response.of_spec (Thermal.Spec.of_model model3));
   ]
 
 let prop_peak_scan_matches =

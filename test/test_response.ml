@@ -252,7 +252,7 @@ let test_scratch_dies_with_engine () =
             if i < modal then Thermal.Backend.of_modal (Modal.make model)
             else
               Thermal.Backend.of_response
-                (Thermal.Sparse_response.build (Thermal.Sparse_model.of_model ~pool model))
+                (Thermal.Sparse_response.of_spec ~pool (Thermal.Spec.of_model model))
           in
           (b, random_profile rng model))
     in

@@ -82,7 +82,12 @@ let test_loop_config_validation () =
           raises
             (Printf.sprintf "%s step_into dt %g" b.Thermal.Backend.name dt)
             (fun () -> b.Thermal.Backend.step_into ~dt ~state ~psi ~dst))
-        [ nan; infinity; -1. ])
+        [ nan; infinity; -1. ];
+      (* The ping-pong contract: [dst] must be a buffer distinct from
+         [state] on either backend. *)
+      raises
+        (b.Thermal.Backend.name ^ " step_into aliased dst")
+        (fun () -> b.Thermal.Backend.step_into ~dt:0.01 ~state ~psi ~dst:state))
     [ b; Core.Eval.backend (Core.Eval.create ~backend:Core.Eval.Sparse (platform3 ())) ]
 
 let test_all_controllers_both_backends () =

@@ -303,14 +303,15 @@ let test_prepared_zero_start () =
 (* ------------------------------------------- thermal backend parity *)
 
 (* The sparse engine must agree with the dense Model/Matex path to
-   <= 1e-9 on every evaluator the policies use: steady states, exact
-   transient steps, the periodic stable status, and both peak scans.
+   <= 1e-9 on every evaluator the policies use: steady temperatures,
+   exact transient steps, the periodic stable status, and both peak
+   scans.
    Hotspot core-level models carry 3 nodes per core, so the 3x3 grid is
    the n = 27 ceiling named in the differential-test contract. *)
 
 module Model = Thermal.Model
 module Spec = Thermal.Spec
-module Sp_model = Thermal.Sparse_model
+module Resp = Thermal.Sparse_response
 module Matex = Thermal.Matex
 
 let pm = Power.Power_model.default
@@ -332,6 +333,12 @@ let random_segments rng model n_segs =
           Array.init (Model.n_cores model) (fun _ -> Random.State.float rng 20.);
       })
 
+let engine_of ?pool model = Resp.of_spec ?pool (Spec.of_model model)
+
+(* Node-space ambient-relative temperatures of a sparse state, which is
+   symmetrized: y = C^{1/2} theta. *)
+let to_theta model y = Vec.mul (Vec.map (fun c -> 1. /. sqrt c) (Model.capacitance model)) y
+
 let random_step_up rng ~n_cores ~period =
   Workload.Random_sched.step_up rng ~n_cores ~period ~max_intervals:5
     ~levels:levels5
@@ -352,7 +359,7 @@ let test_spec_model_round_trip () =
 let test_operator_is_symmetrized_conductance () =
   List.iter
     (fun model ->
-      let eng = Sp_model.of_model model in
+      let eng = engine_of model in
       let n = Model.n_nodes model in
       let a = Model.a_matrix model in
       let c = Model.capacitance model in
@@ -363,9 +370,9 @@ let test_operator_is_symmetrized_conductance () =
       in
       Alcotest.(check bool) "assembled CSR is the symmetrized operator" true
         (Mat.approx_equal ~tol:1e-9 expected
-           (Sparse.to_dense (Sp_model.operator eng)));
+           (Sparse.to_dense (Resp.operator eng)));
       Alcotest.(check bool) "operator is symmetric" true
-        (Sparse.is_symmetric ~tol:1e-12 (Sp_model.operator eng)))
+        (Sparse.is_symmetric ~tol:1e-12 (Resp.operator eng)))
     [ model3; model9 ]
 
 let prop_sparse_steady_matches_dense =
@@ -373,16 +380,17 @@ let prop_sparse_steady_matches_dense =
     seed_gen (fun seed ->
       let rng = Random.State.make [| seed |] in
       let model = if seed mod 2 = 0 then model3 else model9 in
-      let eng = Sp_model.of_model model in
-      let psi =
-        Array.init (Model.n_cores model) (fun _ -> Random.State.float rng 25.)
-      in
+      let eng = engine_of model in
+      let nc = Model.n_cores model in
+      let psi = Array.init nc (fun _ -> Random.State.float rng 25.) in
+      let rel = Vec.zeros nc in
+      Resp.steady_core_into eng rel psi;
       Vec.dist_inf
-        (Sp_model.steady_core_temps eng psi)
+        (Vec.map (fun x -> x +. Model.ambient model) rel)
         (Model.steady_core_temps model psi)
       <= 1e-9
       && Float.abs
-           (Sp_model.steady_peak eng psi -. Vec.max (Model.steady_core_temps model psi))
+           (Resp.steady_peak eng psi -. Vec.max (Model.steady_core_temps model psi))
          <= 1e-9)
 
 let prop_sparse_trajectory_matches_dense =
@@ -390,17 +398,19 @@ let prop_sparse_trajectory_matches_dense =
     seed_gen (fun seed ->
       let rng = Random.State.make [| seed |] in
       let model = if seed mod 2 = 0 then model3 else model9 in
-      let eng = Sp_model.of_model model in
+      let eng = engine_of model in
       let segs = random_segments rng model 5 in
       let theta = ref (Vec.zeros (Model.n_nodes model)) in
-      let y = ref (Sp_model.ambient_state eng) in
+      let y = ref (Resp.ambient_state eng) in
       List.for_all
         (fun (s : Thermal.Matex.segment) ->
           theta := Oracle.Reference.step model ~dt:s.duration ~theta:!theta ~psi:s.psi;
-          y := Sp_model.step eng ~dt:s.duration ~state:!y ~psi:s.psi;
-          Vec.dist_inf !theta (Sp_model.to_theta eng !y) <= 1e-9
+          let next = Resp.ambient_state eng in
+          Resp.step_into eng ~dt:s.duration ~state:!y ~psi:s.psi ~dst:next;
+          y := next;
+          Vec.dist_inf !theta (to_theta model !y) <= 1e-9
           && Float.abs
-               (Sp_model.max_core_temp eng !y -. Model.max_core_temp model !theta)
+               (Resp.max_core_temp eng !y -. Model.max_core_temp model !theta)
              <= 1e-9)
         segs)
 
@@ -409,27 +419,26 @@ let prop_sparse_stable_matches_dense =
     seed_gen (fun seed ->
       let rng = Random.State.make [| seed |] in
       let model = if seed mod 2 = 0 then model3 else model9 in
-      let eng = Sp_model.of_model model in
+      let eng = engine_of model in
       let s = random_step_up rng ~n_cores:(Model.n_cores model) ~period:5. in
       let profile = Sched.Peak.profile (Thermal.Backend.of_model model) pm s in
       let dense = Matex.stable_start model profile in
       let b = Thermal.Backend.of_model model in
-      let y = Sp_model.stable_start eng profile in
-      Vec.dist_inf dense (Sp_model.to_theta eng y) <= 1e-9
+      let y = Resp.stable eng ~t_p:(Matex.period profile) (Matex.spans profile) in
+      Vec.dist_inf dense (to_theta model y) <= 1e-9
       && Vec.dist_inf
            (Sched.Peak.profile_end_core_temps b profile)
-           (Sp_model.core_temps eng y)
+           (Resp.core_temps eng y)
          <= 1e-9
       && Float.abs
            (Sched.Peak.profile_end_peak b profile
-           -. Sp_model.end_of_period_peak eng profile)
+           -. Sched.Peak.profile_end_peak (Thermal.Backend.of_response eng) profile)
          <= 1e-9)
 
 (* The production sparse scans: [Sched.Peak]'s in-period walk over
    [Backend.of_response], what [of_any]/[of_any_refined] run on every
    sparse context. *)
-let sparse_backend model =
-  Thermal.Backend.of_response (Thermal.Sparse_response.build (Sp_model.of_model model))
+let sparse_backend model = Thermal.Backend.of_response (engine_of model)
 
 let prop_sparse_peak_scan_matches_dense =
   QCheck.Test.make ~name:"sparse peak_scan = Matex.peak_scan" ~count:25 seed_gen
@@ -461,21 +470,33 @@ let test_parallel_assembly_deterministic () =
   let spec = Spec.of_model model9 in
   let sequential = Util.Pool.create ~size:1 () in
   let parallel = Util.Pool.create ~size:4 () in
-  let a = Sp_model.operator (Sp_model.of_spec ~pool:sequential spec) in
-  let b = Sp_model.operator (Sp_model.of_spec ~pool:parallel spec) in
+  let a = Resp.operator (Resp.of_spec ~pool:sequential spec) in
+  let b = Resp.operator (Resp.of_spec ~pool:parallel spec) in
   Util.Pool.shutdown sequential;
   Util.Pool.shutdown parallel;
   Alcotest.(check bool) "assembly is bit-identical at any pool size" true
     (Sparse.equal a b)
 
-let test_steady_batch_matches_sequential () =
-  let eng = Sp_model.of_model model9 in
+(* The n_cores + 1 unit solves run as one pool batch at build time; the
+   superposed equilibria they feed must not depend on how the batch was
+   spread. *)
+let test_unit_batch_pool_independent () =
   let rng = Random.State.make [| 7 |] in
   let psis =
     List.init 12 (fun _ -> Array.init 9 (fun _ -> Random.State.float rng 25.))
   in
-  let batched = Sp_model.steady_batch eng psis in
-  let sequential = List.map (Sp_model.steady_state eng) psis in
+  let solve pool_size =
+    let pool = Util.Pool.create ~size:pool_size () in
+    let eng = engine_of ~pool model9 in
+    Util.Pool.shutdown pool;
+    List.map
+      (fun psi ->
+        let y = Vec.zeros (Model.n_nodes model9) in
+        Resp.y_inf_into eng y psi;
+        y)
+      psis
+  in
+  let batched = solve 4 and sequential = solve 1 in
   Alcotest.(check int) "batch preserves arity" (List.length sequential)
     (List.length batched);
   List.iter2
@@ -483,6 +504,43 @@ let test_steady_batch_matches_sequential () =
       Alcotest.(check bool) "batched solve matches sequential" true
         (Vec.dist_inf a b <= 1e-12))
     batched sequential
+
+(* Every guard is a finite-range test, so NaN and infinity fail it: a
+   non-finite spec must be rejected at construction, not surface later
+   as a NaN diagonal inside the Krylov preconditioner. *)
+let test_spec_validation () =
+  let n = 2 in
+  let make ?(ambient = 35.) ?(leak_beta = 0.05) ?(capacitance = [| 1.; 1. |])
+      ?(edges = [ (0, 1, 0.5) ]) () =
+    ignore
+      (Spec.make ~ambient ~leak_beta ~capacitance
+         ~to_ambient:(Vec.create n 0.2) ~edges ~core_nodes:[| 0 |] ()
+        : Spec.t)
+  in
+  let rejected what f =
+    Alcotest.(check bool) (what ^ " rejected") true
+      (match f () with exception Invalid_argument _ -> true | () -> false)
+  in
+  make ();
+  rejected "NaN leak_beta" (make ~leak_beta:nan);
+  rejected "infinite leak_beta" (make ~leak_beta:infinity);
+  rejected "NaN ambient" (make ~ambient:nan);
+  rejected "NaN edge conductance" (make ~edges:[ (0, 1, nan) ]);
+  rejected "infinite edge conductance" (make ~edges:[ (0, 1, infinity) ]);
+  rejected "infinite capacitance" (make ~capacitance:[| infinity; 1. |]);
+  (* The dense builder guards the same two scalars with the same test. *)
+  let model ?(ambient = 35.) ?(leak_beta = 0.05) () =
+    Model.make ~ambient ~leak_beta ~capacitance:[| 1.; 1. |]
+      ~conductance:(Mat.of_rows [| [| 0.7; -0.5 |]; [| -0.5; 0.7 |] |])
+      ~core_nodes:[| 0 |] ()
+  in
+  ignore (model () : Model.t);
+  Alcotest.check_raises "Model.make NaN leak_beta"
+    (Invalid_argument "Model.make: leakage slope must be finite and non-negative")
+    (fun () -> ignore (model ~leak_beta:nan () : Model.t));
+  Alcotest.check_raises "Model.make NaN ambient"
+    (Invalid_argument "Model.make: ambient temperature must be finite")
+    (fun () -> ignore (model ~ambient:nan () : Model.t))
 
 (* ----------------------------- backend dispatch through Core.Eval *)
 
@@ -618,8 +676,9 @@ let () =
             test_operator_is_symmetrized_conductance;
           Alcotest.test_case "pool-deterministic assembly" `Quick
             test_parallel_assembly_deterministic;
-          Alcotest.test_case "steady_batch" `Quick
-            test_steady_batch_matches_sequential;
+          Alcotest.test_case "unit batch at any pool size" `Quick
+            test_unit_batch_pool_independent;
+          Alcotest.test_case "spec validation" `Quick test_spec_validation;
         ] );
       ( "backend",
         [

@@ -1,14 +1,15 @@
-(* Differential tests for the sparse superposition engine and the
-   two-tier ROM screening path: superposed equilibria and streamed
-   stable statuses must agree with per-candidate Sparse_model CG solves
-   to <= 1e-9 at n <= 27, per-domain scratch must neither contend (pool
+(* Differential tests for the sparse engine and the two-tier ROM
+   screening path: superposed equilibria, steps and streamed stable
+   statuses must agree with the dense per-candidate solves (Model,
+   Matex, the reference propagator) to <= 1e-9 at n <= 27, the
+   measured-state correction must move core readings and nothing else
+   on either backend, per-domain scratch must neither contend (pool
    sizes 1 and 4 bit-identical) nor cross-contaminate between engines,
    and a screened search with a sound margin must return exactly the
    exhaustive exact search's answer. *)
 
 module Vec = Linalg.Vec
 module Model = Thermal.Model
-module Sp = Thermal.Sparse_model
 module Resp = Thermal.Sparse_response
 module Reduced = Thermal.Reduced
 module Matex = Thermal.Matex
@@ -39,6 +40,12 @@ let random_profile rng n =
         psi = random_psi rng n;
       })
 
+let engine_of model = Resp.of_spec (Thermal.Spec.of_model model)
+
+(* Node-space ambient-relative temperatures of a sparse state, which is
+   symmetrized: y = C^{1/2} theta. *)
+let to_theta model y = Vec.mul (Vec.map (fun c -> 1. /. sqrt c) (Model.capacitance model)) y
+
 (* The production period-boundary answers on a response engine: whole
    profiles streamed through [Backend.of_response] by [Sched.Peak]. *)
 let end_peak resp profile =
@@ -48,68 +55,112 @@ let end_peak resp profile =
 let stable_state resp profile =
   Resp.stable resp ~t_p:(Matex.period profile) (Matex.spans profile)
 
-(* ------------------------------------- superposition vs direct CG *)
+(* ------------------------------------- superposition vs dense solves *)
 
-let prop_steady_superposition_matches_cg =
-  QCheck.Test.make ~name:"superposed steady temps = per-candidate CG solve"
+let prop_steady_superposition_matches_dense =
+  QCheck.Test.make ~name:"superposed steady temps = per-candidate dense solve"
     ~count:60 seed_gen (fun seed ->
       let rng = Random.State.make [| seed |] in
       let model = random_model rng in
-      let eng = Sp.of_model model in
-      let resp = Resp.build eng in
-      let psi = random_psi rng (Sp.n_cores eng) in
-      Vec.dist_inf (Resp.steady_core_temps resp psi) (Sp.steady_core_temps eng psi)
-      <= 1e-9
-      && Float.abs (Resp.steady_peak resp psi -. Sp.steady_peak eng psi) <= 1e-9)
+      let resp = engine_of model in
+      let nc = Model.n_cores model in
+      let psi = random_psi rng nc in
+      let rel = Vec.zeros nc in
+      Resp.steady_core_into resp rel psi;
+      let dense = Model.steady_core_temps model psi in
+      Vec.dist_inf (Vec.map (fun x -> x +. Model.ambient model) rel) dense <= 1e-9
+      && Float.abs (Resp.steady_peak resp psi -. Vec.max dense) <= 1e-9)
 
-let prop_y_inf_matches_steady_state =
-  QCheck.Test.make ~name:"superposed y_inf = CG steady state" ~count:60
+let prop_y_inf_matches_dense_steady_state =
+  QCheck.Test.make ~name:"superposed y_inf = dense steady state" ~count:60
     seed_gen (fun seed ->
       let rng = Random.State.make [| seed |] in
       let model = random_model rng in
-      let eng = Sp.of_model model in
-      let resp = Resp.build eng in
-      let psi = random_psi rng (Sp.n_cores eng) in
-      Vec.dist_inf (Resp.y_inf resp psi) (Sp.steady_state eng psi) <= 1e-9)
+      let resp = engine_of model in
+      let psi = random_psi rng (Model.n_cores model) in
+      let y = Vec.zeros (Model.n_nodes model) in
+      Resp.y_inf_into resp y psi;
+      Vec.dist_inf (to_theta model y) (Model.theta_inf model psi) <= 1e-9)
 
-let prop_streaming_stable_matches_segment_path =
+let prop_streaming_stable_matches_dense =
   QCheck.Test.make
-    ~name:"streamed stable status/peaks = Sparse_model segment path"
+    ~name:"streamed stable status/peaks = Matex and dense scans"
     ~count:40 seed_gen (fun seed ->
       let rng = Random.State.make [| seed |] in
       let model = random_model rng in
-      let eng = Sp.of_model model in
-      let resp = Resp.build eng in
-      let profile = random_profile rng (Sp.n_cores eng) in
-      (* The scans' references are the dense modal scans: the direct
-         engine has no in-period scan of its own. *)
+      let resp = engine_of model in
+      let profile = random_profile rng (Model.n_cores model) in
       let dense = Thermal.Backend.of_model model
       and sparse = Thermal.Backend.of_response resp in
       let scan b = Sched.Peak.profile_scan_peak b profile
       and refined b = Sched.Peak.profile_refined_peak b profile in
-      Vec.dist_inf (stable_state resp profile) (Sp.stable_start eng profile)
+      Vec.dist_inf (to_theta model (stable_state resp profile))
+        (Matex.stable_start model profile)
       <= 1e-9
-      && Float.abs (end_peak resp profile -. Sp.end_of_period_peak eng profile)
+      && Float.abs (end_peak resp profile -. Sched.Peak.profile_end_peak dense profile)
          <= 1e-9
       && Float.abs (scan sparse -. scan dense) <= 1e-9
       && Float.abs (refined sparse -. refined dense) <= 1e-9)
 
-let prop_step_matches_engine =
-  QCheck.Test.make ~name:"superposed step = Sparse_model.step" ~count:60
+let prop_step_matches_reference =
+  QCheck.Test.make ~name:"superposed step = Reference.step" ~count:60
     seed_gen (fun seed ->
       let rng = Random.State.make [| seed |] in
       let model = random_model rng in
-      let eng = Sp.of_model model in
-      let resp = Resp.build eng in
-      let n = Sp.n_cores eng in
-      let psi = random_psi rng n in
-      let state =
-        Sp.step eng ~dt:(0.01 +. Random.State.float rng 0.2)
-          ~state:(Sp.ambient_state eng) ~psi:(random_psi rng n)
-      in
+      let resp = engine_of model in
+      let n = Model.n_nodes model and nc = Model.n_cores model in
+      let psi = random_psi rng nc in
+      let state = Vec.zeros n and next = Vec.zeros n in
+      Resp.step_into resp ~dt:(0.01 +. Random.State.float rng 0.2)
+        ~state:(Resp.ambient_state resp) ~psi:(random_psi rng nc) ~dst:state;
       let dt = 0.01 +. Random.State.float rng 0.3 in
-      Vec.dist_inf (Resp.step resp ~dt ~state ~psi) (Sp.step eng ~dt ~state ~psi)
+      Resp.step_into resp ~dt ~state ~psi ~dst:next;
+      Vec.dist_inf (to_theta model next)
+        (Oracle.Reference.step model ~dt ~theta:(to_theta model state) ~psi)
       <= 1e-9)
+
+(* ------------------------------------------ measured-state correction *)
+
+(* The observers' restart hook on both backends: after [correct_cores],
+   every core reads its old temperature plus its delta, and on the
+   sparse backend (node coordinates) no off-core entry moves a bit.
+   Layered platforms, so that off-core nodes (spreaders, the shared
+   sink) exist. *)
+let prop_correct_cores =
+  QCheck.Test.make ~name:"correct_cores moves core readings only" ~count:40
+    seed_gen (fun seed ->
+      let rng = Random.State.make [| seed |] in
+      let model =
+        Thermal.Hotspot.layered
+          ~ambient:(-10. +. Random.State.float rng 70.)
+          ~leak_beta:(Random.State.float rng 0.1)
+          (Thermal.Floorplan.grid ~rows:(1 + Random.State.int rng 2)
+             ~cols:(1 + Random.State.int rng 3) ~core_width:4e-3 ~core_height:4e-3)
+      in
+      let nc = Model.n_cores model in
+      let core = Array.make (Model.n_nodes model) false in
+      Array.iter (fun i -> core.(i) <- true) (Model.core_nodes model);
+      let steps = List.init 3 (fun _ -> (0.01 +. Random.State.float rng 0.3, random_psi rng nc)) in
+      let deltas = Array.init nc (fun _ -> Random.State.float rng 10. -. 5.) in
+      List.for_all
+        (fun (b : Thermal.Backend.t) ->
+          let state = ref (b.ambient_state ()) in
+          List.iter
+            (fun (dt, psi) ->
+              let dst = b.ambient_state () in
+              b.step_into ~dt ~state:!state ~psi ~dst;
+              state := dst)
+            steps;
+          let state = !state in
+          let before = b.core_temps state and old = Array.copy state in
+          b.correct_cores ~state ~deltas;
+          Vec.dist_inf (b.core_temps state) (Vec.add before deltas) <= 1e-12
+          && (b.name <> "sparse-response"
+             || Array.for_all Fun.id
+                  (Array.mapi
+                     (fun i x -> core.(i) || Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float old.(i)))
+                     state)))
+        [ Thermal.Backend.of_model model; Thermal.Backend.of_response (engine_of model) ])
 
 (* --------------------------------------------- scratch isolation *)
 
@@ -123,10 +174,9 @@ let model27 =
    positional. *)
 let test_pool_size_determinism () =
   let rng = Random.State.make [| 42 |] in
-  let eng = Sp.of_model model27 in
-  let resp = Resp.build eng in
+  let resp = engine_of model27 in
   let profiles =
-    Array.init 24 (fun _ -> random_profile rng (Sp.n_cores eng))
+    Array.init 24 (fun _ -> random_profile rng (Resp.n_cores resp))
   in
   let run pool_size =
     let pool = Util.Pool.create ~size:pool_size () in
@@ -150,15 +200,13 @@ let test_pool_size_determinism () =
    per-domain scratch, so feeds never leak across. *)
 let test_scratch_cross_engine_isolation () =
   let rng = Random.State.make [| 7 |] in
-  let eng_a = Sp.of_model model27 in
   let model_b =
     Thermal.Hotspot.core_level ~ambient:45.
       (Thermal.Floorplan.grid ~rows:2 ~cols:2 ~core_width:3e-3 ~core_height:3e-3)
   in
-  let eng_b = Sp.of_model model_b in
-  let ra = Resp.build eng_a and rb = Resp.build eng_b in
-  let pa = random_profile rng (Sp.n_cores eng_a) in
-  let pb = random_profile rng (Sp.n_cores eng_b) in
+  let ra = engine_of model27 and rb = engine_of model_b in
+  let pa = random_profile rng (Resp.n_cores ra) in
+  let pb = random_profile rng (Resp.n_cores rb) in
   let expect_a = end_peak ra pa in
   let expect_b = end_peak rb pb in
   (* Interleave by hand: engine B's complete stable status runs inside
@@ -174,9 +222,9 @@ let test_scratch_cross_engine_isolation () =
   in
   let zb = !zb in
   Alcotest.(check bool) "engine A undisturbed by interleaved B feeds" true
-    (Float.equal (Sp.max_core_temp eng_a za) expect_a);
+    (Float.equal (Resp.max_core_temp ra za) expect_a);
   Alcotest.(check bool) "engine B undisturbed by interleaved A feeds" true
-    (Float.equal (Sp.max_core_temp eng_b zb) expect_b)
+    (Float.equal (Resp.max_core_temp rb zb) expect_b)
 
 (* A sparse context builds one response engine, shared by its backend
    and its screening model; its dense questions (AO's safety re-check)
@@ -203,7 +251,7 @@ let test_one_response_build_per_context () =
    §12) — asserted on randomized sheet platforms up to 8x8 = 64 cells
    with randomized candidate batches.  Also asserts the unconditional
    guarantee: the selected value is an exact evaluation (bit-equal to
-   the direct solve), never a ROM score. *)
+   the stable-status solve), never a ROM score. *)
 let prop_screened_search_equals_exhaustive =
   QCheck.Test.make ~name:"screened argmin = exhaustive exact argmin"
     ~count:15 seed_gen (fun seed ->
@@ -211,15 +259,15 @@ let prop_screened_search_equals_exhaustive =
       let rows = 2 + Random.State.int rng 7 in
       let cols = 2 + Random.State.int rng (Stdlib.min 7 ((64 / rows) - 1)) in
       let spec = Thermal.Grid_model.sheet_spec ~rows ~cols () in
-      let eng = Sp.of_spec spec in
-      let rom = Reduced.of_response (Resp.build eng) in
-      let nc = Sp.n_cores eng in
+      let resp = Resp.of_spec spec in
+      let rom = Reduced.of_response resp in
+      let nc = Resp.n_cores resp in
       let n_cand = 8 + Random.State.int rng 9 in
       let candidates =
         Array.init n_cand (fun _ -> random_profile rng nc)
       in
       let exact_all =
-        Array.map (fun p -> Sp.end_of_period_peak eng p) candidates
+        Array.map (fun p -> end_peak resp p) candidates
       in
       let rom_all =
         Array.map (fun p -> Reduced.rom_stable_peak rom p) candidates
@@ -340,11 +388,12 @@ let () =
     [
       qsuite "superposition"
         [
-          prop_steady_superposition_matches_cg;
-          prop_y_inf_matches_steady_state;
-          prop_streaming_stable_matches_segment_path;
-          prop_step_matches_engine;
+          prop_steady_superposition_matches_dense;
+          prop_y_inf_matches_dense_steady_state;
+          prop_streaming_stable_matches_dense;
+          prop_step_matches_reference;
         ];
+      qsuite "state hooks" [ prop_correct_cores ];
       ( "scratch",
         [
           Alcotest.test_case "pool-size determinism" `Quick

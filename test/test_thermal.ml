@@ -396,15 +396,16 @@ let test_matex_interior_peak_found () =
 
 let test_matex_validation () =
   let m = model3 () in
-  let sparse = Thermal.Sparse_model.of_model m in
-  let resp = Thermal.Sparse_response.build sparse in
+  let resp = Thermal.Sparse_response.of_spec (Thermal.Spec.of_model m) in
   (* Every engine validates its profiles through Matex.validate, so the
-     dense, direct-sparse and superposed evaluators reject the same
-     inputs with the same messages. *)
+     dense and sparse evaluators reject the same inputs with the same
+     messages. *)
   let engines =
     [
       ("dense", fun p -> ignore (Matex.stable_start m p));
-      ("sparse", fun p -> ignore (Thermal.Sparse_model.stable_start sparse p));
+      ( "sparse",
+        fun p ->
+          ignore (Sched.Peak.profile_end_peak (Thermal.Backend.of_response resp) p) );
       ( "response",
         fun p ->
           ignore (Sched.Peak.profile_scan_peak (Thermal.Backend.of_response resp) p) );
@@ -516,8 +517,7 @@ let test_time_to_threshold_monotone_in_threshold () =
 
 (* -------------------------------------------------------------- reduced *)
 
-let reduced_of ?modes eng =
-  Thermal.Reduced.of_response ?modes (Thermal.Sparse_response.build eng)
+let reduced_of ?modes eng = Thermal.Reduced.of_response ?modes eng
 
 let test_reduced_full_basis_exact () =
   (* Retaining every mode leaves the static correction nothing to patch,
@@ -525,9 +525,9 @@ let test_reduced_full_basis_exact () =
   List.iter
     (fun (rows, cols) ->
       let spec = Thermal.Grid_model.sheet_spec ~rows ~cols () in
-      let eng = Thermal.Sparse_model.of_spec spec in
-      let n = Thermal.Sparse_model.n_nodes eng in
-      let nc = Thermal.Sparse_model.n_cores eng in
+      let eng = Thermal.Sparse_response.of_spec spec in
+      let n = Thermal.Spec.n_nodes spec in
+      let nc = Thermal.Spec.n_cores spec in
       let r = reduced_of ~modes:n eng in
       let ramp v0 dv = Array.init nc (fun i -> psi_of (v0 +. (dv *. float_of_int i))) in
       let profile =
@@ -538,12 +538,12 @@ let test_reduced_full_basis_exact () =
       in
       check_close 1e-9
         (Printf.sprintf "%dx%d sheet, all %d modes" rows cols n)
-        (Thermal.Sparse_model.end_of_period_peak eng profile)
+        (Sched.Peak.profile_end_peak (Thermal.Backend.of_response eng) profile)
         (Thermal.Reduced.rom_stable_peak r profile))
     [ (2, 2); (3, 3) ]
 
 let test_reduced_validation () =
-  let eng = Thermal.Sparse_model.of_spec (Thermal.Grid_model.sheet_spec ~rows:2 ~cols:2 ()) in
+  let eng = Thermal.Sparse_response.of_spec (Thermal.Grid_model.sheet_spec ~rows:2 ~cols:2 ()) in
   let rejected modes =
     match reduced_of ~modes eng with
     | exception Invalid_argument msg ->
