@@ -170,7 +170,7 @@ let tests () =
     (* Two-tier candidate evaluation at 64+ cells: the same AO-style
        m sweep (fixed per-core duty ratios, period shrinking with m)
        priced two ways.  The screened arm scores every candidate on the
-       Lanczos-reduced model and re-verifies only the near-minimum
+       Lanczos-reduced backend and re-verifies only the near-minimum
        survivors through the sparse engine (cache disabled, so each
        survivor pays its real stable-status solve); the ROM tier arm
        below scores the batch alone. *)
@@ -179,7 +179,7 @@ let tests () =
          (Thermal.Grid_model.sheet_spec ~rows:8 ~cols:8 ())
      in
      let b64 = Thermal.Backend.of_response eng64 in
-     let rom64 = Thermal.Reduced.of_response eng64 in
+     let rom64 = Thermal.Backend.of_reduced (Thermal.Reduced.of_response eng64) in
      let low = Array.make 64 0.8 and high = Array.make 64 1.3 in
      let high_ratio =
        Array.init 64 (fun i -> 0.2 +. (0.6 *. float_of_int (i mod 8) /. 7.))
@@ -191,8 +191,8 @@ let tests () =
             ignore
               (Core.Screen.select ~par:false ~margin:0.5 ~n:24
                  ~rom:(fun i ->
-                   Sched.Peak.rom_of_two_mode rom64 pm ~period:(period i) ~low
-                     ~high ~high_ratio)
+                   Sched.Peak.of_two_mode rom64 pm ~period:(period i) ~low ~high
+                     ~high_ratio)
                  ~exact:(fun i ->
                    Sched.Peak.of_two_mode_cached cache b64 pm
                      ~period:(period i) ~low ~high ~high_ratio)
@@ -202,8 +202,10 @@ let tests () =
        throughput the reduced model buys, which the two-tier search
        approaches as the survivor fraction shrinks. *)
     (let rom64 =
-       Thermal.Reduced.of_response
-         (Thermal.Sparse_response.of_spec (Thermal.Grid_model.sheet_spec ~rows:8 ~cols:8 ()))
+       Thermal.Backend.of_reduced
+         (Thermal.Reduced.of_response
+            (Thermal.Sparse_response.of_spec
+               (Thermal.Grid_model.sheet_spec ~rows:8 ~cols:8 ())))
      in
      let low = Array.make 64 0.8 and high = Array.make 64 1.3 in
      let high_ratio =
@@ -214,8 +216,8 @@ let tests () =
        (Staged.stage (fun () ->
             for i = 0 to 23 do
               ignore
-                (Sched.Peak.rom_of_two_mode rom64 pm ~period:(period i) ~low
-                   ~high ~high_ratio)
+                (Sched.Peak.of_two_mode rom64 pm ~period:(period i) ~low ~high
+                   ~high_ratio)
             done)));
     (* The same two-tier sweep at 256 cells — the TPT/Demand m-sweep
        shape the 16x16 scaling study runs. *)
@@ -224,7 +226,7 @@ let tests () =
          (Thermal.Grid_model.sheet_spec ~rows:16 ~cols:16 ())
      in
      let b256 = Thermal.Backend.of_response resp256 in
-     let rom256 = Thermal.Reduced.of_response resp256 in
+     let rom256 = Thermal.Backend.of_reduced (Thermal.Reduced.of_response resp256) in
      let low = Array.make 256 0.8 and high = Array.make 256 1.3 in
      let high_ratio =
        Array.init 256 (fun i -> 0.2 +. (0.6 *. float_of_int (i mod 16) /. 15.))
@@ -236,8 +238,8 @@ let tests () =
             ignore
               (Core.Screen.select ~par:false ~margin:0.5 ~n:12
                  ~rom:(fun i ->
-                   Sched.Peak.rom_of_two_mode rom256 pm ~period:(period i) ~low
-                     ~high ~high_ratio)
+                   Sched.Peak.of_two_mode rom256 pm ~period:(period i) ~low ~high
+                     ~high_ratio)
                  ~exact:(fun i ->
                    Sched.Peak.of_two_mode_cached cache b256 pm
                      ~period:(period i) ~low ~high ~high_ratio)

@@ -28,7 +28,8 @@ and sparse = {
   response : Thermal.Sparse_response.t Util.Once.t;
       (* The context's sparse engine — what the backend wraps and what
          the reduction's static tier reads. *)
-  rom : Thermal.Reduced.t Util.Once.t;  (* the Lanczos-reduced screening model *)
+  rom : Thermal.Backend.t Util.Once.t;
+      (* The screening backend: the Lanczos-reduced model over [response]. *)
   dense : t;  (* memo-less [Dense] twin on the same platform, pool and [modal] *)
 }
 
@@ -69,7 +70,9 @@ let create ?pool ?(cache_size = 1024) ?(backend = Dense) ?(screen_margin = 0.)
             Thermal.Sparse_response.of_spec ~pool (Thermal.Spec.of_model model))
       in
       let rom =
-        Util.Once.make (fun () -> Thermal.Reduced.of_response (Util.Once.get response))
+        Util.Once.make (fun () ->
+            Thermal.Backend.of_reduced
+              (Thermal.Reduced.of_response (Util.Once.get response)))
       in
       context ~cache_size
         (Some { response; rom; dense = dense ~cache_size:0 })
@@ -138,24 +141,21 @@ let screening t =
       (* Build both models here, on the submitting domain, so the first
          ROM scores of a parallel sweep do not serialize behind them. *)
       ignore (backend t : Thermal.Backend.t);
-      ignore (Util.Once.get s.rom : Thermal.Reduced.t);
+      ignore (Util.Once.get s.rom : Thermal.Backend.t);
       Some t.screen_margin
   | Some _ | None -> None
 
-(* No reduction on a dense context: the "approximate" score is the
-   exact evaluation, which keeps callers backend-blind. *)
+(* Screening scores are the exact evaluators on the reduced backend,
+   uncached: the memo tables hold exact floats only.  A dense context
+   has no reduction, so its "approximate" score is the exact
+   evaluation, which keeps callers backend-blind. *)
+let rom_backend t = match t.sparse with Some s -> Util.Once.get s.rom | None -> backend t
 
 let rom_two_mode_peak t ~period ~low ~high ~high_ratio =
-  match t.sparse with
-  | None -> two_mode_peak t ~period ~low ~high ~high_ratio
-  | Some s ->
-      Sched.Peak.rom_of_two_mode (Util.Once.get s.rom) (power t) ~period ~low ~high
-        ~high_ratio
+  Sched.Peak.of_two_mode (rom_backend t) (power t) ~period ~low ~high ~high_ratio
 
 let rom_any_peak t ?(samples_per_segment = 32) sched =
-  match t.sparse with
-  | None -> any_peak t ~samples_per_segment sched
-  | Some s -> Sched.Peak.rom_of_any (Util.Once.get s.rom) (power t) ~samples_per_segment sched
+  Sched.Peak.of_any (rom_backend t) (power t) ~samples_per_segment sched
 
 let stats t =
   {

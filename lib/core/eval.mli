@@ -183,25 +183,29 @@ val two_mode_delta_temp_at :
 
 (** {1 Two-tier ROM screening}
 
-    A [Sparse] context carries a Lanczos-reduced screening model
-    ({!Thermal.Reduced}) beside its exact superposition engine.  Search
-    loops ask {!screening}: [Some margin] means "score the whole batch
-    with {!rom_two_mode_peak}/{!rom_any_peak}, then re-verify only the
-    candidates within [margin] of the ROM minimum exactly" (via
-    {!Screen.select}); [None] means evaluate everything exactly.  ROM
+    A [Sparse] context carries a second backend beside its exact one:
+    the Lanczos-reduced screening model ({!Thermal.Reduced} behind
+    {!Thermal.Backend.of_reduced}), built on the same sparse engine.
+    Search loops ask {!screening}: [Some margin] means "score the whole
+    batch with {!rom_two_mode_peak}/{!rom_any_peak}, then re-verify
+    only the candidates within [margin] of the ROM minimum exactly"
+    (via {!Screen.select}); [None] means evaluate everything exactly.
+    A ROM score is the same {!Sched.Peak} evaluator as its exact
+    counterpart, run on the screening backend and never cached, so ROM
     scores never enter the exact memo tables. *)
 
 (** [screening t] is [Some margin] when this context wants two-tier
     screened sweeps ([Sparse] backend, positive [screen_margin]),
-    [None] otherwise.  Builds the context's backend and reduced model
-    before returning, so a screened sweep's first scores find them
-    ready. *)
+    [None] otherwise.  Builds the context's exact and screening
+    backends before returning, so a screened sweep's first scores find
+    them ready. *)
 val screening : t -> float option
 
 (** [rom_two_mode_peak t ~period ~low ~high ~high_ratio] is the
-    screening score of the fused two-mode candidate: the reduced-model
-    peak on a [Sparse] context, the exact evaluation on a [Dense] one
-    (keeping callers backend-blind).  Never cached. *)
+    screening score of the fused two-mode candidate:
+    {!Sched.Peak.of_two_mode} on the screening backend of a [Sparse]
+    context, the exact evaluation on a [Dense] one (keeping callers
+    backend-blind).  Never cached. *)
 val rom_two_mode_peak :
   t ->
   period:float ->
@@ -211,8 +215,9 @@ val rom_two_mode_peak :
   float
 
 (** [rom_any_peak t ?samples_per_segment s] is the screening score of an
-    arbitrary periodic schedule — {!Sched.Peak.rom_of_any} on [Sparse],
-    {!any_peak} on [Dense]. *)
+    arbitrary periodic schedule: {!Sched.Peak.of_any} (default 32
+    samples per segment) on the same backend as {!rom_two_mode_peak}.
+    Never cached. *)
 val rom_any_peak : t -> ?samples_per_segment:int -> Sched.Schedule.t -> float
 
 (** [stats t] snapshots both tables' hit/miss/entry/eviction counters. *)

@@ -1,11 +1,12 @@
 (** Two-tier ROM-screened candidate selection.
 
     Score a whole candidate batch on a cheap approximate evaluator (the
-    Lanczos-reduced model, {!Thermal.Reduced}), then re-evaluate only
-    the candidates within [margin] of the approximate minimum with the
-    exact evaluator.  Pruned candidates report [infinity], so the
-    caller's sequential argmin (and its tie-breaking) is unchanged —
-    every value it can select was computed by an exact solve.
+    same [Sched.Peak] evaluator on the Lanczos-reduced backend,
+    {!Thermal.Backend.of_reduced}), then re-evaluate only the
+    candidates within [margin] of the approximate minimum on the exact
+    backend.  Pruned candidates report [infinity], so the caller's
+    sequential argmin (and its tie-breaking) is unchanged — every value
+    it can select was computed by an exact solve.
 
     Soundness: if the ROM error over the batch is bounded by [eps] and
     [margin >= 2 eps], the exact argmin always survives, so screening

@@ -199,9 +199,12 @@ let expmv ?(tol = 1e-12) ?(m_max = 64) apply ~t v =
         lanczos_step ~apply st;
         let m = st.steps in
         (* The small eigensolve costs O(m^3): amortize by checking only
-           at exponentially spaced sizes, on breakdown, and at the cap. *)
+           at exponentially spaced sizes, on breakdown, and at the cap.
+           Never at one step short of those: T_1 is a single Rayleigh
+           quotient, and once e^{-t alpha_1} underflows the estimate
+           vanishes whatever share of [v] lies in slower modes. *)
         let checkpoint =
-          st.invariant || m >= m_cap || m land (m - 1) = 0 || m mod 8 = 0
+          st.invariant || m >= m_cap || (m > 1 && m land (m - 1) = 0) || m mod 8 = 0
         in
         if checkpoint then begin
           let y = tridiag_coeffs (tridiag_eig st m) (fun lam -> Float.exp (-.t *. lam)) in

@@ -56,7 +56,9 @@ val cg :
     A Lanczos basis (full reorthogonalization, so the tridiagonal
     projection stays trustworthy in floating point) is grown until the
     a-posteriori estimate [β₀ · β_m · |(e^{-t T_m})_{m,1}|] drops below
-    [tol · ‖v‖₂] (default [tol = 1e-12]), the basis spans an invariant
+    [tol · ‖v‖₂] (default [tol = 1e-12]; never trusted at [m = 1],
+    where a large [t] zeroes it before any slow mode is resolved), the
+    basis spans an invariant
     subspace (happy breakdown — the result is then exact), or the basis
     hits [min n m_max] (default [m_max = 64]).  In the last case the
     step is split as [e^{-tA} = (e^{-tA/2})²] and both halves recurse,

@@ -132,21 +132,18 @@ module Cache = struct
 end
 
 module B = Thermal.Backend
-module Rom = Thermal.Reduced
 
 (* The one profile builder: a schedule's state intervals as the
    piecewise-constant power profile every engine consumes. *)
-let profile_for n_cores pm s =
-  if Schedule.n_cores s <> n_cores then
+let profile (b : B.t) pm s =
+  if Schedule.n_cores s <> b.B.n_cores then
     invalid_arg
       (Printf.sprintf "Peak.profile: schedule has %d cores, engine has %d"
-         (Schedule.n_cores s) n_cores);
+         (Schedule.n_cores s) b.B.n_cores);
   List.map
     (fun (duration, voltages) ->
       { Thermal.Matex.duration; psi = Power.Power_model.psi_vector_memo pm voltages })
     (Schedule.state_intervals s)
-
-let profile (b : B.t) pm s = profile_for b.B.n_cores pm s
 
 (* ------------------------------------------ fused two-mode evaluation *)
 
@@ -237,8 +234,7 @@ let[@inline] two_mode_mid ~period t0 t1 =
   Float.rem (Float.rem mid period +. period) period
 
 (* The one span iterator: feed a decomposed candidate's spans to [feed]
-   in period order — the backend's stable status or the reduced
-   model's.  Per-span powers are computed straight from
+   in period order — the backend's stable status.  Per-span powers are computed straight from
    [Power_model.psi] into one vector: the same floats [psi_vector] would
    produce, without the key digest a memo lookup would build. *)
 let feed_spans pm d ~period ~low ~high feed =
@@ -336,10 +332,13 @@ let profile_end_peak (b : B.t) profile =
    [sample_segment] call, tracking the hottest core), and the next
    segment starts from ONE exact full-duration step from this segment's
    start, so boundary states accumulate no sub-step rounding.  With
-   [tol], the bracket around each segment's hottest sample (the segment
-   start counted) is then golden-section searched to time resolution
-   [tol * duration], each probe one exact step from the segment start. *)
-let walk_peak (b : B.t) ~samples ?tol profile =
+   [refine], the bracket around each segment's hottest sample (the
+   segment start counted) is then golden-section searched to time
+   resolution [refine_tol * duration], each probe one exact step from
+   the segment start. *)
+let refine_tol = 1e-4
+
+let walk_peak (b : B.t) ~samples ~refine profile =
   if samples < 1 then invalid_arg "Peak: non-positive sample count";
   let z = Array.copy (stable_of_profile b profile) in
   let n = Array.length z in
@@ -355,30 +354,31 @@ let walk_peak (b : B.t) ~samples ?tol profile =
       b.B.equilibrium_into ~psi:seg.psi ~dst:eq;
       Array.blit z 0 walker 0 n;
       let k, temp = b.B.sample_segment ~dt ~samples ~eq ~walker in
-      (match tol with
-      | None -> best := Float.max !best temp
-      | Some tol ->
-          let best_k, best_here = if temp > !start then (k, temp) else (0, !start) in
-          best := Float.max !best best_here;
-          let lo = Float.max 0. ((float_of_int best_k -. 1.) *. dt) in
-          let hi = Float.min duration ((float_of_int best_k +. 1.) *. dt) in
-          if hi > lo then begin
-            let temp_at t =
-              b.B.step_into ~dt:t ~state:z ~psi:seg.psi ~dst:walker;
-              b.B.max_core_temp walker
-            in
-            best :=
-              Float.max !best (Thermal.Matex.golden_max temp_at lo hi (tol *. duration))
-          end);
+      if not refine then best := Float.max !best temp
+      else begin
+        let best_k, best_here = if temp > !start then (k, temp) else (0, !start) in
+        best := Float.max !best best_here;
+        let lo = Float.max 0. ((float_of_int best_k -. 1.) *. dt) in
+        let hi = Float.min duration ((float_of_int best_k +. 1.) *. dt) in
+        if hi > lo then begin
+          let temp_at t =
+            b.B.step_into ~dt:t ~state:z ~psi:seg.psi ~dst:walker;
+            b.B.max_core_temp walker
+          in
+          best :=
+            Float.max !best
+              (Thermal.Matex.golden_max temp_at lo hi (refine_tol *. duration))
+        end
+      end;
       start := snd (b.B.sample_segment ~dt:duration ~samples:1 ~eq ~walker:z))
     profile;
   !best
 
 let profile_scan_peak b ?(samples_per_segment = 32) profile =
-  walk_peak b ~samples:samples_per_segment profile
+  walk_peak b ~samples:samples_per_segment ~refine:false profile
 
-let profile_refined_peak b ?(samples_per_segment = 32) ?(tol = 1e-4) profile =
-  walk_peak b ~samples:samples_per_segment ~tol profile
+let profile_refined_peak b ?(samples_per_segment = 32) profile =
+  walk_peak b ~samples:samples_per_segment ~refine:true profile
 
 let of_step_up b pm s =
   if not (Stepup.is_step_up s) then invalid_arg "Peak.of_step_up: schedule is not step-up";
@@ -432,19 +432,3 @@ let two_mode_delta_temp_at (b : B.t) pm ~at ~core ~low ~high ~high_ratio =
     ~psi_low:(Power.Power_model.psi pm low)
     ~psi_high:(Power.Power_model.psi pm high)
     ~high_ratio
-
-(* --------------------------------------------------- ROM screening *)
-
-(* Same decomposition, same span midpoints, but priced on the
-   Lanczos-reduced model — O(n_cores^2 + k n_cores), zero Krylov work.
-   NEVER cached: the exact memo tables must only ever hold exact
-   evaluations (a screened search re-verifies survivors through the
-   cached exact entry points above, and a ROM float behind an exact
-   digest would silently corrupt that re-check). *)
-let rom_of_two_mode rom pm ~period ~low ~high ~high_ratio =
-  let d = two_mode_decompose ~period ~low ~high ~high_ratio in
-  Rom.rom_stable rom ~t_p:period (feed_spans pm d ~period ~low ~high)
-
-let rom_of_any rom pm ?(samples_per_segment = 32) s =
-  Rom.rom_peak_scan rom ~samples_per_segment
-    (profile_for (Rom.n_cores rom) pm s)

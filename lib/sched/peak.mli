@@ -14,9 +14,10 @@
     primitives only, so this is the one layer that turns a profile into
     an answer — the period-boundary and in-period questions of a raw
     profile included ({!profile_end_core_temps}, {!profile_end_peak},
-    {!profile_scan_peak}, {!profile_refined_peak}).  The two
-    {!Thermal.Reduced} screening scorers are the only evaluators that
-    take something else. *)
+    {!profile_scan_peak}, {!profile_refined_peak}).  Screening scores
+    come from the same evaluators on the reduced backend
+    ({!Thermal.Backend.of_reduced}); callers keep them out of the memo
+    tables, whose floats must stay exact. *)
 
 (** A bounded, thread-safe memo table for peak evaluations, the storage
     behind the cached entry points below (an evaluation context —
@@ -111,21 +112,16 @@ val profile_end_peak : Thermal.Backend.t -> Thermal.Matex.profile -> float
 val profile_scan_peak :
   Thermal.Backend.t -> ?samples_per_segment:int -> Thermal.Matex.profile -> float
 
-(** [profile_refined_peak b ?samples_per_segment ?tol profile] is the
-    same walk, then, inside every segment, a
-    {!Thermal.Matex.golden_max} search of the sub-interval bracketing
-    the segment's hottest sample (its start counted) down to time
-    resolution [tol * duration] (default [tol = 1e-4]); each probe is
-    one exact {!Thermal.Backend.field-step_into} from the segment
-    start.  At least the scan's answer up to the same sampling; used
-    where an exact interior peak matters (final verification,
+(** [profile_refined_peak b ?samples_per_segment profile] is the same
+    walk, then, inside every segment, a {!Thermal.Matex.golden_max}
+    search of the sub-interval bracketing the segment's hottest sample
+    (its start counted) down to time resolution [1e-4 * duration]; each
+    probe is one exact {!Thermal.Backend.field-step_into} from the
+    segment start.  At least the scan's answer up to the same sampling;
+    used where an exact interior peak matters (final verification,
     theorem-tolerance measurements). *)
 val profile_refined_peak :
-  Thermal.Backend.t ->
-  ?samples_per_segment:int ->
-  ?tol:float ->
-  Thermal.Matex.profile ->
-  float
+  Thermal.Backend.t -> ?samples_per_segment:int -> Thermal.Matex.profile -> float
 
 (** [steady_constant b pm voltages] is the constant-schedule peak: the
     hottest steady core temperature under per-core voltages —
@@ -276,37 +272,4 @@ val two_mode_delta_temp_at :
   low:float ->
   high:float ->
   high_ratio:float ->
-  float
-
-(** {1 ROM screening scorers}
-
-    The same candidates priced on a Lanczos-reduced model in
-    O(n_cores² + k·n_cores) with zero Krylov work.  ROM scores are
-    deliberately UNCACHED — the exact memo tables must never hold
-    approximate floats, since screened searches re-verify survivors
-    through the cached exact entry points. *)
-
-(** [rom_of_two_mode rom pm ~period ~low ~high ~high_ratio] is the
-    approximate stable-status peak of the fused two-mode candidate,
-    fed by the same span iterator as {!of_two_mode}, to one
-    {!Thermal.Reduced.rom_stable} call. *)
-val rom_of_two_mode :
-  Thermal.Reduced.t ->
-  Power.Power_model.t ->
-  period:float ->
-  low:float array ->
-  high:float array ->
-  high_ratio:float array ->
-  float
-
-(** [rom_of_any rom pm ?samples_per_segment s] is the approximate
-    scanned peak of an arbitrary periodic schedule on the reduced model
-    ({!Thermal.Reduced.rom_peak_scan}, default 32 samples per segment) —
-    the screening counterpart of {!of_any}.  Raises [Invalid_argument]
-    on a core-count mismatch with the reduction's engine. *)
-val rom_of_any :
-  Thermal.Reduced.t ->
-  Power.Power_model.t ->
-  ?samples_per_segment:int ->
-  Schedule.t ->
   float

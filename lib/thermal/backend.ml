@@ -92,3 +92,29 @@ let of_response eng =
     delta_peak = Sparse_response.delta_peak eng;
     delta_core_temp = Sparse_response.delta_core_temp eng;
   }
+
+let of_reduced rom =
+  let eng = Reduced.response rom in
+  let unsupported what = invalid_arg ("Backend.of_reduced: " ^ what ^ " is exact-only") in
+  {
+    name = "sparse-reduced";
+    n_cores = Sparse_response.n_cores eng;
+    ambient_state = (fun () -> Reduced.ambient_state rom);
+    step_into = Reduced.step_into rom;
+    correct_cores = (fun ~state:_ ~deltas:_ -> unsupported "correct_cores");
+    core_temps = Reduced.core_temps rom;
+    max_core_temp = Reduced.max_core_temp rom;
+    (* The reduction is exact at steady state: its static tier is the
+       sparse engine's own table. *)
+    steady_peak = Sparse_response.steady_peak eng;
+    equilibrium_into = Reduced.equilibrium_into rom;
+    sample_segment = Reduced.sample_segment rom;
+    stable = Reduced.stable rom;
+    prepare_base =
+      (fun ~t_p:_ ~psi_low:_ ~psi_high:_ ~high_ratio:_ -> unsupported "prepare_base");
+    delta_peak =
+      (fun ~core:_ ~psi_low:_ ~psi_high:_ ~high_ratio:_ -> unsupported "delta_peak");
+    delta_core_temp =
+      (fun ~at:_ ~core:_ ~psi_low:_ ~psi_high:_ ~high_ratio:_ ->
+        unsupported "delta_core_temp");
+  }

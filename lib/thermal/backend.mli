@@ -2,12 +2,15 @@
 
     Policies and experiment drivers ask a small set of questions —
     steady peaks, stable-status temperatures, scanned/refined period
-    peaks, exact transient steps — and must not care whether the answers
-    come from the dense modal engine ({!Modal}, O(n³) build, exact
-    eigenbasis) or the sparse engine ({!Sparse_response}, O(nnz)
-    assembly plus [n_cores + 1] CG unit solves, Lanczos transients).  A backend is a record of closures over
-    one of those engines, and every field answers one whole question in
-    one call: the engine borrows its per-domain scratch once, at entry.
+    peaks, transient steps — and must not care which of three engines
+    answers them: the dense modal engine ({!Modal}, O(n³) build, exact
+    eigenbasis), the sparse engine ({!Sparse_response}, O(nnz) assembly
+    plus [n_cores + 1] CG unit solves, Lanczos transients), or the
+    reduced model screening scores candidates on ({!Reduced}, k
+    retained modes over the sparse engine's static tables, approximate
+    between steady states).  A backend is a record of closures over one
+    of those engines, and every field answers one whole question in one
+    call: the engine borrows its per-domain scratch once, at entry.
     {!Sched.Peak} writes each evaluator once against it — steady peaks
     through the [steady_*] fields, every period-boundary stable status
     (whole profiles and the fused two-mode candidates alike) through
@@ -19,15 +22,17 @@
     implementation.
 
     States are opaque to callers: modal coordinates for the dense
-    backend, symmetrized node coordinates for the sparse one.  Obtain
+    backend, symmetrized node coordinates for the sparse one, retained
+    coordinates plus a static tier for the reduced one.  Obtain
     them only from {!field:ambient_state}/{!field:step_into} of the SAME
     backend and read them through {!field:core_temps}/
-    {!field:max_core_temp}.  The differential suite pins both
-    implementations to each other to ≤ 1e-9. *)
+    {!field:max_core_temp}.  The differential suite pins the exact
+    implementations to each other to ≤ 1e-9, and the reduced one to
+    them when it retains every mode. *)
 
 type t = {
   name : string;
-      (** ["dense-modal"] or ["sparse-response"]. *)
+      (** ["dense-modal"], ["sparse-response"] or ["sparse-reduced"]. *)
   n_cores : int;
   ambient_state : unit -> Linalg.Vec.t;  (** The all-ambient state. *)
   step_into :
@@ -35,8 +40,8 @@ type t = {
       (** Exact LTI advance of [state] by [dt] under constant per-core
           powers, written into a caller-owned buffer [dst] (same length
           as [state], physically distinct from it) — the epoch loop's
-          ping-pong hook.  Allocation-free on the dense backend; the
-          sparse one applies one [expmv] and blits.  [Invalid_argument]
+          ping-pong hook.  Allocation-free on the dense and reduced
+          backends; the sparse one applies one [expmv] and blits.  [Invalid_argument]
           when [dst] aliases [state], or on a [dt] that is negative,
           infinite or NaN. *)
   correct_cores : state:Linalg.Vec.t -> deltas:Linalg.Vec.t -> unit;
@@ -61,7 +66,8 @@ type t = {
           the hottest core temperature seen and that temperature.  The
           dense engine looks its decay row up once per call and reads
           the hottest core inline; the sparse one applies one [expmv]
-          per sub-step.  [~samples:1] over the whole duration is one
+          per sub-step; the reduced one decays its k retained
+          coordinates in closed form.  [~samples:1] over the whole duration is one
           exact step, the boundary step of an in-period walk.
           [Invalid_argument] on a sample count below 1 or a [dt] that is
           negative, infinite or NaN. *)
@@ -112,3 +118,13 @@ val of_model : Model.t -> t
     and stable evaluators superpose over its unit-response tables, which
     the engine solved once at construction. *)
 val of_response : Sparse_response.t -> t
+
+(** [of_reduced rom] is the screening backend: the {!Reduced} model
+    [rom] behind the same interface, field for field, so screened
+    searches score candidates with the evaluators that re-verify their
+    survivors on an exact backend.  Its steady peaks are the sparse
+    engine's under [rom] (the reduction is exact at steady state).  The
+    exact-only fields — {!field:correct_cores}, {!field:prepare_base},
+    {!field:delta_peak} and {!field:delta_core_temp} — raise
+    [Invalid_argument]. *)
+val of_reduced : Reduced.t -> t

@@ -74,6 +74,10 @@ let golden = (sqrt 5. -. 1.) /. 2.
    bracket around a sampled maximum; if it is not, the result is still a
    lower bound no worse than the sampled one). *)
 let golden_max f a b tol =
+  (* [b -. a < tol] never holds for a zero, negative or NaN [tol], so
+     the search would not return. *)
+  if not (Float.is_finite tol && tol > 0.) then
+    invalid_arg "Matex.golden_max: tolerance must be finite and positive";
   let rec go a b x1 x2 f1 f2 =
     if b -. a < tol then Float.max f1 f2
     else if f1 >= f2 then

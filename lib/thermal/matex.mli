@@ -34,7 +34,7 @@ val period : profile -> float
 (** [spans profile feed] calls [feed ~duration ~psi] on every segment in
     period order: the span iterator the engines' one-call stable
     statuses ({!Modal.stable}, {!Sparse_response.stable},
-    {!Reduced.rom_stable}) take for a whole profile. *)
+    {!Reduced.stable}) take for a whole profile. *)
 val spans : profile -> (duration:float -> psi:Linalg.Vec.t -> unit) -> unit
 
 (** [validate n_cores profile] raises [Invalid_argument] on empty
@@ -65,7 +65,8 @@ val stable_core_trace :
     search down to an interval of width [tol].  Exact for [f] unimodal on
     the bracket; otherwise still a value [f] attains.  The one
     refinement search: [Sched.Peak.profile_refined_peak] probes every
-    engine with it, so all engines sample the same abscissae. *)
+    engine with it, so all engines sample the same abscissae.  Raises
+    [Invalid_argument] on a [tol] that is not finite and positive. *)
 val golden_max : (float -> float) -> float -> float -> float -> float
 
 (** [time_to_threshold model ?theta0 ?max_periods ?samples_per_segment

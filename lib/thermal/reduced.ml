@@ -2,20 +2,6 @@ module Vec = Linalg.Vec
 module Sparse = Linalg.Sparse
 module Krylov = Linalg.Krylov
 
-(* Per-domain scratch for the screening evaluators below: retained-mode
-   drive accumulation and core-temperature reads, all allocation-free.
-   Pool workers each see their own copy ({!Util.Per_domain}, owned by
-   the reduction, borrowed once per score), so concurrent candidate
-   scores never share partial sums. *)
-type rom_scratch = {
-  zd : float array;  (* accumulated per-mode periodic drive *)
-  z_eq : float array;  (* current segment's retained equilibrium *)
-  z_last : float array;  (* last-fed segment's retained equilibrium *)
-  th : float array;  (* last-fed segment's static core temps (rel.) *)
-  z_cur : float array;  (* scan cursor at segment boundaries *)
-  z_smp : float array;  (* scan sub-step walker *)
-}
-
 type t = {
   ambient : float;
   mu : Vec.t;  (* retained decay rates, ascending, all positive *)
@@ -26,9 +12,11 @@ type t = {
      T_amb)) and the core-temperature read of mode j's contribution. *)
   beta_tamb : float;
   response : Sparse_response.t;
-  (* The static (quasi-steady) tier of the screening evaluators: the
-     response engine the reduction was built from. *)
-  rom_scratch : rom_scratch Util.Per_domain.t;
+  (* The static (quasi-steady) tier: the response engine the reduction
+     was built from. *)
+  scratch : Vec.t Util.Per_domain.t;
+      (* Per-domain state [stable] folds into, borrowed once per stable
+         status, so pool workers never share partial sums. *)
 }
 
 let default_modes mu =
@@ -74,132 +62,136 @@ let of_response ?modes response =
             spec.Spec.core_nodes);
     beta_tamb = spec.Spec.leak_beta *. spec.Spec.ambient;
     response;
-    rom_scratch =
-      Util.Per_domain.make (fun () ->
-          {
-            zd = Array.make k 0.;
-            z_eq = Array.make k 0.;
-            z_last = Array.make k 0.;
-            th = Array.make nc 0.;
-            z_cur = Array.make k 0.;
-            z_smp = Array.make k 0.;
-          });
+    scratch = Util.Per_domain.make (fun () -> Vec.zeros ((2 * k) + nc));
   }
 
 let n_modes r = Vec.dim r.mu
 let n_cores r = Sparse_response.n_cores r.response
+let response r = r.response
 
-(* ------------------------------------------------- ROM screening *)
+(* --------------------------------------------- engine operations *)
 
-(* The screening tier: score a candidate's end-of-period stable peak on
-   the retained modes plus the quasi-static correction, in O(n_cores^2
-   + k n_cores) per candidate with zero Krylov work.  Mirrors
-   [Modal.stable]: per-mode drives fold through per-domain scratch and
-   the fixed point is the per-mode closed form z*_j = d_j / (1 -
-   e^{-mu_j T_p}).  The score is approximate (truncated fast modes are
-   treated quasi-statically); screened searches must re-verify survivors
-   with an exact sparse solve — see Core.Screen. *)
+(* The operations {!Backend.of_reduced} maps field for field, so the
+   screening tier runs the same [Sched.Peak] evaluators as the exact
+   engines.  A state is [z | z_eq | th]: the k retained coordinates,
+   then the retained equilibrium and the n_cores ambient-relative static
+   core temperatures of the segment it last stepped toward.  Core c
+   reads th_c + sum_j cw_jc (z_j - z_eq_j) above ambient: the truncated
+   fast modes sit at that segment's equilibrium, the retained ones at
+   their own coordinates.  Exact at steady state; approximate in
+   between, so screened searches re-verify survivors on an exact
+   backend (Core.Screen). *)
 
-let check_rom_psi r psi =
-  if Vec.dim psi <> n_cores r then
-    invalid_arg "Reduced: power vector arity differs from the engine's core count"
+let state_dim r = (2 * n_modes r) + n_cores r
 
-(* Retained equilibrium coordinates into [dst]: z_inf_j = (w_j . b) /
-   mu_j, with the projection read off the core-row table (b vanishes
-   away from core nodes). *)
-let rom_z_inf_into r dst psi =
-  for j = 0 to n_modes r - 1 do
+let check_state r what v =
+  if Vec.dim v <> state_dim r then invalid_arg ("Reduced." ^ what ^ ": state arity mismatch")
+
+let check_dt what dt =
+  if not (Float.is_finite dt && dt >= 0.) then
+    invalid_arg ("Reduced." ^ what ^ ": duration must be finite and non-negative")
+
+let ambient_state r = Vec.zeros (state_dim r)
+
+(* Core [c]'s reading of state [s] above ambient. *)
+let[@inline] core_rel r s c =
+  let k = n_modes r in
+  let acc = ref (Array.unsafe_get s ((2 * k) + c)) in
+  for j = 0 to k - 1 do
+    acc := !acc +. (Array.unsafe_get r.cw.(j) c *. (s.(j) -. s.(k + j)))
+  done;
+  !acc
+
+(* The hottest core's reading above ambient. *)
+let[@inline] max_rel r s =
+  let best = ref neg_infinity in
+  for c = 0 to n_cores r - 1 do
+    let t = core_rel r s c in
+    if t > !best then best := t
+  done;
+  !best
+
+let core_temps r s =
+  check_state r "core_temps" s;
+  Array.init (n_cores r) (fun c -> core_rel r s c +. r.ambient)
+
+let max_core_temp r s =
+  check_state r "max_core_temp" s;
+  max_rel r s +. r.ambient
+
+(* Segment [psi]'s target into [dst]: its static core temperatures at
+   [2k] (arity-checked by the engine), then its retained equilibrium
+   z_inf_j = (w_j . b) / mu_j at [k], the projection read off the
+   core-row table (b vanishes away from core nodes). *)
+let target_into r dst psi =
+  let k = n_modes r in
+  Sparse_response.steady_core_into r.response dst ~pos:(2 * k) psi;
+  for j = 0 to k - 1 do
     let row = r.cw.(j) in
     let acc = ref 0. in
     for i = 0 to Array.length row - 1 do
       acc := !acc +. ((psi.(i) +. r.beta_tamb) *. Array.unsafe_get row i)
     done;
-    dst.(j) <- !acc /. r.mu.(j)
+    dst.(k + j) <- !acc /. r.mu.(j)
   done
 
-(* Fold one period's spans into [s.zd], the per-mode drive from zero.
-   The static tier remembers the last-fed segment: at the period
-   boundary the truncated fast modes sit at the equilibrium of the input
-   that drove them there. *)
-let fold_drive r (s : rom_scratch) spans =
+(* Exact retained decay of [s]'s coordinates by [dt] toward its own
+   z_eq block. *)
+let decay r ~dt s =
   let k = n_modes r in
-  Array.fill s.zd 0 k 0.;
+  for j = 0 to k - 1 do
+    let g = -.Float.expm1 (-.r.mu.(j) *. dt) in
+    s.(j) <- ((1. -. g) *. s.(j)) +. (g *. s.(k + j))
+  done
+
+let equilibrium_into r ~psi ~dst =
+  check_state r "equilibrium_into" dst;
+  target_into r dst psi;
+  Array.blit dst (n_modes r) dst 0 (n_modes r)
+
+let step_into r ~dt ~state ~psi ~dst =
+  check_dt "step_into" dt;
+  check_state r "step_into" state;
+  check_state r "step_into" dst;
+  if state == dst then invalid_arg "Reduced.step_into: dst must not alias state";
+  target_into r dst psi;
+  Array.blit state 0 dst 0 (n_modes r);
+  decay r ~dt dst
+
+let sample_segment r ~dt ~samples ~eq ~walker =
+  if samples < 1 then invalid_arg "Reduced.sample_segment: non-positive sample count";
+  check_dt "sample_segment" dt;
+  check_state r "sample_segment" eq;
+  check_state r "sample_segment" walker;
+  let k = n_modes r in
+  Array.blit eq k walker k (k + n_cores r);
+  let best = ref neg_infinity and best_k = ref 0 in
+  for i = 1 to samples do
+    decay r ~dt walker;
+    let temp = max_rel r walker +. r.ambient in
+    if temp > !best then begin
+      best := temp;
+      best_k := i
+    end
+  done;
+  (!best_k, !best)
+
+(* The period-[t_p] stable status, mirroring [Modal.stable]: each fed
+   segment retargets the scratch state and decays the per-mode drive
+   toward it in closed form; the per-mode fixed point then closes as
+   z*_j = d_j / (1 - e^{-mu_j T_p}), and the static tier is the
+   last-fed segment's.  The caller gets a copy: scratch never leaves
+   its domain. *)
+let stable r ~t_p spans =
+  if not (t_p > 0.) then invalid_arg "Reduced.stable: non-positive period";
+  let k = n_modes r in
+  let s = Util.Per_domain.get r.scratch in
+  Array.fill s 0 k 0.;
   spans (fun ~duration ~psi ->
-      if not (duration > 0.) then invalid_arg "Reduced: non-positive duration";
-      check_rom_psi r psi;
-      rom_z_inf_into r s.z_eq psi;
-      for j = 0 to k - 1 do
-        let g = -.Float.expm1 (-.r.mu.(j) *. duration) in
-        s.zd.(j) <- ((1. -. g) *. s.zd.(j)) +. (g *. s.z_eq.(j))
-      done;
-      Sparse_response.steady_core_into r.response s.th psi;
-      Array.blit s.z_eq 0 s.z_last 0 k)
-
-let rom_stable r ~t_p spans =
-  if not (t_p > 0.) then invalid_arg "Reduced.rom_stable: non-positive period";
-  let s = Util.Per_domain.get r.rom_scratch in
-  fold_drive r s spans;
-  let k = n_modes r in
-  (* z*_j in place of the drive (it is consumed here), then read the
-     superposed peak: static part + retained-mode deviation. *)
+      if not (duration > 0.) then invalid_arg "Reduced.stable: non-positive duration";
+      target_into r s psi;
+      decay r ~dt:duration s);
   for j = 0 to k - 1 do
-    s.zd.(j) <- s.zd.(j) /. -.Float.expm1 (-.r.mu.(j) *. t_p)
+    s.(j) <- s.(j) /. -.Float.expm1 (-.r.mu.(j) *. t_p)
   done;
-  let nc = n_cores r in
-  let best = ref neg_infinity in
-  for c = 0 to nc - 1 do
-    let acc = ref s.th.(c) in
-    for j = 0 to k - 1 do
-      acc := !acc +. (Array.unsafe_get r.cw.(j) c *. (s.zd.(j) -. s.z_last.(j)))
-    done;
-    if !acc > !best then best := !acc
-  done;
-  !best +. r.ambient
-
-let rom_stable_peak r profile =
-  (match profile with [] -> invalid_arg "Reduced.rom_stable_peak: empty profile" | _ -> ());
-  rom_stable r ~t_p:(Matex.period profile) (Matex.spans profile)
-
-let rom_peak_scan r ?(samples_per_segment = 32) profile =
-  (match profile with [] -> invalid_arg "Reduced.rom_peak_scan: empty profile" | _ -> ());
-  if samples_per_segment < 1 then
-    invalid_arg "Reduced.rom_peak_scan: non-positive sample count";
-  let k = n_modes r in
-  let s = Util.Per_domain.get r.rom_scratch in
-  fold_drive r s (Matex.spans profile);
-  let t_p = Matex.period profile in
-  (* Stable retained state at the period start (periodicity makes it
-     also the end, so the boundary state is covered by the last
-     segment's final sample). *)
-  for j = 0 to k - 1 do
-    s.z_cur.(j) <- s.zd.(j) /. -.Float.expm1 (-.r.mu.(j) *. t_p)
-  done;
-  let nc = n_cores r in
-  let best = ref neg_infinity in
-  List.iter
-    (fun (seg : Matex.segment) ->
-      rom_z_inf_into r s.z_eq seg.psi;
-      Sparse_response.steady_core_into r.response s.th seg.psi;
-      let dt = seg.duration /. float_of_int samples_per_segment in
-      Array.blit s.z_cur 0 s.z_smp 0 k;
-      for _ = 1 to samples_per_segment do
-        for j = 0 to k - 1 do
-          let g = -.Float.expm1 (-.r.mu.(j) *. dt) in
-          s.z_smp.(j) <- ((1. -. g) *. s.z_smp.(j)) +. (g *. s.z_eq.(j))
-        done;
-        for c = 0 to nc - 1 do
-          let acc = ref s.th.(c) in
-          for j = 0 to k - 1 do
-            acc :=
-              !acc +. (Array.unsafe_get r.cw.(j) c *. (s.z_smp.(j) -. s.z_eq.(j)))
-          done;
-          if !acc > !best then best := !acc
-        done
-      done;
-      (* Exact full-duration boundary step from the segment start. *)
-      for j = 0 to k - 1 do
-        let g = -.Float.expm1 (-.r.mu.(j) *. seg.duration) in
-        s.z_cur.(j) <- ((1. -. g) *. s.z_cur.(j)) +. (g *. s.z_eq.(j))
-      done)
-    profile;
-  !best +. r.ambient
+  Array.copy s

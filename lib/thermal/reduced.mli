@@ -21,7 +21,13 @@
     the Ritz vectors' core-node entries are kept.  The static correction
     reads the {!Sparse_response} tables the reduction is built from: a
     reduction holds no deferred state, so pool workers may share one
-    freely. *)
+    freely.
+
+    Like {!Modal} and {!Sparse_response}, the reduction exports engine
+    primitives only; {!Backend.of_reduced} maps them field for field,
+    and [Sched.Peak] turns profiles into screening scores with the same
+    evaluators, in-period walk included, that price candidates on the
+    exact backends. *)
 
 type t
 
@@ -34,41 +40,36 @@ type t
     [Invalid_argument] if [modes] is outside [1, n_nodes]. *)
 val of_response : ?modes:int -> Sparse_response.t -> t
 
-(** [n_cores r] is the core count of the engine the reduction was built
-    from. *)
-val n_cores : t -> int
+(** [response r] is the sparse engine the reduction was built from:
+    its static tier, and the source of its exact steady peaks. *)
+val response : t -> Sparse_response.t
 
-(** {1 ROM screening}
+(** {1 Engine operations}
 
-    Approximate stable-peak scores for two-tier candidate screening:
-    O(n_cores² + k·n_cores) per candidate, zero Krylov work after the
-    shared {!Sparse_response} tables exist.  Each score is one call
-    that borrows the reduction's per-domain scratch once, so pool
-    workers never share partial sums.  Scores are approximate —
-    truncated fast modes are treated quasi-statically — so screened
-    searches must re-verify survivors with an exact sparse solve (see
-    [Core.Screen]). *)
+    What {!Backend.of_reduced} maps field for field; each keeps the
+    contract of the {!Backend.t} field of the same name.  A state holds
+    the [k] retained coordinates, then the retained equilibrium and the
+    [n_cores] ambient-relative static core temperatures of the segment
+    it last stepped toward; core [c] reads
+    [th_c + Σ_j cw_jc (z_j − z_eq_j)] above ambient, the truncated fast
+    modes treated quasi-statically.  Exact at steady state, approximate
+    in between: screened searches re-verify survivors on an exact
+    backend (see [Core.Screen]).  Targeting a segment costs
+    O(n_cores² + k·n_cores) and a walked sub-step O(k·n_cores), with no
+    Krylov work.  {!step_into} allocates nothing and {!sample_segment}
+    only its result pair; {!stable} folds in the reduction's
+    per-domain scratch and returns a fresh vector. *)
 
-(** [rom_stable r ~t_p spans] is the approximate hottest core
-    temperature at the period boundary of a periodic profile with period
-    [t_p], the ROM counterpart of {!Modal.stable}: [spans feed] calls
-    [feed ~duration ~psi] once per segment, in period order; each
-    retained mode's drive folds in closed form and the period-[t_p]
-    fixed point closes per mode; the static tier is the last-fed
-    segment's steady superposition.  Raises [Invalid_argument] on a
-    non-positive (or NaN) period or duration, or a power vector whose
-    arity differs from the engine's core count. *)
-val rom_stable :
-  t -> t_p:float -> ((duration:float -> psi:Linalg.Vec.t -> unit) -> unit) -> float
+val ambient_state : t -> Linalg.Vec.t
+val core_temps : t -> Linalg.Vec.t -> Linalg.Vec.t
+val max_core_temp : t -> Linalg.Vec.t -> float
+val equilibrium_into : t -> psi:Linalg.Vec.t -> dst:Linalg.Vec.t -> unit
 
-(** [rom_stable_peak r profile] is {!rom_stable} over the profile's
-    segments at its period — the ROM counterpart of the exact
-    end-of-period peak ([Sched.Peak.profile_end_peak]). *)
-val rom_stable_peak : t -> Matex.profile -> float
+val step_into :
+  t -> dt:float -> state:Linalg.Vec.t -> psi:Linalg.Vec.t -> dst:Linalg.Vec.t -> unit
 
-(** [rom_peak_scan r ?samples_per_segment profile] approximates
-    [Sched.Peak.profile_scan_peak]: walks the stable period on the retained
-    modes ([samples_per_segment] sub-steps per segment, default 32,
-    exact full-duration boundary steps) with per-segment quasi-static
-    corrections. *)
-val rom_peak_scan : t -> ?samples_per_segment:int -> Matex.profile -> float
+val sample_segment :
+  t -> dt:float -> samples:int -> eq:Linalg.Vec.t -> walker:Linalg.Vec.t -> int * float
+
+val stable :
+  t -> t_p:float -> ((duration:float -> psi:Linalg.Vec.t -> unit) -> unit) -> Linalg.Vec.t

@@ -270,9 +270,9 @@ let y_inf_into t dst psi =
     done
   done
 
-let steady_core_into t dst psi =
+let steady_core_into t dst ~pos psi =
   check_psi t psi;
-  if Vec.dim dst <> t.nc then
+  if pos < 0 || pos > Vec.dim dst - t.nc then
     invalid_arg "Sparse_response.steady_core_into: destination arity mismatch";
   Atomic.incr t.superpose_evals;
   for k = 0 to t.nc - 1 do
@@ -281,7 +281,7 @@ let steady_core_into t dst psi =
     for i = 0 to t.nc - 1 do
       acc := !acc +. ((psi.(i) +. t.beta_tamb) *. Array.unsafe_get row i)
     done;
-    dst.(k) <- !acc
+    dst.(pos + k) <- !acc
   done
 
 (* The constant-voltage steady peak off the core-row table: O(n_cores^2),

@@ -101,11 +101,12 @@ val correct_cores : t -> state:Linalg.Vec.t -> deltas:Linalg.Vec.t -> unit
     mismatches. *)
 val y_inf_into : t -> Linalg.Vec.t -> Linalg.Vec.t -> unit
 
-(** [steady_core_into t dst psi] writes the ambient-relative steady
-    core temperatures (superposed off the core-row table, O(n_cores²))
-    into [dst] — the static tier {!Reduced}'s screening evaluators sit
-    on. *)
-val steady_core_into : t -> Linalg.Vec.t -> Linalg.Vec.t -> unit
+(** [steady_core_into t dst ~pos psi] writes the ambient-relative
+    steady core temperatures (superposed off the core-row table,
+    O(n_cores²)) into [dst.(pos)] .. [dst.(pos + n_cores - 1)] — the
+    static tier of a {!Reduced} state.  Raises [Invalid_argument] on a
+    power-vector arity mismatch or a range outside [dst]. *)
+val steady_core_into : t -> Linalg.Vec.t -> pos:int -> Linalg.Vec.t -> unit
 
 (** [steady_peak t psi] is the hottest absolute steady core
     temperature, by superposition off the core-row table. *)

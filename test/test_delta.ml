@@ -22,14 +22,15 @@ let seed_gen = QCheck.(make Gen.(int_range 0 1_000_000))
 let check_bits what a b =
   Alcotest.(check int64) what (Int64.bits_of_float a) (Int64.bits_of_float b)
 
-(* Random small platform (<= 27 nodes), varied ambient and leakage, as
-   in the other differential suites. *)
+(* Random small layered platform (die and spreader nodes per core plus
+   a shared sink: at most 13 nodes on 2x3 cores), varied ambient and
+   leakage, as in the other differential suites. *)
 let random_model rng =
   let rows = 1 + Random.State.int rng 2 in
   let cols = 1 + Random.State.int rng 3 in
   let ambient = -10. +. Random.State.float rng 70. in
   let leak_beta = Random.State.float rng 0.1 in
-  Thermal.Hotspot.core_level ~ambient ~leak_beta
+  Thermal.Hotspot.layered ~ambient ~leak_beta
     (Thermal.Floorplan.grid ~rows ~cols ~core_width:4e-3 ~core_height:4e-3)
 
 (* Random aligned two-mode base, deliberately hitting the snapped

@@ -164,6 +164,19 @@ let prop_expmv_small_basis_splits_time =
       let w = Krylov.expmv ~m_max:6 (Sparse.spmv sp) ~t v in
       Vec.dist_inf reference w <= 1e-8)
 
+(* A long step on a stiff operator whose start vector is nearly all
+   fast mode: e^{-t alpha_1} of the first Rayleigh quotient underflows,
+   so a one-step estimate reads zero error while the slow mode still
+   carries e^{-0.044} of its share. *)
+let test_expmv_long_step_keeps_slow_mode () =
+  let d = [| 0.1; 1000. |] in
+  let a = Sparse.of_triplets ~rows:2 ~cols:2 [ (0, 0, d.(0)); (1, 1, d.(1)) ] in
+  let v = [| 1e-3; 1. |] and t = 0.44 in
+  let w = Krylov.expmv (Sparse.spmv a) ~t v in
+  let reference = Array.mapi (fun i x -> Float.exp (-.t *. d.(i)) *. x) v in
+  Alcotest.(check bool) "slow mode survives the long step" true
+    (Vec.dist_inf reference w <= 1e-12 *. Vec.norm2 v)
+
 let prop_smallest_eigs_match_dense =
   QCheck.Test.make ~name:"smallest_eigs agree with the dense eigensolve"
     ~count:40 seed_gen (fun seed ->
@@ -384,7 +397,7 @@ let prop_sparse_steady_matches_dense =
       let nc = Model.n_cores model in
       let psi = Array.init nc (fun _ -> Random.State.float rng 25.) in
       let rel = Vec.zeros nc in
-      Resp.steady_core_into eng rel psi;
+      Resp.steady_core_into eng rel ~pos:0 psi;
       Vec.dist_inf
         (Vec.map (fun x -> x +. Model.ambient model) rel)
         (Model.steady_core_temps model psi)
@@ -659,6 +672,8 @@ let () =
           Alcotest.test_case "prepared cap off the ladder" `Quick
             test_prepared_cap_off_ladder;
           Alcotest.test_case "prepared zero start" `Quick test_prepared_zero_start;
+          Alcotest.test_case "expmv long stiff step" `Quick
+            test_expmv_long_step_keeps_slow_mode;
         ] );
       qsuite "thermal parity"
         [

@@ -16,15 +16,16 @@ module Matex = Thermal.Matex
 
 let seed_gen = QCheck.(make Gen.(int_range 0 1_000_000))
 
-(* Random small platform (<= 27 nodes: core-level carries 3 nodes per
-   core, 3x3 cores max), with varied ambient and leakage so the
-   beta*T_amb fold into the unit responses is stressed. *)
+(* Random small layered platform (die and spreader nodes per core plus
+   a shared sink: at most 13 nodes on 2x3 cores), so off-core nodes
+   exist, with varied ambient and leakage so the beta*T_amb fold into
+   the unit responses is stressed. *)
 let random_model rng =
   let rows = 1 + Random.State.int rng 2 in
   let cols = 1 + Random.State.int rng 3 in
   let ambient = -10. +. Random.State.float rng 70. in
   let leak_beta = Random.State.float rng 0.1 in
-  Thermal.Hotspot.core_level ~ambient ~leak_beta
+  Thermal.Hotspot.layered ~ambient ~leak_beta
     (Thermal.Floorplan.grid ~rows ~cols ~core_width:4e-3 ~core_height:4e-3)
 
 let random_psi rng n =
@@ -66,7 +67,7 @@ let prop_steady_superposition_matches_dense =
       let nc = Model.n_cores model in
       let psi = random_psi rng nc in
       let rel = Vec.zeros nc in
-      Resp.steady_core_into resp rel psi;
+      Resp.steady_core_into resp rel ~pos:0 psi;
       let dense = Model.steady_core_temps model psi in
       Vec.dist_inf (Vec.map (fun x -> x +. Model.ambient model) rel) dense <= 1e-9
       && Float.abs (Resp.steady_peak resp psi -. Vec.max dense) <= 1e-9)
@@ -123,20 +124,13 @@ let prop_step_matches_reference =
 
 (* The observers' restart hook on both backends: after [correct_cores],
    every core reads its old temperature plus its delta, and on the
-   sparse backend (node coordinates) no off-core entry moves a bit.
-   Layered platforms, so that off-core nodes (spreaders, the shared
-   sink) exist. *)
+   sparse backend (node coordinates) no off-core entry moves a bit —
+   the spreaders and the shared sink of the layered platforms. *)
 let prop_correct_cores =
   QCheck.Test.make ~name:"correct_cores moves core readings only" ~count:40
     seed_gen (fun seed ->
       let rng = Random.State.make [| seed |] in
-      let model =
-        Thermal.Hotspot.layered
-          ~ambient:(-10. +. Random.State.float rng 70.)
-          ~leak_beta:(Random.State.float rng 0.1)
-          (Thermal.Floorplan.grid ~rows:(1 + Random.State.int rng 2)
-             ~cols:(1 + Random.State.int rng 3) ~core_width:4e-3 ~core_height:4e-3)
-      in
+      let model = random_model rng in
       let nc = Model.n_cores model in
       let core = Array.make (Model.n_nodes model) false in
       Array.iter (fun i -> core.(i) <- true) (Model.core_nodes model);
@@ -169,31 +163,52 @@ let model27 =
     (Thermal.Floorplan.grid ~rows:3 ~cols:3 ~core_width:4e-3 ~core_height:4e-3)
 
 (* The same batch of streamed evaluations must come back bit-identical
-   at pool sizes 1 and 4: per-domain DLS scratch means workers never
-   share partial sums, and index-ordered results mean the comparison is
-   positional. *)
+   at pool sizes 1 and 4: per-domain scratch means workers never share
+   partial sums, and index-ordered results mean the comparison is
+   positional.  Each profile is priced three ways: its exact end peak,
+   and on the ROM backend (whose stable status folds into the
+   reduction's own per-domain scratch) a fused two-mode score and a
+   16-sample scan. *)
 let test_pool_size_determinism () =
   let rng = Random.State.make [| 42 |] in
   let resp = engine_of model27 in
-  let profiles =
-    Array.init 24 (fun _ -> random_profile rng (Resp.n_cores resp))
+  let rom = Thermal.Backend.of_reduced (Reduced.of_response resp) in
+  let nc = Resp.n_cores resp in
+  let pm = Power.Power_model.default in
+  let profiles = Array.init 24 (fun _ -> random_profile rng nc) in
+  let two_modes =
+    Array.init 24 (fun _ ->
+        let low = Array.init nc (fun _ -> 0.6 +. Random.State.float rng 0.4) in
+        ( 0.02 +. Random.State.float rng 0.3,
+          low,
+          Array.map (fun v -> v +. Random.State.float rng 0.7) low,
+          Array.init nc (fun _ -> Random.State.float rng 1.) ))
+  in
+  let scores i =
+    let period, low, high, high_ratio = two_modes.(i) in
+    [
+      ("end peak", end_peak resp profiles.(i));
+      ( "ROM two-mode score",
+        Sched.Peak.of_two_mode rom pm ~period ~low ~high ~high_ratio );
+      ( "ROM 16-sample scan",
+        Sched.Peak.profile_scan_peak rom ~samples_per_segment:16 profiles.(i) );
+    ]
   in
   let run pool_size =
     let pool = Util.Pool.create ~size:pool_size () in
-    let out =
-      Util.Pool.init ~pool (Array.length profiles) (fun i ->
-          end_peak resp profiles.(i))
-    in
+    let out = Util.Pool.init ~pool (Array.length profiles) scores in
     Util.Pool.shutdown pool;
     out
   in
   let seq = run 1 and par = run 4 in
   Array.iteri
-    (fun i a ->
-      Alcotest.(check bool)
-        (Printf.sprintf "profile %d bit-identical at pool sizes 1 and 4" i)
-        true
-        (Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float par.(i))))
+    (fun i row ->
+      List.iter2
+        (fun (what, a) (_, b) ->
+          Alcotest.(check int64)
+            (Printf.sprintf "%s %d bit-identical at pool sizes 1 and 4" what i)
+            (Int64.bits_of_float a) (Int64.bits_of_float b))
+        row par.(i))
     seq
 
 (* Two engines evaluated interleaved on one domain: each engine owns its
@@ -244,6 +259,112 @@ let test_one_response_build_per_context () =
   ignore (Core.Ao.solve ~eval:ev ~par:false p : Core.Ao.result);
   Alcotest.(check int) "one response build" 1 (builds ev - before)
 
+(* ------------------------------------------------- reduced backend *)
+
+(* Retaining every mode leaves the static correction nothing to patch,
+   so the reduced backend answers every evaluator the walk and the
+   stable status reach exactly as the sparse one does, up to
+   rounding. *)
+let test_reduced_full_basis_exact () =
+  let pm = Power.Power_model.default in
+  List.iter
+    (fun (rows, cols) ->
+      let spec = Thermal.Grid_model.sheet_spec ~rows ~cols () in
+      let eng = Resp.of_spec spec in
+      let n = Thermal.Spec.n_nodes spec and nc = Thermal.Spec.n_cores spec in
+      let exact = Thermal.Backend.of_response eng
+      and rom = Thermal.Backend.of_reduced (Reduced.of_response ~modes:n eng) in
+      let ramp v0 dv =
+        Array.init nc (fun i -> Power.Power_model.psi pm (v0 +. (dv *. float_of_int i)))
+      in
+      let profile =
+        [
+          { Matex.duration = 0.03; psi = ramp 0.4 0.1 };
+          { Matex.duration = 0.02; psi = ramp 1.3 (-0.1) };
+        ]
+      in
+      let close what a b =
+        if Float.abs (a -. b) > 1e-9 then
+          Alcotest.failf "%dx%d sheet, all %d modes, %s: %.17g vs %.17g" rows cols n
+            what a b
+      in
+      let both what f = close what (f exact) (f rom) in
+      both "end peak" (fun b -> Sched.Peak.profile_end_peak b profile);
+      both "scan peak" (fun b -> Sched.Peak.profile_scan_peak b profile);
+      both "refined peak" (fun b -> Sched.Peak.profile_refined_peak b profile);
+      both "steady constant" (fun b ->
+          Sched.Peak.steady_constant b pm
+            (Array.init nc (fun i -> 0.6 +. (0.1 *. float_of_int i))));
+      (* One step from a warm state, read at every core. *)
+      let step (b : Thermal.Backend.t) =
+        let warm = b.ambient_state () and dst = b.ambient_state () in
+        b.step_into ~dt:0.04 ~state:(b.ambient_state ()) ~psi:(ramp 1.3 (-0.1))
+          ~dst:warm;
+        b.step_into ~dt:0.015 ~state:warm ~psi:(ramp 0.4 0.1) ~dst;
+        b.core_temps dst
+      in
+      let on_rom = step rom in
+      Array.iteri
+        (fun c a -> close (Printf.sprintf "step, core %d" c) a on_rom.(c))
+        (step exact))
+    [ (2, 2); (3, 3) ]
+
+let test_reduced_validation () =
+  let eng = Resp.of_spec (Thermal.Grid_model.sheet_spec ~rows:2 ~cols:2 ()) in
+  let rejected modes =
+    match Reduced.of_response ~modes eng with
+    | exception Invalid_argument msg ->
+        Alcotest.(check string) "message names the entry point"
+          "Reduced.of_response: modes outside [1, n_nodes]" msg;
+        true
+    | _ -> false
+  in
+  Alcotest.(check bool) "zero modes rejected" true (rejected 0);
+  Alcotest.(check bool) "too many modes rejected" true (rejected 99)
+
+(* ------------------------------------------------------- allocation *)
+
+(* Minor-heap words per call of [f] over [n] calls, after one warm-up
+   call has built whatever a first use builds (per-domain scratch,
+   decay tables). *)
+let minor_words_per_call ?(n = 1000) f =
+  f ();
+  let before = Gc.minor_words () in
+  for _ = 1 to n do
+    f ()
+  done;
+  (Gc.minor_words () -. before) /. float_of_int n
+
+(* An [int * float] result: a two-field block plus a boxed float. *)
+let pair_words = 3. +. 1. +. (8. /. float_of_int (Sys.word_size / 8))
+
+(* The epoch loop's step and the walk's segment allocate nothing per
+   call on the dense and reduced backends beyond the documented result
+   pair.  Only native code unboxes floats, so bytecode skips. *)
+let test_hot_path_allocation () =
+  if Sys.backend_type <> Sys.Native then Alcotest.skip ();
+  let check what expected got =
+    Alcotest.(check (float 0.)) (what ^ ": minor words per call") expected got
+  in
+  let step_words (b : Thermal.Backend.t) =
+    let psi = Array.init b.n_cores (fun i -> 2. +. float_of_int i) in
+    let state = b.ambient_state () and dst = b.ambient_state () in
+    b.step_into ~dt:0.01 ~state:(b.ambient_state ()) ~psi ~dst:state;
+    let dt = 0.003 in
+    minor_words_per_call (fun () -> b.step_into ~dt ~state ~psi ~dst)
+  in
+  let dense = Thermal.Backend.of_model model27 in
+  let rom = Thermal.Backend.of_reduced (Reduced.of_response (engine_of model27)) in
+  check "dense step_into" 0. (step_words dense);
+  check "reduced step_into" 0. (step_words rom);
+  let psi = Array.init rom.n_cores (fun i -> 3. +. float_of_int i) in
+  let eq = rom.ambient_state () and walker = rom.ambient_state () in
+  rom.equilibrium_into ~psi ~dst:eq;
+  let dt = 0.002 in
+  check "reduced sample_segment" pair_words
+    (minor_words_per_call (fun () ->
+         ignore (rom.sample_segment ~dt ~samples:16 ~eq ~walker : int * float)))
+
 (* ------------------------------------------- ROM screening soundness *)
 
 (* Screened selection must equal the exhaustive exact search when the
@@ -260,7 +381,7 @@ let prop_screened_search_equals_exhaustive =
       let cols = 2 + Random.State.int rng (Stdlib.min 7 ((64 / rows) - 1)) in
       let spec = Thermal.Grid_model.sheet_spec ~rows ~cols () in
       let resp = Resp.of_spec spec in
-      let rom = Reduced.of_response resp in
+      let rom = Thermal.Backend.of_reduced (Reduced.of_response resp) in
       let nc = Resp.n_cores resp in
       let n_cand = 8 + Random.State.int rng 9 in
       let candidates =
@@ -270,7 +391,7 @@ let prop_screened_search_equals_exhaustive =
         Array.map (fun p -> end_peak resp p) candidates
       in
       let rom_all =
-        Array.map (fun p -> Reduced.rom_stable_peak rom p) candidates
+        Array.map (fun p -> Sched.Peak.profile_end_peak rom p) candidates
       in
       (* Sound margin: twice the realized worst-case ROM error, plus
          slack — the premise of the equality theorem, computed from the
@@ -402,6 +523,12 @@ let () =
             test_scratch_cross_engine_isolation;
           Alcotest.test_case "one response build per context" `Quick
             test_one_response_build_per_context;
+        ] );
+      ( "reduced",
+        [
+          Alcotest.test_case "full basis exact" `Quick test_reduced_full_basis_exact;
+          Alcotest.test_case "validation" `Quick test_reduced_validation;
+          Alcotest.test_case "hot-path allocation" `Quick test_hot_path_allocation;
         ] );
       qsuite "screening"
         [

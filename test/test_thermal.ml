@@ -394,6 +394,18 @@ let test_matex_interior_peak_found () =
   Alcotest.(check bool) "non-step-up: scan strictly above end-of-period" true
     (scan > end_peak +. 0.5)
 
+(* A tolerance the bracket width can never fall below must be rejected
+   up front: the search would otherwise never return. *)
+let test_golden_max_tolerance () =
+  let f x = -.((x -. 0.3) ** 2.) in
+  Alcotest.(check (float 1e-6)) "finds the maximum" 0. (Matex.golden_max f 0. 1. 1e-6);
+  List.iter
+    (fun (what, tol) ->
+      Alcotest.check_raises (what ^ " tolerance rejected")
+        (Invalid_argument "Matex.golden_max: tolerance must be finite and positive")
+        (fun () -> ignore (Matex.golden_max f 0. 1. tol : float)))
+    [ ("zero", 0.); ("negative", -1e-4); ("NaN", Float.nan); ("infinite", infinity) ]
+
 let test_matex_validation () =
   let m = model3 () in
   let resp = Thermal.Sparse_response.of_spec (Thermal.Spec.of_model m) in
@@ -515,46 +527,6 @@ let test_time_to_threshold_monotone_in_threshold () =
   let t2 = Option.get (Matex.time_to_threshold m ~threshold:65. profile) in
   Alcotest.(check bool) "higher threshold takes longer" true (t2 > t1)
 
-(* -------------------------------------------------------------- reduced *)
-
-let reduced_of ?modes eng = Thermal.Reduced.of_response ?modes eng
-
-let test_reduced_full_basis_exact () =
-  (* Retaining every mode leaves the static correction nothing to patch,
-     so the ROM's stable peak is the exact sparse one up to rounding. *)
-  List.iter
-    (fun (rows, cols) ->
-      let spec = Thermal.Grid_model.sheet_spec ~rows ~cols () in
-      let eng = Thermal.Sparse_response.of_spec spec in
-      let n = Thermal.Spec.n_nodes spec in
-      let nc = Thermal.Spec.n_cores spec in
-      let r = reduced_of ~modes:n eng in
-      let ramp v0 dv = Array.init nc (fun i -> psi_of (v0 +. (dv *. float_of_int i))) in
-      let profile =
-        [
-          { Matex.duration = 0.03; psi = ramp 0.4 0.1 };
-          { Matex.duration = 0.02; psi = ramp 1.3 (-0.1) };
-        ]
-      in
-      check_close 1e-9
-        (Printf.sprintf "%dx%d sheet, all %d modes" rows cols n)
-        (Sched.Peak.profile_end_peak (Thermal.Backend.of_response eng) profile)
-        (Thermal.Reduced.rom_stable_peak r profile))
-    [ (2, 2); (3, 3) ]
-
-let test_reduced_validation () =
-  let eng = Thermal.Sparse_response.of_spec (Thermal.Grid_model.sheet_spec ~rows:2 ~cols:2 ()) in
-  let rejected modes =
-    match reduced_of ~modes eng with
-    | exception Invalid_argument msg ->
-        Alcotest.(check string) "message names the entry point"
-          "Reduced.of_response: modes outside [1, n_nodes]" msg;
-        true
-    | _ -> false
-  in
-  Alcotest.(check bool) "zero modes rejected" true (rejected 0);
-  Alcotest.(check bool) "too many modes rejected" true (rejected 99)
-
 let test_mission_peak () =
   let m = model3 () in
   (* Boot (low) -> burst (high) -> settle (low): the mission peak is at
@@ -666,12 +638,8 @@ let () =
           Alcotest.test_case "scan >= boundaries" `Quick test_matex_peak_scan_at_least_boundaries;
           Alcotest.test_case "interior peak found" `Quick test_matex_interior_peak_found;
           Alcotest.test_case "validation" `Quick test_matex_validation;
+          Alcotest.test_case "golden_max tolerance" `Quick test_golden_max_tolerance;
           Alcotest.test_case "trace continuity" `Quick test_matex_trace_continuity;
-        ] );
-      ( "reduced",
-        [
-          Alcotest.test_case "full basis exact" `Quick test_reduced_full_basis_exact;
-          Alcotest.test_case "validation" `Quick test_reduced_validation;
         ] );
       ( "time_to_threshold",
         [
